@@ -411,6 +411,17 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte as one slice. Those stop bytes are ASCII, so the run
+            // ends on a character boundary and is valid UTF-8 (the input
+            // is a &str); validating just the run keeps the decode linear.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            out.push_str(std::str::from_utf8(&rest[..run]).expect("input is UTF-8"));
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unexpected end of input in string")),
                 Some(b'"') => {
@@ -431,31 +442,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             self.pos += 1;
-                            let hi = self.hex4()?;
-                            // Surrogate pair: a high surrogate must be
-                            // followed by \uDC00..DFFF.
-                            let code = if (0xd800..0xdc00).contains(&hi) {
-                                if self.peek() != Some(b'\\') {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                self.pos += 1;
-                                if self.peek() != Some(b'u') {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                self.pos += 1;
-                                let lo = self.hex4()?;
-                                if !(0xdc00..0xe000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
-                            } else {
-                                hi
-                            };
-                            match char::from_u32(code) {
-                                Some(c) => out.push(c),
-                                None => return Err(self.err("invalid unicode escape")),
-                            }
-                            continue; // hex4 already advanced past the digits
+                            out.push(self.unicode_escape()?);
+                            continue; // already advanced past the digits
                         }
                         Some(c) => {
                             return Err(self.err(format!("bad escape '\\{}'", c as char)))
@@ -463,20 +451,35 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => {
-                    return Err(self.err("unescaped control character in string"))
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).expect("input is UTF-8");
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
         }
+    }
+
+    /// Decodes the digits of a `\u` escape (positioned just past the
+    /// `u`), joining a surrogate pair into one character.
+    fn unicode_escape(&mut self) -> Result<char, ParseError> {
+        let hi = self.hex4()?;
+        // Surrogate pair: a high surrogate must be followed by
+        // \uDC00..DFFF.
+        let code = if (0xd800..0xdc00).contains(&hi) {
+            if self.peek() != Some(b'\\') {
+                return Err(self.err("unpaired surrogate"));
+            }
+            self.pos += 1;
+            if self.peek() != Some(b'u') {
+                return Err(self.err("unpaired surrogate"));
+            }
+            self.pos += 1;
+            let lo = self.hex4()?;
+            if !(0xdc00..0xe000).contains(&lo) {
+                return Err(self.err("invalid low surrogate"));
+            }
+            0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
+        } else {
+            hi
+        };
+        char::from_u32(code).ok_or_else(|| self.err("invalid unicode escape"))
     }
 
     /// Reads exactly four hex digits and advances past them.
@@ -568,6 +571,57 @@ mod tests {
         assert_eq!(v, Json::Str("😀".into()));
         assert!(parse(r#""\ud83d""#).is_err(), "unpaired high surrogate");
         assert!(parse(r#""\ud83dA""#).is_err(), "bad low surrogate");
+    }
+
+    #[test]
+    fn long_mixed_strings_round_trip() {
+        // Multi-byte UTF-8 of every width, every escape the serializer
+        // emits, and control characters, repeated far past any buffer.
+        let unit = "ascii \u{e9}\u{3bb}\u{4e2d}\u{1f600} \" \\ \n \r \t \u{1}\u{1f} /";
+        let long = unit.repeat(2000);
+        for v in [Json::Str(long.clone()), Json::Obj(vec![(long.clone(), Json::Str(long))])] {
+            assert_eq!(parse(&v.to_string_compact()).unwrap(), v);
+            assert_eq!(roundtrip(&v), v);
+        }
+    }
+
+    #[test]
+    fn every_escape_decodes() {
+        let text = r#""\"\\\/\b\f\n\r\t\u0041\u00e9\u4E2D\ud83d\ude00x""#;
+        assert_eq!(
+            parse(text).unwrap(),
+            Json::Str("\"\\/\u{8}\u{c}\n\r\tA\u{e9}\u{4e2d}\u{1f600}x".into())
+        );
+        // Escaped surrogate pairs between raw multi-byte runs.
+        let mixed = "\"\u{e9}\\ud83d\\ude00\u{1f600}\\udbff\\udfff\u{4e2d}\"";
+        assert_eq!(
+            parse(mixed).unwrap(),
+            Json::Str("\u{e9}\u{1f600}\u{1f600}\u{10ffff}\u{4e2d}".into())
+        );
+        let pairs = Json::Str("\u{1f600}\u{10ffff}\u{10000}".repeat(500));
+        assert_eq!(roundtrip(&pairs), pairs);
+    }
+
+    #[test]
+    fn string_errors_keep_their_byte_offsets() {
+        for (text, offset, message) in [
+            ("\"ab\u{1}c\"", 3, "unescaped control character"),
+            ("\"\u{e9}\u{e9}\n\"", 5, "unescaped control character"),
+            (r#""\x""#, 2, "bad escape"),
+            (r#""\ud83d""#, 7, "unpaired surrogate"),
+            (r#""\ud83dA""#, 7, "unpaired surrogate"),
+            (r#""\ud83d\n""#, 8, "unpaired surrogate"),
+            (r#""\ud83d\u0041""#, 13, "invalid low surrogate"),
+            (r#""\udc00""#, 7, "invalid unicode escape"),
+            (r#""\u12g4""#, 3, "bad hex"),
+            ("\"\u{4e2d}abc", 7, "unexpected end of input in string"),
+            (r#""esc\"#, 5, "unexpected end of input in escape"),
+            (r#""\u00"#, 3, "unexpected end of input in \\u escape"),
+        ] {
+            let err = parse(text).expect_err(text);
+            assert_eq!(err.offset, offset, "{text:?}: {err}");
+            assert!(err.message.contains(message), "{text:?}: {err}");
+        }
     }
 
     #[test]

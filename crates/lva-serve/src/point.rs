@@ -22,7 +22,7 @@ use crate::fingerprint::{parse_scale, point_fingerprint, scale_label};
 use lva_core::{ApproximatorConfig, CacheLevel, ClpConfig, ConfidenceWindow, LvpConfig};
 use lva_obs::{Json, MetricsRegistry, RunRecord};
 use lva_sim::{DegradeConfig, GovernorConfig, MechanismKind, SimConfig};
-use lva_workloads::{registry_seeded, WorkloadRun, WorkloadScale};
+use lva_workloads::{workload_seeded, Workload, WorkloadRun, WorkloadScale};
 
 /// One requested sweep point.
 #[derive(Debug, Clone, PartialEq)]
@@ -401,23 +401,26 @@ pub fn point_record(spec: &PointSpec, run: &WorkloadRun) -> RunRecord {
 }
 
 /// Evaluates one point from scratch: resolve the workload, run it under
-/// the spec's config, render the manifest. This is the server's default
-/// evaluator and the reference implementation integration tests compare
-/// cached results against.
+/// the spec's config (precise reference included), render the manifest.
+/// Memo-free on purpose: this is the reference implementation the
+/// scheduler's memoized evaluator ([`crate::memo`]) and the integration
+/// tests compare served results against.
 ///
 /// # Errors
 ///
 /// Returns a message for an unknown workload or an invalid config.
 pub fn evaluate_point(spec: &PointSpec) -> Result<String, String> {
+    let run = resolve_point(spec)?.execute(&spec.config);
+    Ok(point_record(spec, &run).to_string_pretty())
+}
+
+/// Validates `spec`'s config and builds its one kernel.
+pub(crate) fn resolve_point(spec: &PointSpec) -> Result<Box<dyn Workload>, String> {
     spec.config
         .validate()
         .map_err(|e| format!("invalid config: {e}"))?;
-    let workload = registry_seeded(spec.scale, spec.seed)
-        .into_iter()
-        .find(|w| w.name() == spec.workload)
-        .ok_or_else(|| format!("unknown workload {}", spec.workload))?;
-    let run = workload.execute(&spec.config);
-    Ok(point_record(spec, &run).to_string_pretty())
+    workload_seeded(spec.scale, spec.seed, &spec.workload)
+        .ok_or_else(|| format!("unknown workload {}", spec.workload))
 }
 
 #[cfg(test)]

@@ -22,7 +22,15 @@
 //! separately counts just the joins.
 //!
 //! Lock order (always acquired in this direction, never the reverse):
-//! `inflight` → `cache` → `jobs` → `metrics` → `timeline`.
+//! `inflight` → `cache` → `jobs` → `metrics` → `timeline`. The precise
+//! memo's lock is taken only inside an evaluation, which holds no other.
+//!
+//! Below the three layers, the production evaluator shares work a level
+//! down: points that miss the cache but share a (workload, scale, seed,
+//! precise config) share one precise reference run through a
+//! [`PreciseMemo`] of [`Scheduler::PRECISE_REFS_PER_WORKER`] references
+//! per worker. `serve/precise/hits` and `serve/precise/misses` count its
+//! lookups.
 //!
 //! Beside the pool runs one sampler thread that closes a timeline epoch
 //! every [`Scheduler::epoch_ms`] wall-milliseconds: the metrics registry
@@ -34,7 +42,8 @@
 //! the simulators, whose timelines run on simulated clocks.
 
 use crate::cache::ResultCache;
-use crate::point::{evaluate_point, PointSpec};
+use crate::memo::{Lookup, PreciseMemo};
+use crate::point::PointSpec;
 use lva_obs::{EpochFrame, EpochSampler, MetricsRegistry, Timeline, TimelineConfig};
 use lva_sim::sched::{catch_point, JobId, SubmissionQueue};
 use std::collections::HashMap;
@@ -43,8 +52,26 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Evaluates one point to its manifest text. Injected in tests; the
-/// production evaluator is [`evaluate_point`].
+/// production evaluator is [`crate::point::evaluate_point`] through a
+/// [`PreciseMemo`].
 pub type Evaluator = dyn Fn(&PointSpec) -> Result<String, String> + Send + Sync;
+
+/// How the workers evaluate a point.
+enum Eval {
+    /// The production path: memoized precise references.
+    Memo(PreciseMemo),
+    /// An injected evaluator (test seam).
+    Custom(Box<Evaluator>),
+}
+
+impl Eval {
+    fn evaluate(&self, spec: &PointSpec) -> (PointResult, Option<Lookup>) {
+        match self {
+            Eval::Memo(memo) => memo.evaluate(spec),
+            Eval::Custom(eval) => (eval(spec), None),
+        }
+    }
+}
 
 /// Per-point result: the manifest text, or why the point failed.
 pub type PointResult = Result<String, String>;
@@ -101,7 +128,7 @@ struct Inner {
     /// since this instant.
     start: Instant,
     next_job: AtomicU64,
-    eval: Box<Evaluator>,
+    eval: Eval,
 }
 
 /// A persistent worker pool with content-addressed result sharing.
@@ -126,18 +153,27 @@ impl Scheduler {
     /// Default wall interval between timeline epochs, in milliseconds.
     pub const DEFAULT_EPOCH_MS: u64 = 500;
 
+    /// Precise references the production evaluator's memo keeps per
+    /// worker: one for the point a worker is on, one for an interleaved
+    /// job's.
+    pub const PRECISE_REFS_PER_WORKER: usize = 2;
+
     /// Spawns `workers` threads evaluating points with the production
-    /// evaluator ([`evaluate_point`]).
+    /// evaluator: [`crate::point::evaluate_point`]'s manifests, with
+    /// precise references shared through a [`PreciseMemo`] of
+    /// [`PRECISE_REFS_PER_WORKER`](Self::PRECISE_REFS_PER_WORKER)
+    /// references per worker.
     #[must_use]
     pub fn new(workers: usize, cache: ResultCache) -> Self {
-        Self::with_evaluator(workers, cache, Box::new(evaluate_point))
+        Self::new_every(workers, cache, Self::DEFAULT_EPOCH_MS)
     }
 
     /// Like [`new`](Self::new), with the wall interval between timeline
     /// epochs in milliseconds (clamped to at least 1).
     #[must_use]
     pub fn new_every(workers: usize, cache: ResultCache, epoch_ms: u64) -> Self {
-        Self::with_evaluator_every(workers, cache, Box::new(evaluate_point), epoch_ms)
+        let memo = PreciseMemo::new(workers.max(1) * Self::PRECISE_REFS_PER_WORKER);
+        Self::spawn(workers, cache, Eval::Memo(memo), epoch_ms)
     }
 
     /// Spawns `workers` threads with a custom evaluator (test seam).
@@ -156,6 +192,10 @@ impl Scheduler {
         eval: Box<Evaluator>,
         epoch_ms: u64,
     ) -> Self {
+        Self::spawn(workers, cache, Eval::Custom(eval), epoch_ms)
+    }
+
+    fn spawn(workers: usize, cache: ResultCache, eval: Eval, epoch_ms: u64) -> Self {
         let epoch_ms = epoch_ms.max(1);
         let inner = Arc::new(Inner {
             queue: SubmissionQueue::new(),
@@ -500,9 +540,9 @@ fn worker_loop(inner: &Inner) {
         };
 
         let t0 = Instant::now();
-        let result: PointResult = match catch_point(|| (inner.eval)(&spec)) {
+        let (result, lookup) = match catch_point(|| inner.eval.evaluate(&spec)) {
             Ok(r) => r,
-            Err(panic_msg) => Err(format!("evaluator panicked: {panic_msg}")),
+            Err(panic_msg) => (Err(format!("evaluator panicked: {panic_msg}")), None),
         };
         let eval_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
 
@@ -541,6 +581,12 @@ fn worker_loop(inner: &Inner) {
                 }
                 if result.is_err() {
                     metrics.counter("serve/points/failed").inc();
+                }
+                if let Some(lookup) = lookup {
+                    // Both counters, so each shows from the first lookup on.
+                    let hit = lookup == Lookup::Hit;
+                    metrics.counter("serve/precise/hits").add(u64::from(hit));
+                    metrics.counter("serve/precise/misses").add(u64::from(!hit));
                 }
                 metrics.counter("serve/jobs/completed").add(jobs_completed);
                 metrics.histogram("serve/point/eval_ns").record(eval_ns);
@@ -791,6 +837,29 @@ mod tests {
         assert!(sched
             .wait_frame(Some(u64::MAX), Duration::from_millis(20))
             .is_none());
+    }
+
+    #[test]
+    fn the_production_evaluator_runs_one_precise_reference_per_kernel() {
+        use lva_core::{ApproximatorConfig, ClpConfig};
+        let sched = Scheduler::new(1, ResultCache::in_memory(16));
+        let points: Vec<PointSpec> = [
+            SimConfig::precise(),
+            SimConfig::baseline_lva(),
+            SimConfig::lva_clp(ApproximatorConfig::baseline(), ClpConfig::baseline()),
+            SimConfig::baseline_lva().with_error_budget(0.05),
+        ]
+        .into_iter()
+        .map(|c| PointSpec::new("swaptions", WorkloadScale::Test, 4, c))
+        .collect();
+        let outcome = sched.wait(sched.submit(points.clone()));
+        for (point, result) in points.iter().zip(&outcome.results) {
+            assert_eq!(result, &crate::point::evaluate_point(point));
+        }
+        let dump: HashMap<String, f64> = sched.metrics_dump().into_iter().collect();
+        assert_eq!(dump["serve/precise/misses"], 1.0);
+        assert_eq!(dump["serve/precise/hits"], 3.0);
+        assert_eq!(dump["serve/points/evaluated"], 4.0);
     }
 
     #[test]

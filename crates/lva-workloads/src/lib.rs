@@ -34,6 +34,7 @@ pub mod x264;
 
 use lva_cpu::ThreadTrace;
 use lva_sim::{MechanismKind, Phase1Stats, SimConfig, SimHarness};
+use std::any::Any;
 
 /// Input scale: how much work a kernel does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -141,6 +142,63 @@ impl WorkloadRun {
     }
 }
 
+/// The precise configuration a run under `config` is normalized against:
+/// `config` with the mechanism set to [`MechanismKind::Precise`] and every
+/// tracing, robustness and supervisory knob switched off.
+///
+/// The precise reference run never traces, never degrades and never
+/// injects faults: it is the ground truth every metric (and the quality
+/// budget itself) is measured against, so those knobs must not leak into
+/// it. Two configs with equal precise configs share one reference, which
+/// is what lets a sweep memoize it.
+#[must_use]
+pub fn precise_config(config: &SimConfig) -> SimConfig {
+    SimConfig {
+        mechanism: MechanismKind::Precise,
+        trace: lva_obs::TraceConfig::off(),
+        degrade: None,
+        faults: None,
+        timeline: None,
+        govern: None,
+        ..config.clone()
+    }
+}
+
+/// A kernel's precise run under some [`precise_config`]: the type-erased
+/// output the error metric compares against, plus the run's statistics,
+/// instruction traces and trace collectors.
+///
+/// Built by [`Workload::precise_reference`] and consumed by
+/// [`Workload::execute_against`], which may be called any number of
+/// times with configs sharing the same precise config — the split that
+/// lets a sweep run the reference once per (kernel, scale, seed, precise
+/// config) instead of once per point.
+pub struct PreciseReference {
+    /// The precise config this reference ran under.
+    config: SimConfig,
+    /// The kernel that produced it.
+    kernel: &'static str,
+    /// `Kernel::Output` of the precise run.
+    output: Box<dyn Any + Send + Sync>,
+    /// Phase-1 statistics of the precise run.
+    pub stats: Phase1Stats,
+    /// Per-thread instruction traces of the precise run (empty unless
+    /// [`SimConfig::record_traces`] is set).
+    pub traces: Vec<ThreadTrace>,
+    /// Per-core trace collectors of the precise run (always
+    /// [`lva_obs::TraceCollector::Off`]: the precise config never traces).
+    collectors: Vec<lva_obs::TraceCollector>,
+}
+
+impl std::fmt::Debug for PreciseReference {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PreciseReference")
+            .field("kernel", &self.kernel)
+            .field("config", &self.config)
+            .finish_non_exhaustive()
+    }
+}
+
 /// Object-safe workload interface used by the experiment harness: run under
 /// a configuration, get stats + error back. `Send + Sync` so boxed
 /// workloads can be shared across the sweep engine's worker threads
@@ -150,51 +208,134 @@ pub trait Workload: Send + Sync {
     /// Benchmark name.
     fn name(&self) -> &'static str;
 
+    /// Runs the kernel precisely under [`precise_config`]`(config)`.
+    fn precise_reference(&self, config: &SimConfig) -> PreciseReference;
+
+    /// Runs the kernel under `config` and reports it against `reference`.
+    /// When `config` is its own precise config, the reference itself is
+    /// the run and the kernel does not run again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reference` came from another kernel or another precise
+    /// config. The input seed and scale are not recorded in a reference:
+    /// pairing a reference with the right kernel instance is the
+    /// caller's job.
+    fn execute_against(&self, config: &SimConfig, reference: &PreciseReference) -> WorkloadRun;
+
     /// Runs the kernel twice — once precisely for the reference output and
-    /// baseline statistics, once under `config` — and reports both.
+    /// baseline statistics, once under `config` — and reports both. The
+    /// composition of [`precise_reference`](Self::precise_reference) and
+    /// [`execute_against`](Self::execute_against).
     fn execute(&self, config: &SimConfig) -> WorkloadRun;
 }
 
-impl<K: Kernel + Send + Sync> Workload for K {
+impl<K> Workload for K
+where
+    K: Kernel + Send + Sync,
+    K::Output: Clone + Send + Sync + 'static,
+{
     fn name(&self) -> &'static str {
         Kernel::name(self)
     }
 
-    fn execute(&self, config: &SimConfig) -> WorkloadRun {
-        // The precise reference run never traces, never degrades and never
-        // injects faults: it is the ground truth every metric (and the
-        // quality budget itself) is measured against, so robustness knobs
-        // must not leak into it through the struct update below.
-        let precise_cfg = SimConfig {
-            mechanism: MechanismKind::Precise,
-            trace: lva_obs::TraceConfig::off(),
-            degrade: None,
-            faults: None,
-            timeline: None,
-            govern: None,
-            ..config.clone()
-        };
-        let mut precise_harness = SimHarness::new(precise_cfg);
-        let precise_out = self.run(&mut precise_harness);
-        let precise = precise_harness.finish();
-
+    fn precise_reference(&self, config: &SimConfig) -> PreciseReference {
+        let config = precise_config(config);
         let mut harness = SimHarness::new(config.clone());
-        let out = self.run(&mut harness);
+        let output = self.run(&mut harness);
         let run = harness.finish();
-
-        WorkloadRun {
-            name: Kernel::name(self),
-            stats: run.stats,
-            precise_stats: precise.stats,
-            output_error: self.output_error(&precise_out, &out),
-            traces: precise.traces,
+        // The output and the statistics were allocated while the
+        // harness's memory was live, so they sit above it on the heap,
+        // where a long-lived reference would keep the allocator from
+        // returning the harness's freed pages. Copies made now that the
+        // harness is gone land in that freed space instead.
+        let output = output.clone();
+        PreciseReference {
+            config,
+            kernel: Kernel::name(self),
+            output: Box::new(output),
+            stats: run.stats.clone(),
+            traces: run.traces,
             collectors: run.collectors,
-            degrade: run.degrade,
-            timelines: run.timelines,
-            govern: run.govern,
         }
     }
+
+    fn execute_against(&self, config: &SimConfig, reference: &PreciseReference) -> WorkloadRun {
+        let mut run = run_against(self, config, reference);
+        run.traces.clone_from(&reference.traces);
+        run
+    }
+
+    fn execute(&self, config: &SimConfig) -> WorkloadRun {
+        let reference = self.precise_reference(config);
+        let mut run = run_against(self, config, &reference);
+        // The reference dies here, so its traces move instead of cloning.
+        run.traces = reference.traces;
+        run
+    }
 }
+
+/// [`Workload::execute_against`] without the precise traces, which the
+/// callers clone or move in.
+fn run_against<K>(kernel: &K, config: &SimConfig, reference: &PreciseReference) -> WorkloadRun
+where
+    K: Kernel,
+    K::Output: 'static,
+{
+    let name = kernel.name();
+    assert_eq!(
+        reference.kernel, name,
+        "precise reference belongs to another kernel"
+    );
+    let precise_out = reference
+        .output
+        .downcast_ref::<K::Output>()
+        .expect("reference output has the kernel's output type");
+    if *config == reference.config {
+        // The config is its own precise config: the run *is* the
+        // reference, so the kernel does not run a second time.
+        return WorkloadRun {
+            name,
+            stats: reference.stats.clone(),
+            precise_stats: reference.stats.clone(),
+            output_error: kernel.output_error(precise_out, precise_out),
+            traces: Vec::new(),
+            collectors: reference.collectors.clone(),
+            degrade: Vec::new(),
+            timelines: Vec::new(),
+            govern: Vec::new(),
+        };
+    }
+    assert!(
+        precise_config(config) == reference.config,
+        "precise reference ran under another precise config"
+    );
+    let mut harness = SimHarness::new(config.clone());
+    let out = kernel.run(&mut harness);
+    let run = harness.finish();
+    WorkloadRun {
+        name,
+        stats: run.stats,
+        precise_stats: reference.stats.clone(),
+        output_error: kernel.output_error(precise_out, &out),
+        traces: Vec::new(),
+        collectors: run.collectors,
+        degrade: run.degrade,
+        timelines: run.timelines,
+        govern: run.govern,
+    }
+}
+
+/// The seven benchmark names, in the paper's figure order.
+pub const WORKLOAD_NAMES: [&str; 7] = [
+    "blackscholes",
+    "bodytrack",
+    "canneal",
+    "ferret",
+    "fluidanimate",
+    "swaptions",
+    "x264",
+];
 
 /// All seven benchmarks at the given scale, in the paper's figure order.
 #[must_use]
@@ -207,15 +348,27 @@ pub fn registry(scale: WorkloadScale) -> Vec<Box<dyn Workload>> {
 /// runs; sweeping `seed` over `0..5` reproduces that methodology.
 #[must_use]
 pub fn registry_seeded(scale: WorkloadScale, seed: u64) -> Vec<Box<dyn Workload>> {
-    vec![
-        Box::new(blackscholes::Blackscholes::with_seed(scale, seed)),
-        Box::new(bodytrack::Bodytrack::with_seed(scale, seed)),
-        Box::new(canneal::Canneal::with_seed(scale, seed)),
-        Box::new(ferret::Ferret::with_seed(scale, seed)),
-        Box::new(fluidanimate::Fluidanimate::with_seed(scale, seed)),
-        Box::new(swaptions::Swaptions::with_seed(scale, seed)),
-        Box::new(x264::X264::with_seed(scale, seed)),
-    ]
+    WORKLOAD_NAMES
+        .iter()
+        .map(|name| workload_seeded(scale, seed, name).expect("every listed name resolves"))
+        .collect()
+}
+
+/// The one benchmark called `name` — the member of
+/// [`registry_seeded`]`(scale, seed)` with that name, built alone — or
+/// `None` for a name not in [`WORKLOAD_NAMES`].
+#[must_use]
+pub fn workload_seeded(scale: WorkloadScale, seed: u64, name: &str) -> Option<Box<dyn Workload>> {
+    Some(match name {
+        "blackscholes" => Box::new(blackscholes::Blackscholes::with_seed(scale, seed)),
+        "bodytrack" => Box::new(bodytrack::Bodytrack::with_seed(scale, seed)),
+        "canneal" => Box::new(canneal::Canneal::with_seed(scale, seed)),
+        "ferret" => Box::new(ferret::Ferret::with_seed(scale, seed)),
+        "fluidanimate" => Box::new(fluidanimate::Fluidanimate::with_seed(scale, seed)),
+        "swaptions" => Box::new(swaptions::Swaptions::with_seed(scale, seed)),
+        "x264" => Box::new(x264::X264::with_seed(scale, seed)),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -254,6 +407,113 @@ mod tests {
         // The untraced reference run matches the traced one bit for bit.
         let plain = wl.execute(&lva_sim::SimConfig::baseline_lva());
         assert_eq!(plain.stats.fingerprint(), run.stats.fingerprint());
+    }
+
+    /// The configs the reference split must be invisible under: the
+    /// reuse path (precise), the two mechanism families, and the two
+    /// feedback controllers.
+    fn split_configs() -> Vec<SimConfig> {
+        use lva_core::{ApproximatorConfig, ClpConfig};
+        vec![
+            SimConfig::precise(),
+            SimConfig::baseline_lva(),
+            SimConfig::lva_clp(ApproximatorConfig::baseline(), ClpConfig::baseline()),
+            SimConfig::baseline_lva().with_error_budget(0.05),
+            SimConfig::baseline_lva().with_govern_slo(0.02),
+        ]
+    }
+
+    fn assert_same_run(a: &WorkloadRun, b: &WorkloadRun, what: &str) {
+        assert_eq!(a.name, b.name, "{what}");
+        assert_eq!(a.stats.fingerprint(), b.stats.fingerprint(), "{what}");
+        assert_eq!(
+            a.precise_stats.fingerprint(),
+            b.precise_stats.fingerprint(),
+            "{what}"
+        );
+        assert_eq!(
+            a.output_error.to_bits(),
+            b.output_error.to_bits(),
+            "{what}"
+        );
+        assert_eq!(a.traces, b.traces, "{what}");
+        assert_eq!(a.collectors.len(), b.collectors.len(), "{what}");
+        assert_eq!(a.degrade.len(), b.degrade.len(), "{what}");
+        assert_eq!(a.govern.len(), b.govern.len(), "{what}");
+        assert_eq!(a.timelines.len(), b.timelines.len(), "{what}");
+    }
+
+    #[test]
+    fn execute_against_a_reference_equals_execute() {
+        for wl in registry_seeded(WorkloadScale::Test, 3) {
+            for (i, base) in split_configs().into_iter().enumerate() {
+                for config in [base.clone(), base.with_traces()] {
+                    let what = format!("{} under config {i}", wl.name());
+                    let reference = wl.precise_reference(&config);
+                    assert_eq!(reference.kernel, wl.name());
+                    assert_eq!(reference.config, precise_config(&config));
+                    let split = wl.execute_against(&config, &reference);
+                    let whole = wl.execute(&config);
+                    assert_same_run(&split, &whole, &what);
+                    assert_eq!(
+                        split.traces.iter().any(|t| !t.ops.is_empty()),
+                        config.record_traces,
+                        "{what}: traces follow record_traces"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_reference_serves_every_config_sharing_its_precise_config() {
+        let wl = canneal::Canneal::with_seed(WorkloadScale::Test, 1);
+        let reference = wl.precise_reference(&SimConfig::precise());
+        for (i, config) in split_configs().iter().enumerate() {
+            assert_same_run(
+                &wl.execute_against(config, &reference),
+                &wl.execute(config),
+                &format!("config {i}"),
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another precise config")]
+    fn a_reference_under_another_value_delay_is_refused() {
+        let wl = blackscholes::Blackscholes::with_seed(WorkloadScale::Test, 0);
+        let reference = wl.precise_reference(&SimConfig::precise());
+        let mut config = SimConfig::baseline_lva();
+        config.value_delay += 1;
+        let _ = wl.execute_against(&config, &reference);
+    }
+
+    #[test]
+    #[should_panic(expected = "another kernel")]
+    fn a_reference_from_another_kernel_is_refused() {
+        let reference = blackscholes::Blackscholes::with_seed(WorkloadScale::Test, 0)
+            .precise_reference(&SimConfig::precise());
+        let _ = swaptions::Swaptions::with_seed(WorkloadScale::Test, 0)
+            .execute_against(&SimConfig::precise(), &reference);
+    }
+
+    #[test]
+    fn by_name_kernels_equal_their_registry_twins() {
+        let config = SimConfig::baseline_lva();
+        for (twin, name) in registry_seeded(WorkloadScale::Test, 2)
+            .into_iter()
+            .zip(WORKLOAD_NAMES)
+        {
+            let alone = workload_seeded(WorkloadScale::Test, 2, name).expect("known name");
+            assert_eq!(alone.name(), name);
+            assert_eq!(twin.name(), name);
+            assert_eq!(
+                alone.execute(&config).stats.fingerprint(),
+                twin.execute(&config).stats.fingerprint(),
+                "{name}"
+            );
+        }
+        assert!(workload_seeded(WorkloadScale::Test, 0, "nonesuch").is_none());
     }
 
     #[test]

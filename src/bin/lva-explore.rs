@@ -35,7 +35,7 @@ use lva::sim::sweep::{run_sweep, SweepOptions};
 use lva::sim::{
     FaultConfig, FullSystem, FullSystemConfig, GovernorConfig, MechanismKind, SimConfig, SweepSpec,
 };
-use lva::workloads::{registry, registry_seeded, WorkloadRun, WorkloadScale};
+use lva::workloads::{registry, workload_seeded, WorkloadRun, WorkloadScale, WORKLOAD_NAMES};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::Path;
@@ -369,18 +369,17 @@ fn print_degrade(run: &WorkloadRun) {
 
 fn cmd_list() {
     println!("benchmarks (PARSEC kernels of §IV):");
-    for w in registry(WorkloadScale::Test) {
-        println!("  {}", w.name());
+    for name in WORKLOAD_NAMES {
+        println!("  {name}");
     }
 }
 
 fn find_workload(
     name: &str,
     scale: WorkloadScale,
+    seed: u64,
 ) -> Result<Box<dyn lva::workloads::Workload>, String> {
-    registry(scale)
-        .into_iter()
-        .find(|w| w.name() == name)
+    workload_seeded(scale, seed, name)
         .ok_or_else(|| format!("unknown benchmark {name} (try `lva-explore list`)"))
 }
 
@@ -390,7 +389,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         .get(1)
         .ok_or("usage: lva-explore run <benchmark> [--mech ...]")?;
     let scale = scale_of(args)?;
-    let workload = find_workload(name, scale)?;
+    let workload = find_workload(name, scale, 0)?;
     let config = robustness_of(
         args,
         SimConfig {
@@ -652,10 +651,7 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         .flag("seed")
         .map_or(Ok(0), str::parse)
         .map_err(|e| format!("bad --seed: {e}"))?;
-    let workload = registry_seeded(scale, seed)
-        .into_iter()
-        .find(|w| w.name() == name)
-        .ok_or_else(|| format!("unknown benchmark {name} (try `lva-explore list`)"))?;
+    let workload = find_workload(name, scale, seed)?;
     let config = robustness_of(
         args,
         SimConfig {
@@ -778,7 +774,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         .ok_or("usage: lva-explore trace <benchmark> --out <file.lvat|file.json>")?;
     let out = args.flag("out").ok_or("missing --out <file>")?;
     let scale = scale_of(args)?;
-    let workload = find_workload(name, scale)?;
+    let workload = find_workload(name, scale, 0)?;
 
     // A `.json` target records per-load *events* and exports them in
     // Chrome trace-event format (open in Perfetto / chrome://tracing);
@@ -834,7 +830,7 @@ fn cmd_attribute(args: &Args) -> Result<(), String> {
         .get(1)
         .ok_or("usage: lva-explore attribute <benchmark> [--mech ...] [--top N] [--out m.json]")?;
     let scale = scale_of(args)?;
-    let workload = find_workload(name, scale)?;
+    let workload = find_workload(name, scale, 0)?;
     let trace = sampling_of(args, TraceConfig::attribution())?;
     let config = robustness_of(
         args,
@@ -1024,7 +1020,7 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
         .flag("epoch")
         .map_or(Ok(500), str::parse)
         .map_err(|e| format!("bad --epoch: {e}"))?;
-    let workload = find_workload(name, scale)?;
+    let workload = find_workload(name, scale, 0)?;
     let config = robustness_of(
         args,
         SimConfig {

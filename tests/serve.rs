@@ -114,6 +114,99 @@ fn concurrent_overlapping_clients_match_direct_run_sweep() {
     handle.join();
 }
 
+/// A grid whose points share precise references in groups: two kernels
+/// × two seeds × two value delays, each under five configs that differ
+/// only outside the precise config. Key-major order.
+fn memo_grid() -> Vec<PointSpec> {
+    use lva::core::{ApproximatorConfig, ClpConfig};
+    let mut points = Vec::new();
+    for workload in ["blackscholes", "swaptions"] {
+        for seed in [0, 1] {
+            for value_delay in [4, 9] {
+                for config in [
+                    SimConfig::precise(),
+                    SimConfig::baseline_lva(),
+                    SimConfig::lva_clp(ApproximatorConfig::baseline(), ClpConfig::baseline()),
+                    SimConfig::baseline_lva().with_error_budget(0.05),
+                    SimConfig::baseline_lva().with_govern_slo(0.02),
+                ] {
+                    let config = SimConfig {
+                        value_delay,
+                        ..config
+                    };
+                    points.push(PointSpec::new(workload, WorkloadScale::Test, seed, config));
+                }
+            }
+        }
+    }
+    points
+}
+
+/// Precise-reference keys in [`memo_grid`].
+const MEMO_KEYS: f64 = 8.0;
+
+fn precise_lookups(sched: &Scheduler) -> (f64, f64) {
+    let dump: std::collections::HashMap<String, f64> = sched.metrics_dump().into_iter().collect();
+    (
+        dump.get("serve/precise/hits").copied().unwrap_or(0.0),
+        dump.get("serve/precise/misses").copied().unwrap_or(0.0),
+    )
+}
+
+/// The precise-reference memo is invisible in the results: with one or
+/// two workers and the grid submitted in shuffled order (so references
+/// are evicted and recomputed as well as shared), every served manifest
+/// is byte-identical to the memo-free `evaluate_point`.
+#[test]
+fn precise_memo_serves_manifests_byte_identical_to_evaluate_point() {
+    let grid = memo_grid();
+    let expected: Vec<String> = grid
+        .iter()
+        .map(|p| evaluate_point(p).expect("direct evaluation succeeds"))
+        .collect();
+
+    // Key-major order on one worker: every key misses exactly once, so
+    // points differing only in seed or value delay never share a
+    // reference, and the other four configs of each key always do.
+    let sched = Scheduler::new(1, ResultCache::in_memory(64));
+    let outcome = sched.wait(sched.submit(grid.clone()));
+    for (i, result) in outcome.results.iter().enumerate() {
+        assert_eq!(result.as_ref().expect("point ok"), &expected[i], "point {i}");
+    }
+    assert_eq!(
+        precise_lookups(&sched),
+        (grid.len() as f64 - MEMO_KEYS, MEMO_KEYS)
+    );
+
+    // A fixed shuffle, so neighbours rarely share a key.
+    let mut order: Vec<usize> = (0..grid.len()).collect();
+    let mut rng = lva::core::Rng64::new(13);
+    for i in (1..order.len()).rev() {
+        order.swap(i, (rng.gen_u64() % (i as u64 + 1)) as usize);
+    }
+    let shuffled: Vec<PointSpec> = order.iter().map(|&i| grid[i].clone()).collect();
+    for workers in [1, 2] {
+        let sched = Scheduler::new(workers, ResultCache::in_memory(64));
+        let outcome = sched.wait(sched.submit(shuffled.clone()));
+        for (result, &i) in outcome.results.iter().zip(&order) {
+            assert_eq!(
+                result.as_ref().expect("point ok"),
+                &expected[i],
+                "{workers} worker(s): point {i} must be byte-identical to evaluate_point"
+            );
+        }
+        let (hits, misses) = precise_lookups(&sched);
+        println!("{workers} worker(s), shuffled: {hits} precise hits, {misses} misses");
+        assert_eq!(hits + misses, grid.len() as f64, "one lookup per point");
+        assert!(misses >= MEMO_KEYS, "every key misses at least once");
+        if workers == 1 {
+            // Deterministic on one worker; two workers' claim timing
+            // moves the split, never the sum.
+            assert!(hits > 0.0, "the shuffle still shares some references");
+        }
+    }
+}
+
 #[test]
 fn repeated_identical_sweep_is_served_from_cache_and_far_faster() {
     // Points heavy enough that evaluation dwarfs the fixed wire and
@@ -337,6 +430,16 @@ fn cli_watch_streams_live_frames_and_metrics_print_as_a_table() {
         values["serve/jobs/accepted"],
         format!("{}", dump["serve/jobs/accepted"]),
         "counters print as integers"
+    );
+    // The precise-reference memo's counters: one lookup per evaluation.
+    let lookups: u64 = ["serve/precise/hits", "serve/precise/misses"]
+        .iter()
+        .map(|p| values[*p].parse::<u64>().expect("integer counter"))
+        .sum();
+    assert_eq!(
+        lookups.to_string(),
+        values["serve/points/evaluated"],
+        "one precise lookup per evaluated point:\n{table}"
     );
     let p95 = &values["serve/point/eval_ns/p95"];
     assert!(
