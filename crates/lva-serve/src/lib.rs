@@ -30,8 +30,8 @@
 //! * [`point`] — [`PointSpec`] (workload, scale, seed, config), its
 //!   restricted wire encoding, and the batch-identical manifest builder.
 //! * [`cache`] — the two-tier [`ResultCache`] with crash-safe writes.
-//! * [`memo`] — the [`PreciseMemo`] the production evaluator shares
-//!   precise reference runs through.
+//! * `memo` — the bounded precise-reference memo the production
+//!   evaluator shares precise runs through (crate-private).
 //! * [`sched`] — the persistent [`Scheduler`]: intra-job dedup, cache
 //!   lookups, in-flight coalescing, fair cross-job interleaving, and a
 //!   wall-interval timeline (an `lva-obs` [`lva_obs::EpochSampler`] fed
@@ -46,7 +46,7 @@
 pub mod cache;
 pub mod client;
 pub mod fingerprint;
-pub mod memo;
+mod memo;
 pub mod point;
 pub mod protocol;
 pub mod sched;
@@ -55,7 +55,6 @@ pub mod server;
 pub use cache::{default_cache_dir, ResultCache};
 pub use client::{Client, SubmitOutcome};
 pub use fingerprint::{point_fingerprint, CACHE_SCHEMA_VERSION};
-pub use memo::PreciseMemo;
 pub use point::{evaluate_point, point_record, PointSpec};
 pub use sched::{JobOutcome, PointResult, Scheduler};
 pub use server::{Server, ServerHandle};

@@ -22,6 +22,11 @@
 //! * **Coalescing** — a slot is a [`OnceLock`]: a worker that finds a
 //!   reference still being computed by another waits for it instead of
 //!   computing it again, and counts as a hit.
+//! * **Dispatch order** — a small bound only pays off when points
+//!   sharing a key are evaluated close together. The scheduler therefore
+//!   queues each job's points through [`group_by_reference`], so a grid
+//!   in any order (`lva-explore submit` sends its grid config-major)
+//!   costs one precise run per key.
 //!
 //! Served manifests are byte-identical to [`evaluate_point`]'s, which
 //! stays memo-free on purpose: it is the from-scratch reference the
@@ -40,43 +45,67 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// How a memoized evaluation found its precise reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lookup {
+pub(crate) enum Lookup {
     /// Already computed (or being computed by another worker).
     Hit,
     /// Computed by this evaluation.
     Miss,
 }
 
-struct Slot {
-    workload: String,
-    scale: WorkloadScale,
+/// What a precise reference depends on: points with equal keys share
+/// one. The seed comes first so most mismatches stop at one integer.
+#[derive(PartialEq)]
+struct Key {
     seed: u64,
+    scale: WorkloadScale,
+    workload: String,
     config: SimConfig,
+}
+
+impl Key {
+    fn of(spec: &PointSpec) -> Self {
+        Key {
+            seed: spec.seed,
+            scale: spec.scale,
+            workload: spec.workload.clone(),
+            config: precise_config(&spec.config),
+        }
+    }
+}
+
+/// Reorders `points` so the points sharing a precise reference are
+/// adjacent: groups in order of their first point, each group in its
+/// original order. The order points are evaluated in never shows in
+/// their results, so this only changes how often the memo hits.
+pub(crate) fn group_by_reference(points: Vec<(u64, PointSpec)>) -> Vec<(u64, PointSpec)> {
+    let mut groups: Vec<(Key, Vec<(u64, PointSpec)>)> = Vec::new();
+    for point in points {
+        let key = Key::of(&point.1);
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, group)) => group.push(point),
+            None => groups.push((key, vec![point])),
+        }
+    }
+    groups.into_iter().flat_map(|(_, group)| group).collect()
+}
+
+struct Slot {
+    key: Key,
     reference: Arc<OnceLock<PreciseReference>>,
 }
 
 /// A bounded, thread-safe memo of precise references (see the module
 /// docs). Allocates nothing until its first evaluation.
-pub struct PreciseMemo {
+pub(crate) struct PreciseMemo {
     capacity: usize,
     /// Least recently used at the front.
     slots: Mutex<VecDeque<Slot>>,
 }
 
-impl std::fmt::Debug for PreciseMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PreciseMemo")
-            .field("capacity", &self.capacity)
-            .field("len", &self.len())
-            .finish()
-    }
-}
-
 impl PreciseMemo {
     /// A memo holding at most `capacity` references (clamped to at
     /// least 1).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         PreciseMemo {
             capacity: capacity.max(1),
             slots: Mutex::new(VecDeque::new()),
@@ -84,6 +113,7 @@ impl PreciseMemo {
     }
 
     /// References currently held, computed or in progress.
+    #[cfg(test)]
     fn len(&self) -> usize {
         self.slots.lock().expect("memo lock").len()
     }
@@ -92,7 +122,7 @@ impl PreciseMemo {
     /// its precise reference from the memo. The lookup is `None` when
     /// the point failed before reaching it (invalid config, unknown
     /// workload).
-    pub fn evaluate(&self, spec: &PointSpec) -> (Result<String, String>, Option<Lookup>) {
+    pub(crate) fn evaluate(&self, spec: &PointSpec) -> (Result<String, String>, Option<Lookup>) {
         let workload = match resolve_point(spec) {
             Ok(w) => w,
             Err(e) => return (Err(e), None),
@@ -113,25 +143,16 @@ impl PreciseMemo {
     /// The slot for `spec`'s key, created (evicting the least recently
     /// used slot when full) if absent, and marked most recently used.
     fn slot(&self, spec: &PointSpec) -> Arc<OnceLock<PreciseReference>> {
-        let config = precise_config(&spec.config);
+        let key = Key::of(spec);
         let mut slots = self.slots.lock().expect("memo lock");
-        let found = slots.iter().position(|s| {
-            s.seed == spec.seed
-                && s.scale == spec.scale
-                && s.workload == spec.workload
-                && s.config == config
-        });
-        let slot = match found {
+        let slot = match slots.iter().position(|s| s.key == key) {
             Some(i) => slots.remove(i).expect("position is in range"),
             None => {
                 while slots.len() >= self.capacity {
                     slots.pop_front();
                 }
                 Slot {
-                    workload: spec.workload.clone(),
-                    scale: spec.scale,
-                    seed: spec.seed,
-                    config,
+                    key,
                     reference: Arc::new(OnceLock::new()),
                 }
             }
@@ -220,6 +241,27 @@ mod tests {
         assert_eq!(memo.len(), 2);
         assert_eq!(lookup(0), Lookup::Hit);
         assert_eq!(lookup(1), Lookup::Miss, "1 was evicted");
+    }
+
+    #[test]
+    fn grouping_makes_each_keys_points_adjacent_in_first_seen_order() {
+        // Config-major, as `lva-explore submit` sends a grid; the third
+        // config differs in the precise config, so it is a key of its own.
+        let mut delayed = SimConfig::baseline_lva();
+        delayed.value_delay += 1;
+        let configs = [SimConfig::precise(), SimConfig::baseline_lva(), delayed];
+        let mut points = Vec::new();
+        for (c, config) in configs.iter().enumerate() {
+            for (w, workload) in ["canneal", "ferret"].into_iter().enumerate() {
+                let spec = PointSpec::new(workload, WorkloadScale::Test, 0, config.clone());
+                points.push(((c * 10 + w) as u64, spec));
+            }
+        }
+        let order: Vec<u64> = group_by_reference(points)
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(order, [0, 10, 1, 11, 20, 21]);
     }
 
     #[test]

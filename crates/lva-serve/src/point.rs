@@ -403,8 +403,10 @@ pub fn point_record(spec: &PointSpec, run: &WorkloadRun) -> RunRecord {
 /// Evaluates one point from scratch: resolve the workload, run it under
 /// the spec's config (precise reference included), render the manifest.
 /// Memo-free on purpose: this is the reference implementation the
-/// scheduler's memoized evaluator ([`crate::memo`]) and the integration
-/// tests compare served results against.
+/// scheduler's memoized evaluator (see [`Scheduler::new`]) and the
+/// integration tests compare served results against.
+///
+/// [`Scheduler::new`]: crate::Scheduler::new
 ///
 /// # Errors
 ///

@@ -27,9 +27,10 @@
 //!
 //! Below the three layers, the production evaluator shares work a level
 //! down: points that miss the cache but share a (workload, scale, seed,
-//! precise config) share one precise reference run through a
-//! [`PreciseMemo`] of [`Scheduler::PRECISE_REFS_PER_WORKER`] references
-//! per worker. `serve/precise/hits` and `serve/precise/misses` count its
+//! precise config) share one precise reference run through a memo of
+//! two references per worker. Each job's points are queued grouped by
+//! that key, so a grid in any point order runs one reference per key.
+//! `serve/precise/hits` and `serve/precise/misses` count the memo's
 //! lookups.
 //!
 //! Beside the pool runs one sampler thread that closes a timeline epoch
@@ -42,7 +43,7 @@
 //! the simulators, whose timelines run on simulated clocks.
 
 use crate::cache::ResultCache;
-use crate::memo::{Lookup, PreciseMemo};
+use crate::memo::{group_by_reference, Lookup, PreciseMemo};
 use crate::point::PointSpec;
 use lva_obs::{EpochFrame, EpochSampler, MetricsRegistry, Timeline, TimelineConfig};
 use lva_sim::sched::{catch_point, JobId, SubmissionQueue};
@@ -52,8 +53,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Evaluates one point to its manifest text. Injected in tests; the
-/// production evaluator is [`crate::point::evaluate_point`] through a
-/// [`PreciseMemo`].
+/// production evaluator is [`crate::point::evaluate_point`] with its
+/// precise references memoized.
 pub type Evaluator = dyn Fn(&PointSpec) -> Result<String, String> + Send + Sync;
 
 /// How the workers evaluate a point.
@@ -154,15 +155,15 @@ impl Scheduler {
     pub const DEFAULT_EPOCH_MS: u64 = 500;
 
     /// Precise references the production evaluator's memo keeps per
-    /// worker: one for the point a worker is on, one for an interleaved
-    /// job's.
-    pub const PRECISE_REFS_PER_WORKER: usize = 2;
+    /// worker: one for the key a worker is on, one for an interleaved
+    /// job's. A job's points are queued grouped by key, so one slot per
+    /// worker and job in flight is all a grid needs.
+    const PRECISE_REFS_PER_WORKER: usize = 2;
 
     /// Spawns `workers` threads evaluating points with the production
     /// evaluator: [`crate::point::evaluate_point`]'s manifests, with
-    /// precise references shared through a [`PreciseMemo`] of
-    /// [`PRECISE_REFS_PER_WORKER`](Self::PRECISE_REFS_PER_WORKER)
-    /// references per worker.
+    /// precise references shared through a memo of two references per
+    /// worker, least recently used evicted first.
     #[must_use]
     pub fn new(workers: usize, cache: ResultCache) -> Self {
         Self::new_every(workers, cache, Self::DEFAULT_EPOCH_MS)
@@ -300,6 +301,9 @@ impl Scheduler {
             }
         }
 
+        // Points sharing a precise reference go out back to back, so the
+        // memo's small bound serves a grid sent in any order.
+        let scheduled = group_by_reference(scheduled);
         let queued = scheduled.len();
         let mut completed = false;
         {
