@@ -758,3 +758,92 @@ fn fullsystem_timeline_never_perturbs_results() {
         );
     }
 }
+
+/// Full-system configurations pinned by [`GOLDEN_FULLSYSTEM_HASHES`]: plain
+/// LVA, LVA under a 5% error budget, LVA and the lva+clp hybrid under an
+/// actively-tightening governor, and a governor beside a precise machine
+/// (which builds no governor at all).
+fn fullsystem_configs() -> Vec<(&'static str, lva::sim::FullSystemConfig)> {
+    use lva::sim::{FullSystemConfig, GovernorConfig};
+    let govern2 = GovernorConfig {
+        epoch_len: 500,
+        min_samples: 8,
+        ..GovernorConfig::slo(0.02)
+    };
+    let lva = MechanismKind::Lva(ApproximatorConfig::baseline());
+    let lva_clp = MechanismKind::LvaClp(ApproximatorConfig::baseline(), ClpConfig::baseline());
+    vec![
+        ("lva", FullSystemConfig::paper(lva.clone())),
+        ("lva+budget5", FullSystemConfig::paper(lva.clone()).with_error_budget(0.05)),
+        ("lva+govern2", FullSystemConfig::paper(lva).with_govern(govern2)),
+        ("lva+clp+govern2", FullSystemConfig::paper(lva_clp).with_govern(govern2)),
+        (
+            "precise+govern2",
+            FullSystemConfig::paper(MechanismKind::Precise).with_govern(govern2),
+        ),
+    ]
+}
+
+/// FNV-1a64 of `<name>:<FullSystemStats debug>` over the seven test-scale
+/// precise traces (registry order) per full-system configuration, captured
+/// before the phase-1 harness and the full-system memory system shared one
+/// miss pipeline. Dispatch threads resolve from `LVA_THREADS`; the
+/// statistics must not depend on them.
+const GOLDEN_FULLSYSTEM_HASHES: [(&str, u64); 5] = [
+    ("lva", 0xb48eedbaf8e7295a),
+    ("lva+budget5", 0x138284ad15aca085),
+    ("lva+govern2", 0x359d2aa034ebeca2),
+    ("lva+clp+govern2", 0x359d2aa034ebeca2),
+    ("precise+govern2", 0xabd0f3eb44874d52),
+];
+
+#[test]
+fn fullsystem_replays_are_pinned() {
+    use lva::sim::FullSystem;
+    let workloads = registry(WorkloadScale::Test);
+    let traces: Vec<_> = workloads
+        .iter()
+        .map(|w| w.execute(&SimConfig::precise().with_traces()).traces)
+        .collect();
+    let configs = fullsystem_configs();
+    assert_eq!(configs.len(), GOLDEN_FULLSYSTEM_HASHES.len());
+    for (c, (name, cfg)) in configs.iter().enumerate() {
+        let runs: Vec<_> = traces
+            .iter()
+            .map(|t| {
+                FullSystem::try_new(cfg.clone(), t.clone())
+                    .expect("valid full-system config")
+                    .run()
+                    .expect("replay converges")
+            })
+            .collect();
+        let text: String = workloads
+            .iter()
+            .zip(&runs)
+            .map(|(w, s)| format!("{}:{s:?}", w.name()))
+            .collect();
+        let (golden_name, golden) = GOLDEN_FULLSYSTEM_HASHES[c];
+        assert_eq!(*name, golden_name, "golden table out of sync");
+        assert_eq!(
+            fnv1a64(text.as_bytes()),
+            golden,
+            "{name}: full-system statistics diverged; captured hash {:#018x}",
+            fnv1a64(text.as_bytes())
+        );
+        // Non-vacuity: each controller must actually act (runs[0] is
+        // blackscholes, runs[1] bodytrack), and a precise machine must
+        // build no governor.
+        match *name {
+            "lva+budget5" => {
+                assert_eq!((runs[0].demotions, runs[0].degrade_denied), (16, 224), "{name}");
+            }
+            "lva+govern2" | "lva+clp+govern2" => {
+                assert_eq!(runs[1].govern_actuations, 27, "{name}");
+            }
+            "precise+govern2" => {
+                assert!(runs.iter().all(|s| s.govern.is_empty() && s.govern_epochs == 0));
+            }
+            _ => {}
+        }
+    }
+}
