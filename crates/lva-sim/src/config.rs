@@ -8,8 +8,8 @@
 //! in this crate panics on bad data.
 
 use lva_core::{
-    ApproximatorConfig, ClpConfig, ConfidenceWindow, GhbPrefetcher, IdealizedLvp, LvpConfig,
-    PrefetcherConfig, RealisticLvp, RealisticLvpConfig,
+    ApproximatorConfig, ClpConfig, GhbPrefetcher, IdealizedLvp, LvpConfig, PrefetcherConfig,
+    RealisticLvp, RealisticLvpConfig,
 };
 use lva_mem::CacheConfig;
 use lva_obs::{TimelineConfig, TraceConfig};
@@ -18,6 +18,7 @@ use std::fmt;
 use crate::degrade::DegradeConfig;
 use crate::fault::FaultConfig;
 use crate::govern::GovernorConfig;
+use crate::miss::MissPipeline;
 
 /// Why a [`SimConfig`] was rejected. Carries enough context to render an
 /// actionable message; the [`fmt::Display`] output preserves the phrases
@@ -155,7 +156,7 @@ impl MechanismKind {
 
     /// Checks the mechanism's own configuration by probing the same
     /// constructor [`crate::Mechanism::from_kind`] will use.
-    fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         match self {
             MechanismKind::Precise => {}
             MechanismKind::Lva(a) => a.validate()?,
@@ -318,43 +319,7 @@ impl SimConfig {
         if self.threads == 0 {
             return Err(ConfigError::ZeroThreads);
         }
-        self.mechanism.validate()?;
-        if let Some(d) = &self.degrade {
-            if !d.error_budget.is_finite() || d.error_budget <= 0.0 {
-                return Err(ConfigError::ErrorBudget {
-                    budget: d.error_budget,
-                });
-            }
-            if !d.ewma_weight.is_finite() || d.ewma_weight <= 0.0 || d.ewma_weight > 1.0 {
-                return Err(ConfigError::DegradeKnob {
-                    knob: "ewma_weight",
-                    value: d.ewma_weight,
-                });
-            }
-            if d.min_samples == 0 {
-                return Err(ConfigError::DegradeKnob {
-                    knob: "min_samples",
-                    value: 0.0,
-                });
-            }
-            if d.probation_misses == 0 {
-                return Err(ConfigError::DegradeKnob {
-                    knob: "probation_misses",
-                    value: 0.0,
-                });
-            }
-            if d.max_backoff_exp > 32 {
-                return Err(ConfigError::DegradeKnob {
-                    knob: "max_backoff_exp",
-                    value: f64::from(d.max_backoff_exp),
-                });
-            }
-            if let MechanismKind::Lva(a) | MechanismKind::LvaClp(a, _) = &self.mechanism {
-                if a.degree > 0 && a.confidence_window == ConfidenceWindow::Infinite {
-                    return Err(ConfigError::DegreeBudgetConflict { degree: a.degree });
-                }
-            }
-        }
+        MissPipeline::validate(&self.mechanism, self.degrade.as_ref(), self.govern.as_ref())?;
         if let Some(f) = &self.faults {
             for (knob, rate) in [
                 ("table_rate", f.table_rate),
@@ -370,9 +335,6 @@ impl SimConfig {
             if t.epoch_len == 0 {
                 return Err(ConfigError::ZeroEpoch);
             }
-        }
-        if let Some(g) = &self.govern {
-            g.validate()?;
         }
         Ok(())
     }
@@ -599,6 +561,7 @@ impl SimConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lva_core::ConfidenceWindow;
 
     #[test]
     fn baseline_matches_table_ii() {

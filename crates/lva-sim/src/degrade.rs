@@ -25,7 +25,7 @@
 //! determinism suite asserts this.
 
 use lva_core::{MissPolicy, Pc};
-use lva_obs::{Histogram, NullSink, TraceCtx, TraceEvent, TraceEventKind, TraceSink};
+use lva_obs::{Histogram, TraceCtx, TraceEvent, TraceEventKind, TraceSink};
 use std::collections::HashMap;
 
 use crate::stats::ThreadStats;
@@ -189,15 +189,10 @@ impl DegradeController {
     }
 
     /// Consulted on every approximable L1 miss, *before* the approximator.
-    /// Returns the policy the harness must apply. Counters for denials and
-    /// forced fetches land in `stats`.
-    pub fn decide(&mut self, pc: Pc, stats: &mut ThreadStats) -> MissDecision {
-        self.decide_traced(pc, stats, &mut NullSink, TraceCtx::new(0, 0))
-    }
-
-    /// [`decide`](Self::decide) with instrumentation: emits a
-    /// [`TraceEventKind::Reprobe`] event when a disabled PC's probation
-    /// expires. Write-only, like the approximator's traced variants.
+    /// Returns the policy the embedder must apply. Counters for denials and
+    /// forced fetches land in `stats`; a [`TraceEventKind::Reprobe`] event
+    /// marks each expired probation (write-only, like the approximator's
+    /// traced variants).
     pub fn decide_traced(
         &mut self,
         pc: Pc,
@@ -236,16 +231,11 @@ impl DegradeController {
     }
 
     /// Feeds one training drain's relative-error feedback (from
-    /// [`lva_core::LoadValueApproximator::train`]) back into the ladder.
-    /// `rel_err` is `None` when the drain carried no approximation (a
-    /// fallthrough fill), which trains the mechanism but says nothing about
-    /// its quality.
-    pub fn observe(&mut self, pc: Pc, rel_err: Option<f64>, stats: &mut ThreadStats) {
-        self.observe_traced(pc, rel_err, stats, &mut NullSink, TraceCtx::new(0, 0));
-    }
-
-    /// [`observe`](Self::observe) with instrumentation: emits a
-    /// [`TraceEventKind::Demote`] event on each downward ladder transition.
+    /// [`lva_core::LoadValueApproximator::train`]) back into the ladder,
+    /// emitting a [`TraceEventKind::Demote`] event on each downward
+    /// transition. `rel_err` is `None` when the drain carried no
+    /// approximation (a fallthrough fill), which trains the mechanism but
+    /// says nothing about its quality.
     pub fn observe_traced(
         &mut self,
         pc: Pc,
@@ -356,6 +346,15 @@ impl DegradeController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lva_obs::NullSink;
+
+    fn decide(c: &mut DegradeController, pc: Pc, stats: &mut ThreadStats) -> MissDecision {
+        c.decide_traced(pc, stats, &mut NullSink, TraceCtx::new(0, 0))
+    }
+
+    fn observe(c: &mut DegradeController, pc: Pc, err: Option<f64>, stats: &mut ThreadStats) {
+        c.observe_traced(pc, err, stats, &mut NullSink, TraceCtx::new(0, 0));
+    }
 
     fn controller(budget: f64) -> DegradeController {
         DegradeController::new(DegradeConfig {
@@ -371,10 +370,10 @@ mod tests {
         let mut stats = ThreadStats::default();
         for _ in 0..100 {
             assert_eq!(
-                c.decide(Pc(1), &mut stats),
+                decide(&mut c, Pc(1), &mut stats),
                 MissDecision::Allow(MissPolicy::Normal)
             );
-            c.observe(Pc(1), Some(0.01), &mut stats);
+            observe(&mut c, Pc(1), Some(0.01), &mut stats);
         }
         assert_eq!(stats.demotions, 0);
         assert_eq!(stats.degrade_denied, 0);
@@ -387,12 +386,12 @@ mod tests {
         let mut stats = ThreadStats::default();
         // Persistently terrible errors: Healthy -> Demoted -> Disabled.
         for _ in 0..4 {
-            c.observe(Pc(1), Some(0.5), &mut stats);
+            observe(&mut c, Pc(1), Some(0.5), &mut stats);
         }
         assert_eq!(c.state_of(Pc(1)), Some(QualityState::Demoted));
         assert_eq!(stats.demotions, 1);
         for _ in 0..4 {
-            c.observe(Pc(1), Some(0.5), &mut stats);
+            observe(&mut c, Pc(1), Some(0.5), &mut stats);
         }
         assert!(matches!(
             c.state_of(Pc(1)),
@@ -401,11 +400,11 @@ mod tests {
         assert_eq!(stats.disables, 1);
         // While disabled, misses are denied for the probation period...
         for _ in 0..8 {
-            assert_eq!(c.decide(Pc(1), &mut stats), MissDecision::Deny);
+            assert_eq!(decide(&mut c, Pc(1), &mut stats), MissDecision::Deny);
         }
         // ...then the PC re-enters Demoted on probation.
         assert_eq!(
-            c.decide(Pc(1), &mut stats),
+            decide(&mut c, Pc(1), &mut stats),
             MissDecision::Allow(MissPolicy::ForceFetch)
         );
         assert_eq!(stats.reprobations, 1);
@@ -420,10 +419,10 @@ mod tests {
         for _ in 0..3 {
             // Drive to Disabled (4 samples demote, 4 more disable).
             while !matches!(c.state_of(Pc(1)), Some(QualityState::Disabled { .. })) {
-                c.observe(Pc(1), Some(1.0), &mut stats);
+                observe(&mut c, Pc(1), Some(1.0), &mut stats);
             }
             let mut denied = 0u64;
-            while c.decide(Pc(1), &mut stats) == MissDecision::Deny {
+            while decide(&mut c, Pc(1), &mut stats) == MissDecision::Deny {
                 denied += 1;
             }
             deny_runs.push(denied);
@@ -436,12 +435,12 @@ mod tests {
         let mut c = controller(0.05);
         let mut stats = ThreadStats::default();
         for _ in 0..4 {
-            c.observe(Pc(1), Some(0.5), &mut stats);
+            observe(&mut c, Pc(1), Some(0.5), &mut stats);
         }
         assert_eq!(c.state_of(Pc(1)), Some(QualityState::Demoted));
         // Clean errors decay the EWMA back under budget.
         for _ in 0..64 {
-            c.observe(Pc(1), Some(0.0), &mut stats);
+            observe(&mut c, Pc(1), Some(0.0), &mut stats);
         }
         assert_eq!(c.state_of(Pc(1)), Some(QualityState::Healthy));
         assert_eq!(stats.recoveries, 1);
@@ -451,16 +450,16 @@ mod tests {
     fn non_finite_samples_are_clamped_not_poisonous() {
         let mut c = controller(0.05);
         let mut stats = ThreadStats::default();
-        c.observe(Pc(1), Some(f64::INFINITY), &mut stats);
-        c.observe(Pc(1), Some(f64::NAN), &mut stats);
+        observe(&mut c, Pc(1), Some(f64::INFINITY), &mut stats);
+        observe(&mut c, Pc(1), Some(f64::NAN), &mut stats);
         for _ in 0..2 {
-            c.observe(Pc(1), Some(1.0), &mut stats);
+            observe(&mut c, Pc(1), Some(1.0), &mut stats);
         }
         assert_eq!(c.state_of(Pc(1)), Some(QualityState::Demoted));
         // A demoted PC with clean errors can still recover: the clamp keeps
         // the EWMA finite so decay works.
         for _ in 0..200 {
-            c.observe(Pc(1), Some(0.0), &mut stats);
+            observe(&mut c, Pc(1), Some(0.0), &mut stats);
         }
         assert_eq!(c.state_of(Pc(1)), Some(QualityState::Healthy));
     }
@@ -470,7 +469,7 @@ mod tests {
         let mut c = controller(0.05);
         let mut stats = ThreadStats::default();
         for _ in 0..100 {
-            c.observe(Pc(1), None, &mut stats);
+            observe(&mut c, Pc(1), None, &mut stats);
         }
         // No approximation ever resolved: the PC is tracked but untouched.
         assert_eq!(c.state_of(Pc(1)), Some(QualityState::Healthy));
@@ -482,8 +481,8 @@ mod tests {
         let mut c = controller(0.05);
         let mut stats = ThreadStats::default();
         for _ in 0..4 {
-            c.observe(Pc(9), Some(0.9), &mut stats);
-            c.observe(Pc(3), Some(0.001), &mut stats);
+            observe(&mut c, Pc(9), Some(0.9), &mut stats);
+            observe(&mut c, Pc(3), Some(0.001), &mut stats);
         }
         let report = c.report();
         let pcs: Vec<u64> = report.entries.iter().map(|e| e.pc.0).collect();

@@ -34,13 +34,13 @@
 //! fingerprint and metrics manifest byte-identical to a governor-off run
 //! (asserted by the conformance battery).
 
-use lva_core::{CacheLevel, ConfidenceWindow, LoadValueApproximator, Pc};
+use lva_core::{CacheLevel, ConfidenceWindow, Pc};
 use lva_energy::{EnergyEvents, EnergyParams};
 use lva_obs::{TraceCtx, TraceEvent, TraceEventKind, TraceSink};
 use std::collections::HashMap;
 
 use crate::config::ConfigError;
-use crate::mechanism::{Knob, KnobKind, Mechanism};
+use crate::mechanism::{Knob, Mechanism};
 use crate::stats::ThreadStats;
 
 /// Ceiling applied to a single error sample before it enters the epoch
@@ -348,32 +348,13 @@ impl Governor {
     /// actuates).
     #[must_use]
     pub fn new(cfg: GovernorConfig, mechanism: &Mechanism) -> Self {
-        let approx = match mechanism.get(KnobKind::ConfidenceWindow) {
-            Some(Knob::ConfidenceWindow(w)) => match mechanism.get(KnobKind::Degree) {
-                Some(Knob::Degree(d)) => Some((w, d)),
-                _ => None,
-            },
-            _ => None,
-        };
-        let clp = match mechanism {
-            Mechanism::LvaClp(_, p) => {
-                Some((p.config().slow_threshold, p.config().hierarchy_depth))
-            }
-            _ => None,
-        };
-        Self::from_parts(cfg, approx, clp)
-    }
-
-    /// Builds a governor from the configured knob values directly — the
-    /// full-system model's entry point, where the approximator is held
-    /// outside a [`Mechanism`]. `approx` is the configured (window,
-    /// degree); `clp` the configured (slow threshold, hierarchy depth).
-    #[must_use]
-    pub fn from_parts(
-        cfg: GovernorConfig,
-        approx: Option<(ConfidenceWindow, u32)>,
-        clp: Option<(CacheLevel, u32)>,
-    ) -> Self {
+        let approx = mechanism
+            .approximator()
+            .map(|a| (a.config().confidence_window, a.config().degree));
+        // A plain CLP predictor has no approximator, so no ladder at all.
+        let clp = mechanism
+            .predictor()
+            .map(|p| (p.config().slow_threshold, p.config().hierarchy_depth));
         let rungs = build_rungs(approx, clp);
         let level = rungs.len().saturating_sub(1);
         Governor {
@@ -403,7 +384,7 @@ impl Governor {
     /// accumulator and the per-PC attribution. `rel_err` is `None` for
     /// fallthrough fills (trained, nothing approximated), which say
     /// nothing about quality and are ignored — same contract as
-    /// [`DegradeController::observe`](crate::DegradeController::observe).
+    /// [`DegradeController::observe_traced`](crate::DegradeController::observe_traced).
     pub fn observe(&mut self, pc: Pc, rel_err: Option<f64>) {
         let Some(err) = rel_err else { return };
         let err = if err.is_finite() {
@@ -711,9 +692,9 @@ fn build_rungs(
 
 /// Applies one epoch's decision to a live [`Mechanism`]: moves each knob,
 /// folds the outcome counters into `stats`, and emits one
-/// [`TraceEventKind::Actuate`] event per applied knob. The phase-1
-/// harness's half of the governor loop; the full-system model applies
-/// knobs to its bare approximator directly.
+/// [`TraceEventKind::Actuate`] event per applied knob — the actuation half
+/// of the governor loop, shared by the phase-1 harness and the full-system
+/// model. A knob the mechanism lacks is a counted-nothing no-op.
 pub fn apply_decision(
     decision: &EpochDecision,
     mechanism: &mut Mechanism,
@@ -751,58 +732,30 @@ pub fn apply_decision(
     }
 }
 
-/// [`apply_decision`] for the full-system model, which holds its
-/// approximator outside a [`Mechanism`]. CLP slow-threshold actuations are
-/// inapplicable there (phase 2 replays with the approximator alone) and
-/// are skipped uncounted, matching the `Ok(false)` no-op convention.
-pub fn apply_to_approximator(
-    decision: &EpochDecision,
-    approximator: &mut LoadValueApproximator,
-    stats: &mut ThreadStats,
-) {
-    stats.govern_epochs += 1;
-    match decision.outcome {
-        EpochOutcome::Tighten => stats.govern_tightens += 1,
-        EpochOutcome::Relax => stats.govern_relaxes += 1,
-        EpochOutcome::Revert => stats.govern_reverts += 1,
-        EpochOutcome::PcDisable => stats.govern_disables += 1,
-        EpochOutcome::Quiet => {}
-    }
-    for a in &decision.actuations {
-        let applied = match a.knob {
-            Knob::ConfidenceWindow(w) => approximator.set_confidence_window(w).is_ok(),
-            Knob::Degree(d) => {
-                approximator.set_degree(d);
-                true
-            }
-            Knob::PcEnable { pc, enabled } => {
-                approximator.set_pc_enabled(pc, enabled);
-                true
-            }
-            Knob::ClpSlowThreshold(_) => false,
-        };
-        if applied {
-            stats.govern_actuations += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanism::KnobKind;
     use lva_core::ApproximatorConfig;
     use lva_obs::NullSink;
 
+    /// An LVA mechanism with the given window and degree.
+    fn lva(window: f64, degree: u32) -> Mechanism {
+        Mechanism::from_kind(&crate::config::MechanismKind::Lva(ApproximatorConfig {
+            confidence_window: ConfidenceWindow::Relative(window),
+            degree,
+            ..ApproximatorConfig::baseline()
+        }))
+        .unwrap()
+    }
+
     fn governor(slo: f64) -> Governor {
-        Governor::from_parts(
-            GovernorConfig {
-                min_samples: 4,
-                hysteresis_epochs: 2,
-                ..GovernorConfig::slo(slo)
-            },
-            Some((ConfidenceWindow::Relative(0.10), 4)),
-            None,
-        )
+        let cfg = GovernorConfig {
+            min_samples: 4,
+            hysteresis_epochs: 2,
+            ..GovernorConfig::slo(slo)
+        };
+        Governor::new(cfg, &lva(0.10, 4))
     }
 
     /// Feeds `n` samples of error `err` and closes the epoch.
@@ -826,10 +779,13 @@ mod tests {
 
     #[test]
     fn clp_screen_loosens_with_the_ladder() {
-        let g = Governor::from_parts(
+        let hybrid = crate::config::MechanismKind::LvaClp(
+            ApproximatorConfig::baseline(),
+            lva_core::ClpConfig::baseline(),
+        );
+        let g = Governor::new(
             GovernorConfig::slo(0.02),
-            Some((ConfidenceWindow::Relative(0.10), 0)),
-            Some((CacheLevel::Llc, 4)),
+            &Mechanism::from_kind(&hybrid).unwrap(),
         );
         assert_eq!(g.rungs[0].clp_slow, Some(CacheLevel::Dram));
         assert_eq!(g.rungs.last().unwrap().clp_slow, Some(CacheLevel::Llc));
@@ -940,13 +896,7 @@ mod tests {
     #[test]
     fn apply_decision_moves_the_mechanism_and_counts() {
         let mut g = governor(0.02);
-        let mut mech = Mechanism::from_kind(&crate::config::MechanismKind::Lva(
-            ApproximatorConfig {
-                degree: 4,
-                ..ApproximatorConfig::baseline()
-            },
-        ))
-        .unwrap();
+        let mut mech = lva(0.10, 4);
         let d = run_epoch(&mut g, 0.5, 10);
         let mut stats = ThreadStats::default();
         apply_decision(&d, &mut mech, &mut stats, &mut NullSink, TraceCtx::new(0, 0));
@@ -979,16 +929,13 @@ mod tests {
 
     #[test]
     fn edp_regression_reverts_a_probe() {
-        let mut g = Governor::from_parts(
-            GovernorConfig {
-                min_samples: 1,
-                hysteresis_epochs: 1,
-                energy_weight: 0.0,
-                ..GovernorConfig::slo(0.10)
-            },
-            Some((ConfidenceWindow::Relative(0.10), 0)),
-            None,
-        );
+        let cfg = GovernorConfig {
+            min_samples: 1,
+            hysteresis_epochs: 1,
+            energy_weight: 0.0,
+            ..GovernorConfig::slo(0.10)
+        };
+        let mut g = Governor::new(cfg, &lva(0.10, 0));
         // Every epoch retires fresh loads so an EDP estimate exists.
         let mut cum = ThreadStats::default();
         let tick = |g: &mut Governor, cum: &mut ThreadStats, fetches: u64, lat: u64, err: f64| {

@@ -12,16 +12,14 @@
 //! queue: the actual value reaches the GHB/LHB only after `value_delay`
 //! subsequent load instructions.
 
-use crate::degrade::{DegradeController, DegradeReport, MissDecision};
+use crate::degrade::{DegradeController, DegradeReport};
 use crate::fault::FaultInjector;
-use crate::govern::{apply_decision, Governor, GovernorReport};
+use crate::govern::{Governor, GovernorReport};
 use crate::mechanism::Mechanism;
+use crate::miss::{MissAction, MissPipeline};
 use crate::mshr::InFlightSet;
 use crate::{ConfigError, Phase1Stats, SimConfig, ThreadStats};
-use lva_core::{
-    Addr, CacheLevel, FetchAction, LvpOutcome, LvpPrediction, MissOutcome, MissPolicy, Pc,
-    TrainToken, Value, ValueType,
-};
+use lva_core::{Addr, CacheLevel, LvpOutcome, LvpPrediction, Pc, TrainToken, Value, ValueType};
 use lva_cpu::ThreadTrace;
 use lva_mem::{CacheConfig, SetAssocCache, SimMemory};
 use lva_obs::{
@@ -92,20 +90,18 @@ struct ThreadCtx {
     /// Write-only event collector ([`SimConfig::trace`]); never read by the
     /// simulation itself.
     obs: TraceCollector,
-    /// Per-PC quality-budget controller ([`SimConfig::degrade`]).
-    degrade: Option<DegradeController>,
-    /// Deterministic fault stream ([`SimConfig::faults`]).
-    faults: Option<FaultInjector>,
+    /// The LVA miss decision with this thread's quality controllers
+    /// ([`SimConfig::degrade`], [`SimConfig::govern`]) and fault stream
+    /// ([`SimConfig::faults`]). The governor is the one sanctioned
+    /// feedback loop: it retunes `mechanism` through the
+    /// [`Knob`](crate::Knob) seam on its epoch clock.
+    miss: MissPipeline,
     /// Epoch timeline sampler ([`SimConfig::timeline`]); write-only, like
     /// `obs`.
     sampler: Option<Box<EpochSampler>>,
     /// Load-clock value at which the sampler's current epoch closes;
     /// `u64::MAX` when sampling is off, so the hot path pays one compare.
     timeline_due: u64,
-    /// Per-thread supervisory governor ([`SimConfig::govern`]): the one
-    /// sanctioned feedback loop — it retunes `mechanism` through the
-    /// [`Knob`](crate::Knob) seam on its epoch clock.
-    govern: Option<Box<Governor>>,
     /// Load-clock value at which the governor's current epoch closes;
     /// `u64::MAX` when governing is off (same idiom as `timeline_due`).
     govern_due: u64,
@@ -180,9 +176,15 @@ impl SimHarness {
         let mut threads = Vec::with_capacity(config.threads);
         for core in 0..config.threads {
             let mechanism = Mechanism::from_kind(&config.mechanism)?;
-            let govern = config
-                .govern
-                .map(|g| Box::new(Governor::new(g, &mechanism)));
+            let miss = MissPipeline::new(
+                &mechanism,
+                config.degrade.as_ref(),
+                config.govern,
+                config
+                    .faults
+                    .as_ref()
+                    .map(|f| FaultInjector::for_thread(f, core as u64)),
+            );
             threads.push(ThreadCtx {
                 core: core as u32,
                 l1: SetAssocCache::new(config.l1),
@@ -205,11 +207,6 @@ impl SimHarness {
                 stats: ThreadStats::default(),
                 trace: ThreadTrace::new(),
                 obs: config.trace.collector(),
-                degrade: config.degrade.clone().map(DegradeController::new),
-                faults: config
-                    .faults
-                    .as_ref()
-                    .map(|f| FaultInjector::for_thread(f, core as u64)),
                 sampler: config
                     .timeline
                     .clone()
@@ -218,8 +215,8 @@ impl SimHarness {
                     .timeline
                     .as_ref()
                     .map_or(u64::MAX, |t| t.epoch_len),
-                govern,
-                govern_due: config.govern.map_or(u64::MAX, |g| g.epoch_len),
+                govern_due: miss.epoch_len(),
+                miss,
             });
         }
         Ok(SimHarness {
@@ -499,7 +496,6 @@ impl SimHarness {
     fn load_miss(&mut self, pc: Pc, addr: Addr, ty: ValueType, approx: bool, actual: Value) -> Value {
         let value_delay = self.config.value_delay;
         let t = &mut self.threads[self.cur];
-        let block = addr.block_index();
         t.stats.raw_misses += 1;
         let ctx = TraceCtx::new(t.core, t.stats.instructions);
         if t.obs.enabled() {
@@ -521,17 +517,8 @@ impl SimHarness {
         // 3. Mechanism.
         match &mut t.mechanism {
             Mechanism::Lva(_) if approx => {
-                let (value, approximated) = Self::lva_approx_miss(
-                    &self.mem,
-                    value_delay,
-                    t,
-                    pc,
-                    addr,
-                    ty,
-                    actual,
-                    block,
-                    ctx,
-                );
+                let (value, approximated) =
+                    Self::lva_approx_miss(&self.mem, value_delay, t, pc, addr, ty, actual, ctx);
                 // An approximation hides the whole walk; anything else
                 // stalls for the conventional serial probe sequence.
                 t.stats.load_latency_cycles += if approximated {
@@ -561,7 +548,6 @@ impl SimHarness {
                 ty,
                 approx,
                 actual,
-                block,
                 level,
                 ctx,
             ),
@@ -571,18 +557,8 @@ impl SimHarness {
                 // LVP always fetches (the prediction must be validated).
                 t.stats.load_fetches += 1;
                 t.l1.install_traced(addr, false, &mut t.obs, ctx);
-                let train = PendingTrain {
-                    due: t.load_clock + value_delay,
-                    addr,
-                    ty,
-                    install: false,
-                    kind: TrainKind::Lvp(outcome),
-                };
-                if value_delay == 0 {
-                    Self::fire(&self.mem, t, train);
-                } else {
-                    t.pending.push_back(train);
-                }
+                let kind = TrainKind::Lvp(outcome);
+                Self::queue_train(&self.mem, t, kind, addr, ty, false, value_delay, ctx);
                 actual
             }
             Mechanism::RealisticLvp(lvp) if approx => {
@@ -592,18 +568,8 @@ impl SimHarness {
                 // (validated) when the data arrives.
                 t.stats.load_fetches += 1;
                 t.l1.install_traced(addr, false, &mut t.obs, ctx);
-                let train = PendingTrain {
-                    due: t.load_clock + value_delay,
-                    addr,
-                    ty,
-                    install: false,
-                    kind: TrainKind::RealisticLvp(prediction),
-                };
-                if value_delay == 0 {
-                    Self::fire(&self.mem, t, train);
-                } else {
-                    t.pending.push_back(train);
-                }
+                let kind = TrainKind::RealisticLvp(prediction);
+                Self::queue_train(&self.mem, t, kind, addr, ty, false, value_delay, ctx);
                 actual
             }
             Mechanism::Prefetch(prefetcher) => {
@@ -647,12 +613,12 @@ impl SimHarness {
     }
 
     /// The LVA approximate-miss path, shared verbatim between
-    /// [`Mechanism::Lva`] and the [`Mechanism::LvaClp`] hybrid: fault
-    /// injection, the quality-budget controller, the approximator itself
-    /// and the value-delay training queue. Returns the value the load
-    /// observes and whether it was approximated (callers account latency —
-    /// the Deny/Fallthrough conventional paths stall, approximations do
-    /// not).
+    /// [`Mechanism::Lva`] and the [`Mechanism::LvaClp`] hybrid: the
+    /// [`MissPipeline`] decides, and its action is mapped onto the L1, the
+    /// in-flight set and the value-delay training queue. Returns the value
+    /// the load observes and whether it was approximated (callers account
+    /// latency — the conventional and fallthrough paths stall,
+    /// approximations do not).
     #[allow(clippy::too_many_arguments)]
     fn lva_approx_miss(
         mem: &SimMemory,
@@ -662,119 +628,69 @@ impl SimHarness {
         addr: Addr,
         ty: ValueType,
         actual: Value,
-        block: u64,
         ctx: TraceCtx,
     ) -> (Value, bool) {
-        let approximator = match &mut t.mechanism {
-            Mechanism::Lva(a) | Mechanism::LvaClp(a, _) => a,
-            _ => unreachable!("lva_approx_miss is only reached from LVA-bearing mechanisms"),
-        };
-        // Fault injection strikes the approximator's SRAM before
-        // the miss consults it, like a particle strike between
-        // accesses.
-        if let Some(f) = &mut t.faults {
-            if f.corrupt_table(approximator) {
-                t.stats.faults_injected += 1;
-            }
-        }
-        // A PC the governor switched off takes the same conventional
-        // miss a degrade Deny does, without consulting the
-        // approximator. Free when no PC is disabled.
-        if !approximator.pc_enabled(pc) {
-            t.stats.load_fetches += 1;
-            t.l1.install_traced(addr, false, &mut t.obs, ctx);
-            return (actual, false);
-        }
-        // The quality-budget controller gets the first word: a
-        // disabled PC bypasses the approximator entirely and takes
-        // a conventional miss.
-        let policy = match &mut t.degrade {
-            None => MissPolicy::Normal,
-            Some(d) => match d.decide_traced(pc, &mut t.stats, &mut t.obs, ctx) {
-                MissDecision::Allow(policy) => policy,
-                MissDecision::Deny => {
-                    t.stats.load_fetches += 1;
-                    t.l1.install_traced(addr, false, &mut t.obs, ctx);
-                    return (actual, false);
+        let action = t.miss.on_miss(&mut t.mechanism, pc, ty, &mut t.stats, &mut t.obs, ctx);
+        match action {
+            MissAction::Approximate { value, fetch } => {
+                if let Some((token, extra_delay)) = fetch {
+                    t.in_flight.insert(addr.block_index());
+                    let delay = value_delay + extra_delay;
+                    Self::queue_train(mem, t, TrainKind::Lva(token), addr, ty, true, delay, ctx);
                 }
-            },
-        };
-        // A delayed-fetch fault stretches this miss's value delay.
-        // Rolled once per miss (keeping the stream deterministic)
-        // but only counted where a training actually enqueues.
-        let extra = match &mut t.faults {
-            Some(f) => f.extra_delay(),
-            None => 0,
-        };
-        let delay = value_delay + extra;
-        match approximator.on_miss_policed(pc, ty, policy, &mut t.obs, ctx) {
-            MissOutcome::Approximate(a) => {
-                t.stats.approximations += 1;
-                match a.fetch {
-                    FetchAction::Fetch => {
-                        t.stats.fetches_delayed += u64::from(extra > 0);
-                        t.stats.load_fetches += 1;
-                        t.in_flight.insert(block);
-                        let train = PendingTrain {
-                            due: t.load_clock + delay,
-                            addr,
-                            ty,
-                            install: true,
-                            kind: TrainKind::Lva(a.token),
-                        };
-                        if delay == 0 {
-                            Self::fire(mem, t, train);
-                        } else {
-                            if t.obs.enabled() {
-                                t.obs.record(TraceEvent::at(
-                                    ctx,
-                                    TraceEventKind::TrainEnqueue {
-                                        pc: pc.0,
-                                        delay,
-                                    },
-                                ));
-                            }
-                            t.pending.push_back(train);
-                        }
-                    }
-                    FetchAction::Skip => {}
-                }
-                // The clobbered value — possibly wrong, and that is
-                // the whole point.
-                (a.value, true)
+                // The clobbered value — possibly wrong, and that is the
+                // whole point.
+                (value, true)
             }
-            MissOutcome::Fallthrough(token) => {
+            MissAction::Fallthrough { token, extra_delay } => {
                 // Processor stalls for the data, so the block fills
-                // immediately — but the value still reaches the
-                // history buffers `value_delay` loads later, exactly
-                // like an approximated fetch (§VI-C models the delay
-                // uniformly for all training values).
-                t.stats.fetches_delayed += u64::from(extra > 0);
-                t.stats.load_fetches += 1;
+                // immediately — but the value still reaches the history
+                // buffers `value_delay` loads later, exactly like an
+                // approximated fetch (§VI-C models the delay uniformly for
+                // all training values).
                 t.l1.install_traced(addr, false, &mut t.obs, ctx);
-                let train = PendingTrain {
-                    due: t.load_clock + delay,
-                    addr,
-                    ty,
-                    install: false,
-                    kind: TrainKind::Lva(token),
-                };
-                if delay == 0 {
-                    Self::fire(mem, t, train);
-                } else {
-                    if t.obs.enabled() {
-                        t.obs.record(TraceEvent::at(
-                            ctx,
-                            TraceEventKind::TrainEnqueue {
-                                pc: pc.0,
-                                delay,
-                            },
-                        ));
-                    }
-                    t.pending.push_back(train);
-                }
+                let delay = value_delay + extra_delay;
+                Self::queue_train(mem, t, TrainKind::Lva(token), addr, ty, false, delay, ctx);
                 (actual, false)
             }
+            MissAction::Conventional => {
+                t.stats.load_fetches += 1;
+                t.l1.install_traced(addr, false, &mut t.obs, ctx);
+                (actual, false)
+            }
+        }
+    }
+
+    /// Schedules a training `delay` loads from now, or fires it at once
+    /// when `delay` is 0.
+    #[allow(clippy::too_many_arguments)]
+    fn queue_train(
+        mem: &SimMemory,
+        t: &mut ThreadCtx,
+        kind: TrainKind,
+        addr: Addr,
+        ty: ValueType,
+        install: bool,
+        delay: u64,
+        ctx: TraceCtx,
+    ) {
+        if let TrainKind::Lva(token) = &kind {
+            if delay > 0 && t.obs.enabled() {
+                let pc = token.pc().0;
+                t.obs.record(TraceEvent::at(ctx, TraceEventKind::TrainEnqueue { pc, delay }));
+            }
+        }
+        let train = PendingTrain {
+            due: t.load_clock + delay,
+            addr,
+            ty,
+            install,
+            kind,
+        };
+        if delay == 0 {
+            Self::fire(mem, t, train);
+        } else {
+            t.pending.push_back(train);
         }
     }
 
@@ -792,7 +708,6 @@ impl SimHarness {
         ty: ValueType,
         approx: bool,
         actual: Value,
-        block: u64,
         level: CacheLevel,
         ctx: TraceCtx,
     ) -> Value {
@@ -811,7 +726,7 @@ impl SimHarness {
         t.stats.clp_mispredicts += u64::from(prediction.confident && !correct);
         if approx && slow {
             let (value, approximated) =
-                Self::lva_approx_miss(mem, value_delay, t, pc, addr, ty, actual, block, ctx);
+                Self::lva_approx_miss(mem, value_delay, t, pc, addr, ty, actual, ctx);
             t.stats.load_latency_cycles += if approximated { 1 } else { direct_latency };
             value
         } else {
@@ -866,14 +781,10 @@ impl SimHarness {
     /// the deterministic per-thread load clock, so worker count cannot
     /// change what the governor sees or does.
     fn govern_epoch(t: &mut ThreadCtx) {
-        let Some(gov) = &mut t.govern else {
-            return;
-        };
-        let decision = gov.epoch(&t.stats);
-        let epoch_len = gov.config().epoch_len;
         let ctx = TraceCtx::new(t.core, t.stats.instructions);
-        apply_decision(&decision, &mut t.mechanism, &mut t.stats, &mut t.obs, ctx);
-        t.govern_due = t.load_clock + epoch_len;
+        t.miss
+            .on_epoch(&mut t.mechanism, &mut t.stats, &mut t.obs, ctx);
+        t.govern_due = t.load_clock.saturating_add(t.miss.epoch_len());
     }
 
     /// Delivers every pending training whose deadline the thread's load
@@ -898,33 +809,14 @@ impl SimHarness {
         let ctx = TraceCtx::new(t.core, t.stats.instructions);
         match train.kind {
             TrainKind::Lva(token) => {
-                if let Mechanism::Lva(a) | Mechanism::LvaClp(a, _) = &mut t.mechanism {
-                    // Dropped-drain fault: the block arrived (the install
-                    // below still happens) but the mechanism's training
-                    // update is lost.
-                    let dropped = match &mut t.faults {
-                        Some(f) => f.should_drop_drain(),
-                        None => false,
-                    };
-                    if dropped {
-                        t.stats.drains_dropped += 1;
-                    } else {
-                        if t.obs.enabled() {
-                            t.obs.record(TraceEvent::at(
-                                ctx,
-                                TraceEventKind::TrainDrain { pc: token.pc().0 },
-                            ));
-                        }
-                        let pc = token.pc();
-                        let rel_err = a.train_traced(token, actual, &mut t.obs, ctx);
-                        if let Some(d) = &mut t.degrade {
-                            d.observe_traced(pc, rel_err, &mut t.stats, &mut t.obs, ctx);
-                        }
-                        if let Some(g) = &mut t.govern {
-                            g.observe(pc, rel_err);
-                        }
-                    }
-                }
+                t.miss.on_train(
+                    &mut t.mechanism,
+                    token,
+                    actual,
+                    &mut t.stats,
+                    &mut t.obs,
+                    ctx,
+                );
             }
             TrainKind::Lvp(outcome) => {
                 if let Mechanism::Lvp(l) = &mut t.mechanism {
@@ -983,12 +875,12 @@ impl SimHarness {
         let degrade = self
             .threads
             .iter()
-            .filter_map(|t| t.degrade.as_ref().map(DegradeController::report))
+            .filter_map(|t| t.miss.degrade.as_ref().map(DegradeController::report))
             .collect();
         let govern = self
             .threads
             .iter()
-            .filter_map(|t| t.govern.as_deref().map(Governor::report))
+            .filter_map(|t| t.miss.govern.as_deref().map(Governor::report))
             .collect();
         let stats =
             Phase1Stats::from_threads(self.threads.into_iter().map(|t| t.stats).collect());

@@ -28,6 +28,7 @@ mod fullsystem;
 pub mod govern;
 mod harness;
 mod mechanism;
+mod miss;
 pub mod mshr;
 pub mod sched;
 mod stats;

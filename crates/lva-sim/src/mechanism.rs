@@ -177,14 +177,14 @@ impl Mechanism {
     }
 
     /// The live approximator, when this mechanism carries one.
-    fn approximator_mut(&mut self) -> Option<&mut LoadValueApproximator> {
+    pub(crate) fn approximator_mut(&mut self) -> Option<&mut LoadValueApproximator> {
         match self {
             Mechanism::Lva(a) | Mechanism::LvaClp(a, _) => Some(a),
             _ => None,
         }
     }
 
-    fn approximator(&self) -> Option<&LoadValueApproximator> {
+    pub(crate) fn approximator(&self) -> Option<&LoadValueApproximator> {
         match self {
             Mechanism::Lva(a) | Mechanism::LvaClp(a, _) => Some(a),
             _ => None,
@@ -199,7 +199,7 @@ impl Mechanism {
         }
     }
 
-    fn predictor(&self) -> Option<&LevelPredictor> {
+    pub(crate) fn predictor(&self) -> Option<&LevelPredictor> {
         match self {
             Mechanism::Clp(p) | Mechanism::LvaClp(_, p) => Some(p),
             _ => None,
