@@ -192,6 +192,42 @@ const DIR_W: usize = 1;
 const DIR_S: usize = 2;
 const DIR_N: usize = 3;
 
+/// Walks an XY route one link at a time — X first, then Y — without
+/// materializing it.
+#[derive(Debug, Clone, Copy)]
+struct XyRoute {
+    width: usize,
+    /// Current `(x, y)`.
+    at: (usize, usize),
+    /// Destination `(x, y)`.
+    to: (usize, usize),
+}
+
+impl Iterator for XyRoute {
+    type Item = (usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize)> {
+        let ((x, y), (dx, dy)) = (self.at, self.to);
+        let node = y * self.width + x;
+        let dir = if dx > x {
+            self.at.0 += 1;
+            DIR_E
+        } else if dx < x {
+            self.at.0 -= 1;
+            DIR_W
+        } else if dy > y {
+            self.at.1 += 1;
+            DIR_S
+        } else if dy < y {
+            self.at.1 -= 1;
+            DIR_N
+        } else {
+            return None;
+        };
+        Some((node, dir))
+    }
+}
+
 impl<P> Mesh<P> {
     /// Builds a mesh of the given geometry.
     ///
@@ -242,38 +278,21 @@ impl<P> Mesh<P> {
         &self.stats
     }
 
-    /// XY route from `src` to `dst` as a list of (node, outgoing direction)
-    /// pairs. Empty when `src == dst`.
-    fn route(&self, src: NodeId, dst: NodeId) -> Vec<(usize, usize)> {
+    /// XY route from `src` to `dst`: the (node, outgoing direction) pair
+    /// of every link crossed, in order. Empty when `src == dst`.
+    fn route(&self, src: NodeId, dst: NodeId) -> XyRoute {
         let w = self.config.width;
-        let (mut x, mut y) = (src.0 % w, src.0 / w);
-        let (dx, dy) = (dst.0 % w, dst.0 / w);
-        let mut hops = Vec::new();
-        while x != dx {
-            let dir = if dx > x { DIR_E } else { DIR_W };
-            hops.push((y * w + x, dir));
-            if dx > x {
-                x += 1;
-            } else {
-                x -= 1;
-            }
+        XyRoute {
+            width: w,
+            at: (src.0 % w, src.0 / w),
+            to: (dst.0 % w, dst.0 / w),
         }
-        while y != dy {
-            let dir = if dy > y { DIR_S } else { DIR_N };
-            hops.push((y * w + x, dir));
-            if dy > y {
-                y += 1;
-            } else {
-                y -= 1;
-            }
-        }
-        hops
     }
 
     /// Number of links an XY-routed packet crosses between two nodes.
     #[must_use]
     pub fn hop_count(&self, src: NodeId, dst: NodeId) -> u64 {
-        self.route(src, dst).len() as u64
+        self.route(src, dst).count() as u64
     }
 
     /// Injects a `flits`-flit packet at cycle `now`, to be delivered to
@@ -310,9 +329,8 @@ impl<P> Mesh<P> {
             _ => (self.config.router_cycles, self.config.link_cycles, false),
         };
 
-        let route = self.route(src, dst);
         let mut head = now;
-        for &(node, dir) in &route {
+        for (node, dir) in self.route(src, dst) {
             let link = node * 4 + dir;
             let link_free = if slow {
                 &mut self.low_power.as_mut().expect("slow plane exists").1[link]
@@ -329,7 +347,7 @@ impl<P> Mesh<P> {
                 self.stats.low_power_flit_hops += flits;
             }
         }
-        let arrival = if route.is_empty() {
+        let arrival = if src == dst {
             now + 1
         } else {
             // Tail flit trails the head by (flits - 1) link cycles.
@@ -459,6 +477,32 @@ mod tests {
     }
 
     #[test]
+    fn next_arrival_reports_packets_injected_in_the_future() {
+        // Senders may inject at a later cycle than the one they run in
+        // (a bank's data reply after its access latency, a deprioritized
+        // training fetch): the packet is in flight from the moment it is
+        // sent, and must show up in `next_arrival` before it can arrive.
+        let mut m = mesh();
+        // 5-flit packet injected at 100, one hop: head 100+3+1 = 104,
+        // tail 4 link cycles later.
+        m.send(100, NodeId(0), NodeId(1), 5, 1);
+        assert_eq!(m.next_arrival(), Some(108));
+        // A local packet injected at 50 arrives at 51 and comes first.
+        m.send(50, NodeId(2), NodeId(2), 1, 2);
+        assert_eq!(m.next_arrival(), Some(51));
+        for now in [0, 49, 50] {
+            assert!(m.poll(NodeId(2), now).is_empty(), "early at {now}");
+        }
+        assert_eq!(m.poll(NodeId(2), 51), vec![2]);
+        assert_eq!(m.next_arrival(), Some(108));
+        for now in [0, 51, 100, 107] {
+            assert!(m.poll(NodeId(1), now).is_empty(), "early at {now}");
+        }
+        assert_eq!(m.poll(NodeId(1), 108), vec![1]);
+        assert_eq!(m.next_arrival(), None);
+    }
+
+    #[test]
     fn low_power_plane_is_slower_but_isolated() {
         let mut m: Mesh<u32> = Mesh::new_heterogeneous(MeshConfig::paper(), LowPowerPlane::default());
         // Fast-plane packet: 1 hop, arrives at 4 as usual.
@@ -503,5 +547,26 @@ mod tests {
         });
         // (0,0) -> (3,2): 3 east hops then 2 south hops.
         assert_eq!(m.hop_count(NodeId(0), NodeId(2 * 4 + 3)), 5);
+        // Every pair on narrow, wide and non-square meshes: Manhattan
+        // distance, one flit-hop per flit per link.
+        for (width, height) in [(1, 1), (1, 5), (5, 1), (3, 4), (7, 2)] {
+            let mut m: Mesh<()> = Mesh::new(MeshConfig {
+                width,
+                height,
+                ..MeshConfig::paper()
+            });
+            let n = width * height;
+            for src in 0..n {
+                for dst in 0..n {
+                    let manhattan = (src % width).abs_diff(dst % width)
+                        + (src / width).abs_diff(dst / width);
+                    let hops = m.hop_count(NodeId(src), NodeId(dst));
+                    assert_eq!(hops, manhattan as u64, "{src}->{dst} on {width}x{height}");
+                    let before = m.stats().flit_hops;
+                    m.send(0, NodeId(src), NodeId(dst), 3, ());
+                    assert_eq!(m.stats().flit_hops - before, 3 * hops);
+                }
+            }
+        }
     }
 }
