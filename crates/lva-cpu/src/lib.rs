@@ -22,5 +22,5 @@ mod core_model;
 mod trace;
 pub mod trace_io;
 
-pub use core_model::{CoreStats, LoadResponse, MemoryPort, OooCore, PendingIssue, ReqId};
+pub use core_model::{CoreStats, LoadResponse, MemoryPort, OooCore, ReqId};
 pub use trace::{ThreadTrace, TraceOp, TraceStats};

@@ -787,8 +787,7 @@ fn fullsystem_configs() -> Vec<(&'static str, lva::sim::FullSystemConfig)> {
 /// FNV-1a64 of `<name>:<FullSystemStats debug>` over the seven test-scale
 /// precise traces (registry order) per full-system configuration, captured
 /// before the phase-1 harness and the full-system memory system shared one
-/// miss pipeline. Dispatch threads resolve from `LVA_THREADS`; the
-/// statistics must not depend on them.
+/// miss pipeline.
 const GOLDEN_FULLSYSTEM_HASHES: [(&str, u64); 5] = [
     ("lva", 0xb48eedbaf8e7295a),
     ("lva+budget5", 0x138284ad15aca085),
