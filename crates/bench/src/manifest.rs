@@ -1,9 +1,10 @@
-//! Figure manifests: `BENCH_<fig>.json` artifacts for the bench targets.
+//! Figure manifests: `BENCH_<fig>.json` artifacts for the figure benches.
 //!
-//! Each figure bench accumulates the same [`Series`] tables it prints into
-//! a [`FigureManifest`] and writes them through the `lva-obs` atomic
-//! artifact writer, so every bench run leaves a machine-readable record
-//! that `lva-explore compare` can diff and `plot --from-json` can render.
+//! The fig4, fig6, fig7 and fig8 benches accumulate the [`Series`] tables
+//! they print into a [`FigureManifest`] and write them through the
+//! `lva-obs` atomic artifact writer, so each of those runs leaves a
+//! machine-readable record that `lva-explore compare` can diff and
+//! `plot --from-json` can render.
 //!
 //! Layout inside the run record:
 //!
@@ -48,19 +49,6 @@ impl FigureManifest {
                 self.record.push_stat(format!("fig/t{t}/s{s}/{b}"), *v);
             }
         }
-    }
-
-    /// Records a free-form stat. Non-figure benches (e.g. the `loads`
-    /// throughput bench) use this instead of [`add_table`](Self::add_table);
-    /// paths under `time/` are informational to `lva-explore compare`,
-    /// everything else gates.
-    pub fn push_stat(&mut self, path: impl Into<String>, value: f64) {
-        self.record.push_stat(path, value);
-    }
-
-    /// Sets a free-form metadata key on the manifest.
-    pub fn set_meta(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        self.record.set_meta(key, value);
     }
 
     /// Writes `BENCH_<fig>.json` atomically and returns its path.

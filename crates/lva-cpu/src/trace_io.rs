@@ -106,7 +106,8 @@ fn read_exact<R: Read, const N: usize>(r: &mut R) -> io::Result<[u8; N]> {
 /// # Errors
 ///
 /// Returns `InvalidData` on a bad magic number, unsupported version or
-/// malformed records, and propagates I/O errors from the reader.
+/// malformed records, `UnexpectedEof` when the input ends before the
+/// records its header counts, and propagates I/O errors from the reader.
 pub fn read_traces<R: Read>(mut r: R) -> io::Result<Vec<ThreadTrace>> {
     let magic: [u8; 4] = read_exact(&mut r)?;
     if magic != MAGIC {
@@ -126,8 +127,10 @@ pub fn read_traces<R: Read>(mut r: R) -> io::Result<Vec<ThreadTrace>> {
     let mut out = Vec::with_capacity(usize::from(threads));
     for _ in 0..threads {
         let count = u64::from_le_bytes(read_exact(&mut r)?);
+        // `count` is untrusted, so nothing is reserved from it: the ops
+        // grow only as records arrive, and a short file fails in
+        // `read_exact` instead of aborting on a huge allocation.
         let mut trace = ThreadTrace::new();
-        trace.ops.reserve(usize::try_from(count).unwrap_or(0));
         for _ in 0..count {
             let [tag] = read_exact::<_, 1>(&mut r)?;
             let op = match tag {
@@ -214,7 +217,16 @@ mod tests {
         let mut buf = Vec::new();
         write_traces(&mut buf, &sample()).expect("write");
         buf.truncate(buf.len() - 3);
-        assert!(read_traces(buf.as_slice()).is_err());
+        // A bare 16-byte header claiming 2^40 ops in one thread.
+        let mut huge = Vec::new();
+        huge.extend_from_slice(b"LVAT");
+        huge.extend_from_slice(&1u16.to_le_bytes());
+        huge.extend_from_slice(&1u16.to_le_bytes());
+        huge.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        for input in [buf, huge] {
+            let err = read_traces(input.as_slice()).expect_err("must fail");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        }
     }
 
     #[test]

@@ -268,6 +268,19 @@ fn clp_figure_fingerprints_are_pinned_across_worker_counts() {
             );
         }
     }
+    // Named values behind two of the hashes' `clp=[…]` groups, so a
+    // mismatch there says which counter moved.
+    let blackscholes = &workloads[0];
+    assert_eq!(blackscholes.name(), "blackscholes");
+    let config = |name: &str| &configs.iter().find(|(n, _)| n == name).expect(name).1;
+    let t = blackscholes.execute(config("clp/precise")).stats.total;
+    assert_eq!(
+        [t.clp_predictions, t.clp_correct, t.clp_mispredicts, t.load_latency_cycles],
+        [987, 987, 0, 175_581],
+        "blackscholes clp: [predictions, correct, mispredicts, load_latency_cycles]"
+    );
+    let t = blackscholes.execute(config("lva+clp/fig4/lva-ghb0")).stats.total;
+    assert_eq!(t.load_latency_cycles, 132_174, "blackscholes lva+clp: load_latency_cycles");
 }
 
 /// Runs a synthetic kernel that keeps the maximum number of training
@@ -574,7 +587,16 @@ fn fault_injection_actually_fires() {
     let mut dropped = 0u64;
     let mut delayed = 0u64;
     for w in registry(WorkloadScale::Test) {
-        injected += w.execute(&configs[0].1).stats.total.faults_injected;
+        let t = w.execute(&configs[0].1).stats.total;
+        injected += t.faults_injected;
+        if w.name() == "blackscholes" {
+            // Named values behind the `budget5/table` hash's `dg=[…]` group.
+            assert_eq!(
+                [t.demotions, t.disables, t.degrade_denied, t.degrade_forced, t.faults_injected],
+                [16, 16, 224, 256, 3],
+                "blackscholes budget5/table: [demotions, disables, denied, forced, faults_injected]"
+            );
+        }
         let t = w.execute(&configs[1].1).stats.total.clone();
         dropped += t.drains_dropped;
         delayed += t.fetches_delayed;
@@ -671,7 +693,23 @@ fn quiet_governor_is_fingerprint_identical_to_governor_off() {
         let a = w.execute(&off).stats.fingerprint();
         let b = w.execute(quiet).stats.fingerprint();
         assert_eq!(a, b, "{}: quiet governor perturbed the run", w.name());
-        actuations += w.execute(active).stats.total.govern_actuations;
+        let t = w.execute(active).stats.total;
+        actuations += t.govern_actuations;
+        if w.name() == "blackscholes" {
+            // Named values behind the `govern2` hash's `gv=[…]` group.
+            assert_eq!(
+                [
+                    t.govern_epochs,
+                    t.govern_actuations,
+                    t.govern_tightens,
+                    t.govern_relaxes,
+                    t.govern_reverts,
+                    t.govern_disables,
+                ],
+                [89, 24, 12, 0, 0, 12],
+                "blackscholes govern2: [epochs, actuations, tightens, relaxes, reverts, pc_disables]"
+            );
+        }
     }
     assert!(actuations > 0, "the active governor never actuated anywhere");
 }
