@@ -787,6 +787,179 @@ mod tests {
         assert_eq!(dump["phase1/core0/govern/tightens"], 3.0);
     }
 
+    /// Every counter set to a distinct nonzero value (`base + k` for the
+    /// k-th field) and a few approximate PCs, so every fingerprint group
+    /// renders and every metric path is exported.
+    fn every_counter(base: u64) -> ThreadStats {
+        ThreadStats {
+            instructions: base + 1,
+            loads: base + 2,
+            approx_loads: base + 3,
+            stores: base + 4,
+            l1_hits: base + 5,
+            raw_misses: base + 6,
+            approximations: base + 7,
+            lvp_correct: base + 8,
+            rollbacks: base + 9,
+            load_fetches: base + 10,
+            store_fetches: base + 11,
+            useful_prefetches: base + 12,
+            approx_pcs: [Pc(base + 0x40), Pc(0x10), Pc(base + 0x20)]
+                .into_iter()
+                .collect(),
+            demotions: base + 13,
+            disables: base + 14,
+            reprobations: base + 15,
+            recoveries: base + 16,
+            degrade_denied: base + 17,
+            degrade_forced: base + 18,
+            faults_injected: base + 19,
+            drains_dropped: base + 20,
+            fetches_delayed: base + 21,
+            clp_predictions: base + 22,
+            clp_correct: base + 23,
+            clp_mispredicts: base + 24,
+            load_latency_cycles: base + 25,
+            govern_epochs: base + 26,
+            govern_actuations: base + 27,
+            govern_tightens: base + 28,
+            govern_relaxes: base + 29,
+            govern_reverts: base + 30,
+            govern_disables: base + 31,
+        }
+    }
+
+    /// The byte-level contract for every counter's fingerprint and metric
+    /// rendering. The workload goldens never drive every group at once;
+    /// this does.
+    #[test]
+    fn rendering_of_every_counter_is_pinned() {
+        let s = Phase1Stats::from_threads(vec![every_counter(100), every_counter(1000)]);
+        let mut reg = MetricsRegistry::new();
+        s.record_metrics(&mut reg, "p");
+        let dump: Vec<String> = reg.dump().iter().map(|(k, v)| format!("{k}={v}")).collect();
+        let want_fingerprint = concat!(
+            "t0:i=101,l=102,al=103,s=104,h=105,m=106,ap=107,lc=108,rb=109,lf=110,sf=111,up=112,pcs=[16, 132, 164],dg=[113,114,115,116,117,118,119,120,121],clp=[122,123,124,125],gv=[126,127,128,129,130,131];",
+            "t1:i=1001,l=1002,al=1003,s=1004,h=1005,m=1006,ap=1007,lc=1008,rb=1009,lf=1010,sf=1011,up=1012,pcs=[16, 1032, 1064],dg=[1013,1014,1015,1016,1017,1018,1019,1020,1021],clp=[1022,1023,1024,1025],gv=[1026,1027,1028,1029,1030,1031];",
+            "total:i=1102,l=1104,al=1106,s=1108,h=1110,m=1112,ap=1114,lc=1116,rb=1118,lf=1120,sf=1122,up=1124,pcs=[16, 132, 164, 1032, 1064],dg=[1126,1128,1130,1132,1134,1136,1138,1140,1142],clp=[1144,1146,1148,1150],gv=[1152,1154,1156,1158,1160,1162];",
+        );
+        let want_dump = "\
+p/core0/instructions=101
+p/core0/loads=102
+p/core0/approx_loads=103
+p/core0/stores=104
+p/core0/l1/hits=105
+p/core0/l1/raw_misses=106
+p/core0/l1/load_fetches=110
+p/core0/l1/store_fetches=111
+p/core0/l1/useful_prefetches=112
+p/core0/mech/approximations=107
+p/core0/mech/lvp_correct=108
+p/core0/mech/rollbacks=109
+p/core0/mech/approx_pcs=3
+p/core0/degrade/demotions=113
+p/core0/degrade/disables=114
+p/core0/degrade/reprobations=115
+p/core0/degrade/recoveries=116
+p/core0/degrade/denied=117
+p/core0/degrade/forced_fetches=118
+p/core0/faults/injected=119
+p/core0/faults/drains_dropped=120
+p/core0/faults/fetches_delayed=121
+p/core0/clp/predictions=122
+p/core0/clp/correct=123
+p/core0/clp/mispredicts=124
+p/core0/clp/load_latency_cycles=125
+p/core0/govern/epochs=126
+p/core0/govern/actuations=127
+p/core0/govern/tightens=128
+p/core0/govern/relaxes=129
+p/core0/govern/reverts=130
+p/core0/govern/pc_disables=131
+p/core1/instructions=1001
+p/core1/loads=1002
+p/core1/approx_loads=1003
+p/core1/stores=1004
+p/core1/l1/hits=1005
+p/core1/l1/raw_misses=1006
+p/core1/l1/load_fetches=1010
+p/core1/l1/store_fetches=1011
+p/core1/l1/useful_prefetches=1012
+p/core1/mech/approximations=1007
+p/core1/mech/lvp_correct=1008
+p/core1/mech/rollbacks=1009
+p/core1/mech/approx_pcs=3
+p/core1/degrade/demotions=1013
+p/core1/degrade/disables=1014
+p/core1/degrade/reprobations=1015
+p/core1/degrade/recoveries=1016
+p/core1/degrade/denied=1017
+p/core1/degrade/forced_fetches=1018
+p/core1/faults/injected=1019
+p/core1/faults/drains_dropped=1020
+p/core1/faults/fetches_delayed=1021
+p/core1/clp/predictions=1022
+p/core1/clp/correct=1023
+p/core1/clp/mispredicts=1024
+p/core1/clp/load_latency_cycles=1025
+p/core1/govern/epochs=1026
+p/core1/govern/actuations=1027
+p/core1/govern/tightens=1028
+p/core1/govern/relaxes=1029
+p/core1/govern/reverts=1030
+p/core1/govern/pc_disables=1031
+p/total/instructions=1102
+p/total/loads=1104
+p/total/approx_loads=1106
+p/total/stores=1108
+p/total/l1/hits=1110
+p/total/l1/raw_misses=1112
+p/total/l1/load_fetches=1120
+p/total/l1/store_fetches=1122
+p/total/l1/useful_prefetches=1124
+p/total/mech/approximations=1114
+p/total/mech/lvp_correct=1116
+p/total/mech/rollbacks=1118
+p/total/mech/approx_pcs=5
+p/total/degrade/demotions=1126
+p/total/degrade/disables=1128
+p/total/degrade/reprobations=1130
+p/total/degrade/recoveries=1132
+p/total/degrade/denied=1134
+p/total/degrade/forced_fetches=1136
+p/total/faults/injected=1138
+p/total/faults/drains_dropped=1140
+p/total/faults/fetches_delayed=1142
+p/total/clp/predictions=1144
+p/total/clp/correct=1146
+p/total/clp/mispredicts=1148
+p/total/clp/load_latency_cycles=1150
+p/total/govern/epochs=1152
+p/total/govern/actuations=1154
+p/total/govern/tightens=1156
+p/total/govern/relaxes=1158
+p/total/govern/reverts=1160
+p/total/govern/pc_disables=1162
+p/derived/effective_misses=0
+p/derived/mpki=0
+p/derived/coverage=1.0017985611510791
+p/derived/fetches=1120
+p/derived/static_approx_pcs=5
+p/derived/avg_load_latency=1.0416666666666667
+p/derived/clp_accuracy=1.0017482517482517
+p/energy/l1_accesses=2212
+p/energy/l2_accesses=2242
+p/energy/approximator_accesses=1114
+p/energy/l1_nj=110.60000000000001
+p/energy/l2_nj=672.6
+p/energy/approximator_nj=22.28
+p/energy/total_nj=805.48
+p/energy/hierarchy_nj=694.88
+p/energy/edp=839.0416666666667";
+        assert_eq!(s.fingerprint(), want_fingerprint);
+        assert_eq!(dump.join("\n"), want_dump);
+    }
+
     #[test]
     fn energy_export_matches_the_proxy_breakdown() {
         let mut t = thread(10_000, 50, 30);
