@@ -34,7 +34,12 @@ use lva_workloads::WorkloadScale;
 ///
 /// v2: phase-1 manifests gained the `energy/*` export, and configs
 /// gained the governor knob.
-pub const CACHE_SCHEMA_VERSION: u64 = 2;
+///
+/// v3: per-thread stats are exported in `ThreadStats` table order, which
+/// moves `l1/{load,store}_fetches` and `l1/useful_prefetches` after
+/// `mech/{approximations,lvp_correct,rollbacks}` in every manifest. The
+/// path → value pairs are unchanged; only their order is.
+pub const CACHE_SCHEMA_VERSION: u64 = 3;
 
 /// 64-bit FNV-1a — the same hash the determinism suite pins sweep
 /// statistics with; dependency-free and stable across platforms.

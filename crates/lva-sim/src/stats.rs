@@ -76,153 +76,203 @@ impl FromIterator<Pc> for PcSet {
     }
 }
 
-/// Counters for one thread's private L1 and mechanism.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ThreadStats {
-    /// Dynamic instructions executed (loads + stores + compute ticks).
-    pub instructions: u64,
-    /// Load instructions.
-    pub loads: u64,
-    /// Loads annotated approximate.
-    pub approx_loads: u64,
-    /// Store instructions.
-    pub stores: u64,
-    /// Loads that hit in the L1 (including MSHR secondary hits and hits on
-    /// prefetched lines).
-    pub l1_hits: u64,
-    /// Loads that missed in the L1, before any mechanism intervenes.
-    pub raw_misses: u64,
-    /// Misses served by an approximation (count as hits for MPKI, §V-A).
-    pub approximations: u64,
-    /// Misses a load value predictor (idealized or realistic) predicted
-    /// correctly (count as hits).
-    pub lvp_correct: u64,
-    /// Mispredictions by the realistic LVP, each costing a pipeline flush.
-    pub rollbacks: u64,
-    /// Blocks fetched into the L1 on behalf of loads: demand fills,
-    /// approximator training fills and prefetches (Fig. 8's "fetches").
-    pub load_fetches: u64,
-    /// Blocks fetched for store misses (tracked separately; the paper's
-    /// load-centric figures exclude them).
-    pub store_fetches: u64,
-    /// Useful prefetches: prefetched lines that saw a demand hit.
-    pub useful_prefetches: u64,
-    /// Distinct static PCs that issued approximate loads (Fig. 12).
-    pub approx_pcs: PcSet,
-    /// Healthy→Demoted transitions by the quality-budget controller.
-    pub demotions: u64,
-    /// Demoted→Disabled transitions (approximation switched off for a PC).
-    pub disables: u64,
-    /// Disabled→Demoted re-probations after a served probation period.
-    pub reprobations: u64,
-    /// Demoted→Healthy promotions (errors back under budget).
-    pub recoveries: u64,
-    /// Misses denied approximation because their PC was disabled.
-    pub degrade_denied: u64,
-    /// Misses approximated under a forced-fetch policy (demoted PCs).
-    pub degrade_forced: u64,
-    /// Table-corruption faults injected.
-    pub faults_injected: u64,
-    /// Training drains dropped by fault injection.
-    pub drains_dropped: u64,
-    /// Training fetches delayed by fault injection.
-    pub fetches_delayed: u64,
-    /// Cache-level predictions verified against the actual serving level.
-    pub clp_predictions: u64,
-    /// Verified level predictions that matched the actual serving level.
-    pub clp_correct: u64,
-    /// Confident predictions that were wrong (each pays the recovery
-    /// penalty). Unconfident wrong guesses are mere training noise and are
-    /// not counted here.
-    pub clp_mispredicts: u64,
-    /// Modelled load-visible latency accumulated across all loads, in
-    /// cycles (hits cost 1; misses cost the hierarchy walk, the predicted
-    /// level's direct access, or the approximation fast path).
-    pub load_latency_cycles: u64,
-    /// Supervisory-governor epochs evaluated on this thread.
-    pub govern_epochs: u64,
-    /// Knob actuations the governor applied to this thread's mechanism.
-    pub govern_actuations: u64,
-    /// Governor transitions that tightened the aggressiveness ladder.
-    pub govern_tightens: u64,
-    /// Governor probes that relaxed the ladder one level.
-    pub govern_relaxes: u64,
-    /// Probes reverted (over-SLO or no EDP win at the relaxed level).
-    pub govern_reverts: u64,
-    /// Per-PC disables actuated at the ladder floor.
-    pub govern_disables: u64,
+/// Declares [`ThreadStats`] from one table of counters and generates every
+/// place that must list them: the struct, the aggregation behind
+/// [`Phase1Stats::from_threads`], the fingerprint-group gates,
+/// [`ThreadStats::record_metrics`] and the per-thread line of
+/// [`Phase1Stats::fingerprint`]. A new counter is one row in the right
+/// group, so it cannot be missing from any export.
+///
+/// Field order is the struct order, the fingerprint order and the metric
+/// export order. The table has three parts:
+///
+/// * `always { field "key" => "path"; … }` — counters rendered
+///   `key=value` at the head of every fingerprint line;
+/// * `approx_pcs "pcs" => "path";` — the one [`PcSet`], rendered as its
+///   sorted PC list and exported as its size;
+/// * `gate(opener) "tag", metrics always|gated { field => "path"; … }` —
+///   a group rendered as one `,tag=[v,…]` suffix only while `gate()`
+///   holds, i.e. while `opener` is nonzero (for `any`: while any counter
+///   of the group is). A `gated` group's metric paths are exported only
+///   then too; an `always` group's are exported unconditionally.
+macro_rules! thread_counters {
+    (@gate $(#[$doc:meta])* $gate:ident(any) [$($field:ident),*]) => {
+        $(#[$doc])*
+        #[must_use]
+        pub fn $gate(&self) -> bool {
+            [$(self.$field),*].iter().any(|&v| v != 0)
+        }
+    };
+    (@gate $(#[$doc:meta])* $gate:ident($opener:ident) [$($field:ident),*]) => {
+        $(#[$doc])*
+        #[must_use]
+        pub fn $gate(&self) -> bool {
+            self.$opener != 0
+        }
+    };
+    (@export always, $open:expr, $body:block) => { $body };
+    (@export gated, $open:expr, $body:block) => { if $open $body };
+    (
+        always { $( $(#[$doc:meta])* $field:ident $key:literal => $path:literal; )* }
+        $(#[$pcs_doc:meta])* $pcs:ident $pcs_key:literal => $pcs_path:literal;
+        $(
+            $(#[$gate_doc:meta])*
+            $gate:ident($opener:ident) $tag:literal, metrics $export:ident {
+                $( $(#[$group_doc:meta])* $group_field:ident => $group_path:literal; )*
+            }
+        )*
+    ) => {
+        /// Counters for one thread's private L1 and mechanism.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct ThreadStats {
+            $( $(#[$doc])* pub $field: u64, )*
+            $(#[$pcs_doc])* pub $pcs: PcSet,
+            $( $( $(#[$group_doc])* pub $group_field: u64, )* )*
+        }
+
+        impl ThreadStats {
+            fn absorb(&mut self, other: &ThreadStats) {
+                $( self.$field += other.$field; )*
+                self.$pcs.extend(other.$pcs.iter().copied());
+                $( $( self.$group_field += other.$group_field; )* )*
+            }
+
+            $( thread_counters!(@gate $(#[$gate_doc])* $gate($opener) [$($group_field),*]); )*
+
+            /// Exports this thread's counters under `prefix`
+            /// (`<prefix>/l1/raw_misses`, `<prefix>/mech/approximations`, …)
+            /// — the per-thread half of [`Phase1Stats::record_metrics`], also
+            /// used by the epoch timeline sampler to snapshot a single thread.
+            pub fn record_metrics(&self, registry: &mut MetricsRegistry, prefix: &str) {
+                let mut put = |path: &str, value: u64| {
+                    registry.counter(&format!("{prefix}/{path}")).add(value);
+                };
+                $( put($path, self.$field); )*
+                put($pcs_path, self.$pcs.len() as u64);
+                $( thread_counters!(@export $export, self.$gate(), {
+                    $( put($group_path, self.$group_field); )*
+                }); )*
+            }
+
+            /// Appends this thread's fingerprint line:
+            /// `label:key=value,…,pcs=[…]`, one `,tag=[…]` suffix per open
+            /// group, then `;`.
+            fn write_fingerprint(&self, out: &mut String, label: &str) {
+                use fmt::Write as _;
+                let _ = write!(out, "{label}:");
+                $( let _ = write!(out, concat!($key, "={},"), self.$field); )*
+                let pcs: Vec<u64> = self.$pcs.iter().map(|p| p.0).collect();
+                let _ = write!(out, concat!($pcs_key, "={:?}"), pcs);
+                $(
+                    if self.$gate() {
+                        let values = [$(self.$group_field),*].map(|v| v.to_string());
+                        let _ = write!(out, ",{}=[{}]", $tag, values.join(","));
+                    }
+                )*
+                out.push(';');
+            }
+        }
+    };
 }
 
-impl ThreadStats {
-    fn absorb(&mut self, other: &ThreadStats) {
-        self.instructions += other.instructions;
-        self.loads += other.loads;
-        self.approx_loads += other.approx_loads;
-        self.stores += other.stores;
-        self.l1_hits += other.l1_hits;
-        self.raw_misses += other.raw_misses;
-        self.approximations += other.approximations;
-        self.lvp_correct += other.lvp_correct;
-        self.rollbacks += other.rollbacks;
-        self.load_fetches += other.load_fetches;
-        self.store_fetches += other.store_fetches;
-        self.useful_prefetches += other.useful_prefetches;
-        self.approx_pcs.extend(other.approx_pcs.iter().copied());
-        self.demotions += other.demotions;
-        self.disables += other.disables;
-        self.reprobations += other.reprobations;
-        self.recoveries += other.recoveries;
-        self.degrade_denied += other.degrade_denied;
-        self.degrade_forced += other.degrade_forced;
-        self.faults_injected += other.faults_injected;
-        self.drains_dropped += other.drains_dropped;
-        self.fetches_delayed += other.fetches_delayed;
-        self.clp_predictions += other.clp_predictions;
-        self.clp_correct += other.clp_correct;
-        self.clp_mispredicts += other.clp_mispredicts;
-        self.load_latency_cycles += other.load_latency_cycles;
-        self.govern_epochs += other.govern_epochs;
-        self.govern_actuations += other.govern_actuations;
-        self.govern_tightens += other.govern_tightens;
-        self.govern_relaxes += other.govern_relaxes;
-        self.govern_reverts += other.govern_reverts;
-        self.govern_disables += other.govern_disables;
+thread_counters! {
+    always {
+        /// Dynamic instructions executed (loads + stores + compute ticks).
+        instructions "i" => "instructions";
+        /// Load instructions.
+        loads "l" => "loads";
+        /// Loads annotated approximate.
+        approx_loads "al" => "approx_loads";
+        /// Store instructions.
+        stores "s" => "stores";
+        /// Loads that hit in the L1 (including MSHR secondary hits and hits on
+        /// prefetched lines).
+        l1_hits "h" => "l1/hits";
+        /// Loads that missed in the L1, before any mechanism intervenes.
+        raw_misses "m" => "l1/raw_misses";
+        /// Misses served by an approximation (count as hits for MPKI, §V-A).
+        approximations "ap" => "mech/approximations";
+        /// Misses a load value predictor (idealized or realistic) predicted
+        /// correctly (count as hits).
+        lvp_correct "lc" => "mech/lvp_correct";
+        /// Mispredictions by the realistic LVP, each costing a pipeline flush.
+        rollbacks "rb" => "mech/rollbacks";
+        /// Blocks fetched into the L1 on behalf of loads: demand fills,
+        /// approximator training fills and prefetches (Fig. 8's "fetches").
+        load_fetches "lf" => "l1/load_fetches";
+        /// Blocks fetched for store misses (tracked separately; the paper's
+        /// load-centric figures exclude them).
+        store_fetches "sf" => "l1/store_fetches";
+        /// Useful prefetches: prefetched lines that saw a demand hit.
+        useful_prefetches "up" => "l1/useful_prefetches";
     }
+    /// Distinct static PCs that issued approximate loads (Fig. 12).
+    approx_pcs "pcs" => "mech/approx_pcs";
 
     /// Whether the quality-budget controller or the fault injector ever
     /// acted on this thread. Gates the `dg=[…]` fingerprint suffix so runs
     /// without robustness features keep their historical fingerprints.
-    #[must_use]
-    pub fn has_robustness_events(&self) -> bool {
-        self.demotions != 0
-            || self.disables != 0
-            || self.reprobations != 0
-            || self.recoveries != 0
-            || self.degrade_denied != 0
-            || self.degrade_forced != 0
-            || self.faults_injected != 0
-            || self.drains_dropped != 0
-            || self.fetches_delayed != 0
+    has_robustness_events(any) "dg", metrics always {
+        /// Healthy→Demoted transitions by the quality-budget controller.
+        demotions => "degrade/demotions";
+        /// Demoted→Disabled transitions (approximation switched off for a PC).
+        disables => "degrade/disables";
+        /// Disabled→Demoted re-probations after a served probation period.
+        reprobations => "degrade/reprobations";
+        /// Demoted→Healthy promotions (errors back under budget).
+        recoveries => "degrade/recoveries";
+        /// Misses denied approximation because their PC was disabled.
+        degrade_denied => "degrade/denied";
+        /// Misses approximated under a forced-fetch policy (demoted PCs).
+        degrade_forced => "degrade/forced_fetches";
+        /// Table-corruption faults injected.
+        faults_injected => "faults/injected";
+        /// Training drains dropped by fault injection.
+        drains_dropped => "faults/drains_dropped";
+        /// Training fetches delayed by fault injection.
+        fetches_delayed => "faults/fetches_delayed";
     }
 
     /// Whether a cache-level predictor ever verified a prediction on this
     /// thread. Gates the `clp=[…]` fingerprint suffix so clp-off runs keep
     /// their historical fingerprints (latency is accumulated for every
     /// mechanism, but only fingerprinted when a predictor ran).
-    #[must_use]
-    pub fn has_clp_events(&self) -> bool {
-        self.clp_predictions != 0
+    has_clp_events(clp_predictions) "clp", metrics always {
+        /// Cache-level predictions verified against the actual serving level.
+        clp_predictions => "clp/predictions";
+        /// Verified level predictions that matched the actual serving level.
+        clp_correct => "clp/correct";
+        /// Confident predictions that were wrong (each pays the recovery
+        /// penalty). Unconfident wrong guesses are mere training noise and are
+        /// not counted here.
+        clp_mispredicts => "clp/mispredicts";
+        /// Modelled load-visible latency accumulated across all loads, in
+        /// cycles (hits cost 1; misses cost the hierarchy walk, the predicted
+        /// level's direct access, or the approximation fast path).
+        load_latency_cycles => "clp/load_latency_cycles";
     }
 
     /// Whether the supervisory governor ever *actuated* a knob on this
     /// thread. Gates the `gv=[…]` fingerprint suffix and the `govern/*`
     /// metric paths: a governor that only observed (epochs elapsed, no
     /// knob moved) leaves both byte-identical to a governor-off run.
-    #[must_use]
-    pub fn has_govern_events(&self) -> bool {
-        self.govern_actuations != 0
+    has_govern_events(govern_actuations) "gv", metrics gated {
+        /// Supervisory-governor epochs evaluated on this thread.
+        govern_epochs => "govern/epochs";
+        /// Knob actuations the governor applied to this thread's mechanism.
+        govern_actuations => "govern/actuations";
+        /// Governor transitions that tightened the aggressiveness ladder.
+        govern_tightens => "govern/tightens";
+        /// Governor probes that relaxed the ladder one level.
+        govern_relaxes => "govern/relaxes";
+        /// Probes reverted (over-SLO or no EDP win at the relaxed level).
+        govern_reverts => "govern/reverts";
+        /// Per-PC disables actuated at the ladder floor.
+        govern_disables => "govern/pc_disables";
     }
+}
 
+impl ThreadStats {
     /// Estimated dynamic-energy events for `lva-energy`, derived from the
     /// phase-1 counters. Phase 1 models latency, not per-level traffic, so
     /// this is a documented proxy: every load/store touches the L1, every
@@ -238,82 +288,6 @@ impl ThreadStats {
             noc_flit_hops: 0,
             noc_low_power_flit_hops: 0,
             approximator_accesses: self.approximations,
-        }
-    }
-
-    /// Exports this thread's counters under `prefix`
-    /// (`<prefix>/l1/raw_misses`, `<prefix>/mech/approximations`, …) —
-    /// the per-thread half of [`Phase1Stats::record_metrics`], also used
-    /// by the epoch timeline sampler to snapshot a single thread.
-    pub fn record_metrics(&self, registry: &mut MetricsRegistry, prefix: &str) {
-        let p = |m: &str| format!("{prefix}/{m}");
-        registry.counter(&p("instructions")).add(self.instructions);
-        registry.counter(&p("loads")).add(self.loads);
-        registry.counter(&p("approx_loads")).add(self.approx_loads);
-        registry.counter(&p("stores")).add(self.stores);
-        registry.counter(&p("l1/hits")).add(self.l1_hits);
-        registry.counter(&p("l1/raw_misses")).add(self.raw_misses);
-        registry.counter(&p("l1/load_fetches")).add(self.load_fetches);
-        registry.counter(&p("l1/store_fetches")).add(self.store_fetches);
-        registry
-            .counter(&p("l1/useful_prefetches"))
-            .add(self.useful_prefetches);
-        registry
-            .counter(&p("mech/approximations"))
-            .add(self.approximations);
-        registry.counter(&p("mech/lvp_correct")).add(self.lvp_correct);
-        registry.counter(&p("mech/rollbacks")).add(self.rollbacks);
-        registry
-            .counter(&p("mech/approx_pcs"))
-            .add(self.approx_pcs.len() as u64);
-        registry.counter(&p("degrade/demotions")).add(self.demotions);
-        registry.counter(&p("degrade/disables")).add(self.disables);
-        registry
-            .counter(&p("degrade/reprobations"))
-            .add(self.reprobations);
-        registry.counter(&p("degrade/recoveries")).add(self.recoveries);
-        registry.counter(&p("degrade/denied")).add(self.degrade_denied);
-        registry
-            .counter(&p("degrade/forced_fetches"))
-            .add(self.degrade_forced);
-        registry
-            .counter(&p("faults/injected"))
-            .add(self.faults_injected);
-        registry
-            .counter(&p("faults/drains_dropped"))
-            .add(self.drains_dropped);
-        registry
-            .counter(&p("faults/fetches_delayed"))
-            .add(self.fetches_delayed);
-        registry
-            .counter(&p("clp/predictions"))
-            .add(self.clp_predictions);
-        registry.counter(&p("clp/correct")).add(self.clp_correct);
-        registry
-            .counter(&p("clp/mispredicts"))
-            .add(self.clp_mispredicts);
-        registry
-            .counter(&p("clp/load_latency_cycles"))
-            .add(self.load_latency_cycles);
-        // Governor paths only materialise once a knob actually moved, so a
-        // quiet (or absent) governor leaves the manifest byte-identical.
-        if self.has_govern_events() {
-            registry.counter(&p("govern/epochs")).add(self.govern_epochs);
-            registry
-                .counter(&p("govern/actuations"))
-                .add(self.govern_actuations);
-            registry
-                .counter(&p("govern/tightens"))
-                .add(self.govern_tightens);
-            registry
-                .counter(&p("govern/relaxes"))
-                .add(self.govern_relaxes);
-            registry
-                .counter(&p("govern/reverts"))
-                .add(self.govern_reverts);
-            registry
-                .counter(&p("govern/pc_disables"))
-                .add(self.govern_disables);
         }
     }
 }
@@ -391,78 +365,11 @@ impl Phase1Stats {
     /// suite asserts across worker-thread counts.
     #[must_use]
     pub fn fingerprint(&self) -> String {
-        use fmt::Write as _;
         let mut out = String::new();
-        let mut emit = |tag: &str, t: &ThreadStats| {
-            let mut pcs: Vec<u64> = t.approx_pcs.iter().map(|p| p.0).collect();
-            pcs.sort_unstable();
-            let _ = write!(
-                out,
-                "{tag}:i={},l={},al={},s={},h={},m={},ap={},lc={},rb={},lf={},sf={},up={},pcs={:?}",
-                t.instructions,
-                t.loads,
-                t.approx_loads,
-                t.stores,
-                t.l1_hits,
-                t.raw_misses,
-                t.approximations,
-                t.lvp_correct,
-                t.rollbacks,
-                t.load_fetches,
-                t.store_fetches,
-                t.useful_prefetches,
-                pcs,
-            );
-            // Degradation and fault counters only appear once any of them
-            // is nonzero: runs without robustness events keep the exact
-            // pre-0.5 fingerprint bytes (and golden hashes).
-            if t.has_robustness_events() {
-                let _ = write!(
-                    out,
-                    ",dg=[{},{},{},{},{},{},{},{},{}]",
-                    t.demotions,
-                    t.disables,
-                    t.reprobations,
-                    t.recoveries,
-                    t.degrade_denied,
-                    t.degrade_forced,
-                    t.faults_injected,
-                    t.drains_dropped,
-                    t.fetches_delayed,
-                );
-            }
-            // Same pattern for the level predictor: the suffix (and the
-            // latency it fingerprints) only appears when one actually ran.
-            if t.has_clp_events() {
-                let _ = write!(
-                    out,
-                    ",clp=[{},{},{},{}]",
-                    t.clp_predictions,
-                    t.clp_correct,
-                    t.clp_mispredicts,
-                    t.load_latency_cycles,
-                );
-            }
-            // And for the governor: a run whose governor never actuated a
-            // knob is byte-identical to a governor-off run.
-            if t.has_govern_events() {
-                let _ = write!(
-                    out,
-                    ",gv=[{},{},{},{},{},{}]",
-                    t.govern_epochs,
-                    t.govern_actuations,
-                    t.govern_tightens,
-                    t.govern_relaxes,
-                    t.govern_reverts,
-                    t.govern_disables,
-                );
-            }
-            let _ = write!(out, ";");
-        };
         for (i, t) in self.per_thread.iter().enumerate() {
-            emit(&format!("t{i}"), t);
+            t.write_fingerprint(&mut out, &format!("t{i}"));
         }
-        emit("total", &self.total);
+        self.total.write_fingerprint(&mut out, "total");
         out
     }
 
@@ -843,6 +750,10 @@ mod tests {
             "t1:i=1001,l=1002,al=1003,s=1004,h=1005,m=1006,ap=1007,lc=1008,rb=1009,lf=1010,sf=1011,up=1012,pcs=[16, 1032, 1064],dg=[1013,1014,1015,1016,1017,1018,1019,1020,1021],clp=[1022,1023,1024,1025],gv=[1026,1027,1028,1029,1030,1031];",
             "total:i=1102,l=1104,al=1106,s=1108,h=1110,m=1112,ap=1114,lc=1116,rb=1118,lf=1120,sf=1122,up=1124,pcs=[16, 132, 164, 1032, 1064],dg=[1126,1128,1130,1132,1134,1136,1138,1140,1142],clp=[1144,1146,1148,1150],gv=[1152,1154,1156,1158,1160,1162];",
         );
+        // Metrics export in table order. Before the table, each block
+        // listed `l1/{load,store}_fetches` and `l1/useful_prefetches`
+        // ahead of `mech/{approximations,lvp_correct,rollbacks}`; those six
+        // rows are the only change, with the same values.
         let want_dump = "\
 p/core0/instructions=101
 p/core0/loads=102
@@ -850,12 +761,12 @@ p/core0/approx_loads=103
 p/core0/stores=104
 p/core0/l1/hits=105
 p/core0/l1/raw_misses=106
-p/core0/l1/load_fetches=110
-p/core0/l1/store_fetches=111
-p/core0/l1/useful_prefetches=112
 p/core0/mech/approximations=107
 p/core0/mech/lvp_correct=108
 p/core0/mech/rollbacks=109
+p/core0/l1/load_fetches=110
+p/core0/l1/store_fetches=111
+p/core0/l1/useful_prefetches=112
 p/core0/mech/approx_pcs=3
 p/core0/degrade/demotions=113
 p/core0/degrade/disables=114
@@ -882,12 +793,12 @@ p/core1/approx_loads=1003
 p/core1/stores=1004
 p/core1/l1/hits=1005
 p/core1/l1/raw_misses=1006
-p/core1/l1/load_fetches=1010
-p/core1/l1/store_fetches=1011
-p/core1/l1/useful_prefetches=1012
 p/core1/mech/approximations=1007
 p/core1/mech/lvp_correct=1008
 p/core1/mech/rollbacks=1009
+p/core1/l1/load_fetches=1010
+p/core1/l1/store_fetches=1011
+p/core1/l1/useful_prefetches=1012
 p/core1/mech/approx_pcs=3
 p/core1/degrade/demotions=1013
 p/core1/degrade/disables=1014
@@ -914,12 +825,12 @@ p/total/approx_loads=1106
 p/total/stores=1108
 p/total/l1/hits=1110
 p/total/l1/raw_misses=1112
-p/total/l1/load_fetches=1120
-p/total/l1/store_fetches=1122
-p/total/l1/useful_prefetches=1124
 p/total/mech/approximations=1114
 p/total/mech/lvp_correct=1116
 p/total/mech/rollbacks=1118
+p/total/l1/load_fetches=1120
+p/total/l1/store_fetches=1122
+p/total/l1/useful_prefetches=1124
 p/total/mech/approx_pcs=5
 p/total/degrade/demotions=1126
 p/total/degrade/disables=1128
