@@ -1381,19 +1381,7 @@ impl FullSystem {
             now,
             cores_done_at,
         } = outcome?;
-        let mut stats = self.mem.stats.clone();
-        for l1 in &self.mem.l1 {
-            stats.demotions += l1.local_stats.demotions;
-            stats.disables += l1.local_stats.disables;
-            stats.degrade_denied += l1.local_stats.degrade_denied;
-            stats.degrade_forced += l1.local_stats.degrade_forced;
-            stats.govern_epochs += l1.local_stats.govern_epochs;
-            stats.govern_actuations += l1.local_stats.govern_actuations;
-            stats.govern_tightens += l1.local_stats.govern_tightens;
-            stats.govern_relaxes += l1.local_stats.govern_relaxes;
-            stats.govern_reverts += l1.local_stats.govern_reverts;
-            stats.govern_disables += l1.local_stats.govern_disables;
-        }
+        let mut stats = assemble_stats(&self.mem, &self.cores, now);
         stats.govern = self
             .mem
             .l1
@@ -1402,14 +1390,6 @@ impl FullSystem {
             .collect();
         stats.cycles = cores_done_at.unwrap_or(now);
         stats.drain_cycles = now.saturating_sub(stats.cycles);
-        for core in &self.cores {
-            stats.instructions += core.stats().retired;
-            stats.head_stall_cycles += core.stats().head_stall_cycles;
-        }
-        let mesh_stats = *self.mem.mesh.stats();
-        stats.flit_hops = mesh_stats.flit_hops;
-        stats.energy.noc_flit_hops = mesh_stats.flit_hops - mesh_stats.low_power_flit_hops;
-        stats.energy.noc_low_power_flit_hops = mesh_stats.low_power_flit_hops;
         let timeline = match sampler {
             Some(mut s) => {
                 // Flush the tail (and the drain-side counters) from the
@@ -1433,12 +1413,26 @@ struct CycleOutcome {
     cores_done_at: Option<u64>,
 }
 
-/// A mid-run statistics snapshot at cycle `now`: the memory system's
-/// counters plus what the cores and mesh have accumulated so far.
-/// Read-only; used by the epoch timeline sampler.
-fn snapshot_stats(mem: &MemorySystem, cores: &[OooCore], now: u64) -> FullSystemStats {
+/// The statistics at cycle `now`: the memory system's counters plus what
+/// the per-L1 quality controllers, the cores and the mesh have accumulated
+/// so far. Read-only; both the epoch timeline sampler's mid-run snapshots
+/// and the end-of-run result are built from it.
+fn assemble_stats(mem: &MemorySystem, cores: &[OooCore], now: u64) -> FullSystemStats {
     let mut stats = mem.stats.clone();
     stats.cycles = now;
+    for l1 in &mem.l1 {
+        let local = &l1.local_stats;
+        stats.demotions += local.demotions;
+        stats.disables += local.disables;
+        stats.degrade_denied += local.degrade_denied;
+        stats.degrade_forced += local.degrade_forced;
+        stats.govern_epochs += local.govern_epochs;
+        stats.govern_actuations += local.govern_actuations;
+        stats.govern_tightens += local.govern_tightens;
+        stats.govern_relaxes += local.govern_relaxes;
+        stats.govern_reverts += local.govern_reverts;
+        stats.govern_disables += local.govern_disables;
+    }
     for core in cores {
         let core_stats = core.stats();
         stats.instructions += core_stats.retired;
@@ -1481,7 +1475,7 @@ fn run_cycles(
         if now >= due && cores_done_at.is_none() {
             if let Some(s) = &mut *sampler {
                 let mut registry = MetricsRegistry::new();
-                snapshot_stats(mem, cores, now).record_metrics(&mut registry, "fs");
+                assemble_stats(mem, cores, now).record_metrics(&mut registry, "fs");
                 s.sample(now, &registry);
                 due = s.next_boundary();
             }
@@ -2046,6 +2040,31 @@ mod tests {
             tight.l2_data_blocks,
             free.l2_data_blocks
         );
+    }
+
+    #[test]
+    fn timeline_frames_see_quality_counters_during_the_run() {
+        // The quality controller's counters live in each L1's local stats;
+        // mid-run frames must fold them in just like the final result, not
+        // leave every frame but the last at zero.
+        use lva_obs::TimelineConfig;
+        let cfg = FullSystemConfig::paper(MechanismKind::Lva(ApproximatorConfig::with_degree(16)))
+            .with_error_budget(0.001);
+        let traces = || vec![sloppy_trace(4000)];
+        let off = run(cfg.clone(), traces());
+        let (on, timeline) = FullSystem::new(cfg.with_timeline(TimelineConfig::every(2000)), traces())
+            .run_with_timeline()
+            .expect("no deadlock");
+        assert_eq!(on, off, "sampling must not perturb the run");
+        assert!(on.degrade_forced > 0, "the controller must act");
+        let forced = timeline.counter_series("fs/degrade/forced_fetches");
+        let (last, earlier) = forced.split_last().expect("frames");
+        assert!(
+            earlier.iter().any(|&n| n > 0),
+            "no mid-run frame saw a forced fetch: {earlier:?} then {last}"
+        );
+        assert_eq!(timeline.sum_counter("fs/degrade/forced_fetches"), on.degrade_forced);
+        assert_eq!(timeline.sum_counter("fs/degrade/demotions"), on.demotions);
     }
 
     #[test]
