@@ -34,10 +34,22 @@ use crate::stats::ThreadStats;
 /// mirroring the per-PC attribution pipeline in `lva-obs`.
 const PPM: f64 = 1e6;
 
-/// Ceiling applied to a single error sample before it enters the EWMA. A
+/// EWMA weight of the newest error sample, shared by the degrade
+/// controller's default and the governor's per-PC attribution: smooth
+/// enough that one epoch of noise does not demote or disable a PC.
+pub(crate) const DEFAULT_EWMA_WEIGHT: f64 = 0.125;
+
+/// Clamps one relative-error sample before it enters an error average. A
 /// corrupted table can produce absurd (or non-finite) relative errors; one
-/// such sample should demote the PC, not poison the average forever.
-const SAMPLE_CLAMP: f64 = 1e3;
+/// such sample should demote or tighten, not poison the average forever.
+pub(crate) fn clamp_sample(err: f64) -> f64 {
+    const CEILING: f64 = 1e3;
+    if err.is_finite() {
+        err.min(CEILING)
+    } else {
+        CEILING
+    }
+}
 
 /// Configuration of the per-PC quality-budget controller.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,7 +75,7 @@ impl DegradeConfig {
     pub fn budget(error_budget: f64) -> Self {
         DegradeConfig {
             error_budget,
-            ewma_weight: 0.125,
+            ewma_weight: DEFAULT_EWMA_WEIGHT,
             min_samples: 16,
             probation_misses: 64,
             max_backoff_exp: 6,
@@ -246,11 +258,7 @@ impl DegradeController {
     ) {
         let q = self.pcs.entry(pc).or_insert_with(PcQuality::new);
         let Some(err) = rel_err else { return };
-        let err = if err.is_finite() {
-            err.min(SAMPLE_CLAMP)
-        } else {
-            SAMPLE_CLAMP
-        };
+        let err = clamp_sample(err);
         q.trainings += 1;
         q.err_hist.record((err * PPM).min(u64::MAX as f64) as u64);
         q.ewma = if q.trainings == 1 {

@@ -40,13 +40,9 @@ use lva_obs::{TraceCtx, TraceEvent, TraceEventKind, TraceSink};
 use std::collections::HashMap;
 
 use crate::config::ConfigError;
+use crate::degrade::{clamp_sample, DEFAULT_EWMA_WEIGHT};
 use crate::mechanism::{Knob, Mechanism};
 use crate::stats::ThreadStats;
-
-/// Ceiling applied to a single error sample before it enters the epoch
-/// mean and the per-PC EWMAs (same rationale and value as the degrade
-/// controller's clamp: one absurd sample should tighten, not poison).
-const SAMPLE_CLAMP: f64 = 1e3;
 
 /// Configuration of the supervisory governor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -387,11 +383,7 @@ impl Governor {
     /// [`DegradeController::observe_traced`](crate::DegradeController::observe_traced).
     pub fn observe(&mut self, pc: Pc, rel_err: Option<f64>) {
         let Some(err) = rel_err else { return };
-        let err = if err.is_finite() {
-            err.min(SAMPLE_CLAMP)
-        } else {
-            SAMPLE_CLAMP
-        };
+        let err = clamp_sample(err);
         self.err_sum += err;
         self.err_count += 1;
         self.life_err_sum += err;
@@ -405,9 +397,7 @@ impl Governor {
         e.ewma = if e.trainings == 1 {
             err
         } else {
-            // The degrade controller's EWMA weight; smooth enough that one
-            // epoch of noise does not nominate a PC for disablement.
-            e.ewma + 0.125 * (err - e.ewma)
+            e.ewma + DEFAULT_EWMA_WEIGHT * (err - e.ewma)
         };
     }
 
