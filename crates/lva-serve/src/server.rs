@@ -16,14 +16,20 @@
 
 use crate::protocol::{self, Request};
 use crate::sched::Scheduler;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// How often an idle connection thread re-checks the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
+
+/// Longest request line accepted, newline included. Far above any grid
+/// `lva-explore submit` sends; a peer that exceeds it gets a protocol
+/// error and the connection closes, so no peer can grow a line without
+/// bound.
+pub const MAX_REQUEST_LINE: usize = 8 << 20;
 
 /// A bound-but-not-yet-running sweep server.
 #[derive(Debug)]
@@ -156,8 +162,13 @@ fn handle_connection(
         if stop.load(Ordering::SeqCst) {
             return;
         }
-        match reader.read_line(&mut line) {
+        let room = (MAX_REQUEST_LINE - line.len()) as u64;
+        match reader.by_ref().take(room).read_line(&mut line) {
             Ok(0) => return, // client closed the connection
+            Ok(_) if line.len() == MAX_REQUEST_LINE && !line.ends_with('\n') => {
+                refuse_oversized_line(reader, &mut writer);
+                return;
+            }
             Ok(_) => {
                 let request = std::mem::take(&mut line);
                 if request.trim().is_empty() {
@@ -172,6 +183,18 @@ fn handle_connection(
             Err(_) => return,
         }
     }
+}
+
+/// Answers a request line that hit [`MAX_REQUEST_LINE`] with a protocol
+/// error, then closes lingeringly: the write half shuts first and the
+/// bytes the peer already sent are drained (up to another cap's worth,
+/// until it pauses), so closing does not reset the connection before the
+/// peer has read the error.
+fn refuse_oversized_line(reader: BufReader<TcpStream>, writer: &mut TcpStream) {
+    let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+    let _ = send_line(writer, &protocol::encode_error(&message));
+    let _ = writer.shutdown(Shutdown::Write);
+    let _ = std::io::copy(&mut reader.take(MAX_REQUEST_LINE as u64), &mut std::io::sink());
 }
 
 /// Handles one request line; returns `false` when the connection should

@@ -491,3 +491,49 @@ fn cli_watch_streams_live_frames_and_metrics_print_as_a_table() {
     assert!(child.0.wait().expect("server exits").success());
 }
 
+
+/// A peer that never sends a newline cannot grow one request line
+/// without bound: at the cap it gets a protocol error and its connection
+/// closes, while other clients keep being served — including a request
+/// that arrives split across the server's read timeouts.
+#[test]
+fn oversized_request_line_is_refused_and_the_server_keeps_serving() {
+    use lva::serve::protocol::{parse_server_line, ServerLine};
+    use lva::serve::server::MAX_REQUEST_LINE;
+    use std::io::{BufReader, Read, Write};
+    use std::net::TcpStream;
+
+    let handle = start_server(1);
+    let mut flood = TcpStream::connect(handle.addr()).expect("connect");
+    flood
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("timeout");
+    flood
+        .write_all(&vec![b'a'; MAX_REQUEST_LINE + 4096])
+        .expect("the server reads the flood up to the cap and drains the rest");
+    let mut reader = BufReader::new(flood);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("error line");
+    match parse_server_line(&reply).expect("protocol line") {
+        ServerLine::Error(msg) => assert!(msg.contains("exceeds"), "{msg}"),
+        other => panic!("expected an error, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("clean close");
+    assert!(rest.is_empty(), "nothing follows the error");
+
+    // A ping split across two writes with a pause longer than the
+    // server's poll interval still assembles into one request.
+    let mut split = TcpStream::connect(handle.addr()).expect("connect");
+    split.write_all(br#"{"cmd":"#).expect("first half");
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    split.write_all(b"\"ping\"}\n").expect("second half");
+    let mut reply = String::new();
+    BufReader::new(split).read_line(&mut reply).expect("pong line");
+    assert!(matches!(parse_server_line(&reply), Ok(ServerLine::Pong)), "{reply}");
+
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    client.ping().expect("the server still serves");
+    client.shutdown_server().expect("shutdown");
+    handle.join();
+}
