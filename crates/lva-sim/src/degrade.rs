@@ -42,6 +42,7 @@ pub(crate) const DEFAULT_EWMA_WEIGHT: f64 = 0.125;
 /// Clamps one relative-error sample before it enters an error average. A
 /// corrupted table can produce absurd (or non-finite) relative errors; one
 /// such sample should demote or tighten, not poison the average forever.
+#[inline]
 pub(crate) fn clamp_sample(err: f64) -> f64 {
     const CEILING: f64 = 1e3;
     if err.is_finite() {

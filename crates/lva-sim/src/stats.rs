@@ -750,10 +750,8 @@ mod tests {
             "t1:i=1001,l=1002,al=1003,s=1004,h=1005,m=1006,ap=1007,lc=1008,rb=1009,lf=1010,sf=1011,up=1012,pcs=[16, 1032, 1064],dg=[1013,1014,1015,1016,1017,1018,1019,1020,1021],clp=[1022,1023,1024,1025],gv=[1026,1027,1028,1029,1030,1031];",
             "total:i=1102,l=1104,al=1106,s=1108,h=1110,m=1112,ap=1114,lc=1116,rb=1118,lf=1120,sf=1122,up=1124,pcs=[16, 132, 164, 1032, 1064],dg=[1126,1128,1130,1132,1134,1136,1138,1140,1142],clp=[1144,1146,1148,1150],gv=[1152,1154,1156,1158,1160,1162];",
         );
-        // Metrics export in table order. Before the table, each block
-        // listed `l1/{load,store}_fetches` and `l1/useful_prefetches`
-        // ahead of `mech/{approximations,lvp_correct,rollbacks}`; those six
-        // rows are the only change, with the same values.
+        // Table order: the three `mech/` rows precede the three `l1/`
+        // fetch rows (cache schema v3 moved them; values are unchanged).
         let want_dump = "\
 p/core0/instructions=101
 p/core0/loads=102
