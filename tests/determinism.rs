@@ -622,27 +622,40 @@ fn quiet_controller_is_fingerprint_identical_to_controller_off() {
 }
 
 /// Governed configurations: an actively-tightening closed loop (2% SLO,
-/// short epochs so test-scale runs cross many of them) and a quiet
-/// top-rung observer that must never act.
+/// short epochs so test-scale runs cross many of them), a quiet top-rung
+/// observer that must never act, and the same 2% SLO beside a 5% per-PC
+/// error budget so both quality ladders act on one run.
 fn governed_configs() -> Vec<(&'static str, SimConfig)> {
     let govern2 = lva::sim::GovernorConfig {
         epoch_len: 200,
         min_samples: 8,
         ..lva::sim::GovernorConfig::slo(0.02)
     };
+    let budget_govern2 = lva::sim::GovernorConfig {
+        epoch_len: 200,
+        ..lva::sim::GovernorConfig::slo(0.02)
+    };
     vec![
         ("govern2", SimConfig::baseline_lva().with_govern(govern2)),
         ("govern-quiet", SimConfig::baseline_lva().with_govern_slo(10.0)),
+        (
+            "budget5+govern2",
+            SimConfig::baseline_lva()
+                .with_error_budget(0.05)
+                .with_govern(budget_govern2),
+        ),
     ]
 }
 
 /// FNV-1a64 of `<name>:<fingerprint>` over all 7 workloads (test scale,
 /// registry order) per governed configuration, captured when the
-/// governor landed. The epoch clock runs on each thread's load clock, so
-/// these must hold under any sweep worker count.
-const GOLDEN_GOVERNED_HASHES: [(&str, u64); 2] = [
+/// governor landed (`budget5+govern2`: captured before the per-PC budget
+/// ladder moved into the governor). The epoch clock runs on each thread's
+/// load clock, so these must hold under any sweep worker count.
+const GOLDEN_GOVERNED_HASHES: [(&str, u64); 3] = [
     ("govern2", 0x6b7f1398fe41b267),
     ("govern-quiet", 0xbbb7b57afbefafb6),
+    ("budget5+govern2", 0xbfe1e14cc6edc883),
 ];
 
 #[test]
@@ -666,6 +679,16 @@ fn governed_fingerprints_are_pinned_across_worker_counts() {
         for (c, chunk) in pieces.chunks(workloads.len()).enumerate() {
             let (name, golden) = GOLDEN_GOVERNED_HASHES[c];
             assert_eq!(configs[c].0, name, "golden table out of sync");
+            if name == "budget5+govern2" {
+                // Non-vacuity: both ladders act on one run, so one
+                // thread line carries both groups.
+                assert!(
+                    chunk.iter().any(|fp| fp
+                        .split(';')
+                        .any(|line| line.contains(",dg=[") && line.contains(",gv=["))),
+                    "{name}: the budget and the SLO never both acted on one thread"
+                );
+            }
             assert_eq!(
                 fnv1a64(chunk.concat().as_bytes()),
                 golden,
@@ -798,9 +821,9 @@ fn fullsystem_timeline_never_perturbs_results() {
 }
 
 /// Full-system configurations pinned by [`GOLDEN_FULLSYSTEM_HASHES`]: plain
-/// LVA, LVA under a 5% error budget, LVA and the lva+clp hybrid under an
-/// actively-tightening governor, and a governor beside a precise machine
-/// (which builds no governor at all).
+/// LVA, LVA under a 5% error budget (alone and beside a 2% SLO), LVA and
+/// the lva+clp hybrid under an actively-tightening governor, and a
+/// governor beside a precise machine (which builds no governor at all).
 fn fullsystem_configs() -> Vec<(&'static str, lva::sim::FullSystemConfig)> {
     use lva::sim::{FullSystemConfig, GovernorConfig};
     let govern2 = GovernorConfig {
@@ -813,6 +836,15 @@ fn fullsystem_configs() -> Vec<(&'static str, lva::sim::FullSystemConfig)> {
     vec![
         ("lva", FullSystemConfig::paper(lva.clone())),
         ("lva+budget5", FullSystemConfig::paper(lva.clone()).with_error_budget(0.05)),
+        (
+            "lva+budget5+govern2",
+            FullSystemConfig::paper(lva.clone())
+                .with_error_budget(0.05)
+                .with_govern(GovernorConfig {
+                    epoch_len: 500,
+                    ..GovernorConfig::slo(0.02)
+                }),
+        ),
         ("lva+govern2", FullSystemConfig::paper(lva).with_govern(govern2)),
         ("lva+clp+govern2", FullSystemConfig::paper(lva_clp).with_govern(govern2)),
         (
@@ -825,10 +857,12 @@ fn fullsystem_configs() -> Vec<(&'static str, lva::sim::FullSystemConfig)> {
 /// FNV-1a64 of `<name>:<FullSystemStats debug>` over the seven test-scale
 /// precise traces (registry order) per full-system configuration, captured
 /// before the phase-1 harness and the full-system memory system shared one
-/// miss pipeline.
-const GOLDEN_FULLSYSTEM_HASHES: [(&str, u64); 5] = [
+/// miss pipeline (`lva+budget5+govern2`: before the per-PC budget ladder
+/// moved into the governor).
+const GOLDEN_FULLSYSTEM_HASHES: [(&str, u64); 6] = [
     ("lva", 0xb48eedbaf8e7295a),
     ("lva+budget5", 0x138284ad15aca085),
+    ("lva+budget5+govern2", 0xf8af271c3bac525d),
     ("lva+govern2", 0x359d2aa034ebeca2),
     ("lva+clp+govern2", 0x359d2aa034ebeca2),
     ("precise+govern2", 0xabd0f3eb44874d52),
@@ -873,6 +907,12 @@ fn fullsystem_replays_are_pinned() {
         match *name {
             "lva+budget5" => {
                 assert_eq!((runs[0].demotions, runs[0].degrade_denied), (16, 224), "{name}");
+            }
+            "lva+budget5+govern2" => {
+                assert!(
+                    runs.iter().any(|s| s.demotions > 0 && s.govern_actuations > 0),
+                    "{name}: the budget and the SLO never both acted on one replay"
+                );
             }
             "lva+govern2" | "lva+clp+govern2" => {
                 assert_eq!(runs[1].govern_actuations, 27, "{name}");
