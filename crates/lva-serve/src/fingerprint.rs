@@ -39,7 +39,11 @@ use lva_workloads::WorkloadScale;
 /// moves `l1/{load,store}_fetches` and `l1/useful_prefetches` after
 /// `mech/{approximations,lvp_correct,rollbacks}` in every manifest. The
 /// path → value pairs are unchanged; only their order is.
-pub const CACHE_SCHEMA_VERSION: u64 = 3;
+///
+/// v4: the error budget moved into the governor's config, so
+/// `SimConfig`'s `Debug` (which the rendering hashes) changed shape for
+/// every config. Manifests are unchanged; keys are not.
+pub const CACHE_SCHEMA_VERSION: u64 = 4;
 
 /// 64-bit FNV-1a — the same hash the determinism suite pins sweep
 /// statistics with; dependency-free and stable across platforms.
@@ -178,7 +182,7 @@ mod tests {
         };
         assert_ne!(key, point_fingerprint("blackscholes", scale, 0, &precise));
         let budgeted = SimConfig {
-            degrade: Some(lva_sim::DegradeConfig::budget(0.05)),
+            govern: Some(lva_sim::GovernorConfig::budget(0.05)),
             ..base.clone()
         };
         assert_ne!(key, point_fingerprint("blackscholes", scale, 0, &budgeted));
@@ -187,6 +191,10 @@ mod tests {
             ..base
         };
         assert_ne!(key, point_fingerprint("blackscholes", scale, 0, &governed));
+        assert_ne!(
+            point_fingerprint("blackscholes", scale, 0, &budgeted),
+            point_fingerprint("blackscholes", scale, 0, &governed)
+        );
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //! *not* serialize `SimConfig` field-by-field: it carries the knobs the
 //! sweep axes actually perturb (mechanism family, value delay, the
 //! approximator's window/degree/GHB/geometry, CLP geometry, error
-//! budget) and pins everything else to the stock baselines. Anything the
-//! wire can't express round-trips as an encode error instead of a
-//! silently different experiment — the fingerprint hashes the *decoded*
-//! config, so an encoding gap can never alias two distinct points.
+//! budget, governor SLO) and pins everything else to the stock
+//! baselines. Anything the wire can't express round-trips as an encode
+//! error instead of a silently different experiment, and the decoder
+//! rejects a wrongly typed field or an integer above 2^53 − 1 instead of
+//! reading it as a default or a rounded neighbour — the fingerprint
+//! hashes the *decoded* config, so an encoding gap can never alias two
+//! distinct points.
 //!
 //! [`point_record`] builds the response manifest. It is a deterministic
 //! function of the spec and the simulation result — no wall-clock stats,
@@ -21,7 +24,7 @@
 use crate::fingerprint::{parse_scale, point_fingerprint, scale_label};
 use lva_core::{ApproximatorConfig, CacheLevel, ClpConfig, ConfidenceWindow, LvpConfig};
 use lva_obs::{Json, MetricsRegistry, RunRecord};
-use lva_sim::{DegradeConfig, GovernorConfig, MechanismKind, SimConfig};
+use lva_sim::{MechanismKind, SimConfig};
 use lva_workloads::{workload_seeded, Workload, WorkloadRun, WorkloadScale};
 
 /// One requested sweep point.
@@ -64,9 +67,13 @@ impl PointSpec {
     ///
     /// # Errors
     ///
-    /// Returns a message when the config uses knobs the wire format
+    /// Returns a message when the seed is above 2^53 − 1 (a JSON number
+    /// cannot carry it exactly) or the config uses knobs the wire format
     /// cannot express (see [`config_to_json`]).
     pub fn to_json(&self) -> Result<Json, String> {
+        if self.seed > MAX_EXACT {
+            return Err(format!("seed {} is not exact as a JSON number", self.seed));
+        }
         Ok(Json::Obj(vec![
             ("workload".into(), Json::Str(self.workload.clone())),
             ("scale".into(), Json::Str(scale_label(self.scale).into())),
@@ -106,14 +113,19 @@ impl PointSpec {
     }
 }
 
+/// The largest integer every larger one can be told apart from as an
+/// `f64`: 2^53 − 1. A wire integer above it may be a rounded neighbour
+/// (or a saturated `1e30`), so decoding rejects it instead of aliasing.
+const MAX_EXACT: u64 = (1 << 53) - 1;
+
 fn get_u64(json: &Json, key: &str) -> Result<Option<u64>, String> {
     match json.get(key) {
         None => Ok(None),
         Some(v) => {
             let n = v
                 .as_f64()
-                .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
-                .ok_or_else(|| format!("'{key}' must be a non-negative integer"))?;
+                .filter(|n| (0.0..=MAX_EXACT as f64).contains(n) && n.fract() == 0.0)
+                .ok_or_else(|| format!("'{key}' must be an integer in [0, 2^53)"))?;
             Ok(Some(n as u64))
         }
     }
@@ -183,8 +195,10 @@ fn approx_from_json(json: &Json) -> Result<ApproximatorConfig, String> {
     if let Some(w) = json.get("window") {
         cfg.confidence_window = window_from_json(w)?;
     }
-    if let Some(Json::Bool(b)) = json.get("on_int") {
-        cfg.confidence_on_int = *b;
+    match json.get("on_int") {
+        None => {}
+        Some(Json::Bool(b)) => cfg.confidence_on_int = *b,
+        Some(_) => return Err("'on_int' must be a boolean".into()),
     }
     Ok(cfg)
 }
@@ -213,7 +227,8 @@ fn clp_from_json(json: &Json) -> Result<ClpConfig, String> {
     if let Some(v) = get_u64(json, "penalty")? {
         cfg.mispredict_penalty = v;
     }
-    if let Some(s) = json.get("slow").and_then(Json::as_str) {
+    if let Some(slow) = json.get("slow") {
+        let s = slow.as_str().ok_or("'slow' must be a string")?;
         cfg.slow_threshold = CacheLevel::ALL
             .into_iter()
             .find(|l| l.label() == s)
@@ -228,7 +243,7 @@ fn clp_from_json(json: &Json) -> Result<ClpConfig, String> {
 ///
 /// Returns a message when the config uses anything outside the sweep
 /// axes: a non-baseline thread count or L1 geometry, fault injection,
-/// non-default degradation smoothing knobs, the realistic-LVP baseline,
+/// non-default governor knobs, the realistic-LVP baseline,
 /// or approximator fields beyond window/degree/GHB/geometry. Tracing and
 /// timeline flags are simply dropped — they are result-neutral, and the
 /// server never traces or samples on a client's behalf.
@@ -291,22 +306,21 @@ pub fn config_to_json(config: &SimConfig) -> Result<Json, String> {
     if let Some((key, value)) = detail {
         members.push((key, value));
     }
-    if let Some(degrade) = &config.degrade {
-        if *degrade != DegradeConfig::budget(degrade.error_budget) {
-            return Err(
-                "non-default degradation smoothing knobs cannot be expressed on the wire".into(),
-            );
-        }
-        members.push(("error_budget".to_owned(), Json::Num(degrade.error_budget)));
-    }
     if let Some(govern) = &config.govern {
-        if *govern != GovernorConfig::slo(govern.slo_error) {
+        if !govern.has_default_knobs() {
             return Err(
                 "non-default governor epoch/hysteresis knobs cannot be expressed on the wire"
                     .into(),
             );
         }
-        members.push(("governor_slo".to_owned(), Json::Num(govern.slo_error)));
+        for (key, layer) in [
+            ("error_budget", govern.error_budget),
+            ("governor_slo", govern.slo_error),
+        ] {
+            if let Some(value) = layer {
+                members.push((key.to_owned(), Json::Num(value)));
+            }
+        }
     }
     Ok(Json::Obj(members))
 }
@@ -359,11 +373,11 @@ pub fn config_from_json(json: &Json) -> Result<SimConfig, String> {
         let budget = budget
             .as_f64()
             .ok_or("'error_budget' must be a number")?;
-        config.degrade = Some(DegradeConfig::budget(budget));
+        config = config.with_error_budget(budget);
     }
     if let Some(slo) = json.get("governor_slo") {
         let slo = slo.as_f64().ok_or("'governor_slo' must be a number")?;
-        config.govern = Some(GovernorConfig::slo(slo));
+        config = config.with_govern_slo(slo);
     }
     Ok(config)
 }
@@ -493,9 +507,9 @@ mod tests {
         assert!(config_to_json(&faulty).is_err());
 
         let mut tuned = SimConfig::baseline_lva();
-        tuned.govern = Some(GovernorConfig {
+        tuned.govern = Some(lva_sim::GovernorConfig {
             epoch_len: 77,
-            ..GovernorConfig::slo(0.02)
+            ..lva_sim::GovernorConfig::slo(0.02)
         });
         assert!(config_to_json(&tuned).is_err());
 
@@ -515,10 +529,38 @@ mod tests {
             r#"{"value_delay":4}"#,
             r#"{"mechanism":"lva","value_delay":-3}"#,
             r#"{"mechanism":"clp","clp":{"slow":"l9"}}"#,
+            // Wrongly typed fields are errors, not silently the default.
+            r#"{"mechanism":"lva","lva":{"on_int":1}}"#,
+            r#"{"mechanism":"clp","clp":{"slow":5}}"#,
+            // Integers a JSON number cannot carry exactly would alias.
+            r#"{"mechanism":"lva","value_delay":1e30}"#,
+            r#"{"mechanism":"lva","value_delay":9007199254740992}"#,
         ] {
             let json = lva_obs::parse_json(text).unwrap();
             assert!(config_from_json(&json).is_err(), "{text}");
         }
+        // `1e30` and `1e31` used to decode to the same saturated seed.
+        for seed in ["1e30", "1e31", "9007199254740993"] {
+            let text = format!(
+                r#"{{"workload":"blackscholes","scale":"test","seed":{seed},
+                    "config":{{"mechanism":"precise"}}}}"#
+            );
+            let json = lva_obs::parse_json(&text).unwrap();
+            assert!(PointSpec::from_json(&json).is_err(), "seed {seed}");
+        }
+        // The encoder refuses what the decoder would refuse.
+        let exact = PointSpec::new(
+            "blackscholes",
+            WorkloadScale::Test,
+            MAX_EXACT,
+            SimConfig::precise(),
+        );
+        assert_eq!(round_trip(&exact), exact);
+        let inexact = PointSpec {
+            seed: MAX_EXACT + 1,
+            ..exact
+        };
+        assert!(inexact.to_json().is_err());
         // A decodable but invalid config is rejected at the spec layer.
         let bad = r#"{"workload":"blackscholes","scale":"test","seed":0,
                       "config":{"mechanism":"clp","clp":{"table":3}}}"#;

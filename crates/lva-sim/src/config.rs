@@ -15,7 +15,6 @@ use lva_mem::CacheConfig;
 use lva_obs::{TimelineConfig, TraceConfig};
 use std::fmt;
 
-use crate::degrade::DegradeConfig;
 use crate::fault::FaultConfig;
 use crate::govern::GovernorConfig;
 use crate::miss::MissPipeline;
@@ -29,18 +28,6 @@ pub enum ConfigError {
     Core(lva_core::ConfigError),
     /// `threads` was 0.
     ZeroThreads,
-    /// The degradation error budget was NaN, infinite, or not positive.
-    ErrorBudget {
-        /// The rejected budget.
-        budget: f64,
-    },
-    /// A degradation controller knob was out of its legal range.
-    DegradeKnob {
-        /// Which knob.
-        knob: &'static str,
-        /// The rejected value.
-        value: f64,
-    },
     /// An error budget was combined with a fetch-skipping degree and an
     /// infinite confidence window: skipped fetches produce no training
     /// drains, so their errors would be unbounded *and* unobservable.
@@ -58,7 +45,8 @@ pub enum ConfigError {
     /// The timeline epoch length was 0: an epoch must cover at least one
     /// clock unit or sampling would never advance.
     ZeroEpoch,
-    /// A supervisory-governor knob was out of its legal range.
+    /// A quality-governor knob (including its SLO or error budget) was
+    /// out of its legal range.
     GovernorKnob {
         /// Which knob.
         knob: &'static str,
@@ -72,12 +60,6 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::Core(e) => e.fmt(f),
             ConfigError::ZeroThreads => write!(f, "SimConfig.threads must be at least 1"),
-            ConfigError::ErrorBudget { budget } => {
-                write!(f, "error budget must be finite and > 0, got {budget}")
-            }
-            ConfigError::DegradeKnob { knob, value } => {
-                write!(f, "degradation knob {knob} is out of range: {value}")
-            }
             ConfigError::DegreeBudgetConflict { degree } => write!(
                 f,
                 "error budget cannot be enforced with degree {degree} and an infinite \
@@ -198,9 +180,6 @@ pub struct SimConfig {
     /// Per-core event tracing (off by default). Strictly write-only: any
     /// setting here leaves the statistics fingerprint untouched.
     pub trace: TraceConfig,
-    /// Per-PC quality-budget degradation controller (off by default). Only
-    /// meaningful with an LVA mechanism; other mechanisms never consult it.
-    pub degrade: Option<DegradeConfig>,
     /// Deterministic fault injection (off by default). Only exercised on
     /// the LVA load path.
     pub faults: Option<FaultConfig>,
@@ -208,10 +187,12 @@ pub struct SimConfig {
     /// default). Strictly write-only, like [`SimConfig::trace`]: the
     /// statistics fingerprint is identical with it on or off.
     pub timeline: Option<TimelineConfig>,
-    /// Per-thread supervisory governor (off by default): retunes the
-    /// mechanism's knobs each epoch to hold an output-quality SLO at
-    /// minimum estimated EDP. The one sanctioned feedback loop — but a
-    /// governor that never actuates leaves the statistics fingerprint
+    /// Per-thread quality governor (off by default): its epoch layer
+    /// retunes the mechanism's knobs to hold an output-quality SLO at
+    /// minimum estimated EDP, and its per-PC layer demotes and disables
+    /// PCs whose error EWMA blows the error budget. Only meaningful with
+    /// an LVA mechanism. The one sanctioned feedback loop — but a
+    /// governor that never acts leaves the statistics fingerprint
     /// byte-identical to a governor-off run.
     pub govern: Option<GovernorConfig>,
 }
@@ -308,7 +289,7 @@ impl SimConfig {
     }
 
     /// Checks the configuration for nonsense before a harness is built:
-    /// thread count, the mechanism's own geometry, degradation knobs, the
+    /// thread count, the mechanism's own geometry, governor knobs, the
     /// degree/budget/window conflict, and fault rates.
     ///
     /// # Errors
@@ -319,7 +300,7 @@ impl SimConfig {
         if self.threads == 0 {
             return Err(ConfigError::ZeroThreads);
         }
-        MissPipeline::validate(&self.mechanism, self.degrade.as_ref(), self.govern.as_ref())?;
+        MissPipeline::validate(&self.mechanism, self.govern.as_ref())?;
         if let Some(f) = &self.faults {
             for (knob, rate) in [
                 ("table_rate", f.table_rate),
@@ -360,18 +341,14 @@ impl SimConfig {
         self
     }
 
-    /// Same configuration with a quality-budget degradation controller
-    /// enforcing `error_budget` (default smoothing/probation knobs).
+    /// Same configuration with the governor's per-PC budget ladder
+    /// enforcing `error_budget` (the governor's other settings stay;
+    /// default knobs if there was no governor).
     #[must_use]
     pub fn with_error_budget(mut self, error_budget: f64) -> Self {
-        self.degrade = Some(DegradeConfig::budget(error_budget));
-        self
-    }
-
-    /// Same configuration with an explicit degradation controller.
-    #[must_use]
-    pub fn with_degrade(mut self, degrade: DegradeConfig) -> Self {
-        self.degrade = Some(degrade);
+        self.govern
+            .get_or_insert(GovernorConfig::budget(error_budget))
+            .error_budget = Some(error_budget);
         self
     }
 
@@ -390,18 +367,18 @@ impl SimConfig {
         self
     }
 
-    /// Same configuration with a supervisory governor holding `slo_error`
-    /// (default epoch/hysteresis knobs).
+    /// Same configuration with a governor holding `slo_error` (default
+    /// epoch/hysteresis knobs; an error budget already set stays).
     #[must_use]
-    pub fn with_govern_slo(mut self, slo_error: f64) -> Self {
-        self.govern = Some(GovernorConfig::slo(slo_error));
-        self
+    pub fn with_govern_slo(self, slo_error: f64) -> Self {
+        self.with_govern(GovernorConfig::slo(slo_error))
     }
 
-    /// Same configuration with an explicit supervisory governor.
+    /// Same configuration with an explicit governor. A layer `govern`
+    /// leaves off keeps the setting the configuration already had.
     #[must_use]
     pub fn with_govern(mut self, govern: GovernorConfig) -> Self {
-        self.govern = Some(govern);
+        self.govern = Some(govern.over(self.govern));
         self
     }
 }
@@ -423,7 +400,6 @@ pub struct SimConfigBuilder {
     l1: CacheConfig,
     record_traces: bool,
     trace: TraceConfig,
-    degrade: Option<DegradeConfig>,
     faults: Option<FaultConfig>,
     timeline: Option<TimelineConfig>,
     govern: Option<GovernorConfig>,
@@ -442,7 +418,6 @@ impl SimConfigBuilder {
             l1: CacheConfig::pin_l1(),
             record_traces: false,
             trace: TraceConfig::off(),
-            degrade: None,
             faults: None,
             timeline: None,
             govern: None,
@@ -491,18 +466,13 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Enables the degradation controller with `error_budget` and default
-    /// smoothing/probation knobs.
+    /// Enables the governor's per-PC budget ladder with `error_budget`
+    /// (see [`SimConfig::with_error_budget`]).
     #[must_use]
     pub fn error_budget(mut self, error_budget: f64) -> Self {
-        self.degrade = Some(DegradeConfig::budget(error_budget));
-        self
-    }
-
-    /// Enables the degradation controller with explicit knobs.
-    #[must_use]
-    pub fn degrade(mut self, degrade: DegradeConfig) -> Self {
-        self.degrade = Some(degrade);
+        self.govern
+            .get_or_insert(GovernorConfig::budget(error_budget))
+            .error_budget = Some(error_budget);
         self
     }
 
@@ -520,19 +490,19 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Attaches a supervisory governor with explicit knobs.
+    /// Attaches a governor with explicit knobs (see
+    /// [`SimConfig::with_govern`]).
     #[must_use]
     pub fn govern(mut self, govern: GovernorConfig) -> Self {
-        self.govern = Some(govern);
+        self.govern = Some(govern.over(self.govern));
         self
     }
 
-    /// Attaches a supervisory governor holding `slo_error` with default
-    /// epoch/hysteresis knobs.
+    /// Attaches a governor holding `slo_error` with default
+    /// epoch/hysteresis knobs (see [`SimConfig::with_govern_slo`]).
     #[must_use]
-    pub fn govern_slo(mut self, slo_error: f64) -> Self {
-        self.govern = Some(GovernorConfig::slo(slo_error));
-        self
+    pub fn govern_slo(self, slo_error: f64) -> Self {
+        self.govern(GovernorConfig::slo(slo_error))
     }
 
     /// Validates and produces the configuration.
@@ -548,7 +518,6 @@ impl SimConfigBuilder {
             l1: self.l1,
             record_traces: self.record_traces,
             trace: self.trace,
-            degrade: self.degrade,
             faults: self.faults,
             timeline: self.timeline,
             govern: self.govern,
@@ -569,7 +538,7 @@ mod tests {
         assert_eq!(cfg.value_delay, 4);
         assert_eq!(cfg.threads, 4);
         assert_eq!(cfg.l1.size_bytes, 64 * 1024);
-        assert_eq!(cfg.degrade, None);
+        assert_eq!(cfg.govern, None);
         assert_eq!(cfg.faults, None);
         match cfg.mechanism {
             MechanismKind::Lva(a) => {
@@ -660,7 +629,10 @@ mod tests {
                 .error_budget(bad)
                 .build()
                 .unwrap_err();
-            assert!(matches!(err, ConfigError::ErrorBudget { .. }), "{bad}: {err}");
+            assert!(
+                matches!(err, ConfigError::GovernorKnob { knob: "error_budget", .. }),
+                "{bad}: {err}"
+            );
         }
     }
 
@@ -696,22 +668,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_bad_degrade_knobs() {
-        let bad = DegradeConfig {
-            ewma_weight: 0.0,
-            ..DegradeConfig::budget(0.05)
-        };
-        let err = SimConfig::baseline_lva().with_degrade(bad).validate().unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::DegradeKnob {
-                knob: "ewma_weight",
-                value: 0.0
-            }
-        );
-    }
-
-    #[test]
     fn builder_roundtrips_every_field() {
         let cfg = SimConfig::builder(MechanismKind::Precise)
             .value_delay(9)
@@ -728,10 +684,15 @@ mod tests {
         assert_eq!(cfg.threads, 2);
         assert!(cfg.record_traces);
         assert!(cfg.trace.enabled());
-        assert_eq!(cfg.degrade.as_ref().map(|d| d.error_budget), Some(0.1));
         assert_eq!(cfg.faults.as_ref().map(|f| f.seed), Some(3));
         assert_eq!(cfg.timeline.as_ref().map(|t| t.epoch_len), Some(1000));
-        assert_eq!(cfg.govern.as_ref().map(|g| g.slo_error), Some(0.02));
+        assert_eq!(
+            cfg.govern,
+            Some(GovernorConfig {
+                error_budget: Some(0.1),
+                ..GovernorConfig::slo(0.02)
+            })
+        );
     }
 
     #[test]

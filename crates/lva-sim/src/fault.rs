@@ -13,9 +13,9 @@
 //! * **Delayed fetches** — a training value takes extra load-ticks to reach
 //!   the history buffers, stretching the §VI-C value-delay window.
 //!
-//! Faults exist to exercise the [`crate::degrade`] controller: corrupted
-//! history produces bad approximations, the controller's error EWMA catches
-//! them, and the offending PCs are demoted. Injection is fully deterministic
+//! Faults exist to exercise the [`crate::govern`] per-PC budget ladder:
+//! corrupted history produces bad approximations, the ladder's error EWMA
+//! catches them, and the offending PCs are demoted. Injection is fully deterministic
 //! — a per-thread [`Rng64`] stream derived from the configured seed and the
 //! thread id — so faulty runs fingerprint-stably reproduce across sweep
 //! worker counts (asserted by the determinism suite).

@@ -13,7 +13,6 @@
 //! naturally from the fetch latency here, unlike the fixed-delay model of
 //! phase 1.
 
-use crate::degrade::DegradeConfig;
 use crate::govern::{Governor, GovernorConfig, GovernorReport};
 use crate::mechanism::{Knob, KnobKind, Mechanism};
 use crate::miss::{MissAction, MissPipeline};
@@ -76,14 +75,12 @@ pub struct FullSystemConfig {
     pub protocol: CoherenceProtocol,
     /// Hard cycle limit (deadlock guard).
     pub max_cycles: u64,
-    /// Per-PC quality-budget degradation controller beside each L1 (off by
-    /// default; only meaningful with an LVA mechanism). Fault injection is
-    /// phase-1 only — phase 2 replays traces whose values are already
-    /// fixed, so corrupting them would break replay fidelity.
-    pub degrade: Option<DegradeConfig>,
-    /// Per-L1 supervisory governor (off by default; only meaningful with
-    /// an LVA mechanism). Epochs run on the machine's cycle clock, at the
-    /// end of the cycle that reaches each boundary.
+    /// Per-L1 quality governor (off by default; only meaningful with an
+    /// LVA mechanism): an epoch SLO ladder, a per-PC error-budget ladder,
+    /// or both. Epochs run on the machine's cycle clock, at the end of the
+    /// cycle that reaches each boundary. Fault injection is phase-1 only —
+    /// phase 2 replays traces whose values are already fixed, so
+    /// corrupting them would break replay fidelity.
     pub govern: Option<GovernorConfig>,
     /// Epoch timeline sampling in the *cycle* domain (off by default).
     /// Strictly write-only: the statistics are identical with it on or
@@ -111,40 +108,34 @@ impl FullSystemConfig {
             hetero_noc: None,
             protocol: CoherenceProtocol::Msi,
             max_cycles: 2_000_000_000,
-            degrade: None,
             govern: None,
             timeline: None,
             threads: None,
         }
     }
 
-    /// Same machine, with the quality-budget degradation controller
-    /// enforcing `error_budget` beside each L1.
+    /// Same machine, with each L1's governor enforcing the per-PC
+    /// `error_budget` (see [`crate::SimConfig::with_error_budget`]).
     #[must_use]
     pub fn with_error_budget(mut self, error_budget: f64) -> Self {
-        self.degrade = Some(DegradeConfig::budget(error_budget));
+        self.govern
+            .get_or_insert(GovernorConfig::budget(error_budget))
+            .error_budget = Some(error_budget);
         self
     }
 
-    /// Same machine, with an explicit degradation controller configuration.
+    /// Same machine, with a per-L1 governor holding `slo_error` (see
+    /// [`GovernorConfig::slo`]).
     #[must_use]
-    pub fn with_degrade(mut self, degrade: DegradeConfig) -> Self {
-        self.degrade = Some(degrade);
-        self
+    pub fn with_govern_slo(self, slo_error: f64) -> Self {
+        self.with_govern(GovernorConfig::slo(slo_error))
     }
 
-    /// Same machine, with a per-L1 supervisory governor holding
-    /// `slo_error` (see [`GovernorConfig::slo`]).
-    #[must_use]
-    pub fn with_govern_slo(mut self, slo_error: f64) -> Self {
-        self.govern = Some(GovernorConfig::slo(slo_error));
-        self
-    }
-
-    /// Same machine, with an explicit governor configuration.
+    /// Same machine, with an explicit governor configuration (see
+    /// [`crate::SimConfig::with_govern`]).
     #[must_use]
     pub fn with_govern(mut self, govern: GovernorConfig) -> Self {
-        self.govern = Some(govern);
+        self.govern = Some(govern.over(self.govern));
         self
     }
 
@@ -530,8 +521,8 @@ struct L1Ctx {
     /// hybrid with its approximator alone), `Precise` otherwise.
     mechanism: Mechanism,
     mshr: HashMap<u64, Mshr>,
-    /// The LVA miss decision with this L1's degrade controller and
-    /// governor ([`FullSystemConfig::degrade`], [`FullSystemConfig::govern`]).
+    /// The LVA miss decision with this L1's quality governor
+    /// ([`FullSystemConfig::govern`]).
     miss: MissPipeline,
     /// Per-L1 phase-1 [`ThreadStats`]: the miss pipeline writes its
     /// counters here, and the miss path mirrors its load/fetch/latency
@@ -555,7 +546,7 @@ struct MemorySystem {
 
 impl MemorySystem {
     fn try_new(cfg: FullSystemConfig) -> Result<Self, ConfigError> {
-        MissPipeline::validate(&cfg.mechanism, cfg.degrade.as_ref(), cfg.govern.as_ref())?;
+        MissPipeline::validate(&cfg.mechanism, cfg.govern.as_ref())?;
         let nodes = cfg.mesh.nodes();
         let mut l1 = Vec::with_capacity(nodes);
         for _ in 0..nodes {
@@ -575,7 +566,7 @@ impl MemorySystem {
                 .filter(|_| matches!(mechanism, Mechanism::Lva(_)));
             l1.push(L1Ctx {
                 cache: SetAssocCache::new(cfg.l1),
-                miss: MissPipeline::new(&mechanism, cfg.degrade.as_ref(), govern, None),
+                miss: MissPipeline::new(&mechanism, govern, None),
                 mechanism,
                 mshr: HashMap::new(),
                 local_stats: ThreadStats::default(),
@@ -1122,9 +1113,9 @@ impl MemoryPort for MemorySystem {
         }
         let block = addr.block_index();
 
-        // Annotated miss under LVA: consult the miss pipeline. A PC the
-        // governor switched off, or a degrade-controller `Deny`, takes the
-        // conventional miss path below — the offending PC behaves as
+        // Annotated miss under LVA: consult the miss pipeline. A PC either
+        // governor ladder switched off takes the conventional miss path
+        // below — the offending PC behaves as
         // precise until it is re-enabled or its probation expires.
         if approx {
             let l1 = &mut self.l1[core];
@@ -1264,8 +1255,8 @@ impl FullSystem {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if the mechanism configuration is
-    /// malformed, or the degrade controller or governor configuration is
-    /// rejected (the same checks [`crate::SimConfig::validate`] runs).
+    /// malformed, or the governor configuration is rejected (the same
+    /// checks [`crate::SimConfig::validate`] runs).
     ///
     /// # Panics
     ///
@@ -1311,8 +1302,8 @@ impl FullSystem {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if the mechanism configuration is
-    /// malformed, or the degrade controller or governor configuration is
-    /// rejected (the same checks [`crate::SimConfig::validate`] runs).
+    /// malformed, or the governor configuration is rejected (the same
+    /// checks [`crate::SimConfig::validate`] runs).
     ///
     /// # Panics
     ///
@@ -1386,7 +1377,7 @@ impl FullSystem {
             .mem
             .l1
             .iter()
-            .filter_map(|l1| l1.miss.govern.as_deref().map(Governor::report))
+            .filter_map(|l1| l1.miss.governor.as_deref().and_then(Governor::report))
             .collect();
         stats.cycles = cores_done_at.unwrap_or(now);
         stats.drain_cycles = now.saturating_sub(stats.cycles);
@@ -1453,7 +1444,7 @@ fn run_cycles(
     sampler: &mut Option<Box<EpochSampler>>,
 ) -> Result<CycleOutcome, String> {
     let mut due = sampler.as_ref().map_or(u64::MAX, |s| s.next_boundary());
-    let mut govern_due = mem.cfg.govern.map_or(u64::MAX, |g| g.epoch_len);
+    let mut govern_due = mem.cfg.govern.map_or(u64::MAX, |g| g.epoch_period());
     let mut now = 0u64;
     let mut cores_done_at: Option<u64> = None;
     loop {
@@ -1487,8 +1478,7 @@ fn run_cycles(
                 l1.miss
                     .on_epoch(&mut l1.mechanism, &mut l1.local_stats, &mut NullSink, ctx);
             }
-            let epoch_len = mem.cfg.govern.expect("govern_due is finite").epoch_len;
-            govern_due = now + epoch_len;
+            govern_due = now + mem.cfg.govern.expect("govern_due is finite").epoch_len;
         }
         if cores_done_at.is_some() && mem.quiescent() {
             break;
@@ -2069,19 +2059,16 @@ mod tests {
 
     #[test]
     fn disabled_pc_falls_back_to_conventional_misses() {
-        // A probation of 1 sample and tiny warm-up gets the PC all the way
-        // to Disabled quickly; denied misses must take the conventional
-        // path (counted as plain misses, not approximator accesses).
-        let cfg = DegradeConfig {
-            error_budget: 0.001,
-            ewma_weight: 0.5,
+        // A one-sample warm-up gets the PC all the way to Disabled
+        // quickly; denied misses must take the conventional path (counted
+        // as plain misses, not approximator accesses).
+        let cfg = GovernorConfig {
             min_samples: 1,
-            probation_misses: 512,
-            max_backoff_exp: 2,
+            ..GovernorConfig::budget(0.001)
         };
         let stats = run(
             FullSystemConfig::paper(MechanismKind::Lva(ApproximatorConfig::baseline()))
-                .with_degrade(cfg),
+                .with_govern(cfg),
             vec![sloppy_trace(4000)],
         );
         assert!(stats.disables > 0, "sloppy PC must reach Disabled");

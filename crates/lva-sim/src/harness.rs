@@ -12,9 +12,8 @@
 //! queue: the actual value reaches the GHB/LHB only after `value_delay`
 //! subsequent load instructions.
 
-use crate::degrade::{DegradeController, DegradeReport};
 use crate::fault::FaultInjector;
-use crate::govern::{Governor, GovernorReport};
+use crate::govern::{DegradeReport, Governor, GovernorReport};
 use crate::mechanism::Mechanism;
 use crate::miss::{MissAction, MissPipeline};
 use crate::mshr::InFlightSet;
@@ -90,8 +89,8 @@ struct ThreadCtx {
     /// Write-only event collector ([`SimConfig::trace`]); never read by the
     /// simulation itself.
     obs: TraceCollector,
-    /// The LVA miss decision with this thread's quality controllers
-    /// ([`SimConfig::degrade`], [`SimConfig::govern`]) and fault stream
+    /// The LVA miss decision with this thread's quality governor
+    /// ([`SimConfig::govern`]) and fault stream
     /// ([`SimConfig::faults`]). The governor is the one sanctioned
     /// feedback loop: it retunes `mechanism` through the
     /// [`Knob`](crate::Knob) seam on its epoch clock.
@@ -103,7 +102,8 @@ struct ThreadCtx {
     /// `u64::MAX` when sampling is off, so the hot path pays one compare.
     timeline_due: u64,
     /// Load-clock value at which the governor's current epoch closes;
-    /// `u64::MAX` when governing is off (same idiom as `timeline_due`).
+    /// `u64::MAX` without the governor's SLO layer (same idiom as
+    /// `timeline_due`).
     govern_due: u64,
 }
 
@@ -119,16 +119,16 @@ pub struct RunArtifacts {
     /// Per-core event collectors; all [`TraceCollector::Off`] unless
     /// [`SimConfig::trace`] enabled event tracing.
     pub collectors: Vec<TraceCollector>,
-    /// Per-core degradation reports (index = thread id); empty unless
-    /// [`SimConfig::degrade`] enabled the quality-budget controller.
+    /// Per-core budget-ladder reports (index = thread id); empty unless
+    /// [`SimConfig::govern`] set an error budget.
     pub degrade: Vec<DegradeReport>,
     /// Per-thread epoch timelines sampled on the `load_clock` (index =
     /// thread id); empty unless [`SimConfig::timeline`] enabled sampling.
     /// The final partial epoch is flushed, so every counter's deltas sum
     /// exactly to its end-of-run cumulative value.
     pub timelines: Vec<Timeline>,
-    /// Per-thread governor reports (index = thread id); empty unless
-    /// [`SimConfig::govern`] enabled the supervisory governor.
+    /// Per-thread epoch-ladder reports (index = thread id); empty unless
+    /// [`SimConfig::govern`] set an SLO.
     pub govern: Vec<GovernorReport>,
 }
 
@@ -178,7 +178,6 @@ impl SimHarness {
             let mechanism = Mechanism::from_kind(&config.mechanism)?;
             let miss = MissPipeline::new(
                 &mechanism,
-                config.degrade.as_ref(),
                 config.govern,
                 config
                     .faults
@@ -875,12 +874,12 @@ impl SimHarness {
         let degrade = self
             .threads
             .iter()
-            .filter_map(|t| t.miss.degrade.as_ref().map(DegradeController::report))
+            .filter_map(|t| t.miss.governor.as_deref().and_then(Governor::budget_report))
             .collect();
         let govern = self
             .threads
             .iter()
-            .filter_map(|t| t.miss.govern.as_deref().map(Governor::report))
+            .filter_map(|t| t.miss.governor.as_deref().and_then(Governor::report))
             .collect();
         let stats =
             Phase1Stats::from_threads(self.threads.into_iter().map(|t| t.stats).collect());
@@ -1310,10 +1309,10 @@ mod tests {
 
     #[test]
     fn controller_demotes_over_budget_pcs() {
-        use crate::degrade::{DegradeConfig, QualityState};
-        let cfg = SimConfig::baseline_lva().with_degrade(DegradeConfig {
+        use crate::govern::{GovernorConfig, QualityState};
+        let cfg = SimConfig::baseline_lva().with_govern(GovernorConfig {
             min_samples: 8,
-            ..DegradeConfig::budget(0.001)
+            ..GovernorConfig::budget(0.001)
         });
         let run = run_sloppy_pc(cfg, 600);
         assert!(run.stats.total.demotions > 0, "sloppy PC must demote");
@@ -1330,11 +1329,10 @@ mod tests {
 
     #[test]
     fn disabled_pcs_are_denied_approximation() {
-        use crate::degrade::DegradeConfig;
-        let cfg = SimConfig::baseline_lva().with_degrade(DegradeConfig {
+        use crate::govern::GovernorConfig;
+        let cfg = SimConfig::baseline_lva().with_govern(GovernorConfig {
             min_samples: 4,
-            probation_misses: 16,
-            ..DegradeConfig::budget(0.0001)
+            ..GovernorConfig::budget(0.0001)
         });
         let run = run_sloppy_pc(cfg, 800);
         assert!(run.stats.total.disables > 0, "must escalate to disable");

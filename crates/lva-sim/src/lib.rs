@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 
 mod config;
-pub mod degrade;
 pub mod fault;
 mod fullsystem;
 pub mod govern;
@@ -35,10 +34,9 @@ mod stats;
 pub mod sweep;
 
 pub use config::{ConfigError, MechanismKind, SimConfig, SimConfigBuilder};
-pub use degrade::{DegradeConfig, DegradeController, DegradeReport, QualityState};
 pub use fault::{FaultConfig, FaultInjector};
 pub use fullsystem::{FullSystem, FullSystemConfig, FullSystemStats};
-pub use govern::{Governor, GovernorConfig, GovernorReport};
+pub use govern::{DegradeReport, Governor, GovernorConfig, GovernorReport, QualityState};
 pub use harness::{LoadReq, RunArtifacts, SimHarness};
 pub use mechanism::{Knob, KnobKind, Mechanism};
 pub use mshr::InFlightSet;

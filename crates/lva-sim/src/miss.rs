@@ -8,9 +8,10 @@
 //! — the load clock and value-delay queue in phase 1, the MSHR and the NoC
 //! in the full system.
 //!
-//! The pipeline owns the per-core controllers: the degrade controller, the
-//! governor and the fault stream. The mechanism, the trace sink and the
-//! [`ThreadStats`] counter sink stay with the embedder and are passed in.
+//! The pipeline owns the per-core quality governor (both its epoch SLO
+//! ladder and its per-PC budget ladder) and the fault stream. The
+//! mechanism, the trace sink and the [`ThreadStats`] counter sink stay
+//! with the embedder and are passed in.
 
 use lva_core::{
     ConfidenceWindow, FetchAction, MissOutcome, MissPolicy, Pc, TrainToken, Value, ValueType,
@@ -18,7 +19,6 @@ use lva_core::{
 use lva_obs::{TraceCtx, TraceEvent, TraceEventKind, TraceSink};
 
 use crate::config::{ConfigError, MechanismKind};
-use crate::degrade::{DegradeConfig, DegradeController, MissDecision};
 use crate::fault::FaultInjector;
 use crate::govern::{apply_decision, Governor, GovernorConfig};
 use crate::mechanism::Mechanism;
@@ -38,92 +38,62 @@ pub(crate) enum MissAction {
     /// arrival (`extra_delay` as above).
     Fallthrough { token: TrainToken, extra_delay: u64 },
     /// The approximator is not consulted: a conventional miss (no
-    /// approximator, a disabled PC, or a degrade `Deny`).
+    /// approximator, or a PC either governor ladder disabled).
     Conventional,
 }
 
-/// One core's miss pipeline: its quality controllers and fault stream.
+/// One core's miss pipeline: its quality governor and fault stream.
 #[derive(Debug)]
 pub(crate) struct MissPipeline {
-    pub(crate) degrade: Option<DegradeController>,
-    pub(crate) govern: Option<Box<Governor>>,
+    pub(crate) governor: Option<Box<Governor>>,
     faults: Option<FaultInjector>,
 }
 
 impl MissPipeline {
-    /// Checks the controller configuration against the mechanism — the
+    /// Checks the governor configuration against the mechanism — the
     /// one validation both [`crate::SimConfig::validate`] and the
     /// full-system constructors run.
     pub(crate) fn validate(
         mechanism: &MechanismKind,
-        degrade: Option<&DegradeConfig>,
         govern: Option<&GovernorConfig>,
     ) -> Result<(), ConfigError> {
         mechanism.validate()?;
-        if let Some(d) = degrade {
-            if !d.error_budget.is_finite() || d.error_budget <= 0.0 {
-                return Err(ConfigError::ErrorBudget {
-                    budget: d.error_budget,
-                });
-            }
-            if !d.ewma_weight.is_finite() || d.ewma_weight <= 0.0 || d.ewma_weight > 1.0 {
-                return Err(ConfigError::DegradeKnob {
-                    knob: "ewma_weight",
-                    value: d.ewma_weight,
-                });
-            }
-            if d.min_samples == 0 {
-                return Err(ConfigError::DegradeKnob {
-                    knob: "min_samples",
-                    value: 0.0,
-                });
-            }
-            if d.probation_misses == 0 {
-                return Err(ConfigError::DegradeKnob {
-                    knob: "probation_misses",
-                    value: 0.0,
-                });
-            }
-            if d.max_backoff_exp > 32 {
-                return Err(ConfigError::DegradeKnob {
-                    knob: "max_backoff_exp",
-                    value: f64::from(d.max_backoff_exp),
-                });
-            }
+        let Some(g) = govern else { return Ok(()) };
+        g.validate()?;
+        if g.error_budget.is_some() {
             if let MechanismKind::Lva(a) | MechanismKind::LvaClp(a, _) = mechanism {
                 if a.degree > 0 && a.confidence_window == ConfidenceWindow::Infinite {
                     return Err(ConfigError::DegreeBudgetConflict { degree: a.degree });
                 }
             }
         }
-        govern.map_or(Ok(()), GovernorConfig::validate)
+        Ok(())
     }
 
     /// Builds the pipeline for a live mechanism. The configuration is
     /// assumed validated ([`validate`](Self::validate)).
     pub(crate) fn new(
         mechanism: &Mechanism,
-        degrade: Option<&DegradeConfig>,
         govern: Option<GovernorConfig>,
         faults: Option<FaultInjector>,
     ) -> Self {
         MissPipeline {
-            degrade: degrade.cloned().map(DegradeController::new),
-            govern: govern.map(|g| Box::new(Governor::new(g, mechanism))),
+            governor: govern.map(|g| Box::new(Governor::new(g, mechanism))),
             faults,
         }
     }
 
-    /// The governor's epoch length, or `u64::MAX` without a governor.
+    /// The governor's epoch period, or `u64::MAX` without a governor or
+    /// its SLO layer.
     pub(crate) fn epoch_len(&self) -> u64 {
-        self.govern
+        self.governor
             .as_ref()
-            .map_or(u64::MAX, |g| g.config().epoch_len)
+            .map_or(u64::MAX, |g| g.config().epoch_period())
     }
 
     /// Decides one annotated miss at `pc`: table fault, then the per-PC
-    /// enable, then the degrade controller, then the delay-fault roll,
-    /// then the approximator under the controller's policy. Counts
+    /// enable, then the governor's budget ladder, then the delay-fault
+    /// roll, then the approximator under the ladder's policy. Counts
     /// injected faults, approximations, training fetches and delayed
     /// fetches into `stats`; a [`MissAction::Conventional`] miss is left
     /// for the embedder to count.
@@ -146,16 +116,17 @@ impl MissPipeline {
                 stats.faults_injected += 1;
             }
         }
-        // A PC the governor switched off takes the same conventional miss
-        // a degrade Deny does. Free when no PC is disabled.
+        // A PC the epoch ladder switched off takes the same conventional
+        // miss a budget-ladder denial does, without draining its
+        // probation. Free when no PC is disabled.
         if !approximator.pc_enabled(pc) {
             return MissAction::Conventional;
         }
-        let policy = match &mut self.degrade {
+        let policy = match &mut self.governor {
             None => MissPolicy::Normal,
-            Some(d) => match d.decide_traced(pc, stats, sink, ctx) {
-                MissDecision::Allow(policy) => policy,
-                MissDecision::Deny => return MissAction::Conventional,
+            Some(g) => match g.decide(pc, stats, sink, ctx) {
+                Some(policy) => policy,
+                None => return MissAction::Conventional,
             },
         };
         // Rolled once per consulted miss (keeping the stream
@@ -186,8 +157,7 @@ impl MissPipeline {
 
     /// Delivers one training fetch's `actual` value: dropped-drain fault,
     /// then the approximator's training, then the error feedback to the
-    /// degrade controller and the governor. A no-op without an
-    /// approximator.
+    /// governor. A no-op without an approximator.
     pub(crate) fn on_train(
         &mut self,
         mechanism: &mut Mechanism,
@@ -215,16 +185,15 @@ impl MissPipeline {
             sink.record(TraceEvent::at(ctx, TraceEventKind::TrainDrain { pc: pc.0 }));
         }
         let rel_err = approximator.train_traced(token, actual, sink, ctx);
-        if let Some(d) = &mut self.degrade {
-            d.observe_traced(pc, rel_err, stats, sink, ctx);
-        }
-        if let Some(g) = &mut self.govern {
-            g.observe(pc, rel_err);
+        if let Some(g) = &mut self.governor {
+            g.observe(pc, rel_err, stats, sink, ctx);
         }
     }
 
     /// Closes one governor epoch against the cumulative `stats` and
-    /// actuates its decision on `mechanism`. A no-op without a governor.
+    /// actuates its decision on `mechanism`. A no-op without a governor;
+    /// embedders call it on the [`epoch_len`](Self::epoch_len) clock, which
+    /// never fires without the SLO layer.
     pub(crate) fn on_epoch(
         &mut self,
         mechanism: &mut Mechanism,
@@ -232,7 +201,7 @@ impl MissPipeline {
         sink: &mut dyn TraceSink,
         ctx: TraceCtx,
     ) {
-        if let Some(g) = &mut self.govern {
+        if let Some(g) = &mut self.governor {
             let decision = g.epoch(stats);
             apply_decision(&decision, mechanism, stats, sink, ctx);
         }
@@ -242,8 +211,8 @@ impl MissPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::degrade::QualityState;
     use crate::fault::FaultConfig;
+    use crate::govern::QualityState;
     use crate::mechanism::Knob;
     use lva_core::ApproximatorConfig;
     use lva_obs::NullSink;
@@ -265,27 +234,27 @@ mod tests {
         }
     }
 
-    /// A pipeline whose degrade controller has already disabled `PC` (one
+    /// A pipeline whose budget ladder has already disabled `PC` (one
     /// over-budget sample demotes, the next disables).
     fn with_disabled_pc(mechanism: &Mechanism, faults: Option<FaultInjector>) -> MissPipeline {
-        let cfg = DegradeConfig {
+        let cfg = GovernorConfig {
             min_samples: 1,
-            ..DegradeConfig::budget(0.05)
+            ..GovernorConfig::budget(0.05)
         };
-        let mut p = MissPipeline::new(mechanism, Some(&cfg), None, faults);
-        let d = p.degrade.as_mut().unwrap();
+        let mut p = MissPipeline::new(mechanism, Some(cfg), faults);
+        let g = p.governor.as_mut().unwrap();
         let mut stats = ThreadStats::default();
         for _ in 0..2 {
-            d.observe_traced(PC, Some(1.0), &mut stats, &mut NullSink, ctx());
+            g.observe(PC, Some(1.0), &mut stats, &mut NullSink, ctx());
         }
         p
     }
 
     #[test]
-    fn governor_disabled_pc_skips_the_degrade_controller() {
+    fn slo_disabled_pc_skips_the_budget_ladder() {
         let mut m = lva();
         let mut p = with_disabled_pc(&m, None);
-        let disabled = p.degrade.as_ref().unwrap().state_of(PC);
+        let disabled = p.governor.as_ref().unwrap().state_of(PC);
         assert!(matches!(disabled, Some(QualityState::Disabled { .. })));
         assert_eq!(
             m.set(&Knob::PcEnable {
@@ -299,9 +268,9 @@ mod tests {
             let action = p.on_miss(&mut m, PC, ValueType::F32, &mut stats, &mut NullSink, ctx());
             assert_eq!(action, MissAction::Conventional);
         }
-        assert_eq!(stats, ThreadStats::default(), "no degrade counter moved");
+        assert_eq!(stats, ThreadStats::default(), "no budget counter moved");
         assert_eq!(
-            p.degrade.as_ref().unwrap().state_of(PC),
+            p.governor.as_ref().unwrap().state_of(PC),
             disabled,
             "probation untouched"
         );
@@ -309,7 +278,7 @@ mod tests {
     }
 
     #[test]
-    fn degrade_deny_skips_the_table_and_the_delay_roll() {
+    fn budget_deny_skips_the_table_and_the_delay_roll() {
         let faults = FaultConfig::seeded(9).with_delay(0.5, 16);
         let mut m = lva();
         let mut p = with_disabled_pc(&m, Some(FaultInjector::for_thread(&faults, 0)));
@@ -331,7 +300,7 @@ mod tests {
     #[test]
     fn allowed_misses_approximate_once_trained() {
         let mut m = lva();
-        let mut p = MissPipeline::new(&m, None, None, None);
+        let mut p = MissPipeline::new(&m, None, None);
         let mut stats = ThreadStats::default();
         let mut sink = NullSink;
         let MissAction::Fallthrough { token, extra_delay } =
@@ -362,14 +331,14 @@ mod tests {
     #[test]
     fn mechanisms_without_an_approximator_miss_conventionally() {
         let mut m = Mechanism::Precise;
-        let mut p = MissPipeline::new(&m, Some(&DegradeConfig::budget(0.05)), None, None);
+        let mut p = MissPipeline::new(&m, Some(GovernorConfig::budget(0.05)), None);
         let mut stats = ThreadStats::default();
         let action = p.on_miss(&mut m, PC, ValueType::F32, &mut stats, &mut NullSink, ctx());
         assert_eq!(action, MissAction::Conventional);
         assert_eq!(
-            p.degrade.as_ref().unwrap().state_of(PC),
+            p.governor.as_ref().unwrap().state_of(PC),
             None,
-            "controller not consulted"
+            "governor not consulted"
         );
     }
 }

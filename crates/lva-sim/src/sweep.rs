@@ -37,8 +37,6 @@
 //! `(workload, MechanismKind, SimConfig)` grid is composed by the
 //! callers in `lva-bench`, the `lva-explore` CLI and the examples.
 
-use crate::degrade::DegradeConfig;
-use crate::govern::GovernorConfig;
 use crate::sched::{catch_point, SubmissionQueue};
 use crate::stats::SweepSummary;
 use crate::{ConfigError, MechanismKind, SimConfig};
@@ -439,10 +437,10 @@ impl SweepSpec {
         self
     }
 
-    /// Axis over quality-budget degradation controllers: one point per
-    /// relative-error budget (with the default smoothing and probation
-    /// knobs), innermost in the crossing order. Applies to the generated
-    /// LVA grid only — extra mechanisms never consult the controller.
+    /// Axis over the governor's per-PC error budget: one point per
+    /// relative-error budget, crossed innermost but for the SLOs. Applies
+    /// to the generated LVA grid only — extra mechanisms never consult
+    /// the budget ladder.
     #[must_use]
     pub fn error_budgets(mut self, budgets: &[f64]) -> Self {
         self.error_budgets = budgets.to_vec();
@@ -557,22 +555,16 @@ impl SweepSpec {
         } else {
             self.geometries.clone()
         };
-        let budgets: Vec<Option<DegradeConfig>> = if self.error_budgets.is_empty() {
-            vec![self.base.degrade.clone()]
-        } else {
-            self.error_budgets
-                .iter()
-                .map(|&b| Some(DegradeConfig::budget(b)))
-                .collect()
+        // `None` keeps the base configuration's governor as it is.
+        let axis = |values: &[f64]| -> Vec<Option<f64>> {
+            if values.is_empty() {
+                vec![None]
+            } else {
+                values.iter().copied().map(Some).collect()
+            }
         };
-        let governors: Vec<Option<GovernorConfig>> = if self.governor_slos.is_empty() {
-            vec![self.base.govern]
-        } else {
-            self.governor_slos
-                .iter()
-                .map(|&s| Some(GovernorConfig::slo(s)))
-                .collect()
-        };
+        let budgets = axis(&self.error_budgets);
+        let slos = axis(&self.governor_slos);
 
         let mut grid = Vec::new();
         let lva_base = matches!(self.base.mechanism, MechanismKind::Lva(_))
@@ -587,8 +579,8 @@ impl SweepSpec {
                     for &degree in &degrees {
                         for &ghb in &ghbs {
                             for &(table_entries, lhb_entries) in &geoms {
-                                for budget in &budgets {
-                                    for &governor in &governors {
+                                for &budget in &budgets {
+                                    for &slo in &slos {
                                         let mut approx = base_approx.clone();
                                         approx.confidence_window = *window;
                                         approx.degree = degree;
@@ -598,8 +590,12 @@ impl SweepSpec {
                                         let mut cfg = self.base.clone();
                                         cfg.mechanism = MechanismKind::Lva(approx);
                                         cfg.value_delay = delay;
-                                        cfg.degrade = budget.clone();
-                                        cfg.govern = governor;
+                                        if let Some(s) = slo {
+                                            cfg = cfg.with_govern_slo(s);
+                                        }
+                                        if let Some(b) = budget {
+                                            cfg = cfg.with_error_budget(b);
+                                        }
                                         grid.push(cfg);
                                     }
                                 }
@@ -714,7 +710,7 @@ mod tests {
         assert_eq!(grid.len(), 5);
         let budgets: Vec<Option<f64>> = grid
             .iter()
-            .map(|c| c.degrade.as_ref().map(|d| d.error_budget))
+            .map(|c| c.govern.and_then(|g| g.error_budget))
             .collect();
         assert_eq!(
             budgets,
@@ -734,7 +730,7 @@ mod tests {
         assert_eq!(grid.len(), 5);
         let slos: Vec<Option<f64>> = grid
             .iter()
-            .map(|c| c.govern.map(|g| g.slo_error))
+            .map(|c| c.govern.and_then(|g| g.slo_error))
             .collect();
         assert_eq!(
             slos,
@@ -766,7 +762,10 @@ mod tests {
         ));
         // A bad budget value is caught too.
         let spec = SweepSpec::new().error_budgets(&[f64::NAN]);
-        assert!(matches!(spec.try_build(), Err(ConfigError::ErrorBudget { .. })));
+        assert!(matches!(
+            spec.try_build(),
+            Err(ConfigError::GovernorKnob { knob: "error_budget", .. })
+        ));
     }
 
     #[test]

@@ -87,15 +87,15 @@ pub struct WorkloadRun {
     /// (all [`lva_obs::TraceCollector::Off`] unless [`SimConfig::trace`]
     /// is enabled).
     pub collectors: Vec<lva_obs::TraceCollector>,
-    /// Per-thread degradation-controller reports of the (possibly
-    /// approximate) run (empty unless [`SimConfig::degrade`] is set).
+    /// Per-thread budget-ladder reports of the (possibly approximate) run
+    /// (empty unless [`SimConfig::govern`] sets an error budget).
     pub degrade: Vec<lva_sim::DegradeReport>,
     /// Per-thread epoch timelines of the (possibly approximate) run,
     /// sampled on each thread's `load_clock` (empty unless
     /// [`SimConfig::timeline`] is set).
     pub timelines: Vec<lva_obs::Timeline>,
-    /// Per-thread governor reports of the (possibly approximate) run
-    /// (empty unless [`SimConfig::govern`] is set).
+    /// Per-thread epoch-ladder reports of the (possibly approximate) run
+    /// (empty unless [`SimConfig::govern`] sets an SLO).
     pub govern: Vec<lva_sim::GovernorReport>,
 }
 
@@ -156,7 +156,6 @@ pub fn precise_config(config: &SimConfig) -> SimConfig {
     SimConfig {
         mechanism: MechanismKind::Precise,
         trace: lva_obs::TraceConfig::off(),
-        degrade: None,
         faults: None,
         timeline: None,
         govern: None,
