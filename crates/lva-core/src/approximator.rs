@@ -214,7 +214,7 @@ impl Default for ApproximatorConfig {
 }
 
 /// External quality-control directive for one miss consultation, supplied
-/// by a degradation controller (see `lva-sim`'s `degrade` module). The
+/// by a quality controller (see `lva-sim`'s `govern` module). The
 /// default [`MissPolicy::Normal`] reproduces the paper's mechanism exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MissPolicy {

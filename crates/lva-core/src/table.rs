@@ -20,7 +20,7 @@
 use crate::{ConfidenceCounter, ConfigError, Value, ValueType};
 
 /// Quality-control state of one table entry, driven by an external
-/// degradation controller (see `lva-sim`'s `degrade` module). The
+/// quality controller (see `lva-sim`'s `govern` module). The
 /// approximator itself only records the state; the controller decides the
 /// transitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

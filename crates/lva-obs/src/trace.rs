@@ -142,7 +142,7 @@ pub enum TraceEventKind {
         /// Static load PC.
         pc: u64,
     },
-    /// The quality-budget degradation controller moved a PC down its
+    /// The quality governor's per-PC budget ladder moved a PC down its
     /// ladder: demoted to forced fetches, or disabled outright.
     Demote {
         /// Static load PC.
