@@ -167,31 +167,21 @@ impl ApproximatorConfig {
     }
 
     /// Checks the configuration for nonsense before an approximator is
-    /// built: table geometry, counter width, history depth, hash widths and
-    /// the confidence window.
+    /// built: table geometry and size, history depths, hash widths, the
+    /// confidence window and the counter width.
     ///
     /// # Errors
     ///
     /// Returns the first [`ConfigError`] found.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.lhb_entries == 0 {
-            return Err(ConfigError::LhbEntries);
-        }
+        crate::table::validate_geometry(
+            self.table_entries,
+            self.lhb_entries,
+            self.ghb_entries,
+            self.tag_bits,
+        )?;
         self.confidence_window.validate()?;
-        if !(self.table_entries.is_power_of_two() && self.table_entries >= 2) {
-            return Err(ConfigError::TableEntries {
-                entries: self.table_entries,
-            });
-        }
-        ConfidenceCounter::try_new(self.confidence_bits).map(|_| ())?;
-        let index_bits = self.table_entries.trailing_zeros();
-        if index_bits + self.tag_bits > 64 {
-            return Err(ConfigError::IndexTagWidth {
-                index_bits,
-                tag_bits: self.tag_bits,
-            });
-        }
-        Ok(())
+        ConfidenceCounter::try_new(self.confidence_bits).map(|_| ())
     }
 
     /// Approximate storage cost of the structure in bytes, assuming

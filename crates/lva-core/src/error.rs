@@ -1,12 +1,22 @@
 //! Typed configuration errors for the mechanism-level structures.
 //!
 //! Every fallible constructor and validator in this crate reports problems
-//! through [`ConfigError`] instead of panicking, so embedders (the `lva-sim`
-//! builder API, the CLI) can surface a clear message and keep running. The
-//! legacy panicking entry points remain as thin wrappers that unwrap these
-//! `Result`s.
+//! through [`ConfigError`] instead of panicking, so embedders (`lva-sim`'s
+//! config validation, the CLI) can surface a clear message and keep
+//! running. The validators never allocate, and their size caps bound what
+//! an accepted configuration allocates. The legacy panicking entry points
+//! remain as thin wrappers that unwrap these `Result`s.
 
 use std::fmt;
+
+/// Largest table (approximator, predictor, prefetcher) any validator
+/// here accepts: 32x the paper's 512 entries.
+pub const MAX_TABLE_ENTRIES: usize = 1 << 14;
+
+/// Deepest value history (LHB, GHB) and widest prefetch degree any
+/// validator here accepts: 16x the paper's GHB-4 and LHB-4, 4x its
+/// degree 16.
+pub const MAX_HISTORY_ENTRIES: usize = 64;
 
 /// Why a mechanism-level configuration was rejected.
 ///
@@ -63,6 +73,26 @@ pub enum ConfigError {
         /// The configured hierarchy depth.
         depth: u32,
     },
+    /// A structure size above [`MAX_TABLE_ENTRIES`] or
+    /// [`MAX_HISTORY_ENTRIES`].
+    TooLarge {
+        /// Which size knob.
+        knob: &'static str,
+        /// The rejected size.
+        value: usize,
+        /// The largest accepted size.
+        max: usize,
+    },
+}
+
+impl ConfigError {
+    /// Rejects `value` above `max` as [`ConfigError::TooLarge`].
+    pub(crate) fn at_most(knob: &'static str, value: usize, max: usize) -> Result<(), Self> {
+        if value > max {
+            return Err(ConfigError::TooLarge { knob, value, max });
+        }
+        Ok(())
+    }
 }
 
 impl fmt::Display for ConfigError {
@@ -100,6 +130,9 @@ impl fmt::Display for ConfigError {
                 "slow threshold (hierarchy index {level}) is unreachable in a \
                  depth-{depth} hierarchy"
             ),
+            ConfigError::TooLarge { knob, value, max } => {
+                write!(f, "{knob} = {value} exceeds the limit of {max}")
+            }
         }
     }
 }

@@ -22,7 +22,7 @@
 //! events; the untraced API delegates with a [`NullSink`] so traced and
 //! untraced runs take the same path.
 
-use crate::{ConfidenceCounter, ConfigError, Pc};
+use crate::{ConfidenceCounter, ConfigError, Pc, MAX_TABLE_ENTRIES};
 use lva_obs::{NullSink, TraceCtx, TraceEvent, TraceEventKind, TraceSink};
 
 /// A level of the modelled memory hierarchy, ordered fastest to slowest.
@@ -149,15 +149,17 @@ impl ClpConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError::TableEntries`] unless `table_entries` is a
-    /// power of two ≥ 2, [`ConfigError::ConfidenceBits`] unless the counter
-    /// width is 2..=16, and [`ConfigError::HierarchyDepth`] unless the
-    /// depth is 2..=4.
+    /// power of two ≥ 2, [`ConfigError::TooLarge`] above
+    /// [`MAX_TABLE_ENTRIES`], [`ConfigError::ConfidenceBits`] unless
+    /// the counter width is 2..=16, and [`ConfigError::HierarchyDepth`]
+    /// unless the depth is 2..=4.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.table_entries < 2 || !self.table_entries.is_power_of_two() {
             return Err(ConfigError::TableEntries {
                 entries: self.table_entries,
             });
         }
+        ConfigError::at_most("table_entries", self.table_entries, MAX_TABLE_ENTRIES)?;
         ConfidenceCounter::try_new(self.confidence_bits)?;
         if !(2..=4).contains(&self.hierarchy_depth) {
             return Err(ConfigError::HierarchyDepth {

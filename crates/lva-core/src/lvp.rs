@@ -47,6 +47,20 @@ impl LvpConfig {
             ..Self::baseline()
         }
     }
+
+    /// Checks the geometry without allocating.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`crate::ConfigError`] found.
+    pub fn validate(&self) -> Result<(), crate::ConfigError> {
+        crate::table::validate_geometry(
+            self.table_entries,
+            self.lhb_entries,
+            self.ghb_entries,
+            self.tag_bits,
+        )
+    }
 }
 
 impl Default for LvpConfig {
@@ -99,12 +113,9 @@ impl IdealizedLvp {
     ///
     /// # Errors
     ///
-    /// Returns a [`crate::ConfigError`] under the same conditions as
-    /// [`LoadValueApproximator::try_new`](crate::LoadValueApproximator::try_new).
+    /// Returns whatever [`LvpConfig::validate`] rejects.
     pub fn try_new(config: LvpConfig) -> Result<Self, crate::ConfigError> {
-        if config.lhb_entries == 0 {
-            return Err(crate::ConfigError::LhbEntries);
-        }
+        config.validate()?;
         // Confidence and degree are unused by the oracle; widths are
         // placeholders.
         let table = ApproximatorTable::try_new(config.table_entries, config.lhb_entries, 4, 0)?;

@@ -38,6 +38,26 @@ impl PrefetcherConfig {
             correlation_depth: 64,
         }
     }
+
+    /// Checks the sizes without allocating: both tables hold 1..=
+    /// [`crate::MAX_TABLE_ENTRIES`] entries, and a miss issues at most
+    /// [`crate::MAX_HISTORY_ENTRIES`] prefetches. (The correlation walk
+    /// needs no cap: it never outruns the GHB.)
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`crate::ConfigError`] found.
+    pub fn validate(&self) -> Result<(), crate::ConfigError> {
+        use crate::{ConfigError, MAX_HISTORY_ENTRIES, MAX_TABLE_ENTRIES};
+        for (table, entries) in [("ghb", self.ghb_entries), ("index", self.index_entries)] {
+            if entries == 0 {
+                return Err(ConfigError::PrefetcherTable { table });
+            }
+        }
+        ConfigError::at_most("ghb_entries", self.ghb_entries, MAX_TABLE_ENTRIES)?;
+        ConfigError::at_most("index_entries", self.index_entries, MAX_TABLE_ENTRIES)?;
+        ConfigError::at_most("degree", self.degree as usize, MAX_HISTORY_ENTRIES)
+    }
 }
 
 impl Default for PrefetcherConfig {
@@ -94,15 +114,9 @@ impl GhbPrefetcher {
     ///
     /// # Errors
     ///
-    /// Returns [`crate::ConfigError::PrefetcherTable`] if either table size
-    /// is zero.
+    /// Returns whatever [`PrefetcherConfig::validate`] rejects.
     pub fn try_new(config: PrefetcherConfig) -> Result<Self, crate::ConfigError> {
-        if config.ghb_entries == 0 {
-            return Err(crate::ConfigError::PrefetcherTable { table: "ghb" });
-        }
-        if config.index_entries == 0 {
-            return Err(crate::ConfigError::PrefetcherTable { table: "index" });
-        }
+        config.validate()?;
         Ok(Self::build(config))
     }
 

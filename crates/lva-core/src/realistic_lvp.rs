@@ -58,6 +58,21 @@ impl RealisticLvpConfig {
             hash: HashKind::Xor,
         }
     }
+
+    /// Checks the geometry and counter width without allocating.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`crate::ConfigError`] found.
+    pub fn validate(&self) -> Result<(), crate::ConfigError> {
+        crate::table::validate_geometry(
+            self.table_entries,
+            self.lhb_entries,
+            self.ghb_entries,
+            self.tag_bits,
+        )?;
+        crate::ConfidenceCounter::try_new(self.confidence_bits).map(|_| ())
+    }
 }
 
 impl Default for RealisticLvpConfig {
@@ -133,12 +148,9 @@ impl RealisticLvp {
     ///
     /// # Errors
     ///
-    /// Returns a [`crate::ConfigError`] if the table geometry is invalid
-    /// (see [`ApproximatorTable::try_new`]) or `lhb_entries` is 0.
+    /// Returns whatever [`RealisticLvpConfig::validate`] rejects.
     pub fn try_new(config: RealisticLvpConfig) -> Result<Self, crate::ConfigError> {
-        if config.lhb_entries == 0 {
-            return Err(crate::ConfigError::LhbEntries);
-        }
+        config.validate()?;
         let table = ApproximatorTable::try_new(
             config.table_entries,
             config.lhb_entries,

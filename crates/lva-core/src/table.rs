@@ -17,7 +17,40 @@
 //! the slice left by one — LHBs are a handful of values deep, so the shift
 //! is cheaper than the index arithmetic a ring would add to every read.
 
-use crate::{ConfidenceCounter, ConfigError, Value, ValueType};
+use crate::{
+    ConfidenceCounter, ConfigError, Value, ValueType, MAX_HISTORY_ENTRIES, MAX_TABLE_ENTRIES,
+};
+
+/// Checks, without allocating, the geometry every table-indexed mechanism
+/// shares: a power-of-two table of 2..=[`MAX_TABLE_ENTRIES`] entries,
+/// 1..=[`MAX_HISTORY_ENTRIES`] LHB and at most [`MAX_HISTORY_ENTRIES`] GHB
+/// entries, and index plus tag bits within the 64-bit context hash.
+pub(crate) fn validate_geometry(
+    table_entries: usize,
+    lhb_entries: usize,
+    ghb_entries: usize,
+    tag_bits: u32,
+) -> Result<(), ConfigError> {
+    if lhb_entries == 0 {
+        return Err(ConfigError::LhbEntries);
+    }
+    if !(table_entries.is_power_of_two() && table_entries >= 2) {
+        return Err(ConfigError::TableEntries {
+            entries: table_entries,
+        });
+    }
+    ConfigError::at_most("table_entries", table_entries, MAX_TABLE_ENTRIES)?;
+    ConfigError::at_most("lhb_entries", lhb_entries, MAX_HISTORY_ENTRIES)?;
+    ConfigError::at_most("ghb_entries", ghb_entries, MAX_HISTORY_ENTRIES)?;
+    let index_bits = table_entries.trailing_zeros();
+    if tag_bits > 64 - index_bits {
+        return Err(ConfigError::IndexTagWidth {
+            index_bits,
+            tag_bits,
+        });
+    }
+    Ok(())
+}
 
 /// Quality-control state of one table entry, driven by an external
 /// quality controller (see `lva-sim`'s `govern` module). The

@@ -8,12 +8,16 @@
 //! across server restarts.
 //!
 //! The key is an FNV-1a hash over a canonical text rendering of the
-//! point: workload name, input scale, registry seed and the `SimConfig`
-//! with its result-neutral knobs zeroed (event tracing and phase-2
-//! trace recording never change the statistics — the conformance suite
-//! asserts trace neutrality for every mechanism family). The rendering
-//! is prefixed with two schema versions so a key can never collide
-//! across incompatible generations:
+//! point: workload name, input scale, registry seed and the compact text
+//! of `lva-sim`'s config codec ([`SimConfig::to_json`]) — the same codec
+//! the wire speaks. The codec spells every field that can change a result
+//! and leaves out the result-neutral ones (event tracing, timeline
+//! sampling and phase-2 trace recording never change the statistics — the
+//! conformance suite asserts trace neutrality for every mechanism family),
+//! so a traced run shares its untraced twin's entry. Decoding the text
+//! gives the config back, so two distinct valid configs never share a
+//! preimage. The rendering is prefixed with two schema versions so a key
+//! can never collide across incompatible generations:
 //!
 //! * [`CACHE_SCHEMA_VERSION`] — bumped when the fingerprint rendering
 //!   or the cached manifest *content* changes (e.g. new stats in
@@ -41,9 +45,15 @@ use lva_workloads::WorkloadScale;
 /// path → value pairs are unchanged; only their order is.
 ///
 /// v4: the error budget moved into the governor's config, so
-/// `SimConfig`'s `Debug` (which the rendering hashes) changed shape for
+/// `SimConfig`'s `Debug` (which the rendering hashed) changed shape for
 /// every config. Manifests are unchanged; keys are not.
-pub const CACHE_SCHEMA_VERSION: u64 = 4;
+///
+/// v5: the rendering hashes the config codec's compact JSON instead of
+/// `SimConfig`'s derived `Debug`, so a formatting change can no longer
+/// re-key the cache silently, and timeline sampling (result-neutral, but
+/// present in the `Debug`) no longer splits it. Manifests are unchanged;
+/// keys are not.
+pub const CACHE_SCHEMA_VERSION: u64 = 5;
 
 /// 64-bit FNV-1a — the same hash the determinism suite pins sweep
 /// statistics with; dependency-free and stable across platforms.
@@ -91,20 +101,11 @@ pub fn canonical_rendering(
     seed: u64,
     config: &SimConfig,
 ) -> String {
-    // Zero the result-neutral knobs so "the same experiment, traced"
-    // shares a cache entry with the untraced run it is guaranteed to
-    // match. Everything else participates via `Debug`, which spells out
-    // every field of every nested config struct — adding a field to any
-    // of them changes the rendering and thus (correctly) the key.
-    let canon = SimConfig {
-        record_traces: false,
-        trace: lva_obs::TraceConfig::off(),
-        ..config.clone()
-    };
     format!(
-        "cache-v{CACHE_SCHEMA_VERSION}/obs-v{}/{workload}/{}/seed={seed}/{canon:?}",
+        "cache-v{CACHE_SCHEMA_VERSION}/obs-v{}/{workload}/{}/seed={seed}/{}",
         lva_obs::SCHEMA_VERSION,
         scale_label(scale),
+        config.to_json().to_string_compact(),
     )
 }
 
@@ -150,6 +151,7 @@ mod tests {
         let traced = SimConfig {
             record_traces: true,
             trace: lva_obs::TraceConfig::ring(64),
+            timeline: Some(lva_obs::TimelineConfig::every(500)),
             ..base.clone()
         };
         let scale = WorkloadScale::Test;
@@ -209,5 +211,6 @@ mod tests {
             "cache-v{CACHE_SCHEMA_VERSION}/obs-v{}/swaptions/test/seed=3/",
             lva_obs::SCHEMA_VERSION
         )));
+        assert!(text.ends_with(r#"/{"mechanism":"precise","value_delay":4,"threads":4,"l1":{"size":65536,"ways":8,"block":64}}"#), "{text}");
     }
 }

@@ -27,8 +27,9 @@
 //!
 //! * [`fingerprint`] — canonical rendering and FNV-1a content address
 //!   of a point; versioned so schema bumps invalidate cleanly.
-//! * [`point`] — [`PointSpec`] (workload, scale, seed, config), its
-//!   restricted wire encoding, and the batch-identical manifest builder.
+//! * [`point`] — [`PointSpec`] (workload, scale, seed, config), its wire
+//!   form over `lva-sim`'s config codec, and the batch-identical manifest
+//!   builder.
 //! * [`cache`] — the two-tier [`ResultCache`] with crash-safe writes.
 //! * `memo` — the bounded precise-reference memo the production
 //!   evaluator shares precise runs through (crate-private).

@@ -2,18 +2,15 @@
 //! back.
 //!
 //! A [`PointSpec`] is `(workload, scale, seed, SimConfig)` — exactly the
-//! coordinates `lva-explore sweep` crosses into its grids. The wire form
-//! ([`PointSpec::to_json`] / [`PointSpec::from_json`]) deliberately does
-//! *not* serialize `SimConfig` field-by-field: it carries the knobs the
-//! sweep axes actually perturb (mechanism family, value delay, the
-//! approximator's window/degree/GHB/geometry, CLP geometry, error
-//! budget, governor SLO) and pins everything else to the stock
-//! baselines. Anything the wire can't express round-trips as an encode
-//! error instead of a silently different experiment, and the decoder
-//! rejects a wrongly typed field or an integer above 2^53 − 1 instead of
-//! reading it as a default or a rounded neighbour — the fingerprint
-//! hashes the *decoded* config, so an encoding gap can never alias two
-//! distinct points.
+//! coordinates `lva-explore sweep` crosses into its grids. Its wire form
+//! ([`PointSpec::to_json`] / [`PointSpec::from_json`]) carries the config
+//! through `lva-sim`'s one codec ([`SimConfig::to_json`] /
+//! [`SimConfig::from_json`]), which spells every field that can change a
+//! result, so any valid config crosses the wire unchanged. The decoder
+//! rejects a wrongly typed field, an integer above 2^53 − 1 and an invalid
+//! config instead of reading a default or a rounded neighbour; the
+//! fingerprint hashes the same codec's text of the *decoded* config, so
+//! two distinct points never share a key.
 //!
 //! [`point_record`] builds the response manifest. It is a deterministic
 //! function of the spec and the simulation result — no wall-clock stats,
@@ -22,10 +19,10 @@
 //! *byte-identical*.
 
 use crate::fingerprint::{parse_scale, point_fingerprint, scale_label};
-use lva_core::{ApproximatorConfig, CacheLevel, ClpConfig, ConfidenceWindow, LvpConfig};
 use lva_obs::{Json, MetricsRegistry, RunRecord};
-use lva_sim::{MechanismKind, SimConfig};
-use lva_workloads::{workload_seeded, Workload, WorkloadRun, WorkloadScale};
+use lva_sim::codec::MAX_EXACT;
+use lva_sim::SimConfig;
+use lva_workloads::{util::THREADS, workload_seeded, Workload, WorkloadRun, WorkloadScale};
 
 /// One requested sweep point.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,9 +64,8 @@ impl PointSpec {
     ///
     /// # Errors
     ///
-    /// Returns a message when the seed is above 2^53 − 1 (a JSON number
-    /// cannot carry it exactly) or the config uses knobs the wire format
-    /// cannot express (see [`config_to_json`]).
+    /// Returns a message when the seed is above 2^53 − 1: a JSON number
+    /// cannot carry it exactly.
     pub fn to_json(&self) -> Result<Json, String> {
         if self.seed > MAX_EXACT {
             return Err(format!("seed {} is not exact as a JSON number", self.seed));
@@ -78,7 +74,7 @@ impl PointSpec {
             ("workload".into(), Json::Str(self.workload.clone())),
             ("scale".into(), Json::Str(scale_label(self.scale).into())),
             ("seed".into(), Json::Num(self.seed as f64)),
-            ("config".into(), config_to_json(&self.config)?),
+            ("config".into(), self.config.to_json()),
         ]))
     }
 
@@ -86,8 +82,9 @@ impl PointSpec {
     ///
     /// # Errors
     ///
-    /// Returns a message on a malformed object, an unknown scale or
-    /// mechanism, or a config that fails [`SimConfig::validate`].
+    /// Returns a message on a malformed object, an unknown scale, a seed
+    /// that is not an integer in [0, 2^53), or whatever
+    /// [`SimConfig::from_json`] rejects.
     pub fn from_json(json: &Json) -> Result<Self, String> {
         let workload = json
             .get("workload")
@@ -99,11 +96,15 @@ impl PointSpec {
                 .and_then(Json::as_str)
                 .ok_or("point missing string 'scale'")?,
         )?;
-        let seed = get_u64(json, "seed")?.unwrap_or(0);
-        let config = config_from_json(
-            json.get("config").ok_or("point missing object 'config'")?,
-        )?;
-        config.validate().map_err(|e| format!("invalid config: {e}"))?;
+        let seed = match json.get("seed") {
+            None => 0,
+            Some(v) => v
+                .as_f64()
+                .filter(|n| (0.0..=MAX_EXACT as f64).contains(n) && n.fract() == 0.0)
+                .ok_or("'seed' must be an integer in [0, 2^53)")? as u64,
+        };
+        let config =
+            SimConfig::from_json(json.get("config").ok_or("point missing object 'config'")?)?;
         Ok(PointSpec {
             workload,
             scale,
@@ -111,275 +112,6 @@ impl PointSpec {
             config,
         })
     }
-}
-
-/// The largest integer every larger one can be told apart from as an
-/// `f64`: 2^53 − 1. A wire integer above it may be a rounded neighbour
-/// (or a saturated `1e30`), so decoding rejects it instead of aliasing.
-const MAX_EXACT: u64 = (1 << 53) - 1;
-
-fn get_u64(json: &Json, key: &str) -> Result<Option<u64>, String> {
-    match json.get(key) {
-        None => Ok(None),
-        Some(v) => {
-            let n = v
-                .as_f64()
-                .filter(|n| (0.0..=MAX_EXACT as f64).contains(n) && n.fract() == 0.0)
-                .ok_or_else(|| format!("'{key}' must be an integer in [0, 2^53)"))?;
-            Ok(Some(n as u64))
-        }
-    }
-}
-
-fn window_to_json(window: ConfidenceWindow) -> Json {
-    match window {
-        ConfidenceWindow::Exact => Json::Str("exact".into()),
-        ConfidenceWindow::Infinite => Json::Str("inf".into()),
-        ConfidenceWindow::Relative(f) => Json::Num(f),
-    }
-}
-
-fn window_from_json(json: &Json) -> Result<ConfidenceWindow, String> {
-    match json {
-        Json::Str(s) if s == "exact" => Ok(ConfidenceWindow::Exact),
-        Json::Str(s) if s == "inf" => Ok(ConfidenceWindow::Infinite),
-        Json::Num(f) => Ok(ConfidenceWindow::Relative(*f)),
-        other => Err(format!("bad confidence window {other:?}")),
-    }
-}
-
-/// The approximator knobs the sweep axes perturb; everything else must
-/// sit at [`ApproximatorConfig::baseline`].
-fn approx_to_json(cfg: &ApproximatorConfig) -> Result<Json, String> {
-    let baseline = ApproximatorConfig::baseline();
-    let canon = ApproximatorConfig {
-        table_entries: baseline.table_entries,
-        lhb_entries: baseline.lhb_entries,
-        ghb_entries: baseline.ghb_entries,
-        degree: baseline.degree,
-        confidence_window: baseline.confidence_window,
-        confidence_on_int: baseline.confidence_on_int,
-        ..cfg.clone()
-    };
-    if canon != baseline {
-        return Err(
-            "approximator uses knobs the wire format cannot express \
-             (tag/confidence bits, update rule, compute fn, mantissa loss or hash)"
-                .into(),
-        );
-    }
-    Ok(Json::Obj(vec![
-        ("table".into(), Json::Num(cfg.table_entries as f64)),
-        ("lhb".into(), Json::Num(cfg.lhb_entries as f64)),
-        ("ghb".into(), Json::Num(cfg.ghb_entries as f64)),
-        ("degree".into(), Json::Num(f64::from(cfg.degree))),
-        ("window".into(), window_to_json(cfg.confidence_window)),
-        ("on_int".into(), Json::Bool(cfg.confidence_on_int)),
-    ]))
-}
-
-fn approx_from_json(json: &Json) -> Result<ApproximatorConfig, String> {
-    let mut cfg = ApproximatorConfig::baseline();
-    if let Some(v) = get_u64(json, "table")? {
-        cfg.table_entries = v as usize;
-    }
-    if let Some(v) = get_u64(json, "lhb")? {
-        cfg.lhb_entries = v as usize;
-    }
-    if let Some(v) = get_u64(json, "ghb")? {
-        cfg.ghb_entries = v as usize;
-    }
-    if let Some(v) = get_u64(json, "degree")? {
-        cfg.degree = u32::try_from(v).map_err(|_| "degree out of range")?;
-    }
-    if let Some(w) = json.get("window") {
-        cfg.confidence_window = window_from_json(w)?;
-    }
-    match json.get("on_int") {
-        None => {}
-        Some(Json::Bool(b)) => cfg.confidence_on_int = *b,
-        Some(_) => return Err("'on_int' must be a boolean".into()),
-    }
-    Ok(cfg)
-}
-
-fn clp_to_json(cfg: &ClpConfig) -> Json {
-    Json::Obj(vec![
-        ("table".into(), Json::Num(cfg.table_entries as f64)),
-        ("bits".into(), Json::Num(f64::from(cfg.confidence_bits))),
-        ("depth".into(), Json::Num(f64::from(cfg.hierarchy_depth))),
-        ("penalty".into(), Json::Num(cfg.mispredict_penalty as f64)),
-        ("slow".into(), Json::Str(cfg.slow_threshold.label().into())),
-    ])
-}
-
-fn clp_from_json(json: &Json) -> Result<ClpConfig, String> {
-    let mut cfg = ClpConfig::baseline();
-    if let Some(v) = get_u64(json, "table")? {
-        cfg.table_entries = v as usize;
-    }
-    if let Some(v) = get_u64(json, "bits")? {
-        cfg.confidence_bits = u32::try_from(v).map_err(|_| "bits out of range")?;
-    }
-    if let Some(v) = get_u64(json, "depth")? {
-        cfg.hierarchy_depth = u32::try_from(v).map_err(|_| "depth out of range")?;
-    }
-    if let Some(v) = get_u64(json, "penalty")? {
-        cfg.mispredict_penalty = v;
-    }
-    if let Some(slow) = json.get("slow") {
-        let s = slow.as_str().ok_or("'slow' must be a string")?;
-        cfg.slow_threshold = CacheLevel::ALL
-            .into_iter()
-            .find(|l| l.label() == s)
-            .ok_or_else(|| format!("bad slow threshold {s} (l1|l2|llc|dram)"))?;
-    }
-    Ok(cfg)
-}
-
-/// Encodes a `SimConfig` into the restricted wire form.
-///
-/// # Errors
-///
-/// Returns a message when the config uses anything outside the sweep
-/// axes: a non-baseline thread count or L1 geometry, fault injection,
-/// non-default governor knobs, the realistic-LVP baseline,
-/// or approximator fields beyond window/degree/GHB/geometry. Tracing and
-/// timeline flags are simply dropped — they are result-neutral, and the
-/// server never traces or samples on a client's behalf.
-pub fn config_to_json(config: &SimConfig) -> Result<Json, String> {
-    let stock = SimConfig::precise();
-    if config.threads != stock.threads || config.l1 != stock.l1 {
-        return Err("non-baseline threads/l1 cannot be expressed on the wire".into());
-    }
-    if config.faults.is_some() {
-        return Err("fault injection cannot be expressed on the wire".into());
-    }
-    let mut members = vec![(
-        "value_delay".to_owned(),
-        Json::Num(config.value_delay as f64),
-    )];
-    let (label, detail) = match &config.mechanism {
-        MechanismKind::Precise => ("precise", None),
-        MechanismKind::Lva(a) => ("lva", Some(("lva".to_owned(), approx_to_json(a)?))),
-        MechanismKind::Lvp(l) => {
-            let canon = LvpConfig {
-                ghb_entries: 0,
-                ..l.clone()
-            };
-            if canon != LvpConfig::with_ghb(0) {
-                return Err("non-baseline lvp geometry cannot be expressed on the wire".into());
-            }
-            (
-                "lvp",
-                Some((
-                    "lvp".to_owned(),
-                    Json::Obj(vec![("ghb".into(), Json::Num(l.ghb_entries as f64))]),
-                )),
-            )
-        }
-        MechanismKind::Prefetch(p) => {
-            let canon = lva_core::PrefetcherConfig::paper(p.degree);
-            if *p != canon {
-                return Err(
-                    "non-paper prefetcher geometry cannot be expressed on the wire".into()
-                );
-            }
-            (
-                "prefetch",
-                Some((
-                    "prefetch".to_owned(),
-                    Json::Obj(vec![("degree".into(), Json::Num(f64::from(p.degree)))]),
-                )),
-            )
-        }
-        MechanismKind::Clp(c) => ("clp", Some(("clp".to_owned(), clp_to_json(c)))),
-        MechanismKind::LvaClp(a, c) => {
-            members.push(("lva".to_owned(), approx_to_json(a)?));
-            ("lva+clp", Some(("clp".to_owned(), clp_to_json(c))))
-        }
-        MechanismKind::RealisticLvp(_) => {
-            return Err("realistic-lvp cannot be expressed on the wire".into())
-        }
-    };
-    members.insert(0, ("mechanism".to_owned(), Json::Str(label.into())));
-    if let Some((key, value)) = detail {
-        members.push((key, value));
-    }
-    if let Some(govern) = &config.govern {
-        if !govern.has_default_knobs() {
-            return Err(
-                "non-default governor epoch/hysteresis knobs cannot be expressed on the wire"
-                    .into(),
-            );
-        }
-        for (key, layer) in [
-            ("error_budget", govern.error_budget),
-            ("governor_slo", govern.slo_error),
-        ] {
-            if let Some(value) = layer {
-                members.push((key.to_owned(), Json::Num(value)));
-            }
-        }
-    }
-    Ok(Json::Obj(members))
-}
-
-/// Decodes the wire form back into a `SimConfig` (not yet validated —
-/// [`PointSpec::from_json`] validates after decoding).
-///
-/// # Errors
-///
-/// Returns a message on unknown mechanisms or malformed fields.
-pub fn config_from_json(json: &Json) -> Result<SimConfig, String> {
-    let mechanism = match json.get("mechanism").and_then(Json::as_str) {
-        None => return Err("config missing string 'mechanism'".into()),
-        Some("precise") => MechanismKind::Precise,
-        Some("lva") => MechanismKind::Lva(approx_from_json(
-            json.get("lva").unwrap_or(&Json::Obj(vec![])),
-        )?),
-        Some("lvp") => {
-            let ghb = json
-                .get("lvp")
-                .map_or(Ok(None), |l| get_u64(l, "ghb"))?
-                .unwrap_or(0);
-            MechanismKind::Lvp(LvpConfig::with_ghb(ghb as usize))
-        }
-        Some("prefetch") => {
-            let degree = json
-                .get("prefetch")
-                .map_or(Ok(None), |p| get_u64(p, "degree"))?
-                .unwrap_or(1);
-            let degree = u32::try_from(degree).map_err(|_| "degree out of range")?;
-            MechanismKind::Prefetch(lva_core::PrefetcherConfig::paper(degree))
-        }
-        Some("clp") => MechanismKind::Clp(clp_from_json(
-            json.get("clp").unwrap_or(&Json::Obj(vec![])),
-        )?),
-        Some("lva+clp") => MechanismKind::LvaClp(
-            approx_from_json(json.get("lva").unwrap_or(&Json::Obj(vec![])))?,
-            clp_from_json(json.get("clp").unwrap_or(&Json::Obj(vec![])))?,
-        ),
-        Some(other) => return Err(format!("unknown mechanism {other}")),
-    };
-    let mut config = SimConfig {
-        mechanism,
-        ..SimConfig::precise()
-    };
-    if let Some(delay) = get_u64(json, "value_delay")? {
-        config.value_delay = delay;
-    }
-    if let Some(budget) = json.get("error_budget") {
-        let budget = budget
-            .as_f64()
-            .ok_or("'error_budget' must be a number")?;
-        config = config.with_error_budget(budget);
-    }
-    if let Some(slo) = json.get("governor_slo") {
-        let slo = slo.as_f64().ok_or("'governor_slo' must be a number")?;
-        config = config.with_govern_slo(slo);
-    }
-    Ok(config)
 }
 
 /// Builds the manifest a point's evaluation answers with: headline
@@ -435,6 +167,12 @@ pub(crate) fn resolve_point(spec: &PointSpec) -> Result<Box<dyn Workload>, Strin
     spec.config
         .validate()
         .map_err(|e| format!("invalid config: {e}"))?;
+    if spec.config.threads < THREADS {
+        return Err(format!(
+            "invalid config: the workloads run {THREADS} threads, the config has {}",
+            spec.config.threads
+        ));
+    }
     workload_seeded(spec.scale, spec.seed, &spec.workload)
         .ok_or_else(|| format!("unknown workload {}", spec.workload))
 }
@@ -442,7 +180,12 @@ pub(crate) fn resolve_point(spec: &PointSpec) -> Result<Box<dyn Workload>, Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lva_sim::SweepSpec;
+    use lva_core::{
+        ApproximatorConfig, CacheLevel, ClpConfig, ComputeFn, ConfidenceUpdate, ConfidenceWindow,
+        HashKind, LvpConfig, PrefetcherConfig, RealisticLvpConfig, Rng64,
+    };
+    use lva_sim::{FaultConfig, GovernorConfig, MechanismKind, SweepSpec};
+    use std::collections::HashMap;
 
     fn round_trip(spec: &PointSpec) -> PointSpec {
         let json = spec.to_json().expect("encodes");
@@ -451,12 +194,9 @@ mod tests {
         PointSpec::from_json(&lva_obs::parse_json(&text).unwrap()).expect("decodes")
     }
 
-    #[test]
-    fn sweep_grid_points_round_trip_exactly() {
-        // Every point a CLI-shaped sweep grid can produce must survive
-        // the wire unchanged — that is what makes server results
-        // interchangeable with direct `run_sweep` results.
-        let grid = SweepSpec::new()
+    /// The grid `sweep_grid_points_round_trip_exactly` ships.
+    fn sweep_grid() -> Vec<SimConfig> {
+        SweepSpec::new()
             .degrees(&[0, 4])
             .ghb_depths(&[0, 2])
             .confidence_windows(&[0.05])
@@ -466,7 +206,15 @@ mod tests {
             .mechanism(MechanismKind::Precise)
             .clp_tables(&[256])
             .try_build()
-            .unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn sweep_grid_points_round_trip_exactly() {
+        // Every point a CLI-shaped sweep grid can produce must survive
+        // the wire unchanged — that is what makes server results
+        // interchangeable with direct `run_sweep` results.
+        let grid = sweep_grid();
         assert!(grid.len() > 8);
         for config in grid {
             let spec = PointSpec::new("blackscholes", WorkloadScale::Test, 2, config);
@@ -479,47 +227,262 @@ mod tests {
         for config in [
             SimConfig::precise(),
             SimConfig::baseline_lva(),
-            SimConfig {
-                mechanism: MechanismKind::Lvp(LvpConfig::with_ghb(2)),
-                ..SimConfig::precise()
-            },
-            SimConfig {
-                mechanism: MechanismKind::Prefetch(lva_core::PrefetcherConfig::paper(4)),
-                ..SimConfig::precise()
-            },
-            SimConfig {
-                mechanism: MechanismKind::LvaClp(
-                    ApproximatorConfig::baseline(),
-                    ClpConfig::baseline(),
-                ),
-                ..SimConfig::precise()
-            },
+            SimConfig::lvp(LvpConfig::with_ghb(2)),
+            SimConfig::prefetch(4),
+            SimConfig::lva_clp(ApproximatorConfig::baseline(), ClpConfig::baseline()),
+            SimConfig::realistic_lvp(),
+            SimConfig::baseline_lva()
+                .with_faults(FaultConfig::seeded(42).with_table_rate(1e-3))
+                .with_govern(GovernorConfig {
+                    epoch_len: 77,
+                    ..GovernorConfig::slo(0.02)
+                }),
         ] {
             let spec = PointSpec::new("swaptions", WorkloadScale::Small, 0, config);
             assert_eq!(round_trip(&spec), spec);
         }
     }
 
+    /// Decodes each of `lines` and checks it against `configs`, in order.
+    fn assert_decodes(lines: &[&str], configs: Vec<SimConfig>) {
+        assert_eq!(lines.len(), configs.len());
+        for (line, config) in lines.iter().zip(configs) {
+            let json = lva_obs::parse_json(line).unwrap();
+            assert_eq!(SimConfig::from_json(&json).as_ref(), Ok(&config), "{line}");
+        }
+    }
+
+    /// The config lines the previous, partial wire encoder wrote for the
+    /// grids in this file, `tests/serve.rs` and the CLI's `submit`
+    /// (`--degrees 0,4`, with and without `--error-budgets 5
+    /// --govern-slos 2`). Clients that still send them must get the same
+    /// experiments.
     #[test]
-    fn inexpressible_configs_fail_to_encode_not_alias() {
-        let mut faulty = SimConfig::baseline_lva();
-        faulty.faults = Some(lva_sim::FaultConfig::seeded(42).with_table_rate(1e-3));
-        assert!(config_to_json(&faulty).is_err());
+    fn previous_wire_lines_decode_to_the_same_configs() {
+        const LVA: &str =
+            r#""lva":{"table":512,"lhb":4,"ghb":0,"degree":0,"window":0.1,"on_int":false}"#;
+        const LVA4: &str =
+            r#""lva":{"table":512,"lhb":4,"ghb":0,"degree":4,"window":0.1,"on_int":false}"#;
+        const CLP: &str = r#""clp":{"table":512,"bits":4,"depth":4,"penalty":8,"slow":"llc"}"#;
+        let grid: Vec<String> = [1, 16]
+            .iter()
+            .flat_map(|delay| {
+                let lva = |ghb, degree| {
+                    format!(
+                        r#"{{"mechanism":"lva","value_delay":{delay},"lva":{{"table":512,"lhb":4,"ghb":{ghb},"degree":{degree},"window":0.05,"on_int":false}},"error_budget":0.05,"governor_slo":0.02}}"#
+                    )
+                };
+                [
+                    lva(0, 0),
+                    lva(2, 0),
+                    lva(0, 4),
+                    lva(2, 4),
+                    format!(r#"{{"mechanism":"precise","value_delay":{delay}}}"#),
+                    format!(
+                        r#"{{"mechanism":"clp","value_delay":{delay},"clp":{{"table":256,"bits":4,"depth":4,"penalty":8,"slow":"llc"}}}}"#
+                    ),
+                ]
+            })
+            .collect();
+        assert_decodes(
+            &grid.iter().map(String::as_str).collect::<Vec<_>>(),
+            sweep_grid(),
+        );
 
-        let mut tuned = SimConfig::baseline_lva();
-        tuned.govern = Some(lva_sim::GovernorConfig {
-            epoch_len: 77,
-            ..lva_sim::GovernorConfig::slo(0.02)
-        });
-        assert!(config_to_json(&tuned).is_err());
+        let hybrid = SimConfig::lva_clp(ApproximatorConfig::baseline(), ClpConfig::baseline());
+        let lines = [
+            r#"{"mechanism":"precise","value_delay":4}"#.to_owned(),
+            format!(r#"{{"mechanism":"lva","value_delay":4,{LVA}}}"#),
+            r#"{"mechanism":"lvp","value_delay":4,"lvp":{"ghb":2}}"#.to_owned(),
+            r#"{"mechanism":"prefetch","value_delay":4,"prefetch":{"degree":4}}"#.to_owned(),
+            format!(r#"{{"mechanism":"lva+clp","value_delay":4,{LVA},{CLP}}}"#),
+            r#"{"mechanism":"precise","value_delay":9}"#.to_owned(),
+            format!(r#"{{"mechanism":"lva+clp","value_delay":9,{LVA},{CLP}}}"#),
+            format!(r#"{{"mechanism":"lva","value_delay":9,{LVA},"error_budget":0.05}}"#),
+            format!(r#"{{"mechanism":"lva","value_delay":9,{LVA},"governor_slo":0.02}}"#),
+            format!(r#"{{"mechanism":"lva","value_delay":4,{LVA4}}}"#),
+            format!(
+                r#"{{"mechanism":"lva","value_delay":4,{LVA4},"error_budget":0.05,"governor_slo":0.02}}"#
+            ),
+        ];
+        let lva4 = SimConfig::lva(ApproximatorConfig::with_degree(4));
+        assert_decodes(
+            &lines.iter().map(String::as_str).collect::<Vec<_>>(),
+            vec![
+                SimConfig::precise(),
+                SimConfig::baseline_lva(),
+                SimConfig::lvp(LvpConfig::with_ghb(2)),
+                SimConfig::prefetch(4),
+                hybrid.clone(),
+                SimConfig::precise().with_value_delay(9),
+                hybrid.with_value_delay(9),
+                SimConfig::baseline_lva()
+                    .with_value_delay(9)
+                    .with_error_budget(0.05),
+                SimConfig::baseline_lva()
+                    .with_value_delay(9)
+                    .with_govern_slo(0.02),
+                lva4.clone(),
+                lva4.with_error_budget(0.05).with_govern_slo(0.02),
+            ],
+        );
+    }
 
-        let mut exotic = ApproximatorConfig::baseline();
-        exotic.tag_bits += 1;
-        let cfg = SimConfig {
-            mechanism: MechanismKind::Lva(exotic),
-            ..SimConfig::precise()
+    /// A random configuration over every codec field, result-neutral
+    /// ones included; not necessarily valid.
+    fn random_config(rng: &mut Rng64) -> SimConfig {
+        fn pick<T: Copy>(rng: &mut Rng64, items: &[T]) -> T {
+            items[rng.gen_range(0..items.len())]
+        }
+        // Small values, or any exact integer.
+        fn int(rng: &mut Rng64, small: u64) -> u64 {
+            if rng.gen_bool(0.8) {
+                rng.gen_range(0..small)
+            } else {
+                rng.gen_u64() >> 11
+            }
+        }
+        let table = |rng: &mut Rng64| 1usize << rng.gen_range(1..=14usize);
+        let hash = |rng: &mut Rng64| pick(rng, &[HashKind::Xor, HashKind::FoldedXor]);
+        let approximator = ApproximatorConfig {
+            table_entries: table(rng),
+            tag_bits: rng.gen_range(0..50u32),
+            confidence_bits: rng.gen_range(2..17u32),
+            confidence_window: match rng.gen_range(0..3u32) {
+                0 => ConfidenceWindow::Exact,
+                1 => ConfidenceWindow::Infinite,
+                _ => ConfidenceWindow::Relative(rng.gen_f64() * 0.5),
+            },
+            confidence_on_int: rng.gen_bool(0.5),
+            confidence_update: pick(
+                rng,
+                &[ConfidenceUpdate::Unit, ConfidenceUpdate::Proportional],
+            ),
+            ghb_entries: rng.gen_range(0..=8usize),
+            lhb_entries: rng.gen_range(1..=8usize),
+            compute: pick(
+                rng,
+                &[
+                    ComputeFn::Average,
+                    ComputeFn::LastValue,
+                    ComputeFn::Stride,
+                    ComputeFn::WeightedAverage,
+                ],
+            ),
+            degree: rng.gen_range(0..32u32),
+            mantissa_loss_bits: rng.gen_range(0..53u32),
+            hash: hash(rng),
         };
-        assert!(config_to_json(&cfg).is_err());
+        let clp = ClpConfig {
+            table_entries: table(rng),
+            confidence_bits: rng.gen_range(2..17u32),
+            hierarchy_depth: rng.gen_range(2..5u32),
+            mispredict_penalty: int(rng, 64),
+            slow_threshold: pick(rng, &CacheLevel::ALL),
+        };
+        let mechanism = match rng.gen_range(0..7u32) {
+            0 => MechanismKind::Precise,
+            1 => MechanismKind::Lva(approximator),
+            2 => MechanismKind::Lvp(LvpConfig {
+                table_entries: table(rng),
+                tag_bits: rng.gen_range(0..50u32),
+                ghb_entries: rng.gen_range(0..=8usize),
+                lhb_entries: rng.gen_range(1..=8usize),
+                hash: hash(rng),
+            }),
+            3 => MechanismKind::RealisticLvp(RealisticLvpConfig {
+                table_entries: table(rng),
+                tag_bits: rng.gen_range(0..50u32),
+                ghb_entries: rng.gen_range(0..=8usize),
+                lhb_entries: rng.gen_range(1..=8usize),
+                confidence_bits: rng.gen_range(2..17u32),
+                prediction_threshold: rng.gen_range(-8..8i32),
+                rollback_penalty_instructions: rng.gen_range(0..100u32),
+                hash: hash(rng),
+            }),
+            4 => MechanismKind::Prefetch(PrefetcherConfig {
+                ghb_entries: rng.gen_range(1..4096usize),
+                index_entries: rng.gen_range(1..4096usize),
+                degree: rng.gen_range(0..65u32),
+                next_line: rng.gen_bool(0.5),
+                correlation_depth: rng.gen_range(0..128usize),
+            }),
+            5 => MechanismKind::Clp(clp),
+            _ => MechanismKind::LvaClp(approximator, clp),
+        };
+        let layer = |rng: &mut Rng64| rng.gen_bool(0.6).then(|| 0.001 + rng.gen_f64() * 0.2);
+        let mut l1 = SimConfig::precise().l1;
+        l1.ways = rng.gen_range(1..=16usize);
+        l1.block_bytes = 1 << rng.gen_range(3..13u32);
+        l1.size_bytes = (l1.ways as u64 * l1.block_bytes) << rng.gen_range(0..10u32);
+        SimConfig {
+            mechanism,
+            value_delay: int(rng, 1000),
+            threads: rng.gen_range(1..=16usize),
+            l1,
+            record_traces: rng.gen_bool(0.5),
+            trace: if rng.gen_bool(0.5) {
+                lva_obs::TraceConfig::ring(64)
+            } else {
+                lva_obs::TraceConfig::off()
+            },
+            faults: rng.gen_bool(0.5).then(|| FaultConfig {
+                seed: int(rng, 100),
+                table_rate: rng.gen_f64(),
+                drop_rate: rng.gen_f64(),
+                delay_rate: rng.gen_f64(),
+                delay_extra: int(rng, 64),
+            }),
+            timeline: rng
+                .gen_bool(0.5)
+                .then(|| lva_obs::TimelineConfig::every(1 + int(rng, 1000))),
+            govern: rng.gen_bool(0.6).then(|| GovernorConfig {
+                slo_error: layer(rng),
+                error_budget: layer(rng),
+                epoch_len: 1 + int(rng, 5000),
+                energy_weight: rng.gen_f64(),
+                hysteresis_epochs: rng.gen_range(1..8u32),
+                min_samples: 1 + int(rng, 64),
+            }),
+        }
+    }
+
+    #[test]
+    fn random_valid_configs_round_trip_and_key_distinctly() {
+        let mut rng = Rng64::new(0x00c0_dec5);
+        let mut keys: HashMap<u64, SimConfig> = HashMap::new();
+        let mut labels = std::collections::BTreeSet::new();
+        let (mut faulted, mut budgeted, mut governed) = (0, 0, 0);
+        for _ in 0..600 {
+            let config = random_config(&mut rng);
+            if config.validate().is_err() {
+                continue;
+            }
+            let neutral = SimConfig {
+                record_traces: false,
+                trace: lva_obs::TraceConfig::off(),
+                timeline: None,
+                ..config.clone()
+            };
+            let text = config.to_json().to_string_compact();
+            let decoded = SimConfig::from_json(&lva_obs::parse_json(&text).unwrap());
+            assert_eq!(decoded.as_ref(), Ok(&neutral), "{text}");
+
+            let key = point_fingerprint("canneal", WorkloadScale::Test, 0, &config);
+            let earlier = keys.entry(key).or_insert_with(|| neutral.clone());
+            assert_eq!(*earlier, neutral, "two configs share key {key:016x}");
+
+            labels.insert(text.split('"').nth(3).unwrap_or_default().to_owned());
+            faulted += usize::from(neutral.faults.is_some());
+            let layers = neutral.govern.map_or((false, false), |g| {
+                (g.error_budget.is_some(), g.slo_error.is_some())
+            });
+            budgeted += usize::from(layers.0);
+            governed += usize::from(layers.1);
+        }
+        assert!(keys.len() > 200, "only {} valid configs", keys.len());
+        assert_eq!(labels.len(), 7, "every mechanism kind: {labels:?}");
+        assert!(faulted > 0 && budgeted > 0 && governed > 0);
     }
 
     #[test]
@@ -535,9 +498,15 @@ mod tests {
             // Integers a JSON number cannot carry exactly would alias.
             r#"{"mechanism":"lva","value_delay":1e30}"#,
             r#"{"mechanism":"lva","value_delay":9007199254740992}"#,
+            // Structures too large to allocate are refused before any
+            // allocation, not aborted on.
+            r#"{"mechanism":"lvp","lvp":{"ghb":4503599627370496}}"#,
+            r#"{"mechanism":"lva","lva":{"ghb":4503599627370496}}"#,
+            r#"{"mechanism":"clp","clp":{"table":4503599627370496}}"#,
+            r#"{"mechanism":"lva","lva":{"lhb":4503599627370496}}"#,
         ] {
             let json = lva_obs::parse_json(text).unwrap();
-            assert!(config_from_json(&json).is_err(), "{text}");
+            assert!(SimConfig::from_json(&json).is_err(), "{text}");
         }
         // `1e30` and `1e31` used to decode to the same saturated seed.
         for seed in ["1e30", "1e31", "9007199254740993"] {
@@ -595,5 +564,17 @@ mod tests {
     fn evaluate_point_reports_unknown_workloads() {
         let spec = PointSpec::new("nonesuch", WorkloadScale::Test, 0, SimConfig::precise());
         assert!(evaluate_point(&spec).unwrap_err().contains("unknown workload"));
+    }
+
+    #[test]
+    fn fewer_threads_than_the_workloads_run_is_an_error_not_a_panic() {
+        let config = SimConfig {
+            threads: THREADS - 1,
+            ..SimConfig::baseline_lva()
+        };
+        let spec = PointSpec::new("blackscholes", WorkloadScale::Test, 0, config);
+        assert!(evaluate_point(&spec)
+            .unwrap_err()
+            .contains("invalid config"));
     }
 }

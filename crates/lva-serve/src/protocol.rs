@@ -11,6 +11,36 @@
 //! {"cmd":"submit","points":[{"workload":"blackscholes","scale":"test","seed":0,"config":{...}},...]}
 //! ```
 //!
+//! A point's `config` is `lva-sim`'s one `SimConfig` codec
+//! ([`lva_sim::SimConfig::to_json`] / [`lva_sim::SimConfig::from_json`]).
+//! The encoder writes every key that applies; a client may leave out any
+//! but `mechanism`, and a key left out takes the default in parentheses:
+//!
+//! ```text
+//! mechanism     precise | lva | lvp | real-lvp | prefetch | clp | lva+clp
+//! value_delay   (4)       threads (4; the workloads need at least 4)
+//! l1            {size (65536), ways (8), block (64)}
+//! lva           {table (512), lhb (4), ghb (0), degree (0), window (0.1 |
+//!   lva+clp too  "exact" | "inf"), on_int (false), tag_bits (21), bits (4),
+//!                update (unit | proportional), compute (average | last-value |
+//!                stride | weighted-average), mantissa_loss (0), hash (xor |
+//!                folded-xor)}
+//! lvp           {table (512), lhb (4), ghb (0), tag_bits (21), hash (xor)}
+//! real-lvp      the lvp keys + {bits (4), threshold (3), rollback (20)}
+//! prefetch      {degree (1), ghb (2048), index (2048), next_line (true), depth (64)}
+//! clp           {table (512), bits (4), depth (4), penalty (8),
+//!   lva+clp too  slow (llc | l1 | l2 | dram)}
+//! faults        {seed (0), table (0), drop (0), delay (0), delay_extra (8)}; off
+//! error_budget  the governor's per-PC budget layer; off
+//! governor_slo  the governor's epoch-SLO layer; off
+//! governor      {epoch (1000), energy_weight (0.1), hysteresis (2), min_samples (16)}
+//! ```
+//!
+//! Any of the three governor keys turns the governor on. Types are
+//! strict, integers must be at most 2^53 − 1, and the decoded config must
+//! validate. Tracing, timeline sampling and trace recording are not part
+//! of the format.
+//!
 //! A `watch` answers with a stream of `frame` events — the server's
 //! wall-interval timeline epochs, each an [`EpochFrame`] document with
 //! `"event":"frame"` prepended — `frames` of them when positive, or
@@ -95,8 +125,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 ///
 /// # Errors
 ///
-/// Returns a message when a point's config cannot be expressed on the
-/// wire (see [`crate::point::config_to_json`]).
+/// Returns a message when a point's seed is above 2^53 − 1 (see
+/// [`PointSpec::to_json`]).
 pub fn encode_submit(points: &[PointSpec]) -> Result<String, String> {
     let points = points
         .iter()

@@ -1,20 +1,18 @@
 //! Simulation configuration (Table II) and its fallible validation.
 //!
-//! Configurations are plain data: every field is public and the stock
+//! Configurations are plain data: every field is public, and the stock
 //! constructors ([`SimConfig::precise`], [`SimConfig::baseline_lva`], …)
-//! are thin wrappers over [`SimConfigBuilder`]. Anything built from
-//! untrusted input should go through the builder (or call
-//! [`SimConfig::validate`]) and handle the [`ConfigError`] — no validator
-//! in this crate panics on bad data.
+//! fill in Table II and validate. Anything built from untrusted input
+//! should call [`SimConfig::validate`] (or decode through
+//! [`SimConfig::from_json`], which validates) and handle the
+//! [`ConfigError`] — no validator in this crate panics on bad data.
 
-use lva_core::{
-    ApproximatorConfig, ClpConfig, GhbPrefetcher, IdealizedLvp, LvpConfig, PrefetcherConfig,
-    RealisticLvp, RealisticLvpConfig,
-};
+use lva_core::{ApproximatorConfig, ClpConfig, LvpConfig, PrefetcherConfig, RealisticLvpConfig};
 use lva_mem::CacheConfig;
 use lva_obs::{TimelineConfig, TraceConfig};
 use std::fmt;
 
+use crate::codec::MAX_EXACT;
 use crate::fault::FaultConfig;
 use crate::govern::GovernorConfig;
 use crate::miss::MissPipeline;
@@ -28,6 +26,20 @@ pub enum ConfigError {
     Core(lva_core::ConfigError),
     /// `threads` was 0.
     ZeroThreads,
+    /// An integer knob above its limit: `threads` above [`MAX_THREADS`],
+    /// or any integer above [`MAX_EXACT`], which a JSON number could not
+    /// carry exactly.
+    OutOfRange {
+        /// Which knob (its field name).
+        knob: &'static str,
+        /// The rejected value.
+        value: u64,
+        /// The largest accepted value.
+        max: u64,
+    },
+    /// The private L1 geometry cannot be built (see
+    /// [`SimConfig::validate`] for the rules).
+    L1Geometry(CacheConfig),
     /// An error budget was combined with a fetch-skipping degree and an
     /// infinite confidence window: skipped fetches produce no training
     /// drains, so their errors would be unbounded *and* unobservable.
@@ -60,6 +72,16 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::Core(e) => e.fmt(f),
             ConfigError::ZeroThreads => write!(f, "SimConfig.threads must be at least 1"),
+            ConfigError::OutOfRange { knob, value, max } => {
+                write!(f, "{knob} = {value} is above its limit of {max}")
+            }
+            ConfigError::L1Geometry(l1) => write!(
+                f,
+                "L1 geometry of {} B, {}-way, {} B blocks cannot be built: it needs \
+                 1..=255 ways, power-of-two blocks of {MIN_BLOCK_BYTES}..={MAX_BLOCK_BYTES} B, \
+                 a power-of-two set count and at most {MAX_L1_BYTES} B",
+                l1.size_bytes, l1.ways, l1.block_bytes
+            ),
             ConfigError::DegreeBudgetConflict { degree } => write!(
                 f,
                 "error budget cannot be enforced with degree {degree} and an infinite \
@@ -136,21 +158,16 @@ impl MechanismKind {
         }
     }
 
-    /// Checks the mechanism's own configuration by probing the same
-    /// constructor [`crate::Mechanism::from_kind`] will use.
+    /// Checks the mechanism's own configuration with the validators its
+    /// constructors in [`crate::Mechanism::from_kind`] run first. None of
+    /// them allocates, and each bounds what the constructor will.
     pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         match self {
             MechanismKind::Precise => {}
             MechanismKind::Lva(a) => a.validate()?,
-            MechanismKind::Lvp(c) => {
-                IdealizedLvp::try_new(c.clone())?;
-            }
-            MechanismKind::RealisticLvp(c) => {
-                RealisticLvp::try_new(c.clone())?;
-            }
-            MechanismKind::Prefetch(c) => {
-                GhbPrefetcher::try_new(*c)?;
-            }
+            MechanismKind::Lvp(c) => c.validate()?,
+            MechanismKind::RealisticLvp(c) => c.validate()?,
+            MechanismKind::Prefetch(c) => c.validate()?,
             MechanismKind::Clp(c) => c.validate()?,
             MechanismKind::LvaClp(a, c) => {
                 a.validate()?;
@@ -197,19 +214,45 @@ pub struct SimConfig {
     pub govern: Option<GovernorConfig>,
 }
 
-impl SimConfig {
-    /// Starts a builder with Table II defaults and the given mechanism.
-    #[must_use]
-    pub fn builder(mechanism: MechanismKind) -> SimConfigBuilder {
-        SimConfigBuilder::new(mechanism)
-    }
+/// Most application threads a [`SimConfig`] may ask for (paper: 4). Each
+/// thread owns an L1, an L2, an LLC and a mechanism instance.
+pub const MAX_THREADS: usize = 16;
 
-    /// Precise execution — the normalization baseline everywhere.
+/// Largest private L1 a [`SimConfig`] may ask for: 16x the paper's 64 KB.
+pub const MAX_L1_BYTES: u64 = 1 << 20;
+
+/// Smallest and largest L1 block size a [`SimConfig`] may ask for. The
+/// harness builds each thread's L2 and LLC with the same block size.
+const MIN_BLOCK_BYTES: u64 = 8;
+const MAX_BLOCK_BYTES: u64 = 4096;
+
+impl SimConfig {
+    /// Precise execution — the normalization baseline everywhere — with
+    /// Table II defaults: value delay 4, 4 threads, 64 KB 8-way L1, all
+    /// observability and robustness features off.
     #[must_use]
     pub fn precise() -> Self {
-        Self::builder(MechanismKind::Precise)
-            .build()
-            .expect("stock precise configuration is valid")
+        SimConfig {
+            mechanism: MechanismKind::Precise,
+            value_delay: 4,
+            threads: 4,
+            l1: CacheConfig::pin_l1(),
+            record_traces: false,
+            trace: TraceConfig::off(),
+            faults: None,
+            timeline: None,
+            govern: None,
+        }
+    }
+
+    /// Table II defaults with `mechanism`, validated.
+    fn stock(mechanism: MechanismKind) -> Self {
+        let config = SimConfig {
+            mechanism,
+            ..Self::precise()
+        };
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
+        config
     }
 
     /// The paper's baseline LVA configuration (Table II).
@@ -222,42 +265,39 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `approximator` is malformed; use
-    /// [`SimConfig::builder`] to handle the error instead.
+    /// Panics if `approximator` is malformed; build the struct and call
+    /// [`SimConfig::validate`] to handle the error instead.
     #[must_use]
     pub fn lva(approximator: ApproximatorConfig) -> Self {
-        Self::builder(MechanismKind::Lva(approximator))
-            .build()
-            .unwrap_or_else(|e| panic!("{e}"))
+        Self::stock(MechanismKind::Lva(approximator))
     }
 
     /// Idealized LVP with a custom configuration.
     ///
     /// # Panics
     ///
-    /// Panics if `lvp` is malformed; use [`SimConfig::builder`] to handle
-    /// the error instead.
+    /// Panics if `lvp` is malformed; build the struct and call
+    /// [`SimConfig::validate`] to handle the error instead.
     #[must_use]
     pub fn lvp(lvp: LvpConfig) -> Self {
-        Self::builder(MechanismKind::Lvp(lvp))
-            .build()
-            .unwrap_or_else(|e| panic!("{e}"))
+        Self::stock(MechanismKind::Lvp(lvp))
     }
 
     /// A conventional realistic load value predictor.
     #[must_use]
     pub fn realistic_lvp() -> Self {
-        Self::builder(MechanismKind::RealisticLvp(RealisticLvpConfig::conventional()))
-            .build()
-            .expect("stock realistic-LVP configuration is valid")
+        let conventional = RealisticLvpConfig::conventional();
+        Self::stock(MechanismKind::RealisticLvp(conventional))
     }
 
     /// GHB prefetching with the paper's tables and the given degree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `degree` is above [`lva_core::MAX_HISTORY_ENTRIES`].
     #[must_use]
     pub fn prefetch(degree: u32) -> Self {
-        Self::builder(MechanismKind::Prefetch(PrefetcherConfig::paper(degree)))
-            .build()
-            .expect("stock prefetcher configuration is valid")
+        Self::stock(MechanismKind::Prefetch(PrefetcherConfig::paper(degree)))
     }
 
     /// Standalone cache-level prediction with the given predictor
@@ -265,13 +305,11 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `clp` is malformed; use [`SimConfig::builder`] to handle
-    /// the error instead.
+    /// Panics if `clp` is malformed; build the struct and call
+    /// [`SimConfig::validate`] to handle the error instead.
     #[must_use]
     pub fn clp(clp: ClpConfig) -> Self {
-        Self::builder(MechanismKind::Clp(clp))
-            .build()
-            .unwrap_or_else(|e| panic!("{e}"))
+        Self::stock(MechanismKind::Clp(clp))
     }
 
     /// The LVA + CLP hybrid: approximate only loads the level predictor
@@ -279,18 +317,23 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics if either configuration is malformed; use
-    /// [`SimConfig::builder`] to handle the error instead.
+    /// Panics if either configuration is malformed; build the struct and
+    /// call [`SimConfig::validate`] to handle the error instead.
     #[must_use]
     pub fn lva_clp(approximator: ApproximatorConfig, clp: ClpConfig) -> Self {
-        Self::builder(MechanismKind::LvaClp(approximator, clp))
-            .build()
-            .unwrap_or_else(|e| panic!("{e}"))
+        Self::stock(MechanismKind::LvaClp(approximator, clp))
     }
 
     /// Checks the configuration for nonsense before a harness is built:
-    /// thread count, the mechanism's own geometry, governor knobs, the
-    /// degree/budget/window conflict, and fault rates.
+    /// thread count, L1 geometry, the mechanism's own geometry, governor
+    /// knobs, the degree/budget/window conflict, fault rates, and that
+    /// every integer knob fits [`MAX_EXACT`]. Every valid configuration
+    /// builds a harness of bounded size and round-trips exactly through
+    /// [`SimConfig::to_json`].
+    ///
+    /// The L1 needs 1..=255 ways, a power-of-two block size in 8..=4096
+    /// bytes, a non-zero power-of-two set count and at most
+    /// [`MAX_L1_BYTES`].
     ///
     /// # Errors
     ///
@@ -299,6 +342,31 @@ impl SimConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.threads == 0 {
             return Err(ConfigError::ZeroThreads);
+        }
+        if self.threads > MAX_THREADS {
+            return Err(ConfigError::OutOfRange {
+                knob: "threads",
+                value: self.threads as u64,
+                max: MAX_THREADS as u64,
+            });
+        }
+        // The set count is computed last: the checks before it keep
+        // `ways * block_bytes` non-zero and far from overflow.
+        let l1 = self.l1;
+        if !((1..=255).contains(&l1.ways)
+            && l1.block_bytes.is_power_of_two()
+            && (MIN_BLOCK_BYTES..=MAX_BLOCK_BYTES).contains(&l1.block_bytes)
+            && l1.size_bytes <= MAX_L1_BYTES
+            && l1.sets().is_power_of_two())
+        {
+            return Err(ConfigError::L1Geometry(l1));
+        }
+        if let Some((knob, value)) = crate::codec::inexact_knob(self) {
+            return Err(ConfigError::OutOfRange {
+                knob,
+                value,
+                max: MAX_EXACT,
+            });
         }
         MissPipeline::validate(&self.mechanism, self.govern.as_ref())?;
         if let Some(f) = &self.faults {
@@ -389,144 +457,6 @@ impl Default for SimConfig {
     }
 }
 
-/// Fallible builder for [`SimConfig`]. Starts from Table II defaults;
-/// [`build`](Self::build) validates the assembled configuration and is the
-/// only way out, so an invalid configuration cannot escape as a value.
-#[derive(Debug, Clone)]
-pub struct SimConfigBuilder {
-    mechanism: MechanismKind,
-    value_delay: u64,
-    threads: usize,
-    l1: CacheConfig,
-    record_traces: bool,
-    trace: TraceConfig,
-    faults: Option<FaultConfig>,
-    timeline: Option<TimelineConfig>,
-    govern: Option<GovernorConfig>,
-}
-
-impl SimConfigBuilder {
-    /// Table II defaults with the given mechanism: value delay 4, 4
-    /// threads, 64 KB 8-way L1, all observability and robustness features
-    /// off.
-    #[must_use]
-    pub fn new(mechanism: MechanismKind) -> Self {
-        SimConfigBuilder {
-            mechanism,
-            value_delay: 4,
-            threads: 4,
-            l1: CacheConfig::pin_l1(),
-            record_traces: false,
-            trace: TraceConfig::off(),
-            faults: None,
-            timeline: None,
-            govern: None,
-        }
-    }
-
-    /// Replaces the mechanism.
-    #[must_use]
-    pub fn mechanism(mut self, mechanism: MechanismKind) -> Self {
-        self.mechanism = mechanism;
-        self
-    }
-
-    /// Sets the value delay (§VI-C).
-    #[must_use]
-    pub fn value_delay(mut self, delay: u64) -> Self {
-        self.value_delay = delay;
-        self
-    }
-
-    /// Sets the thread count.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Sets the private L1 geometry.
-    #[must_use]
-    pub fn l1(mut self, l1: CacheConfig) -> Self {
-        self.l1 = l1;
-        self
-    }
-
-    /// Enables per-thread instruction trace recording.
-    #[must_use]
-    pub fn record_traces(mut self, on: bool) -> Self {
-        self.record_traces = on;
-        self
-    }
-
-    /// Attaches per-core event tracing.
-    #[must_use]
-    pub fn trace(mut self, trace: TraceConfig) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Enables the governor's per-PC budget ladder with `error_budget`
-    /// (see [`SimConfig::with_error_budget`]).
-    #[must_use]
-    pub fn error_budget(mut self, error_budget: f64) -> Self {
-        self.govern
-            .get_or_insert(GovernorConfig::budget(error_budget))
-            .error_budget = Some(error_budget);
-        self
-    }
-
-    /// Attaches deterministic fault injection.
-    #[must_use]
-    pub fn faults(mut self, faults: FaultConfig) -> Self {
-        self.faults = Some(faults);
-        self
-    }
-
-    /// Attaches per-thread epoch timeline sampling.
-    #[must_use]
-    pub fn timeline(mut self, timeline: TimelineConfig) -> Self {
-        self.timeline = Some(timeline);
-        self
-    }
-
-    /// Attaches a governor with explicit knobs (see
-    /// [`SimConfig::with_govern`]).
-    #[must_use]
-    pub fn govern(mut self, govern: GovernorConfig) -> Self {
-        self.govern = Some(govern.over(self.govern));
-        self
-    }
-
-    /// Attaches a governor holding `slo_error` with default
-    /// epoch/hysteresis knobs (see [`SimConfig::with_govern_slo`]).
-    #[must_use]
-    pub fn govern_slo(self, slo_error: f64) -> Self {
-        self.govern(GovernorConfig::slo(slo_error))
-    }
-
-    /// Validates and produces the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns whatever [`SimConfig::validate`] rejects.
-    pub fn build(self) -> Result<SimConfig, ConfigError> {
-        let cfg = SimConfig {
-            mechanism: self.mechanism,
-            value_delay: self.value_delay,
-            threads: self.threads,
-            l1: self.l1,
-            record_traces: self.record_traces,
-            trace: self.trace,
-            faults: self.faults,
-            timeline: self.timeline,
-            govern: self.govern,
-        };
-        cfg.validate()?;
-        Ok(cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,13 +541,15 @@ mod tests {
 
     #[test]
     fn validate_rejects_zero_capacity_tables() {
-        let cfg = SimConfig::builder(MechanismKind::Lva(ApproximatorConfig {
-            table_entries: 0,
-            ..ApproximatorConfig::baseline()
-        }))
-        .build();
+        let cfg = SimConfig {
+            mechanism: MechanismKind::Lva(ApproximatorConfig {
+                table_entries: 0,
+                ..ApproximatorConfig::baseline()
+            }),
+            ..SimConfig::precise()
+        };
         assert_eq!(
-            cfg.unwrap_err(),
+            cfg.validate().unwrap_err(),
             ConfigError::Core(lva_core::ConfigError::TableEntries { entries: 0 })
         );
     }
@@ -625,9 +557,9 @@ mod tests {
     #[test]
     fn validate_rejects_bad_error_budgets() {
         for bad in [f64::NAN, 0.0, -0.05, f64::INFINITY] {
-            let err = SimConfig::builder(MechanismKind::Lva(ApproximatorConfig::baseline()))
-                .error_budget(bad)
-                .build()
+            let err = SimConfig::baseline_lva()
+                .with_error_budget(bad)
+                .validate()
                 .unwrap_err();
             assert!(
                 matches!(err, ConfigError::GovernorKnob { knob: "error_budget", .. }),
@@ -638,61 +570,125 @@ mod tests {
 
     #[test]
     fn validate_rejects_degree_budget_conflict() {
-        let err = SimConfig::builder(MechanismKind::Lva(ApproximatorConfig {
-            degree: 4,
-            confidence_window: ConfidenceWindow::Infinite,
-            ..ApproximatorConfig::with_degree(4)
-        }))
-        .error_budget(0.05)
-        .build()
+        let err = SimConfig {
+            mechanism: MechanismKind::Lva(ApproximatorConfig {
+                degree: 4,
+                confidence_window: ConfidenceWindow::Infinite,
+                ..ApproximatorConfig::with_degree(4)
+            }),
+            ..SimConfig::precise()
+        }
+        .with_error_budget(0.05)
+        .validate()
         .unwrap_err();
         assert_eq!(err, ConfigError::DegreeBudgetConflict { degree: 4 });
         assert!(err.to_string().contains("never observed"));
         // The same degree with a *finite* window is fine: every
         // approximation inside the window is eventually observed.
-        SimConfig::builder(MechanismKind::Lva(ApproximatorConfig::with_degree(4)))
-            .error_budget(0.05)
-            .build()
+        SimConfig::lva(ApproximatorConfig::with_degree(4))
+            .with_error_budget(0.05)
+            .validate()
             .expect("finite window with degree and budget is legal");
     }
 
     #[test]
     fn validate_rejects_bad_fault_rates() {
         for bad in [-0.1, 1.5, f64::NAN] {
-            let err = SimConfig::builder(MechanismKind::Lva(ApproximatorConfig::baseline()))
-                .faults(FaultConfig::seeded(1).with_drop_rate(bad))
-                .build()
+            let err = SimConfig::baseline_lva()
+                .with_faults(FaultConfig::seeded(1).with_drop_rate(bad))
+                .validate()
                 .unwrap_err();
             assert!(matches!(err, ConfigError::FaultRate { knob: "drop_rate", .. }), "{err}");
         }
     }
 
     #[test]
-    fn builder_roundtrips_every_field() {
-        let cfg = SimConfig::builder(MechanismKind::Precise)
-            .value_delay(9)
-            .threads(2)
-            .record_traces(true)
-            .trace(TraceConfig::ring(64))
-            .error_budget(0.1)
-            .faults(FaultConfig::seeded(3))
-            .timeline(TimelineConfig::every(1000))
-            .govern_slo(0.02)
-            .build()
-            .expect("valid configuration");
-        assert_eq!(cfg.value_delay, 9);
-        assert_eq!(cfg.threads, 2);
-        assert!(cfg.record_traces);
-        assert!(cfg.trace.enabled());
-        assert_eq!(cfg.faults.as_ref().map(|f| f.seed), Some(3));
-        assert_eq!(cfg.timeline.as_ref().map(|t| t.epoch_len), Some(1000));
+    fn validate_rejects_unbuildable_l1_geometry() {
+        let pin = CacheConfig::pin_l1();
+        for l1 in [
+            CacheConfig { ways: 0, ..pin },
+            CacheConfig { ways: 256, ..pin },
+            CacheConfig {
+                block_bytes: 48,
+                ..pin
+            },
+            CacheConfig {
+                block_bytes: 4,
+                ..pin
+            },
+            CacheConfig {
+                size_bytes: 3 * 64 * 8,
+                ..pin
+            },
+            CacheConfig {
+                size_bytes: 64,
+                ..pin
+            },
+            CacheConfig {
+                size_bytes: 4 << 20,
+                ..pin
+            },
+            CacheConfig {
+                ways: usize::MAX,
+                block_bytes: 1 << 62,
+                ..pin
+            },
+        ] {
+            let cfg = SimConfig {
+                l1,
+                ..SimConfig::precise()
+            };
+            assert_eq!(cfg.validate(), Err(ConfigError::L1Geometry(l1)), "{l1:?}");
+            let err = crate::SimHarness::try_new(cfg).err();
+            assert_eq!(
+                err,
+                Some(ConfigError::L1Geometry(l1)),
+                "a bad L1 is an Err, not a panic"
+            );
+        }
+        let direct_mapped = CacheConfig { ways: 1, ..pin };
         assert_eq!(
-            cfg.govern,
-            Some(GovernorConfig {
-                error_budget: Some(0.1),
-                ..GovernorConfig::slo(0.02)
-            })
+            SimConfig {
+                l1: direct_mapped,
+                ..SimConfig::precise()
+            }
+            .validate(),
+            Ok(())
         );
+    }
+
+    #[test]
+    fn validate_caps_threads_and_inexact_integers() {
+        let many = SimConfig {
+            threads: MAX_THREADS + 1,
+            ..SimConfig::precise()
+        };
+        assert!(matches!(
+            many.validate(),
+            Err(ConfigError::OutOfRange {
+                knob: "threads",
+                ..
+            })
+        ));
+        let exact = SimConfig::precise().with_value_delay(MAX_EXACT);
+        assert_eq!(exact.validate(), Ok(()));
+        for cfg in [
+            SimConfig::precise().with_value_delay(MAX_EXACT + 1),
+            SimConfig::baseline_lva().with_faults(FaultConfig::seeded(u64::MAX)),
+            SimConfig::baseline_lva().with_govern(GovernorConfig {
+                epoch_len: 1 << 60,
+                ..GovernorConfig::slo(0.02)
+            }),
+            SimConfig::clp(ClpConfig::baseline())
+                .with_value_delay(1)
+                .with_faults(FaultConfig::seeded(0).with_delay(0.5, MAX_EXACT + 7)),
+        ] {
+            let err = cfg.validate().unwrap_err();
+            assert!(
+                matches!(err, ConfigError::OutOfRange { max: MAX_EXACT, .. }),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -722,9 +718,9 @@ mod tests {
 
     #[test]
     fn validate_rejects_zero_epoch_timelines() {
-        let err = SimConfig::builder(MechanismKind::Precise)
-            .timeline(TimelineConfig::every(0))
-            .build()
+        let err = SimConfig::precise()
+            .with_timeline(TimelineConfig::every(0))
+            .validate()
             .unwrap_err();
         assert_eq!(err, ConfigError::ZeroEpoch);
         assert!(err.to_string().contains("epoch length"));

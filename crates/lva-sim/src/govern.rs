@@ -126,7 +126,7 @@ pub struct GovernorConfig {
 
 impl GovernorConfig {
     /// The default knobs, with both layers off.
-    const OFF: GovernorConfig = GovernorConfig {
+    pub(crate) const OFF: GovernorConfig = GovernorConfig {
         slo_error: None,
         error_budget: None,
         epoch_len: 1000,
@@ -153,18 +153,6 @@ impl GovernorConfig {
             error_budget: Some(error_budget),
             ..Self::OFF
         }
-    }
-
-    /// Whether every knob besides the two layers sits at its default —
-    /// the only governors the `lva-serve` wire form can express.
-    #[must_use]
-    pub fn has_default_knobs(&self) -> bool {
-        *self
-            == GovernorConfig {
-                slo_error: self.slo_error,
-                error_budget: self.error_budget,
-                ..Self::OFF
-            }
     }
 
     /// `self`, with any layer it leaves off kept from `prev` — how an
@@ -1553,7 +1541,5 @@ mod tests {
         assert_eq!((both.slo_error, both.epoch_len), (Some(0.02), 200));
         assert_eq!(both.epoch_period(), 200);
         assert_eq!(GovernorConfig::budget(0.05).epoch_period(), u64::MAX);
-        assert!(GovernorConfig::slo(0.02).has_default_knobs());
-        assert!(!slo.has_default_knobs());
     }
 }

@@ -21,6 +21,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 mod config;
 pub mod fault;
 mod fullsystem;
@@ -33,7 +34,7 @@ pub mod sched;
 mod stats;
 pub mod sweep;
 
-pub use config::{ConfigError, MechanismKind, SimConfig, SimConfigBuilder};
+pub use config::{ConfigError, MechanismKind, SimConfig, MAX_L1_BYTES, MAX_THREADS};
 pub use fault::{FaultConfig, FaultInjector};
 pub use fullsystem::{FullSystem, FullSystemConfig, FullSystemStats};
 pub use govern::{DegradeReport, Governor, GovernorConfig, GovernorReport, QualityState};

@@ -14,8 +14,7 @@ use lva_core::{
 use crate::config::{ConfigError, MechanismKind, SimConfig};
 
 /// One runtime-tunable setting of a live [`Mechanism`] — the typed
-/// actuation surface shared by the supervisory governor, the
-/// [`SimConfig`] builder and the CLI. A `Knob` carries both the setting
+/// actuation surface shared by the supervisory governor and the CLI. A `Knob` carries both the setting
 /// and its new value; [`KnobKind`] names the setting alone (for reads).
 ///
 /// Not every knob applies to every mechanism: setting the approximation

@@ -98,27 +98,51 @@ impl Args {
 }
 
 fn scale_of(args: &Args) -> Result<WorkloadScale, String> {
-    match args.flag("scale").unwrap_or("test") {
-        "test" => Ok(WorkloadScale::Test),
-        "small" => Ok(WorkloadScale::Small),
-        "medium" => Ok(WorkloadScale::Medium),
-        other => Err(format!("unknown scale {other} (test|small|medium)")),
-    }
+    lva::serve::fingerprint::parse_scale(args.flag("scale").unwrap_or("test"))
+}
+
+/// `value` parsed as a `T`; `flag` names it in errors (`bad --seed: …`).
+fn parsed<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("bad {flag}: {e}"))
+}
+
+/// `--name` parsed as a `T`, or `default` when it is absent.
+fn flag_or<T: std::str::FromStr>(args: &Args, name: &str, default: T) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    args.flag(name)
+        .map_or(Ok(default), |v| parsed(v, &format!("--{name}")))
+}
+
+/// `--name` as a positive integer, or `default` when it is absent.
+fn positive<T>(args: &Args, name: &str, default: T) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + From<u8>,
+{
+    args.flag(name).map_or(Ok(default), |v| {
+        v.parse::<T>()
+            .ok()
+            .filter(|n| *n >= T::from(1))
+            .ok_or_else(|| format!("bad --{name}: need a positive integer"))
+    })
+}
+
+/// A percentage (`2` or `2%`) as a fraction; `flag` names it in errors.
+fn percent(value: &str, flag: &str) -> Result<f64, String> {
+    parsed::<f64>(value.trim_end_matches('%'), flag).map(|v| v / 100.0)
 }
 
 /// Cache-level-predictor geometry from `--clp-table`, `--clp-depth`,
 /// `--clp-penalty` and `--clp-slow` (a level label like `llc`).
 fn clp_of(args: &Args) -> Result<ClpConfig, String> {
     let mut cfg = ClpConfig::baseline();
-    if let Some(v) = args.flag("clp-table") {
-        cfg.table_entries = v.parse().map_err(|e| format!("bad --clp-table: {e}"))?;
-    }
-    if let Some(v) = args.flag("clp-depth") {
-        cfg.hierarchy_depth = v.parse().map_err(|e| format!("bad --clp-depth: {e}"))?;
-    }
-    if let Some(v) = args.flag("clp-penalty") {
-        cfg.mispredict_penalty = v.parse().map_err(|e| format!("bad --clp-penalty: {e}"))?;
-    }
+    cfg.table_entries = flag_or(args, "clp-table", cfg.table_entries)?;
+    cfg.hierarchy_depth = flag_or(args, "clp-depth", cfg.hierarchy_depth)?;
+    cfg.mispredict_penalty = flag_or(args, "clp-penalty", cfg.mispredict_penalty)?;
     if let Some(v) = args.flag("clp-slow") {
         cfg.slow_threshold = CacheLevel::ALL
             .into_iter()
@@ -129,24 +153,12 @@ fn clp_of(args: &Args) -> Result<ClpConfig, String> {
 }
 
 fn mechanism_of(args: &Args) -> Result<MechanismKind, String> {
-    let ghb: usize = args
-        .flag("ghb")
-        .map_or(Ok(0), str::parse)
-        .map_err(|e| format!("bad --ghb: {e}"))?;
-    let degree: u32 = args
-        .flag("degree")
-        .map_or(Ok(0), str::parse)
-        .map_err(|e| format!("bad --degree: {e}"))?;
+    let ghb: usize = flag_or(args, "ghb", 0)?;
+    let degree: u32 = flag_or(args, "degree", 0)?;
     let window = match args.flag("window") {
         None => None,
         Some("inf" | "infinite") => Some(ConfidenceWindow::Infinite),
-        Some(pct) => {
-            let v: f64 = pct
-                .trim_end_matches('%')
-                .parse()
-                .map_err(|e| format!("bad --window: {e}"))?;
-            Some(ConfidenceWindow::Relative(v / 100.0))
-        }
+        Some(pct) => Some(ConfidenceWindow::Relative(percent(pct, "--window")?)),
     };
     let lva_config = || {
         let mut cfg = ApproximatorConfig {
@@ -195,23 +207,11 @@ fn faults_of(args: &Args) -> Result<Option<FaultConfig>, String> {
             .ok_or_else(|| format!("bad --inject part {part:?} (want key=value)"))?;
         let value = value.trim();
         match key.trim() {
-            "seed" => {
-                cfg.seed = value.parse().map_err(|e| format!("bad --inject seed: {e}"))?;
-            }
-            "table" => {
-                cfg.table_rate = value.parse().map_err(|e| format!("bad --inject table: {e}"))?;
-            }
-            "drop" => {
-                cfg.drop_rate = value.parse().map_err(|e| format!("bad --inject drop: {e}"))?;
-            }
-            "delay" => {
-                cfg.delay_rate = value.parse().map_err(|e| format!("bad --inject delay: {e}"))?;
-            }
-            "delay-extra" => {
-                cfg.delay_extra = value
-                    .parse()
-                    .map_err(|e| format!("bad --inject delay-extra: {e}"))?;
-            }
+            "seed" => cfg.seed = parsed(value, "--inject seed")?,
+            "table" => cfg.table_rate = parsed(value, "--inject table")?,
+            "drop" => cfg.drop_rate = parsed(value, "--inject drop")?,
+            "delay" => cfg.delay_rate = parsed(value, "--inject delay")?,
+            "delay-extra" => cfg.delay_extra = parsed(value, "--inject delay-extra")?,
             other => {
                 return Err(format!(
                     "unknown --inject key {other} (seed|table|drop|delay|delay-extra)"
@@ -232,14 +232,9 @@ fn govern_of(args: &Args) -> Result<Option<GovernorConfig>, String> {
     let Some(spec) = args.flag("govern") else {
         return Ok(None);
     };
-    let pct = |v: &str, key: &str| -> Result<f64, String> {
-        v.trim_end_matches('%')
-            .parse::<f64>()
-            .map(|p| p / 100.0)
-            .map_err(|e| format!("bad --govern {key}: {e}"))
-    };
     if !spec.contains('=') {
-        return Ok(Some(GovernorConfig::slo(pct(spec, "quality")?)));
+        let slo = percent(spec, "--govern quality")?;
+        return Ok(Some(GovernorConfig::slo(slo)));
     }
     let mut cfg = GovernorConfig::slo(f64::NAN);
     for part in spec.split(',').filter(|s| !s.is_empty()) {
@@ -248,32 +243,14 @@ fn govern_of(args: &Args) -> Result<Option<GovernorConfig>, String> {
             .ok_or_else(|| format!("bad --govern part {part:?} (want key=value)"))?;
         let value = value.trim();
         match key.trim() {
-            "quality" => cfg.slo_error = Some(pct(value, "quality")?),
-            "energy-weight" => {
-                cfg.energy_weight = value
-                    .parse()
-                    .map_err(|e| format!("bad --govern energy-weight: {e}"))?;
-            }
-            "epoch" => {
-                cfg.epoch_len = value
-                    .parse()
-                    .map_err(|e| format!("bad --govern epoch: {e}"))?;
-            }
-            "hysteresis" => {
-                cfg.hysteresis_epochs = value
-                    .parse()
-                    .map_err(|e| format!("bad --govern hysteresis: {e}"))?;
-            }
-            "min-samples" => {
-                cfg.min_samples = value
-                    .parse()
-                    .map_err(|e| format!("bad --govern min-samples: {e}"))?;
-            }
-            other => {
-                return Err(format!(
-                    "unknown --govern key {other} (quality|energy-weight|epoch|hysteresis|min-samples)"
-                ))
-            }
+            "quality" => cfg.slo_error = Some(percent(value, "--govern quality")?),
+            "energy-weight" => cfg.energy_weight = parsed(value, "--govern energy-weight")?,
+            "epoch" => cfg.epoch_len = parsed(value, "--govern epoch")?,
+            "hysteresis" => cfg.hysteresis_epochs = parsed(value, "--govern hysteresis")?,
+            "min-samples" => cfg.min_samples = parsed(value, "--govern min-samples")?,
+            other => return Err(format!(
+                "unknown --govern key {other} (quality|energy-weight|epoch|hysteresis|min-samples)"
+            )),
         }
     }
     if cfg.slo_error.is_some_and(f64::is_nan) {
@@ -282,16 +259,22 @@ fn govern_of(args: &Args) -> Result<Option<GovernorConfig>, String> {
     Ok(Some(cfg))
 }
 
-/// Applies `--error-budget` (a percentage, like `--window`), `--inject`
-/// and `--govern` to a phase-1 configuration, then validates the result —
-/// bad robustness knobs surface as CLI errors, not panics.
-fn robustness_of(args: &Args, mut config: SimConfig) -> Result<SimConfig, String> {
+/// The phase-1 configuration the single-run commands share: `--mech` and
+/// its knobs and `--delay` over Table II, then `observe` (tracing or
+/// timeline sampling), then `--error-budget` (a percentage, like
+/// `--window`), `--inject` and `--govern`, validated — bad knobs surface
+/// as CLI errors, not panics.
+fn config_of(
+    args: &Args,
+    observe: impl FnOnce(SimConfig) -> SimConfig,
+) -> Result<SimConfig, String> {
+    let mut config = observe(SimConfig {
+        mechanism: mechanism_of(args)?,
+        value_delay: flag_or(args, "delay", 4)?,
+        ..SimConfig::precise()
+    });
     if let Some(pct) = args.flag("error-budget") {
-        let v: f64 = pct
-            .trim_end_matches('%')
-            .parse()
-            .map_err(|e| format!("bad --error-budget: {e}"))?;
-        config = config.with_error_budget(v / 100.0);
+        config = config.with_error_budget(percent(pct, "--error-budget")?);
     }
     if let Some(faults) = faults_of(args)? {
         config = config.with_faults(faults);
@@ -390,17 +373,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         .ok_or("usage: lva-explore run <benchmark> [--mech ...]")?;
     let scale = scale_of(args)?;
     let workload = find_workload(name, scale, 0)?;
-    let config = robustness_of(
-        args,
-        SimConfig {
-            mechanism: mechanism_of(args)?,
-            value_delay: args
-                .flag("delay")
-                .map_or(Ok(4), str::parse)
-                .map_err(|e| format!("bad --delay: {e}"))?,
-            ..SimConfig::precise()
-        },
-    )?;
+    let config = config_of(args, |c| c)?;
     let run = workload.execute(&config);
     println!("{} under {}:", run.name, config.mechanism.label());
     println!("  instructions        {:>14}", run.stats.total.instructions);
@@ -450,14 +423,19 @@ fn list_flag<T: std::str::FromStr>(args: &Args, name: &str) -> Result<Vec<T>, St
 where
     T::Err: std::fmt::Display,
 {
-    match args.flag(name) {
-        None => Ok(Vec::new()),
-        Some(raw) => raw
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(|s| s.trim().parse().map_err(|e| format!("bad --{name}: {e}")))
-            .collect(),
-    }
+    let flag = format!("--{name}");
+    let raw = args.flag(name).unwrap_or_default();
+    raw.split(',')
+        .filter(|s| !s.is_empty())
+        .map(|s| parsed(s.trim(), &flag))
+        .collect()
+}
+
+/// A comma-separated list of percentages (`2,5%,10`) as fractions.
+fn percent_list(args: &Args, name: &str) -> Result<Vec<f64>, String> {
+    let flag = format!("--{name}");
+    let raw: Vec<String> = list_flag(args, name)?;
+    raw.iter().map(|s| percent(s, &flag)).collect()
 }
 
 /// Builds the sweep's configuration grid from the shared axis flags
@@ -475,70 +453,13 @@ fn grid_configs_of(args: &Args) -> Result<Vec<SimConfig>, String> {
     if let Some(govern) = govern_of(args)? {
         base = base.with_govern(govern);
     }
-    let mut spec = SweepSpec::from_base(base);
-    let degrees: Vec<u32> = list_flag(args, "degrees")?;
-    if !degrees.is_empty() {
-        spec = spec.degrees(&degrees);
-    }
-    let ghbs: Vec<usize> = list_flag(args, "ghbs")?;
-    if !ghbs.is_empty() {
-        spec = spec.ghb_depths(&ghbs);
-    }
-    let delays: Vec<u64> = list_flag(args, "delays")?;
-    if !delays.is_empty() {
-        spec = spec.value_delays(&delays);
-    }
-    let windows: Vec<f64> = match args.flag("windows") {
-        None => Vec::new(),
-        Some(raw) => raw
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(|s| {
-                s.trim()
-                    .trim_end_matches('%')
-                    .parse::<f64>()
-                    .map(|v| v / 100.0)
-                    .map_err(|e| format!("bad --windows: {e}"))
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    if !windows.is_empty() {
-        spec = spec.confidence_windows(&windows);
-    }
-    let budgets: Vec<f64> = match args.flag("error-budgets") {
-        None => Vec::new(),
-        Some(raw) => raw
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(|s| {
-                s.trim()
-                    .trim_end_matches('%')
-                    .parse::<f64>()
-                    .map(|v| v / 100.0)
-                    .map_err(|e| format!("bad --error-budgets: {e}"))
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    if !budgets.is_empty() {
-        spec = spec.error_budgets(&budgets);
-    }
-    let slos: Vec<f64> = match args.flag("govern-slos") {
-        None => Vec::new(),
-        Some(raw) => raw
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(|s| {
-                s.trim()
-                    .trim_end_matches('%')
-                    .parse::<f64>()
-                    .map(|v| v / 100.0)
-                    .map_err(|e| format!("bad --govern-slos: {e}"))
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    if !slos.is_empty() {
-        spec = spec.governor_slos(&slos);
-    }
+    let mut spec = SweepSpec::from_base(base)
+        .degrees(&list_flag(args, "degrees")?)
+        .ghb_depths(&list_flag(args, "ghbs")?)
+        .value_delays(&list_flag(args, "delays")?)
+        .confidence_windows(&percent_list(args, "windows")?)
+        .error_budgets(&percent_list(args, "error-budgets")?)
+        .governor_slos(&percent_list(args, "govern-slos")?);
     if args.switch("with-precise") {
         spec = spec.mechanism(MechanismKind::Precise);
     }
@@ -567,10 +488,10 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     let (which, workloads) = benchmarks_of(args, scale)?;
     let configs = grid_configs_of(args)?;
 
-    let workers = match args.flag("threads") {
-        None => None,
-        Some(v) => Some(v.parse::<usize>().map_err(|e| format!("bad --threads: {e}"))?),
-    };
+    let workers = args
+        .flag("threads")
+        .map(|v| parsed::<usize>(v, "--threads"))
+        .transpose()?;
     let options = SweepOptions {
         workers,
         progress: args.switch("progress"),
@@ -647,22 +568,9 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         .ok_or("usage: lva-explore report --workload <benchmark> --out <file.json>")?;
     let out = args.flag("out").ok_or("missing --out <file.json>")?;
     let scale = scale_of(args)?;
-    let seed: u64 = args
-        .flag("seed")
-        .map_or(Ok(0), str::parse)
-        .map_err(|e| format!("bad --seed: {e}"))?;
+    let seed: u64 = flag_or(args, "seed", 0)?;
     let workload = find_workload(name, scale, seed)?;
-    let config = robustness_of(
-        args,
-        SimConfig {
-            mechanism: mechanism_of(args)?,
-            value_delay: args
-                .flag("delay")
-                .map_or(Ok(4), str::parse)
-                .map_err(|e| format!("bad --delay: {e}"))?,
-            ..SimConfig::precise()
-        },
-    )?;
+    let config = config_of(args, |c| c)?;
 
     let start = Instant::now();
     let run = workload.execute(&config);
@@ -710,19 +618,15 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
         .ok_or("usage: lva-explore compare <baseline.json> <candidate.json> [--tolerance pct]")?;
     let mut options = CompareOptions::default();
     if let Some(pct) = args.flag("tolerance") {
-        let pct: f64 = pct
-            .trim_end_matches('%')
-            .parse()
-            .map_err(|e| format!("bad --tolerance: {e}"))?;
-        if pct.is_nan() || pct < 0.0 {
+        options.tolerance = percent(pct, "--tolerance")?;
+        if options.tolerance.is_nan() || options.tolerance < 0.0 {
             return Err(format!("bad --tolerance: {pct} (must be >= 0)"));
         }
-        options.tolerance = pct / 100.0;
     }
-    let top = match args.flag("top") {
-        None => None,
-        Some(v) => Some(v.parse::<usize>().map_err(|e| format!("bad --top: {e}"))?),
-    };
+    let top = args
+        .flag("top")
+        .map(|v| parsed::<usize>(v, "--top"))
+        .transpose()?;
     let baseline = read_manifest(Path::new(baseline_path))?;
     let candidate = read_manifest(Path::new(candidate_path))?;
     let report = compare(&baseline, &candidate, &options);
@@ -780,23 +684,9 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     // Chrome trace-event format (open in Perfetto / chrome://tracing);
     // anything else keeps the original instruction-trace (.lvat) path.
     if out.ends_with(".json") {
-        let capacity: usize = args
-            .flag("capacity")
-            .map_or(Ok(1 << 16), str::parse)
-            .map_err(|e| format!("bad --capacity: {e}"))?;
+        let capacity: usize = flag_or(args, "capacity", 1 << 16)?;
         let trace = sampling_of(args, TraceConfig::ring(capacity))?;
-        let config = robustness_of(
-            args,
-            SimConfig {
-                mechanism: mechanism_of(args)?,
-                value_delay: args
-                    .flag("delay")
-                    .map_or(Ok(4), str::parse)
-                    .map_err(|e| format!("bad --delay: {e}"))?,
-                ..SimConfig::precise()
-            }
-            .with_trace(trace),
-        )?;
+        let config = config_of(args, |c| c.with_trace(trace))?;
         let run = workload.execute(&config);
         let events: Vec<_> = run.collectors.iter().flat_map(|c| c.events()).collect();
         let json = chrome_trace(&events);
@@ -832,18 +722,7 @@ fn cmd_attribute(args: &Args) -> Result<(), String> {
     let scale = scale_of(args)?;
     let workload = find_workload(name, scale, 0)?;
     let trace = sampling_of(args, TraceConfig::attribution())?;
-    let config = robustness_of(
-        args,
-        SimConfig {
-            mechanism: mechanism_of(args)?,
-            value_delay: args
-                .flag("delay")
-                .map_or(Ok(4), str::parse)
-                .map_err(|e| format!("bad --delay: {e}"))?,
-            ..SimConfig::precise()
-        }
-        .with_trace(trace),
-    )?;
+    let config = config_of(args, |c| c.with_trace(trace))?;
     let run = workload.execute(&config);
 
     let mut merged = PcAttribution::new();
@@ -962,11 +841,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     let mechanism = mechanism_of(args)?;
     let mut config = FullSystemConfig::paper(mechanism.clone());
     if let Some(pct) = args.flag("error-budget") {
-        let v: f64 = pct
-            .trim_end_matches('%')
-            .parse()
-            .map_err(|e| format!("bad --error-budget: {e}"))?;
-        config = config.with_error_budget(v / 100.0);
+        config = config.with_error_budget(percent(pct, "--error-budget")?);
     }
     if args.switch("mesi") {
         config = config.with_mesi();
@@ -1016,23 +891,9 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
         "usage: lva-explore timeline <benchmark> [--epoch N] [--out file.json] [--jsonl file.jsonl]",
     )?;
     let scale = scale_of(args)?;
-    let epoch: u64 = args
-        .flag("epoch")
-        .map_or(Ok(500), str::parse)
-        .map_err(|e| format!("bad --epoch: {e}"))?;
+    let epoch: u64 = flag_or(args, "epoch", 500)?;
     let workload = find_workload(name, scale, 0)?;
-    let config = robustness_of(
-        args,
-        SimConfig {
-            mechanism: mechanism_of(args)?,
-            value_delay: args
-                .flag("delay")
-                .map_or(Ok(4), str::parse)
-                .map_err(|e| format!("bad --delay: {e}"))?,
-            ..SimConfig::precise()
-        }
-        .with_timeline(TimelineConfig::every(epoch)),
-    )?;
+    let config = config_of(args, |c| c.with_timeline(TimelineConfig::every(epoch)))?;
     let run = workload.execute(&config);
 
     println!(
@@ -1137,22 +998,9 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
 /// a client sends `shutdown` (e.g. `lva-explore serve-ctl stop`).
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let addr = args.flag("addr").unwrap_or("127.0.0.1:0");
-    let workers = match args.flag("threads") {
-        None => std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get),
-        Some(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or("bad --threads: need a positive integer")?,
-    };
-    let capacity = match args.flag("cache-capacity") {
-        None => 256,
-        Some(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or("bad --cache-capacity: need a positive integer")?,
-    };
+    let parallelism = std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get);
+    let workers = positive(args, "threads", parallelism)?;
+    let capacity = positive(args, "cache-capacity", 256)?;
     let cache = if args.switch("memory-only") {
         ResultCache::in_memory(capacity)
     } else {
@@ -1162,14 +1010,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         ResultCache::open(&dir, capacity)
             .map_err(|e| format!("cannot open cache at {}: {e}", dir.display()))?
     };
-    let epoch_ms = match args.flag("timeline-ms") {
-        None => Scheduler::DEFAULT_EPOCH_MS,
-        Some(v) => v
-            .parse::<u64>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or("bad --timeline-ms: need a positive integer")?,
-    };
+    let epoch_ms = positive(args, "timeline-ms", Scheduler::DEFAULT_EPOCH_MS)?;
     let scheduler = std::sync::Arc::new(Scheduler::new_every(workers, cache, epoch_ms));
     let server =
         Server::bind(addr, scheduler).map_err(|e| format!("cannot bind {addr}: {e}"))?;
@@ -1189,10 +1030,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 fn cmd_submit(args: &Args) -> Result<(), String> {
     let addr = args.flag("addr").ok_or("submit needs --addr HOST:PORT")?;
     let scale = scale_of(args)?;
-    let seed: u64 = args
-        .flag("seed")
-        .map_or(Ok(0), str::parse)
-        .map_err(|e| format!("bad --seed: {e}"))?;
+    let seed: u64 = flag_or(args, "seed", 0)?;
     let (_, workloads) = benchmarks_of(args, scale)?;
     let names: Vec<String> = workloads.iter().map(|w| w.name().to_owned()).collect();
     let configs = grid_configs_of(args)?;
@@ -1356,9 +1194,7 @@ fn cmd_serve_ctl(args: &Args) -> Result<(), String> {
             let frames: u64 = if args.switch("once") {
                 1
             } else {
-                args.flag("frames")
-                    .map_or(Ok(0), str::parse)
-                    .map_err(|e| format!("bad --frames: {e}"))?
+                flag_or(args, "frames", 0)?
             };
             let mut sink = match args.flag("jsonl") {
                 None => None,

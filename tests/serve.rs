@@ -375,6 +375,67 @@ fn cli_serve_submit_round_trip() {
     }
 }
 
+/// A faulted grid under a tuned governor crosses the wire whole: the
+/// served manifests are byte-identical to evaluating the same configs
+/// in-process.
+#[test]
+fn cli_submit_ships_faults_and_governor_knobs() {
+    use lva::core::ApproximatorConfig;
+    use lva::sim::{FaultConfig, GovernorConfig};
+    let explore = env!("CARGO_BIN_EXE_lva-explore");
+    let (mut child, addr) = spawn_cli_server(&[]);
+    let dir = std::env::temp_dir().join(format!("lva-serve-cli-tuned-{}", std::process::id()));
+    let out = std::process::Command::new(explore)
+        .args([
+            "submit",
+            "blackscholes",
+            "--addr",
+            &addr,
+            "--degrees",
+            "0,4",
+            "--inject",
+            "seed=7,table=1e-3",
+            "--govern",
+            "quality=2%,epoch=500",
+            "--out-dir",
+            dir.to_str().expect("utf8 temp path"),
+        ])
+        .output()
+        .expect("run submit");
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        out.status.success(),
+        "submit failed: {stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("2 points, 0 cache hits"), "{stdout}");
+
+    for degree in [0, 4] {
+        let config = SimConfig::lva(ApproximatorConfig::with_degree(degree))
+            .with_faults(FaultConfig::seeded(7).with_table_rate(1e-3))
+            .with_govern(GovernorConfig {
+                epoch_len: 500,
+                ..GovernorConfig::slo(0.02)
+            });
+        let point = spec("blackscholes", &config);
+        let name = format!("point-blackscholes-{:016x}.json", point.fingerprint());
+        let served = std::fs::read_to_string(dir.join(&name)).expect("served manifest");
+        assert_eq!(
+            served,
+            evaluate_point(&point).expect("direct evaluation succeeds"),
+            "{name} must be byte-identical to evaluate_point"
+        );
+    }
+
+    let out = std::process::Command::new(explore)
+        .args(["serve-ctl", "stop", "--addr", &addr])
+        .output()
+        .expect("run serve-ctl stop");
+    assert!(out.status.success());
+    assert!(child.0.wait().expect("server exits").success());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The live-observability acceptance property: `serve-ctl watch` streams
 /// at least two epoch frames from a spawned server, mirrors them into a
 /// valid JSONL file, and `serve-ctl metrics` renders the registry as a
