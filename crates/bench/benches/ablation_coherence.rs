@@ -8,7 +8,7 @@
 //! (bodytrack, ferret) pay a little, and cycles barely move — evidence the
 //! paper's MSI choice doesn't distort its results.
 
-use lva_bench::{banner, fullsystem_suite, print_series_table, scale_from_env, Series};
+use lva_bench::{banner, fullsystem_suite, scale_from_env, FigureManifest, Series};
 use lva_sim::{FullSystem, FullSystemConfig, MechanismKind};
 
 fn main() {
@@ -36,13 +36,15 @@ fn main() {
         cycles.push((mesi.cycles as f64 / msi.cycles.max(1) as f64 - 1.0) * 100.0);
         eprintln!("  {name:<14} done");
     }
-    print_series_table(
+    let mut manifest = FigureManifest::new("ablation_coherence", 1);
+    manifest.add_table(
         "metric",
         &[
             Series::new("flit-hops saved %", traffic),
             Series::new("cycle delta %", cycles),
         ],
     );
+    manifest.write();
     println!();
     println!("expected shape: mixed small traffic deltas (positive for write-private");
     println!("workloads, negative for read-shared ones) and negligible cycle change —");

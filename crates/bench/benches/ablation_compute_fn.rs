@@ -3,7 +3,7 @@
 //! this sweep reproduces that comparison (plus the non-unit confidence
 //! update the paper defers to future work).
 
-use lva_bench::{banner, print_series_table, scale_from_env, Series};
+use lva_bench::{banner, scale_from_env, sweep_grid, FigureManifest};
 use lva_core::{ApproximatorConfig, ComputeFn, ConfidenceUpdate};
 use lva_sim::SimConfig;
 
@@ -12,57 +12,47 @@ fn main() {
         "Ablation — LHB computation function and confidence update rule",
         "San Miguel et al., MICRO 2014, §VI baseline choice + §III-B future work",
     );
-    let scale = scale_from_env();
-    let mut mpki = Vec::new();
-    let mut error = Vec::new();
-    for (label, compute) in [
-        ("average", ComputeFn::Average),
-        ("last-value", ComputeFn::LastValue),
-        ("stride", ComputeFn::Stride),
-        ("weighted-avg", ComputeFn::WeightedAverage),
-    ] {
-        let approximator = ApproximatorConfig {
-            compute,
-            ..ApproximatorConfig::baseline()
-        };
-        let runs: Vec<_> = lva_bench::registry(scale)
-            .iter()
-            .map(|w| w.execute(&SimConfig::lva(approximator.clone())))
-            .collect();
-        mpki.push(Series::new(
-            label,
-            runs.iter().map(|r| r.normalized_mpki()).collect(),
-        ));
-        error.push(Series::new(
-            label,
-            runs.iter().map(|r| r.output_error * 100.0).collect(),
-        ));
-        eprintln!("  {label} done");
-    }
-    // Paper §III-B future work: error-proportional confidence updates.
-    let proportional = ApproximatorConfig {
-        confidence_update: ConfidenceUpdate::Proportional,
-        ..ApproximatorConfig::baseline()
-    };
-    let runs: Vec<_> = lva_bench::registry(scale)
+    let variants = [
+        ("average", ComputeFn::Average, ConfidenceUpdate::Unit),
+        ("last-value", ComputeFn::LastValue, ConfidenceUpdate::Unit),
+        ("stride", ComputeFn::Stride, ConfidenceUpdate::Unit),
+        (
+            "weighted-avg",
+            ComputeFn::WeightedAverage,
+            ConfidenceUpdate::Unit,
+        ),
+        // Paper §III-B future work: error-proportional confidence updates.
+        (
+            "avg+prop-conf",
+            ComputeFn::Average,
+            ConfidenceUpdate::Proportional,
+        ),
+    ];
+    let configs: Vec<SimConfig> = variants
         .iter()
-        .map(|w| w.execute(&SimConfig::lva(proportional.clone())))
+        .map(|&(_, compute, confidence_update)| {
+            SimConfig::lva(ApproximatorConfig {
+                compute,
+                confidence_update,
+                ..ApproximatorConfig::baseline()
+            })
+        })
         .collect();
-    mpki.push(Series::new(
-        "avg+prop-conf",
-        runs.iter().map(|r| r.normalized_mpki()).collect(),
-    ));
-    error.push(Series::new(
-        "avg+prop-conf",
-        runs.iter().map(|r| r.output_error * 100.0).collect(),
-    ));
-    eprintln!("  avg+prop-conf done");
-
+    let grid = sweep_grid(scale_from_env(), &configs);
+    let labels = variants.map(|(label, ..)| label);
+    let mut manifest = FigureManifest::new("ablation_compute_fn", grid.seeds);
     println!("(a) MPKI normalized to precise execution");
-    print_series_table("normalized MPKI", &mpki);
+    manifest.add_table(
+        "normalized MPKI",
+        &grid.table(labels, |r| r.normalized_mpki()),
+    );
     println!();
     println!("(b) output error (%)");
-    print_series_table("output error %", &error);
+    manifest.add_table(
+        "output error %",
+        &grid.table(labels, |r| r.output_error * 100.0),
+    );
+    manifest.write();
     println!();
     println!("paper claim: average is the most accurate LHB function overall.");
 }

@@ -7,7 +7,7 @@
 //! turns precise execution purely miss-bound — exactly where LVA's
 //! instant loads shine. The baseline 4-wide/ROB-32 point sits between.
 
-use lva_bench::{banner, fullsystem_suite, print_series_table, scale_from_env, Series};
+use lva_bench::{banner, fullsystem_suite, scale_from_env, FigureManifest, Series};
 use lva_core::ApproximatorConfig;
 use lva_cpu::OooCore;
 use lva_sim::{FullSystem, FullSystemConfig, MechanismKind};
@@ -55,7 +55,9 @@ fn main() {
             .collect();
         series.push(Series::new(format!("{width}-wide ROB-{rob}"), values));
     }
-    print_series_table("LVA speedup %", &series);
+    let mut manifest = FigureManifest::new("ablation_core_shape", 1);
+    manifest.add_table("LVA speedup %", &series);
+    manifest.write();
     println!();
     println!("expected shape: speedup present at every shape; the miss-bound");
     println!("(wider) configurations benefit most from removing loads from the");

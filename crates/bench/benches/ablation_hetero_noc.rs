@@ -4,7 +4,7 @@
 //! LVA against LVA-with-hetero-NoC on the full-system machine: expected
 //! shape — cycles essentially unchanged, NoC energy down.
 
-use lva_bench::{banner, fullsystem_suite, print_series_table, scale_from_env, Series};
+use lva_bench::{banner, fullsystem_suite, scale_from_env, FigureManifest, Series};
 use lva_core::ApproximatorConfig;
 use lva_energy::EnergyParams;
 use lva_noc::LowPowerPlane;
@@ -45,13 +45,15 @@ fn main() {
         });
         eprintln!("  {name:<14} done");
     }
-    print_series_table(
+    let mut manifest = FigureManifest::new("ablation_hetero_noc", 1);
+    manifest.add_table(
         "metric",
         &[
             Series::new("slowdown % (lower=better)", slowdown),
             Series::new("NoC energy saved %", noc_energy),
         ],
     );
+    manifest.write();
     println!();
     println!("expected shape: near-zero slowdown; NoC energy savings proportional");
     println!("to the training share of traffic (low-power hops cost 0.4x).");

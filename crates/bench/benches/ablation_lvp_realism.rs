@@ -4,7 +4,7 @@
 //! upper bound deliberately hides — and shows LVA beating both without any
 //! speculation machinery.
 
-use lva_bench::{banner, print_series_table, scale_from_env, Series};
+use lva_bench::{banner, scale_from_env, sweep_grid, FigureManifest};
 use lva_core::LvpConfig;
 use lva_sim::SimConfig;
 
@@ -13,42 +13,28 @@ fn main() {
         "Ablation — idealized vs realistic LVP vs LVA (normalized MPKI, rollbacks)",
         "San Miguel et al., MICRO 2014, §II (complexity of practical LVP)",
     );
-    let scale = scale_from_env();
-    let mut mpki = Vec::new();
-    let mut extra = Vec::new();
-
-    for (label, cfg) in [
-        ("ideal LVP", SimConfig::lvp(LvpConfig::baseline())),
-        ("realistic LVP", SimConfig::realistic_lvp()),
-        ("LVA (baseline)", SimConfig::baseline_lva()),
-    ] {
-        let runs: Vec<_> = lva_bench::registry(scale)
-            .iter()
-            .map(|w| w.execute(&cfg))
-            .collect();
-        mpki.push(Series::new(
-            label,
-            runs.iter().map(|r| r.normalized_mpki()).collect(),
-        ));
-        extra.push(Series::new(
-            label,
-            runs.iter()
-                .map(|r| {
-                    // Rollbacks per kilo-instruction: the cost axis a real
-                    // predictor adds and LVA eliminates.
-                    r.stats.total.rollbacks as f64 * 1000.0
-                        / r.stats.total.instructions.max(1) as f64
-                })
-                .collect(),
-        ));
-        eprintln!("  {label} done");
-    }
-
+    let labels = ["ideal LVP", "realistic LVP", "LVA (baseline)"];
+    let configs = [
+        SimConfig::lvp(LvpConfig::baseline()),
+        SimConfig::realistic_lvp(),
+        SimConfig::baseline_lva(),
+    ];
+    let grid = sweep_grid(scale_from_env(), &configs);
+    let mut manifest = FigureManifest::new("ablation_lvp_realism", grid.seeds);
     println!("(a) MPKI normalized to precise execution");
-    print_series_table("normalized MPKI", &mpki);
+    manifest.add_table(
+        "normalized MPKI",
+        &grid.table(labels, |r| r.normalized_mpki()),
+    );
     println!();
     println!("(b) rollbacks per kilo-instruction (LVA and ideal LVP: none by construction)");
-    print_series_table("rollbacks/ki", &extra);
+    // Rollbacks per kilo-instruction: the cost axis a real predictor adds
+    // and LVA eliminates.
+    let rollbacks = grid.table(labels, |r| {
+        r.stats.total.rollbacks as f64 * 1000.0 / r.stats.total.instructions.max(1) as f64
+    });
+    manifest.add_table("rollbacks/ki", &rollbacks);
+    manifest.write();
     println!();
     println!("expected shape: realistic LVP between precise and ideal LVP on MPKI,");
     println!("with a non-zero rollback cost; LVA below both at zero rollbacks.");

@@ -8,7 +8,7 @@
 //! Like the paper — which drops from simlarge to simmedium inputs for
 //! full-system simulation — this bench runs the workloads one scale down.
 
-use lva_bench::{banner, fullsystem_suite, print_series_table, scale_from_env, Series};
+use lva_bench::{banner, fullsystem_suite, scale_from_env, FigureManifest, Series};
 use lva_core::ApproximatorConfig;
 use lva_energy::EnergyParams;
 use lva_sim::MechanismKind;
@@ -77,17 +77,19 @@ fn main() {
         ));
     }
 
+    let mut manifest = FigureManifest::new("fig10", 1);
     println!("(a) speedup over precise execution (%)");
-    print_series_table("speedup %", &speedup);
+    manifest.add_table("speedup %", &speedup);
     println!();
     println!("(b) dynamic energy savings in the memory hierarchy (%)");
-    print_series_table("energy savings %", &savings);
+    manifest.add_table("energy savings %", &savings);
     println!();
     println!("(§VI-E) L1 miss latency reduction (%)");
-    print_series_table("miss lat. red. %", &misslat);
+    manifest.add_table("miss lat. red. %", &misslat);
     println!();
     println!("(§VI-E) interconnect traffic reduction (%)");
-    print_series_table("traffic red. %", &traffic);
+    manifest.add_table("traffic red. %", &traffic);
+    manifest.write();
     println!();
     println!("paper: 8.5% mean speedup (up to 28.6%); 12.6% mean energy savings at");
     println!("       degree 16 (up to 44.1%); 41% mean L1 miss-latency reduction;");

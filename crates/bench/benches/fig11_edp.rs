@@ -3,7 +3,7 @@
 //! monotonically with degree (the paper reports mean reductions of 41.9%,
 //! 53.8% and 63.8% at degrees 0, 4 and 16).
 
-use lva_bench::{banner, fullsystem_suite, print_series_table, scale_from_env, Series};
+use lva_bench::{banner, fullsystem_suite, scale_from_env, FigureManifest, Series};
 use lva_core::ApproximatorConfig;
 use lva_energy::EnergyParams;
 use lva_sim::MechanismKind;
@@ -44,7 +44,9 @@ fn main() {
             .collect();
         series.push(Series::new(format!("approx-{degree}"), values));
     }
-    print_series_table("normalized EDP", &series);
+    let mut manifest = FigureManifest::new("fig11", 1);
+    manifest.add_table("normalized EDP", &series);
+    manifest.write();
     println!();
     println!("paper: mean EDP reduced by 41.9% / 53.8% / 63.8% at degrees 0 / 4 / 16.");
 }

@@ -3,7 +3,7 @@
 //! needs more than a few hundred entries), with x264 the largest — which
 //! is why a GHB of 0 and a 512-entry table suffice (§VII-A).
 
-use lva_bench::{banner, print_series_table, scale_from_env, sweep, Series};
+use lva_bench::{banner, scale_from_env, sweep_grid, FigureManifest};
 use lva_sim::SimConfig;
 
 fn main() {
@@ -11,11 +11,15 @@ fn main() {
         "Figure 12 — static approximate-load PCs per benchmark",
         "San Miguel et al., MICRO 2014, Fig. 12",
     );
-    let scale = scale_from_env();
-    let values = sweep(scale, &SimConfig::baseline_lva(), |r| {
-        r.stats.static_approx_pcs() as f64
-    });
-    print_series_table("static PCs", &[Series::new("approximate loads", values)]);
+    let grid = sweep_grid(scale_from_env(), &[SimConfig::baseline_lva()]);
+    let mut manifest = FigureManifest::new("fig12", grid.seeds);
+    manifest.add_table(
+        "static PCs",
+        &[grid.series(0, "approximate loads", |r| {
+            r.stats.static_approx_pcs() as f64
+        })],
+    );
+    manifest.write();
     println!();
     println!("paper shape: all small; x264 the largest at ~300.");
 }

@@ -3,7 +3,7 @@
 //! beat exact-match prediction), and MPKI tending to rise with GHB size as
 //! hashed contexts fragment the table — worst for floating-point data.
 
-use lva_bench::{banner, print_series_table, scale_from_env, sweep_grid, FigureManifest, Series};
+use lva_bench::{banner, scale_from_env, sweep_grid, FigureManifest};
 use lva_core::{ApproximatorConfig, LvpConfig};
 use lva_sim::SimConfig;
 
@@ -12,33 +12,26 @@ fn main() {
         "Figure 4 — LVA vs idealized LVP across GHB sizes (normalized MPKI)",
         "San Miguel et al., MICRO 2014, Fig. 4",
     );
-    let scale = scale_from_env();
     const GHBS: [usize; 4] = [0, 1, 2, 4];
-    let labels: Vec<String> = GHBS
+    let labels = GHBS
         .iter()
         .map(|g| format!("LVP-GHB-{g}"))
-        .chain(GHBS.iter().map(|g| format!("LVA-GHB-{g}")))
-        .collect();
+        .chain(GHBS.iter().map(|g| format!("LVA-GHB-{g}")));
     let configs: Vec<SimConfig> = GHBS
         .iter()
         .map(|&g| SimConfig::lvp(LvpConfig::with_ghb(g)))
-        .chain(GHBS.iter().map(|&g| SimConfig::lva(ApproximatorConfig::with_ghb(g))))
+        .chain(
+            GHBS.iter()
+                .map(|&g| SimConfig::lva(ApproximatorConfig::with_ghb(g))),
+        )
         .collect();
-    // One parallel sweep over the whole mechanism x workload grid.
-    let grid = sweep_grid(scale, &configs);
-    let series: Vec<Series> = labels
-        .into_iter()
-        .zip(&grid.rows)
-        .map(|(label, row)| {
-            Series::new(label, row.iter().map(|r| r.normalized_mpki()).collect())
-        })
-        .collect();
-    print_series_table("normalized MPKI", &series);
-    let mut manifest = FigureManifest::new("fig4");
-    manifest.add_table("normalized MPKI", &series);
-    if let Err(e) = manifest.write() {
-        eprintln!("  (manifest export failed: {e})");
-    }
+    let grid = sweep_grid(scale_from_env(), &configs);
+    let mut manifest = FigureManifest::new("fig4", grid.seeds);
+    manifest.add_table(
+        "normalized MPKI",
+        &grid.table(labels, |r| r.normalized_mpki()),
+    );
+    manifest.write();
     println!();
     println!("paper shape: LVA mean below LVP mean; MPKI grows with GHB size.");
 }

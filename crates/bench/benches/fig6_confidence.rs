@@ -4,7 +4,7 @@
 //! confidence applied to both float and integer data, as in the paper's
 //! sweep. Expected shape: wider windows trade output error for lower MPKI.
 
-use lva_bench::{banner, print_series_table, scale_from_env, sweep_grid, FigureManifest, Series};
+use lva_bench::{banner, scale_from_env, sweep_grid, FigureManifest};
 use lva_core::{ApproximatorConfig, ConfidenceWindow, LvpConfig};
 use lva_sim::{SimConfig, SweepSpec};
 
@@ -13,7 +13,6 @@ fn main() {
         "Figure 6 — MPKI and output error across confidence windows",
         "San Miguel et al., MICRO 2014, Fig. 6",
     );
-    let scale = scale_from_env();
 
     // 0% window == idealized LVP (the paper's own equivalence); the rest
     // is an LVA grid over window widths, all through one parallel sweep.
@@ -31,32 +30,20 @@ fn main() {
         ])
         .build(),
     );
-    let grid = sweep_grid(scale, &configs);
-
-    let mut mpki = Vec::new();
-    let mut error = Vec::new();
-    for (label, row) in labels.iter().zip(&grid.rows) {
-        mpki.push(Series::new(
-            *label,
-            row.iter().map(|r| r.normalized_mpki()).collect(),
-        ));
-        error.push(Series::new(
-            *label,
-            row.iter().map(|r| r.output_error * 100.0).collect(),
-        ));
-    }
-
+    let grid = sweep_grid(scale_from_env(), &configs);
+    let mut manifest = FigureManifest::new("fig6", grid.seeds);
     println!("(a) MPKI normalized to precise execution");
-    print_series_table("normalized MPKI", &mpki);
+    manifest.add_table(
+        "normalized MPKI",
+        &grid.table(labels, |r| r.normalized_mpki()),
+    );
     println!();
     println!("(b) output error (%)");
-    print_series_table("output error %", &error);
-    let mut manifest = FigureManifest::new("fig6");
-    manifest.add_table("normalized MPKI", &mpki);
-    manifest.add_table("output error %", &error);
-    if let Err(e) = manifest.write() {
-        eprintln!("  (manifest export failed: {e})");
-    }
+    manifest.add_table(
+        "output error %",
+        &grid.table(labels, |r| r.output_error * 100.0),
+    );
+    manifest.write();
     println!();
     println!("paper shape: wider window => lower MPKI, higher error; x264 error ~0.");
 }

@@ -3,7 +3,7 @@
 //! mild MPKI degradation with delay; output error essentially flat except
 //! canneal (whose swapped coordinates are highly inter-dependent).
 
-use lva_bench::{banner, print_series_table, scale_from_env, sweep_grid, FigureManifest, Series};
+use lva_bench::{banner, scale_from_env, sweep_grid, FigureManifest};
 use lva_sim::SweepSpec;
 
 fn main() {
@@ -11,33 +11,25 @@ fn main() {
         "Figure 7 — MPKI and output error across value delays",
         "San Miguel et al., MICRO 2014, Fig. 7",
     );
-    let scale = scale_from_env();
     let configs = SweepSpec::new().value_delays(&[4, 8, 16, 32]).build();
-    let grid = sweep_grid(scale, &configs);
-    let mut mpki = Vec::new();
-    let mut error = Vec::new();
-    for (cfg, row) in configs.iter().zip(&grid.rows) {
-        let label = format!("delay-{}", cfg.value_delay);
-        mpki.push(Series::new(
-            label.clone(),
-            row.iter().map(|r| r.normalized_mpki()).collect(),
-        ));
-        error.push(Series::new(
-            label,
-            row.iter().map(|r| r.output_error * 100.0).collect(),
-        ));
-    }
+    let labels: Vec<String> = configs
+        .iter()
+        .map(|cfg| format!("delay-{}", cfg.value_delay))
+        .collect();
+    let grid = sweep_grid(scale_from_env(), &configs);
+    let mut manifest = FigureManifest::new("fig7", grid.seeds);
     println!("(a) MPKI normalized to precise execution");
-    print_series_table("normalized MPKI", &mpki);
+    manifest.add_table(
+        "normalized MPKI",
+        &grid.table(&labels, |r| r.normalized_mpki()),
+    );
     println!();
     println!("(b) output error (%)");
-    print_series_table("output error %", &error);
-    let mut manifest = FigureManifest::new("fig7");
-    manifest.add_table("normalized MPKI", &mpki);
-    manifest.add_table("output error %", &error);
-    if let Err(e) = manifest.write() {
-        eprintln!("  (manifest export failed: {e})");
-    }
+    manifest.add_table(
+        "output error %",
+        &grid.table(&labels, |r| r.output_error * 100.0),
+    );
+    manifest.write();
     println!();
     println!("paper shape: error nearly flat in delay except canneal.");
 }

@@ -4,7 +4,7 @@
 //! prefetching inflates fetches (degree-16 ≈ +73% in the paper) while LVA
 //! slashes them (degree-16 ≈ −39%).
 
-use lva_bench::{banner, print_series_table, scale_from_env, sweep_grid, FigureManifest, Series};
+use lva_bench::{banner, scale_from_env, sweep_grid, FigureManifest};
 use lva_sim::{SimConfig, SweepSpec};
 
 const DEGREES: [u32; 4] = [2, 4, 8, 16];
@@ -14,7 +14,6 @@ fn main() {
         "Figure 8 — MPKI and fetches: approximation degree vs prefetch degree",
         "San Miguel et al., MICRO 2014, Fig. 8",
     );
-    let scale = scale_from_env();
     let labels: Vec<String> = DEGREES
         .iter()
         .map(|d| format!("prefetch-{d}"))
@@ -25,30 +24,20 @@ fn main() {
         .map(|&d| SimConfig::prefetch(d))
         .chain(SweepSpec::new().degrees(&DEGREES).build())
         .collect();
-    let grid = sweep_grid(scale, &configs);
-    let mut mpki = Vec::new();
-    let mut fetches = Vec::new();
-    for (label, row) in labels.into_iter().zip(&grid.rows) {
-        mpki.push(Series::new(
-            label.clone(),
-            row.iter().map(|r| r.normalized_mpki()).collect(),
-        ));
-        fetches.push(Series::new(
-            label,
-            row.iter().map(|r| r.normalized_fetches()).collect(),
-        ));
-    }
+    let grid = sweep_grid(scale_from_env(), &configs);
+    let mut manifest = FigureManifest::new("fig8", grid.seeds);
     println!("(a) MPKI normalized to precise execution");
-    print_series_table("normalized MPKI", &mpki);
+    manifest.add_table(
+        "normalized MPKI",
+        &grid.table(&labels, |r| r.normalized_mpki()),
+    );
     println!();
     println!("(b) blocks fetched into the L1, normalized to precise execution");
-    print_series_table("normalized fetches", &fetches);
-    let mut manifest = FigureManifest::new("fig8");
-    manifest.add_table("normalized MPKI", &mpki);
-    manifest.add_table("normalized fetches", &fetches);
-    if let Err(e) = manifest.write() {
-        eprintln!("  (manifest export failed: {e})");
-    }
+    manifest.add_table(
+        "normalized fetches",
+        &grid.table(&labels, |r| r.normalized_fetches()),
+    );
+    manifest.write();
     println!();
     println!("paper shape: prefetch-16 fetches ~1.73x, approx-16 fetches ~0.61x.");
 }

@@ -1,7 +1,7 @@
 //! Table I: precise L1 MPKI per benchmark, and the variation in dynamic
 //! instruction count when load value approximation is employed.
 
-use lva_bench::{banner, print_series_table, runs_from_env, scale_from_env, sweep_averaged, Series};
+use lva_bench::{banner, scale_from_env, sweep_grid, FigureManifest};
 use lva_sim::SimConfig;
 
 fn main() {
@@ -9,20 +9,18 @@ fn main() {
         "Table I — precise L1 MPKI and instruction-count variation under LVA",
         "San Miguel et al., MICRO 2014, Table I",
     );
-    let scale = scale_from_env();
-    eprintln!("  averaging over {} seeded run(s) (set LVA_RUNS=5 for the paper's methodology)", runs_from_env());
-    let cfg = SimConfig::baseline_lva();
-    let mpki = sweep_averaged(scale, &cfg, |run| run.precise_stats.mpki());
-    eprintln!("  MPKI sweep done");
-    let variation = sweep_averaged(scale, &cfg, |run| run.instruction_variation() * 100.0);
-    eprintln!("  variation sweep done");
-    print_series_table(
+    let grid = sweep_grid(scale_from_env(), &[SimConfig::baseline_lva()]);
+    let mut manifest = FigureManifest::new("table1", grid.seeds);
+    manifest.add_table(
         "metric",
         &[
-            Series::new("precise L1 MPKI", mpki),
-            Series::new("instr variation %", variation),
+            grid.series(0, "precise L1 MPKI", |r| r.precise_stats.mpki()),
+            grid.series(0, "instr variation %", |r| {
+                r.instruction_variation() * 100.0
+            }),
         ],
     );
+    manifest.write();
     println!();
     println!("paper: MPKI 0.93 / 4.93 / 12.50 / 3.28 / 1.23 / ~0 / 0.59;");
     println!("       variation 0.99 / 0.05 / 1.25 / 0.60 / 0.17 / 0.00 / 2.37 (%)");

@@ -1,16 +1,12 @@
-//! `plot` — renders bench output into grouped-bar SVG figures.
+//! `plot` — renders bench and CLI manifests into SVG figures.
 //!
-//! Two sources:
-//!
-//! * a directory of CSV tables written by the benches under
-//!   `LVA_CSV=<dir>` (one figure per table), or
-//! * a `BENCH_*.json` manifest written by a figure bench, via
-//!   `--from-json <file>` — no re-simulation needed.
+//! `--from-json` takes the `BENCH_<id>.json` manifest a bench wrote and
+//! renders each of its tables as a grouped-bar chart — no re-simulation
+//! needed.
 //!
 //! ```text
-//! LVA_CSV=target/experiments cargo bench -p lva-bench
-//! cargo run -p lva-bench --bin plot -- target/experiments
-//! cargo run -p lva-bench --bin plot -- --from-json BENCH_fig4.json
+//! LVA_BENCH_DIR=$PWD/target/experiments cargo bench -p lva-bench
+//! cargo run -p lva-bench --bin plot -- --from-json target/experiments/BENCH_fig4.json
 //! cargo run -p lva-bench --bin plot -- --attribution attr.json
 //! ```
 //!
@@ -26,8 +22,7 @@
 
 use lva_bench::manifest::tables;
 use lva_bench::svg::{
-    parse_series_csv, render_grouped_bars, render_pc_error_heatmap, render_sparkline_grid,
-    HeatmapRow, SparkRow,
+    render_grouped_bars, render_pc_error_heatmap, render_sparkline_grid, HeatmapRow, SparkRow,
 };
 use lva_obs::{parse_json, read_manifest, Json, TimelineRecord};
 use std::path::Path;
@@ -207,49 +202,6 @@ fn plot_timeline(path: &str) -> Result<usize, String> {
     Ok(1)
 }
 
-fn plot_csv_dir(dir: &str) -> Result<usize, String> {
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("read {dir}: {e}"))?;
-    let mut rendered = 0;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) != Some("csv") {
-            continue;
-        }
-        let name = path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("figure")
-            .to_owned();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("skip {}: {e}", path.display());
-                continue;
-            }
-        };
-        match parse_series_csv(&text) {
-            Ok(series) => {
-                let title = name.replace('_', " ");
-                let svg = render_grouped_bars(&title, &title, &series);
-                let out = path.with_extension("svg");
-                if let Err(e) = std::fs::write(&out, svg) {
-                    eprintln!("skip {}: {e}", out.display());
-                } else {
-                    println!("rendered {}", out.display());
-                    rendered += 1;
-                }
-            }
-            Err(e) => eprintln!("skip {}: {e}", path.display()),
-        }
-    }
-    if rendered == 0 {
-        return Err(format!(
-            "no CSV tables found in {dir}; run benches with LVA_CSV={dir} first"
-        ));
-    }
-    Ok(rendered)
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
@@ -265,11 +217,9 @@ fn main() -> ExitCode {
             Some(file) => plot_timeline(file),
             None => Err("usage: plot --timeline <timeline.json>".to_owned()),
         },
-        Some(dir) => plot_csv_dir(dir),
-        None => Err(
-            "usage: plot <csv-dir> | plot --from-json <BENCH_*.json> | \
-             plot --attribution <attr.json> | plot --timeline <timeline.json> \
-             — renders figures to .svg"
+        _ => Err(
+            "usage: plot --from-json <BENCH_*.json> | plot --attribution <attr.json> | \
+             plot --timeline <timeline.json> — renders figures to .svg"
                 .to_owned(),
         ),
     };

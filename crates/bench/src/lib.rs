@@ -1,13 +1,22 @@
 //! Shared infrastructure for the experiment benches.
 //!
 //! Every table and figure of the paper has a bench target under
-//! `benches/`; each prints the same rows/series the paper reports, using
-//! the helpers here for consistent formatting. Run them all with
-//! `cargo bench`, or one with `cargo bench --bench fig4_ghb_mpki`.
+//! `benches/`. Each phase-1 bench evaluates its configurations with one
+//! [`sweep_grid`] call, and every bench except fig13 prints its tables
+//! through one [`FigureManifest`], which records them into
+//! `BENCH_<id>.json` for `lva-explore compare` and `plot --from-json`.
+//! Run them all with `cargo bench`, or one with
+//! `cargo bench --bench fig4_ghb_mpki`.
 //!
-//! The workload scale defaults to [`WorkloadScale::Small`]; set
-//! `LVA_SCALE=test|small|medium` to override (the `test` scale finishes in
-//! seconds and is what CI uses).
+//! Three environment variables steer them:
+//!
+//! * `LVA_SCALE=test|small|medium` — workload scale, default
+//!   [`WorkloadScale::Small`] (`test` finishes in seconds and is what CI
+//!   uses);
+//! * `LVA_RUNS=<n>` — seeded runs each phase-1 value averages, default 1
+//!   (the paper uses 5);
+//! * `LVA_BENCH_DIR=<dir>` — where manifests land, default the working
+//!   directory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,7 +29,7 @@ pub use manifest::FigureManifest;
 pub use lva_workloads::{registry, registry_seeded, Workload, WorkloadRun, WorkloadScale};
 
 use lva_sim::sweep::{run_sweep, SweepOptions};
-use lva_sim::{SimConfig, SweepSummary};
+use lva_sim::SimConfig;
 
 /// Benchmark names in the paper's figure order.
 pub const BENCHMARKS: [&str; 7] = [
@@ -84,93 +93,10 @@ impl Series {
     }
 }
 
-/// Prints a figure-style table: benchmarks as columns, series as rows,
-/// with a trailing mean column (the paper reports averages everywhere).
-/// When `LVA_CSV=<dir>` is set, the same table is also written to
-/// `<dir>/<value_name>.csv` (slugified) for plotting.
-pub fn print_series_table(value_name: &str, series: &[Series]) {
-    if let Ok(dir) = std::env::var("LVA_CSV") {
-        if let Err(e) = write_series_csv(&dir, value_name, series) {
-            eprintln!("  (csv export failed: {e})");
-        }
-    }
-    let label_w = series
-        .iter()
-        .map(|s| s.label.len())
-        .max()
-        .unwrap_or(8)
-        .max(value_name.len())
-        + 2;
-    print!("{:label_w$}", value_name);
-    for b in BENCHMARKS {
-        print!("{:>13}", &b[..b.len().min(12)]);
-    }
-    println!("{:>13}", "mean");
-    for s in series {
-        print!("{:label_w$}", s.label);
-        for v in &s.values {
-            print!("{:>13.4}", v);
-        }
-        println!("{:>13.4}", s.mean());
-    }
-}
-
-/// Writes one series table as `<dir>/<name>.csv`: a header row of
-/// benchmark names, then one row per series.
-///
-/// # Errors
-///
-/// Propagates directory-creation and file-write failures.
-pub fn write_series_csv(
-    dir: &str,
-    value_name: &str,
-    series: &[Series],
-) -> std::io::Result<()> {
-    use std::io::Write as _;
-    std::fs::create_dir_all(dir)?;
-    let slug: String = value_name
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    let path = std::path::Path::new(dir).join(format!("{slug}.csv"));
-    let mut f = std::fs::File::create(&path)?;
-    write!(f, "series")?;
-    for b in BENCHMARKS {
-        write!(f, ",{b}")?;
-    }
-    writeln!(f, ",mean")?;
-    for s in series {
-        write!(f, "{}", s.label.replace(',', ";"))?;
-        for v in &s.values {
-            write!(f, ",{v}")?;
-        }
-        writeln!(f, ",{}", s.mean())?;
-    }
-    eprintln!("  csv: {}", path.display());
-    Ok(())
-}
-
-/// Runs every benchmark under `config` and extracts one value per
-/// benchmark with `metric`. The seven workloads run in parallel on the
-/// sweep engine; results come back in [`BENCHMARKS`] order regardless
-/// of worker count (`LVA_THREADS` overrides the default parallelism).
-#[must_use]
-pub fn sweep(
-    scale: WorkloadScale,
-    config: &SimConfig,
-    metric: impl Fn(&WorkloadRun) -> f64 + Sync,
-) -> Vec<f64> {
-    let workloads = registry(scale);
-    run_sweep(&workloads, &SweepOptions::default(), |_, w| {
-        metric(&w.execute(config))
-    })
-    .into_values()
-}
-
 /// Number of seeded simulation runs to average, from `LVA_RUNS`
 /// (default 1; the paper uses 5).
 #[must_use]
-pub fn runs_from_env() -> u64 {
+pub fn runs_from_env() -> usize {
     std::env::var("LVA_RUNS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -178,65 +104,80 @@ pub fn runs_from_env() -> u64 {
         .unwrap_or(1)
 }
 
-/// Runs every benchmark under `config` for `LVA_RUNS` seeds and averages
-/// `metric` per benchmark — the paper's 5-run averaging methodology.
-/// The full `seed x workload` grid fans out on the sweep engine; the
-/// averaged result is identical for any worker count.
-#[must_use]
-pub fn sweep_averaged(
-    scale: WorkloadScale,
-    config: &SimConfig,
-    metric: impl Fn(&WorkloadRun) -> f64 + Sync,
-) -> Vec<f64> {
-    let runs = runs_from_env();
-    let registries: Vec<_> = (0..runs).map(|seed| registry_seeded(scale, seed)).collect();
-    let grid: Vec<(usize, usize)> = (0..runs as usize)
-        .flat_map(|s| (0..BENCHMARKS.len()).map(move |w| (s, w)))
-        .collect();
-    let values = run_sweep(&grid, &SweepOptions::default(), |_, &(s, w)| {
-        metric(&registries[s][w].execute(config))
-    })
-    .into_values();
-    let mut totals = vec![0.0; BENCHMARKS.len()];
-    for (&(_, w), v) in grid.iter().zip(&values) {
-        totals[w] += v;
-    }
-    totals.iter().map(|t| t / runs as f64).collect()
-}
-
-/// A fully evaluated configuration grid: one row of [`WorkloadRun`]s per
-/// configuration (in [`BENCHMARKS`] order), plus the engine's timing
-/// summary.
+/// A fully evaluated `configs x seeds x workloads` grid.
 #[derive(Debug)]
 pub struct GridResults {
-    /// `rows[c][w]` = workload `w` under configuration `c`.
-    pub rows: Vec<Vec<WorkloadRun>>,
-    /// Sweep timing report (points, workers, wall/cpu time).
-    pub summary: SweepSummary,
+    /// Seeded runs per (configuration, workload) point.
+    pub seeds: usize,
+    /// Every run, configuration-major, then seed, then workload in
+    /// [`BENCHMARKS`] order.
+    pub runs: Vec<WorkloadRun>,
 }
 
-/// Evaluates the full `configs x workloads` cross product in one
-/// parallel sweep — the bench figures' main entry point onto the
-/// engine. Grid order (config-major, workload-minor) is preserved
-/// regardless of the worker count; set `LVA_THREADS=1` to force a
-/// serial run. The timing summary is printed to stderr so figure
-/// output stays clean.
+impl GridResults {
+    /// Configuration `c`'s `metric` for each benchmark, averaged over the
+    /// seeds — the paper's multi-run methodology.
+    #[must_use]
+    pub fn series(
+        &self,
+        c: usize,
+        label: impl Into<String>,
+        metric: impl Fn(&WorkloadRun) -> f64,
+    ) -> Series {
+        let n = BENCHMARKS.len();
+        let point = &self.runs[c * self.seeds * n..][..self.seeds * n];
+        let values = (0..n)
+            .map(|w| {
+                let mut per_seed = point.iter().skip(w).step_by(n).map(&metric);
+                let first = per_seed.next().expect("at least one seed");
+                per_seed.fold(first, |sum, v| sum + v) / self.seeds as f64
+            })
+            .collect();
+        Series::new(label, values)
+    }
+
+    /// One [`series`](Self::series) per configuration, in grid order,
+    /// labelled by `labels`.
+    #[must_use]
+    pub fn table<L: Into<String>>(
+        &self,
+        labels: impl IntoIterator<Item = L>,
+        metric: impl Fn(&WorkloadRun) -> f64,
+    ) -> Vec<Series> {
+        labels
+            .into_iter()
+            .enumerate()
+            .map(|(c, label)| self.series(c, label, &metric))
+            .collect()
+    }
+}
+
+/// Evaluates `configs` on every benchmark for `LVA_RUNS` seeds in one
+/// parallel sweep — the phase-1 benches' one entry onto the engine.
+/// Grid order is preserved regardless of the worker count; set
+/// `LVA_THREADS=1` to force a serial run. The timing summary is printed
+/// to stderr so figure output stays clean.
 #[must_use]
 pub fn sweep_grid(scale: WorkloadScale, configs: &[SimConfig]) -> GridResults {
-    let workloads = registry(scale);
-    let grid: Vec<(usize, usize)> = (0..configs.len())
-        .flat_map(|c| (0..workloads.len()).map(move |w| (c, w)))
+    seeded_grid(scale, runs_from_env(), configs)
+}
+
+fn seeded_grid(scale: WorkloadScale, seeds: usize, configs: &[SimConfig]) -> GridResults {
+    let registries: Vec<_> = (0..seeds as u64)
+        .map(|s| registry_seeded(scale, s))
         .collect();
-    let run = run_sweep(&grid, &SweepOptions::default(), |_, &(c, w)| {
-        workloads[w].execute(&configs[c])
+    let grid: Vec<(usize, usize, usize)> = (0..configs.len())
+        .flat_map(|c| (0..seeds).map(move |s| (c, s)))
+        .flat_map(|(c, s)| (0..BENCHMARKS.len()).map(move |w| (c, s, w)))
+        .collect();
+    let run = run_sweep(&grid, &SweepOptions::default(), |_, &(c, s, w)| {
+        registries[s][w].execute(&configs[c])
     });
-    let summary = run.summary();
-    eprintln!("  sweep: {summary}");
-    let mut values = run.into_values().into_iter();
-    let rows = (0..configs.len())
-        .map(|_| (0..workloads.len()).map(|_| values.next().expect("grid size")).collect())
-        .collect();
-    GridResults { rows, summary }
+    eprintln!("  sweep: {}", run.summary());
+    GridResults {
+        seeds,
+        runs: run.into_values(),
+    }
 }
 
 /// The scale used for full-system (phase-2) experiments: one notch below
@@ -293,15 +234,31 @@ mod tests {
     }
 
     #[test]
-    fn csv_export_round_trips() {
-        let dir = std::env::temp_dir().join("lva_csv_test");
-        let series = [Series::new("a,b", vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])];
-        write_series_csv(dir.to_str().expect("utf8"), "norm MPKI", &series)
-            .expect("csv writes");
-        let text = std::fs::read_to_string(dir.join("norm_MPKI.csv")).expect("csv exists");
-        assert!(text.starts_with("series,blackscholes"));
-        assert!(text.contains("a;b,1,2,3,4,5,6,7,4"));
-        let _ = std::fs::remove_dir_all(dir);
+    fn grid_series_average_the_per_seed_runs() {
+        let cfg = SimConfig::baseline_lva();
+        let metric = |r: &WorkloadRun| r.normalized_mpki();
+        let seeded = |seed, name| {
+            metric(
+                &lva_workloads::workload_seeded(WorkloadScale::Test, seed, name)
+                    .expect("known benchmark")
+                    .execute(&cfg),
+            )
+        };
+
+        let two = seeded_grid(WorkloadScale::Test, 2, std::slice::from_ref(&cfg));
+        let want: Vec<f64> = BENCHMARKS
+            .iter()
+            .map(|b| (seeded(0, b) + seeded(1, b)) / 2.0)
+            .collect();
+        assert_eq!(two.series(0, "lva", metric).values, want);
+
+        let one = seeded_grid(WorkloadScale::Test, 1, std::slice::from_ref(&cfg));
+        let plain: Vec<f64> = registry(WorkloadScale::Test)
+            .iter()
+            .map(|w| metric(&w.execute(&cfg)))
+            .collect();
+        assert_eq!(one.series(0, "lva", metric).values, plain);
+        assert_ne!(want, plain, "seed 1 must move the average");
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Figure manifests: `BENCH_<fig>.json` artifacts for the figure benches.
+//! Figure manifests: the one table sink of the experiment benches.
 //!
-//! The fig4, fig6, fig7 and fig8 benches accumulate the [`Series`] tables
-//! they print into a [`FigureManifest`] and write them through the
-//! `lva-obs` atomic artifact writer, so each of those runs leaves a
-//! machine-readable record that `lva-explore compare` can diff and
-//! `plot --from-json` can render.
+//! Every bench except fig13 prints its [`Series`] tables through a
+//! [`FigureManifest`], which records them as it prints and writes them as
+//! `BENCH_<id>.json` through the `lva-obs` atomic artifact writer. Each
+//! run so leaves a machine-readable record that `lva-explore compare`
+//! can diff and `plot --from-json` can render.
 //!
 //! Layout inside the run record:
 //!
+//! * meta `runs` — the seeded runs each value averages;
 //! * meta `table<t>` — the value name of table `t` (e.g. `normalized MPKI`);
 //! * meta `table<t>/label<s>` — the exact legend label of series `s`;
 //! * stat `fig/t<t>/s<s>/<benchmark>` — one value per benchmark, in
@@ -17,8 +18,8 @@ use crate::{scale_from_env, Series, BENCHMARKS};
 use lva_obs::{bench_file_name, write_manifest, RunRecord};
 use std::path::PathBuf;
 
-/// Accumulates the series tables of one figure bench and writes them as
-/// `BENCH_<fig>.json` (into `LVA_BENCH_DIR`, default the working
+/// Prints the series tables of one bench and records them for
+/// `BENCH_<id>.json` (written into `LVA_BENCH_DIR`, default the working
 /// directory).
 #[derive(Debug)]
 pub struct FigureManifest {
@@ -27,18 +28,41 @@ pub struct FigureManifest {
 }
 
 impl FigureManifest {
-    /// A new manifest for figure `fig` (e.g. `"fig4"`), stamped with the
-    /// current workload scale and run count.
+    /// A new manifest for the paper item `id` (e.g. `"fig4"`), stamped
+    /// with the current workload scale and the `runs` seeds each value
+    /// averages.
     #[must_use]
-    pub fn new(fig: &str) -> Self {
-        let mut record = RunRecord::new(fig);
+    pub fn new(id: &str, runs: usize) -> Self {
+        let mut record = RunRecord::new(id);
         record.set_meta("scale", format!("{:?}", scale_from_env()).to_lowercase());
-        record.set_meta("runs", crate::runs_from_env().to_string());
+        record.set_meta("runs", runs.to_string());
         FigureManifest { record, tables: 0 }
     }
 
-    /// Adds one printed table (all its series) to the manifest.
+    /// Prints one figure-style table — benchmarks as columns, series as
+    /// rows, with a trailing mean column (the paper reports averages
+    /// everywhere) — and records it.
     pub fn add_table(&mut self, value_name: &str, series: &[Series]) {
+        let label_w = series
+            .iter()
+            .map(|s| s.label.len())
+            .max()
+            .unwrap_or(8)
+            .max(value_name.len())
+            + 2;
+        print!("{value_name:label_w$}");
+        for b in BENCHMARKS {
+            print!("{:>13}", &b[..b.len().min(12)]);
+        }
+        println!("{:>13}", "mean");
+        for s in series {
+            print!("{:label_w$}", s.label);
+            for v in &s.values {
+                print!("{v:>13.4}");
+            }
+            println!("{:>13.4}", s.mean());
+        }
+
         let t = self.tables;
         self.tables += 1;
         self.record.set_meta(format!("table{t}"), value_name);
@@ -51,17 +75,19 @@ impl FigureManifest {
         }
     }
 
-    /// Writes `BENCH_<fig>.json` atomically and returns its path.
+    /// Writes `BENCH_<id>.json` atomically and names it on stderr.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Propagates artifact-writer I/O failures.
-    pub fn write(&self) -> std::io::Result<PathBuf> {
+    /// Panics if the artifact writer fails: a bench without its manifest
+    /// has not done its job.
+    pub fn write(&self) {
         let dir = std::env::var("LVA_BENCH_DIR").unwrap_or_else(|_| ".".to_owned());
         let path = PathBuf::from(dir).join(bench_file_name(&self.record.name));
-        write_manifest(&path, &self.record)?;
+        if let Err(e) = write_manifest(&path, &self.record) {
+            panic!("writing {}: {e}", path.display());
+        }
         eprintln!("  manifest: {}", path.display());
-        Ok(path)
     }
 
     /// The underlying run record (for tests and custom writers).
@@ -114,7 +140,7 @@ mod tests {
 
     #[test]
     fn tables_round_trip_through_record() {
-        let mut m = FigureManifest::new("figX");
+        let mut m = FigureManifest::new("figX", 1);
         m.add_table("normalized MPKI", &sample());
         m.add_table("output error %", &sample()[..1]);
         let got = tables(m.record());
@@ -129,7 +155,7 @@ mod tests {
 
     #[test]
     fn tables_survive_json_round_trip() {
-        let mut m = FigureManifest::new("figY");
+        let mut m = FigureManifest::new("figY", 1);
         m.add_table("normalized fetches", &sample());
         let text = m.record().to_string_pretty();
         let parsed = RunRecord::parse(&text).expect("manifest parses");
@@ -140,7 +166,7 @@ mod tests {
     fn write_lands_in_bench_dir() {
         let dir = std::env::temp_dir().join("lva_bench_manifest_test");
         let _ = std::fs::remove_dir_all(&dir);
-        let mut m = FigureManifest::new("figZ");
+        let mut m = FigureManifest::new("figZ", 1);
         m.add_table("x", &sample());
         // Scoped override of LVA_BENCH_DIR without mutating process env
         // (tests run in parallel): write through the record directly.

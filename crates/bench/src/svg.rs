@@ -3,8 +3,8 @@
 //! The paper presents its results as grouped bar charts (benchmarks on the
 //! x-axis, one bar per configuration). [`render_grouped_bars`] turns a
 //! [`Series`] table into exactly that, with no external
-//! dependencies; the `plot` binary converts the CSV files written under
-//! `LVA_CSV` into SVG figures.
+//! dependencies; the `plot` binary renders the tables of a bench's
+//! `BENCH_<id>.json` manifest with it.
 
 use crate::{Series, BENCHMARKS};
 use std::fmt::Write as _;
@@ -378,34 +378,6 @@ pub fn render_sparkline_grid(title: &str, rows: &[SparkRow]) -> String {
     svg
 }
 
-/// Parses a CSV written by [`crate::write_series_csv`] back into series.
-///
-/// # Errors
-///
-/// Returns a message naming the malformed line on parse failure.
-pub fn parse_series_csv(text: &str) -> Result<Vec<Series>, String> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or("empty csv")?;
-    if !header.starts_with("series,") {
-        return Err(format!("unexpected header: {header}"));
-    }
-    let mut out = Vec::new();
-    for (ln, line) in lines.enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut cols = line.split(',');
-        let label = cols.next().ok_or_else(|| format!("line {ln}: no label"))?;
-        let mut values: Vec<f64> = cols
-            .map(|c| c.parse::<f64>().map_err(|e| format!("line {ln}: {e}")))
-            .collect::<Result<_, _>>()?;
-        // Drop the trailing mean column; it is recomputed.
-        values.pop();
-        out.push(Series::new(label, values));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,24 +533,5 @@ mod tests {
         let svg = render_sparkline_grid("empty", &[]);
         assert!(svg.starts_with("<svg") && svg.ends_with("</svg>"));
         assert_eq!(svg.matches("<polyline").count(), 0);
-    }
-
-    #[test]
-    fn csv_round_trips_through_parser() {
-        let dir = std::env::temp_dir().join("lva_svg_csv_test");
-        crate::write_series_csv(dir.to_str().expect("utf8"), "x", &sample()).expect("write");
-        let text = std::fs::read_to_string(dir.join("x.csv")).expect("read");
-        let parsed = parse_series_csv(&text).expect("parse");
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].label, "a");
-        assert_eq!(parsed[0].values, sample()[0].values);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse_series_csv("").is_err());
-        assert!(parse_series_csv("nope\n1,2").is_err());
-        assert!(parse_series_csv("series,a\nrow,xyz").is_err());
     }
 }

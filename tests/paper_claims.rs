@@ -30,6 +30,24 @@ fn lva_beats_idealized_lvp_on_average() {
     );
 }
 
+/// Fig. 5: LVA keeps every workload's output error under the paper's 10%
+/// acceptability bar at every GHB size (highest at Test scale: 4.03%,
+/// blackscholes at GHB-2).
+#[test]
+fn output_error_stays_under_10pct_across_ghb_sizes() {
+    for w in registry(WorkloadScale::Test) {
+        for ghb in [0, 1, 2, 4] {
+            let run = w.execute(&SimConfig::lva(ApproximatorConfig::with_ghb(ghb)));
+            assert!(
+                run.output_error <= 0.10,
+                "{} GHB-{ghb}: {:.2}% output error",
+                w.name(),
+                run.output_error * 100.0
+            );
+        }
+    }
+}
+
 /// Fig. 6: relaxing the confidence window monotonically (in the mean)
 /// trades MPKI for output error.
 #[test]
@@ -253,5 +271,99 @@ fn mantissa_truncation_helps_fluidanimate() {
     assert!(
         truncated <= full + 0.02,
         "losing 23 mantissa bits must not hurt coverage: {truncated} vs {full}"
+    );
+}
+
+/// Figs. 10–11: full-system speedup, hierarchy energy and L1-miss EDP
+/// against the approximation degree, on traces recorded once and replayed
+/// precise and at degrees 0, 4 and 16.
+///
+/// Mean speedup stays positive but *falls* with degree (11.55 / 3.67 /
+/// 0.59% at Test scale) where the paper's stays roughly flat — Known
+/// divergence 2 in EXPERIMENTS.md, pinned here. canneal, the paper's
+/// showcase, is among the top three winners at degree 0; energy savings
+/// rise with degree; normalised EDP is below 1 and falls with degree.
+#[test]
+fn fullsystem_gains_follow_the_approximation_degree() {
+    use lva::sim::{FullSystem, FullSystemConfig, MechanismKind};
+    let params = lva::energy::EnergyParams::cacti_32nm();
+    let replay = |traces: &Vec<lva::cpu::ThreadTrace>, mech: MechanismKind| {
+        FullSystem::new(FullSystemConfig::paper(mech), traces.clone())
+            .run()
+            .expect("full-system simulation converges")
+    };
+    let workloads = registry(WorkloadScale::Test);
+    let traces: Vec<_> = workloads
+        .iter()
+        .map(|w| w.execute(&SimConfig::precise().with_traces()).traces)
+        .collect();
+    let precise: Vec<_> = traces
+        .iter()
+        .map(|t| replay(t, MechanismKind::Precise))
+        .collect();
+
+    let degrees = [0u32, 4, 16];
+    let mut speedup = Vec::new();
+    let mut savings = Vec::new();
+    let mut edp = Vec::new();
+    for degree in degrees {
+        let mech = MechanismKind::Lva(ApproximatorConfig::with_degree(degree));
+        let runs: Vec<_> = traces.iter().map(|t| replay(t, mech.clone())).collect();
+        let pairs = || runs.iter().zip(&precise);
+        speedup.push(
+            pairs()
+                .map(|(r, p)| (r.speedup_vs(p) - 1.0) * 100.0)
+                .collect::<Vec<_>>(),
+        );
+        savings.push(mean(
+            &pairs()
+                .map(|(r, p)| {
+                    (1.0 - r.hierarchy_energy_nj(&params) / p.hierarchy_energy_nj(&params)) * 100.0
+                })
+                .collect::<Vec<_>>(),
+        ));
+        edp.push(mean(
+            &pairs()
+                .map(|(r, p)| {
+                    let base = p.l1_miss_edp(&params);
+                    if base == 0.0 {
+                        1.0
+                    } else {
+                        r.l1_miss_edp(&params) / base
+                    }
+                })
+                .collect::<Vec<_>>(),
+        ));
+    }
+
+    let mean_speedup: Vec<f64> = speedup.iter().map(|s| mean(s)).collect();
+    assert!(
+        mean_speedup.iter().all(|&s| s > 0.0),
+        "mean speedup must stay positive at degrees {degrees:?}: {mean_speedup:?}"
+    );
+    assert!(
+        mean_speedup.windows(2).all(|w| w[1] < w[0]),
+        "Known divergence 2: mean speedup falls with degree {degrees:?}: {mean_speedup:?}"
+    );
+    let canneal = workloads
+        .iter()
+        .position(|w| w.name() == "canneal")
+        .expect("canneal in the registry");
+    let beaten_by = speedup[0]
+        .iter()
+        .filter(|&&s| s > speedup[0][canneal])
+        .count();
+    assert!(
+        beaten_by < 3,
+        "canneal must be a top-three winner at degree 0: {:?}",
+        speedup[0]
+    );
+    assert!(
+        savings.windows(2).all(|w| w[1] > w[0]),
+        "mean energy savings must rise with degree {degrees:?}: {savings:?}"
+    );
+    assert!(
+        edp[0] < 1.0 && edp.windows(2).all(|w| w[1] < w[0]),
+        "mean normalised EDP must be below 1 and fall with degree {degrees:?}: {edp:?}"
     );
 }
