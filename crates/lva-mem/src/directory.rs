@@ -6,8 +6,7 @@
 //! bit implementing a blocking directory (one in-flight transaction per
 //! block, queueing the rest).
 
-use lva_core::Addr;
-use std::collections::HashMap;
+use lva_core::{Addr, IntMap};
 
 /// Bitset of cores sharing a block (up to 64 cores; the paper uses 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -85,7 +84,7 @@ struct BlockInfo {
 /// Directory slice for one L2 bank.
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
-    blocks: HashMap<u64, BlockInfo>,
+    blocks: IntMap<u64, BlockInfo>,
 }
 
 impl Directory {

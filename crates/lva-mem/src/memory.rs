@@ -1,40 +1,10 @@
 //! Sparse simulated memory.
 
-use lva_core::{Addr, Value, ValueType};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use lva_core::{Addr, IntMap, Value, ValueType};
 
 const PAGE_BYTES: u64 = 4096;
 
-/// Multiplicative mixer for page numbers. Every instrumented load pays for
-/// a page lookup, and the default SipHash dominates that cost; page numbers
-/// are already well-distributed small integers, so a Fibonacci multiply is
-/// plenty. Determinism is unaffected: the page map is never iterated on any
-/// result-producing path.
-#[derive(Debug, Clone, Copy, Default)]
-struct PageNoHasher(u64);
-
-impl Hasher for PageNoHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // FNV-1a fallback; u64 keys take the `write_u64` path below.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        let h = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = h ^ (h >> 32);
-    }
-}
-
-type PageMap = HashMap<u64, Box<[u8; PAGE_BYTES as usize]>, BuildHasherDefault<PageNoHasher>>;
+type PageMap = IntMap<u64, Box<[u8; PAGE_BYTES as usize]>>;
 
 /// First address the bump allocator hands out; everything below (including
 /// the null page) stays in the sparse tier.

@@ -11,6 +11,12 @@ fn rng_for(test_seed: u64, case: u64) -> Rng64 {
     Rng64::new(test_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ case)
 }
 
+/// Every packet arrived at `node` by `now`, in the order
+/// [`Mesh::pop_arrived`] returns them.
+fn drain<P>(mesh: &mut Mesh<P>, node: NodeId, now: u64) -> Vec<P> {
+    std::iter::from_fn(|| mesh.pop_arrived(node, now)).collect()
+}
+
 /// Every packet is delivered exactly once, to the right node, no
 /// earlier than the contention-free minimum latency.
 #[test]
@@ -39,7 +45,7 @@ fn packets_conserved_and_latency_bounded() {
         // Drain everything far in the future.
         let mut got = 0usize;
         for node in 0..4 {
-            for payload in mesh.poll(NodeId(node), u64::MAX) {
+            for payload in drain(&mut mesh, NodeId(node), u64::MAX) {
                 let (dst, _) = mins[payload];
                 assert_eq!(dst, node, "packet {payload} at wrong node");
                 got += 1;
@@ -68,9 +74,9 @@ fn no_early_delivery() {
             when + hops * 4 + (flits - 1)
         };
         if min > 0 {
-            assert!(mesh.poll(NodeId(dst), min - 1).is_empty(), "delivered early");
+            assert!(drain(&mut mesh, NodeId(dst), min - 1).is_empty(), "delivered early");
         }
-        assert_eq!(mesh.poll(NodeId(dst), min), vec![1]);
+        assert_eq!(drain(&mut mesh, NodeId(dst), min), vec![1]);
     }
 }
 
@@ -109,7 +115,7 @@ fn same_link_serialization() {
         let mut last_arrival = 0u64;
         let mut seen = 0usize;
         for t in 0..1000u64 {
-            for p in mesh.poll(NodeId(1), t) {
+            for p in drain(&mut mesh, NodeId(1), t) {
                 assert_eq!(p, seen, "FIFO order violated");
                 if seen > 0 {
                     assert!(

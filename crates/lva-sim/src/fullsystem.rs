@@ -18,14 +18,14 @@ use crate::mechanism::{Knob, KnobKind, Mechanism};
 use crate::miss::{MissAction, MissPipeline};
 use crate::stats::ThreadStats;
 use crate::{ConfigError, MechanismKind};
-use lva_core::{Addr, Pc, TrainToken, Value, ValueType, BLOCK_BYTES};
+use lva_core::{Addr, IntMap, Pc, TrainToken, Value, ValueType, BLOCK_BYTES};
 use lva_cpu::{LoadResponse, MemoryPort, OooCore, ReqId, ThreadTrace};
 use lva_energy::{EnergyEvents, EnergyParams};
 use lva_mem::{CacheConfig, Directory, DirectoryState, LineState, SetAssocCache, SharerSet};
 use lva_noc::{LowPowerPlane, Mesh, MeshConfig, NodeId, Plane};
 use lva_obs::{EpochSampler, MetricsRegistry, NullSink, Timeline, TraceCtx};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 const CTRL_FLITS: u64 = 1;
 /// 64 B block at 16 B/flit plus a head flit.
@@ -186,7 +186,10 @@ pub struct FullSystemStats {
     pub cycles: u64,
     /// Instructions retired across all cores.
     pub instructions: u64,
-    /// Primary L1 load misses (secondary misses merge into MSHRs).
+    /// L1 load misses: every primary miss, plus the secondary misses of
+    /// annotated loads whose PC is enabled for approximation (they reuse or
+    /// wait on the in-flight block). Other secondary misses merge into the
+    /// MSHR uncounted.
     pub l1_load_misses: u64,
     /// Of those, misses served by an approximation.
     pub approximated: u64,
@@ -496,7 +499,7 @@ struct Bank {
     node: NodeId,
     l2: SetAssocCache,
     dir: Directory,
-    trans: HashMap<u64, Transaction>,
+    trans: IntMap<u64, Transaction>,
     retry: VecDeque<Msg>,
     dram: BinaryHeap<Reverse<DramEvent>>,
 }
@@ -507,8 +510,9 @@ struct Bank {
 struct Mshr {
     /// Outstanding load requests (id, issue cycle) waiting for data.
     reqs: Vec<(ReqId, u64)>,
-    /// Approximator trainings to apply when the data arrives.
-    train: Vec<(TrainToken, Value)>,
+    /// The approximator training to apply when the data arrives. Only the
+    /// fetch that opens the MSHR trains, so there is at most one.
+    train: Option<(TrainToken, Value)>,
     /// Whether the primary miss was served by an approximation; secondary
     /// annotated misses then reuse it (fast completion) instead of waiting.
     has_approximation: bool,
@@ -520,7 +524,7 @@ struct L1Ctx {
     /// `Lva` for the lva and lva+clp mechanisms (phase 2 replays the
     /// hybrid with its approximator alone), `Precise` otherwise.
     mechanism: Mechanism,
-    mshr: HashMap<u64, Mshr>,
+    mshr: IntMap<u64, Mshr>,
     /// The LVA miss decision with this L1's quality governor
     /// ([`FullSystemConfig::govern`]).
     miss: MissPipeline,
@@ -568,7 +572,7 @@ impl MemorySystem {
                 cache: SetAssocCache::new(cfg.l1),
                 miss: MissPipeline::new(&mechanism, govern, None),
                 mechanism,
-                mshr: HashMap::new(),
+                mshr: IntMap::default(),
                 local_stats: ThreadStats::default(),
             });
         }
@@ -577,7 +581,7 @@ impl MemorySystem {
                 node: NodeId(i),
                 l2: SetAssocCache::new(cfg.l2_bank),
                 dir: Directory::new(),
-                trans: HashMap::new(),
+                trans: IntMap::default(),
                 retry: VecDeque::new(),
                 dram: BinaryHeap::new(),
             })
@@ -643,9 +647,10 @@ impl MemorySystem {
                 self.bank_handle(now, b, msg);
             }
         }
-        // Mesh deliveries.
+        // Mesh deliveries. Every send arrives at `now + 1` or later, so a
+        // message sent while handling these waits for the next cycle.
         for node in 0..self.cfg.mesh.nodes() {
-            for msg in self.mesh.poll(NodeId(node), now) {
+            while let Some(msg) = self.mesh.pop_arrived(NodeId(node), now) {
                 if msg.is_for_bank() {
                     self.bank_handle(now, node, msg);
                 } else {
@@ -1036,7 +1041,7 @@ impl MemorySystem {
             self.completions.push((core, req, now + 1));
         }
         let l1 = &mut self.l1[core];
-        for (token, value) in mshr.train {
+        if let Some((token, value)) = mshr.train {
             self.stats.energy.approximator_accesses += 1;
             l1.miss.on_train(
                 &mut l1.mechanism,
@@ -1069,7 +1074,7 @@ impl MemorySystem {
         at: u64,
         block: u64,
         reqs: Vec<(ReqId, u64)>,
-        train: Vec<(TrainToken, Value)>,
+        train: Option<(TrainToken, Value)>,
         has_approximation: bool,
     ) {
         let mshr = Mshr {
@@ -1156,14 +1161,14 @@ impl MemoryPort for MemorySystem {
                             // the configured penalty models routing them
                             // over slow, low-energy paths (§VI-C).
                             let at = now + self.cfg.training_fetch_penalty;
-                            let train = vec![(token, value)];
+                            let train = Some((token, value));
                             self.fetch_block(core, at, block, Vec::new(), train, true);
                         }
                         return self.approximated(core, now);
                     }
                     MissAction::Fallthrough { token, .. } => {
                         let req = self.alloc_req();
-                        let train = vec![(token, value)];
+                        let train = Some((token, value));
                         self.fetch_block(core, now, block, vec![(req, now)], train, false);
                         return LoadResponse::Pending(req);
                     }
@@ -1183,7 +1188,7 @@ impl MemoryPort for MemorySystem {
             None => {
                 self.stats.l1_load_misses += 1;
                 self.l1[core].local_stats.load_fetches += 1;
-                self.fetch_block(core, now, block, vec![(req, now)], Vec::new(), false);
+                self.fetch_block(core, now, block, vec![(req, now)], None, false);
             }
         }
         LoadResponse::Pending(req)
@@ -1211,7 +1216,7 @@ impl MemoryPort for MemorySystem {
             block,
             Mshr {
                 reqs: Vec::new(),
-                train: Vec::new(),
+                train: None,
                 has_approximation: false,
             },
         );
@@ -1372,7 +1377,7 @@ impl FullSystem {
             now,
             cores_done_at,
         } = outcome?;
-        let mut stats = assemble_stats(&self.mem, &self.cores, now);
+        let mut stats = assemble_stats(&self.mem, &mut self.cores, now);
         stats.govern = self
             .mem
             .l1
@@ -1406,9 +1411,10 @@ struct CycleOutcome {
 
 /// The statistics at cycle `now`: the memory system's counters plus what
 /// the per-L1 quality controllers, the cores and the mesh have accumulated
-/// so far. Read-only; both the epoch timeline sampler's mid-run snapshots
-/// and the end-of-run result are built from it.
-fn assemble_stats(mem: &MemorySystem, cores: &[OooCore], now: u64) -> FullSystemStats {
+/// so far. Both the epoch timeline sampler's mid-run snapshots and the
+/// end-of-run result are built from it. It first catches every core up to
+/// `now` ([`OooCore::catch_up`]), so a sleeping core's counters are exact.
+fn assemble_stats(mem: &MemorySystem, cores: &mut [OooCore], now: u64) -> FullSystemStats {
     let mut stats = mem.stats.clone();
     stats.cycles = now;
     for l1 in &mem.l1 {
@@ -1425,6 +1431,7 @@ fn assemble_stats(mem: &MemorySystem, cores: &[OooCore], now: u64) -> FullSystem
         stats.govern_disables += local.govern_disables;
     }
     for core in cores {
+        core.catch_up(now);
         let core_stats = core.stats();
         stats.instructions += core_stats.retired;
         stats.head_stall_cycles += core_stats.head_stall_cycles;
