@@ -824,10 +824,12 @@ fn fullsystem_timeline_never_perturbs_results() {
 /// test-scale seed-0 workload, for an LVA replay sampled every 4096
 /// cycles. Pins the mid-run frames themselves, not only their delta sums:
 /// a core whose counters lag at an epoch boundary shifts work between
-/// frames without changing any total.
-const GOLDEN_FULLSYSTEM_TIMELINES: [(&str, usize, u64); 2] = [
+/// frames without changing any total. Ferret is the replay whose banks
+/// retry the most requests on a busy block.
+const GOLDEN_FULLSYSTEM_TIMELINES: [(&str, usize, u64); 3] = [
     ("blackscholes", 18, 0xa61d379d65e8c839),
     ("canneal", 138, 0x9723d424be47afef),
+    ("ferret", 18, 0x8b58fae77534019d),
 ];
 
 #[test]
@@ -860,11 +862,16 @@ fn fullsystem_timeline_frames_are_pinned() {
     }
 }
 
-/// Full-system configurations pinned by [`GOLDEN_FULLSYSTEM_HASHES`]: plain
-/// LVA, LVA under a 5% error budget (alone and beside a 2% SLO), LVA and
-/// the lva+clp hybrid under an actively-tightening governor, and a
-/// governor beside a precise machine (which builds no governor at all).
-fn fullsystem_configs() -> Vec<(&'static str, lva::sim::FullSystemConfig)> {
+/// Full-system configurations pinned by [`GOLDEN_FULLSYSTEM_HASHES`], each
+/// with its core shape `(width, ROB entries)`: plain LVA, LVA under a 5%
+/// error budget (alone and beside a 2% SLO), LVA and the lva+clp hybrid
+/// under an actively-tightening governor, a governor beside a precise
+/// machine (which builds no governor at all), MESI, training on a
+/// low-power NoC plane, training fetches deprioritized by 200 cycles (sent
+/// in the future), and a 2-wide core with an 8-entry ROB, whose head
+/// stalls on a full ROB.
+fn fullsystem_configs() -> Vec<(&'static str, lva::sim::FullSystemConfig, (usize, usize))> {
+    use lva::noc::LowPowerPlane;
     use lva::sim::{FullSystemConfig, GovernorConfig};
     let govern2 = GovernorConfig {
         epoch_len: 500,
@@ -873,9 +880,14 @@ fn fullsystem_configs() -> Vec<(&'static str, lva::sim::FullSystemConfig)> {
     };
     let lva = MechanismKind::Lva(ApproximatorConfig::baseline());
     let lva_clp = MechanismKind::LvaClp(ApproximatorConfig::baseline(), ClpConfig::baseline());
+    let paper = (4, 32);
     vec![
-        ("lva", FullSystemConfig::paper(lva.clone())),
-        ("lva+budget5", FullSystemConfig::paper(lva.clone()).with_error_budget(0.05)),
+        ("lva", FullSystemConfig::paper(lva.clone()), paper),
+        (
+            "lva+budget5",
+            FullSystemConfig::paper(lva.clone()).with_error_budget(0.05),
+            paper,
+        ),
         (
             "lva+budget5+govern2",
             FullSystemConfig::paper(lva.clone())
@@ -884,13 +896,35 @@ fn fullsystem_configs() -> Vec<(&'static str, lva::sim::FullSystemConfig)> {
                     epoch_len: 500,
                     ..GovernorConfig::slo(0.02)
                 }),
+            paper,
         ),
-        ("lva+govern2", FullSystemConfig::paper(lva).with_govern(govern2)),
-        ("lva+clp+govern2", FullSystemConfig::paper(lva_clp).with_govern(govern2)),
+        (
+            "lva+govern2",
+            FullSystemConfig::paper(lva.clone()).with_govern(govern2),
+            paper,
+        ),
+        (
+            "lva+clp+govern2",
+            FullSystemConfig::paper(lva_clp).with_govern(govern2),
+            paper,
+        ),
         (
             "precise+govern2",
             FullSystemConfig::paper(MechanismKind::Precise).with_govern(govern2),
+            paper,
         ),
+        ("lva+mesi", FullSystemConfig::paper(lva.clone()).with_mesi(), paper),
+        (
+            "lva+hetero",
+            FullSystemConfig::paper(lva.clone()).with_hetero_noc(LowPowerPlane::default()),
+            paper,
+        ),
+        (
+            "lva+deprio200",
+            FullSystemConfig::paper(lva.clone()).with_deprioritized_training(200),
+            paper,
+        ),
+        ("lva+w2rob8", FullSystemConfig::paper(lva), (2, 8)),
     ]
 }
 
@@ -898,18 +932,24 @@ fn fullsystem_configs() -> Vec<(&'static str, lva::sim::FullSystemConfig)> {
 /// precise traces (registry order) per full-system configuration, captured
 /// before the phase-1 harness and the full-system memory system shared one
 /// miss pipeline (`lva+budget5+govern2`: before the per-PC budget ladder
-/// moved into the governor).
-const GOLDEN_FULLSYSTEM_HASHES: [(&str, u64); 6] = [
+/// moved into the governor; the last four rows: before the cycle loop
+/// jumped from event to event).
+const GOLDEN_FULLSYSTEM_HASHES: [(&str, u64); 10] = [
     ("lva", 0xb48eedbaf8e7295a),
     ("lva+budget5", 0x138284ad15aca085),
     ("lva+budget5+govern2", 0xf8af271c3bac525d),
     ("lva+govern2", 0x359d2aa034ebeca2),
     ("lva+clp+govern2", 0x359d2aa034ebeca2),
     ("precise+govern2", 0xabd0f3eb44874d52),
+    ("lva+mesi", 0x90ec88ee6ed1a46c),
+    ("lva+hetero", 0x7447b6ca6bf3cc01),
+    ("lva+deprio200", 0x017c2ba2726f9e79),
+    ("lva+w2rob8", 0x571803bea72d12cb),
 ];
 
 #[test]
 fn fullsystem_replays_are_pinned() {
+    use lva::cpu::OooCore;
     use lva::sim::FullSystem;
     let workloads = registry(WorkloadScale::Test);
     let traces: Vec<_> = workloads
@@ -918,11 +958,16 @@ fn fullsystem_replays_are_pinned() {
         .collect();
     let configs = fullsystem_configs();
     assert_eq!(configs.len(), GOLDEN_FULLSYSTEM_HASHES.len());
-    for (c, (name, cfg)) in configs.iter().enumerate() {
+    for (c, (name, cfg, (width, rob))) in configs.iter().enumerate() {
         let runs: Vec<_> = traces
             .iter()
             .map(|t| {
-                FullSystem::try_new(cfg.clone(), t.clone())
+                let cores = t
+                    .iter()
+                    .enumerate()
+                    .map(|(i, t)| OooCore::with_shape(i, t.clone(), *width, *rob))
+                    .collect();
+                FullSystem::try_with_cores(cfg.clone(), cores)
                     .expect("valid full-system config")
                     .run()
                     .expect("replay converges")
@@ -959,6 +1004,18 @@ fn fullsystem_replays_are_pinned() {
             }
             "precise+govern2" => {
                 assert!(runs.iter().all(|s| s.govern.is_empty() && s.govern_epochs == 0));
+            }
+            "lva+hetero" => {
+                assert!(
+                    runs.iter().any(|s| s.energy.noc_low_power_flit_hops > 0),
+                    "{name}: no training traffic rode the low-power plane"
+                );
+            }
+            "lva+w2rob8" => {
+                assert!(
+                    runs.iter().any(|s| s.head_stall_cycles > 0),
+                    "{name}: no replay stalled on its ROB head"
+                );
             }
             _ => {}
         }
