@@ -84,50 +84,26 @@ struct RobEntry {
     state: SlotState,
 }
 
-/// A steady-compute span the core sleeps through: each of the cycles
-/// `from + 1 ..= to` retires `width` slots and dispatches `width` compute
-/// instructions, and calls no port. Cycles up to `from` are applied.
+/// Cycles the core skips, applied in closed form by `OooCore::catch_up`.
+/// Cycles up to `from` are applied.
 #[derive(Debug, Clone, Copy)]
-struct Sleep {
-    from: u64,
-    to: u64,
-}
-
-/// A memory operation dispatched by `OooCore::tick_dispatch`, waiting to
-/// be issued to the memory port by `OooCore::tick_issue`.
-#[derive(Debug, Clone, Copy)]
-enum PendingIssue {
-    /// A load occupying ROB entry `seq`; issuing it resolves the entry.
-    Load {
-        /// ROB entry sequence number the response resolves.
-        seq: u64,
-        /// Static instruction address.
-        pc: Pc,
-        /// Effective address.
-        addr: Addr,
-        /// Loaded type.
-        ty: ValueType,
-        /// Annotated approximate (drives the approximator on a miss).
-        approx: bool,
-        /// Precise value from the trace (approximator training data).
-        value: Value,
-    },
-    /// A store; it retires through the store buffer regardless, the port
-    /// only observes it for coherence traffic.
-    Store {
-        /// Static instruction address.
-        pc: Pc,
-        /// Effective address.
-        addr: Addr,
-    },
+enum Idle {
+    /// A steady-compute span: each of the cycles `from + 1 ..= to` retires
+    /// `width` slots and dispatches `width` compute instructions, and calls
+    /// no port.
+    Sleep { from: u64, to: u64 },
+    /// The head is a pending load and nothing can dispatch: each cycle
+    /// after `from` is a head stall, until the head's load completes.
+    Blocked { from: u64 },
 }
 
 /// A 4-wide out-of-order core with a 32-entry ROB (Table II), replaying one
 /// [`ThreadTrace`].
 ///
-/// Call [`tick`](Self::tick) once per cycle with the memory port; deliver
-/// miss completions via [`complete`](Self::complete). The core is finished
-/// when [`is_done`](Self::is_done) returns true.
+/// Call [`tick`](Self::tick) with the memory port at every cycle from
+/// [`next_tick`](Self::next_tick) on; deliver each miss completion via
+/// [`complete`](Self::complete) at its cycle, before that cycle's tick. The
+/// core is finished when [`is_done`](Self::is_done) returns true.
 ///
 /// The model costs per event, not per instruction:
 ///
@@ -139,13 +115,17 @@ enum PendingIssue {
 ///   the next cycle, at least `width` slots in the ROB and at least `width`
 ///   compute instructions left in the current run, each of the next
 ///   `compute_left / width` cycles retires `width`, dispatches `width`
-///   compute instructions and calls no port. The core records that span,
-///   and [`tick`](Self::tick) returns at once inside it. The span is applied
-///   in closed form at the next real tick or at
-///   [`catch_up`](Self::catch_up).
+///   compute instructions and calls no port. The core records that span.
+/// - **Blocked.** When a tick ends with a pending load at the ROB head and
+///   nothing left to dispatch (the ROB is full or the trace is spent),
+///   every later cycle is one head stall until that load completes.
 ///
-/// [`stats`](Self::stats) is exact as of the last real tick or
-/// `catch_up`; call [`catch_up`](Self::catch_up) before reading it mid-run.
+/// Inside either state [`tick`](Self::tick) returns at once, and
+/// [`next_tick`](Self::next_tick) says when ticking resumes. The skipped
+/// cycles are applied in closed form at the next real tick or at
+/// [`catch_up`](Self::catch_up). [`stats`](Self::stats) is exact as of the
+/// last real tick or `catch_up`; call [`catch_up`](Self::catch_up) before
+/// reading it mid-run.
 #[derive(Debug)]
 pub struct OooCore {
     id: usize,
@@ -160,10 +140,8 @@ pub struct OooCore {
     rob_len: usize,
     pending: IntMap<ReqId, u64>,
     next_seq: u64,
-    sleep: Option<Sleep>,
+    idle: Option<Idle>,
     stats: CoreStats,
-    /// Reusable buffer for the combined [`tick`](Self::tick).
-    scratch: Vec<PendingIssue>,
 }
 
 impl OooCore {
@@ -192,9 +170,8 @@ impl OooCore {
             rob_len: 0,
             pending: IntMap::default(),
             next_seq: 0,
-            sleep: None,
+            idle: None,
             stats: CoreStats::default(),
-            scratch: Vec::new(),
         }
     }
 
@@ -213,8 +190,24 @@ impl OooCore {
 
     /// Whether the whole trace has been dispatched and retired.
     #[must_use]
+    #[inline]
     pub fn is_done(&self) -> bool {
         self.rob.is_empty() && self.compute_left == 0 && self.next_op >= self.trace.ops.len()
+    }
+
+    /// The first cycle whose [`tick`](Self::tick) can do anything, given no
+    /// further completions: the cycle after a steady-compute span,
+    /// `u64::MAX` while blocked or done, and 0 (every cycle) otherwise.
+    /// Completing a blocked core's head load makes it 0.
+    #[must_use]
+    #[inline]
+    pub fn next_tick(&self) -> u64 {
+        match self.idle {
+            Some(Idle::Sleep { to, .. }) => to + 1,
+            Some(Idle::Blocked { .. }) if self.head_pending() => u64::MAX,
+            _ if self.is_done() => u64::MAX,
+            _ => 0,
+        }
     }
 
     /// Marks the pending load `req` as completed at cycle `at`.
@@ -226,31 +219,45 @@ impl OooCore {
         }
     }
 
-    /// Applies the slept cycles before `now`, so that [`stats`](Self::stats)
-    /// counts every cycle ticked so far. Call it after the ticks of cycles
-    /// `..now` and before reading statistics mid-run.
+    /// Applies the skipped cycles before `now`, so that
+    /// [`stats`](Self::stats) counts every cycle ticked so far. Call it
+    /// after the ticks of cycles `..now` and before reading statistics
+    /// mid-run.
     pub fn catch_up(&mut self, now: u64) {
-        let Some(Sleep { from, to }) = self.sleep else {
-            return;
-        };
-        let last = to.min(now.saturating_sub(1));
-        if last <= from {
-            return;
+        let last = now.saturating_sub(1);
+        match self.idle {
+            Some(Idle::Blocked { from }) if last > from => {
+                self.stats.head_stall_cycles += last - from;
+                self.idle = Some(Idle::Blocked { from: last });
+            }
+            Some(Idle::Sleep { from, to }) if to.min(last) > from => {
+                let last = to.min(last);
+                // Each slept cycle retired `width` and dispatched `width`
+                // compute instructions completing the cycle after. Every
+                // slot is done by `last + 1`, so the next tick sees the
+                // same retire schedule.
+                let slots = self.width * usize::try_from(last - from).expect("span fits in usize");
+                self.stats.retired += slots as u64;
+                self.compute_left -= slots;
+                let len = self.rob_len;
+                self.rob.clear();
+                self.rob_len = 0;
+                if len > self.width {
+                    self.push_run(SlotState::Done(last), len - self.width);
+                }
+                self.push_run(SlotState::Done(last + 1), self.width);
+                self.idle = (last < to).then_some(Idle::Sleep { from: last, to });
+            }
+            _ => {}
         }
-        // Each slept cycle retired `width` and dispatched `width` compute
-        // instructions completing the cycle after. Every slot is done by
-        // `last + 1`, so the next tick sees the same retire schedule.
-        let slots = self.width * usize::try_from(last - from).expect("span fits in usize");
-        self.stats.retired += slots as u64;
-        self.compute_left -= slots;
-        let len = self.rob_len;
-        self.rob.clear();
-        self.rob_len = 0;
-        if len > self.width {
-            self.push_run(SlotState::Done(last), len - self.width);
-        }
-        self.push_run(SlotState::Done(last + 1), self.width);
-        self.sleep = (last < to).then_some(Sleep { from: last, to });
+    }
+
+    /// Whether the ROB head is a load still waiting for its data.
+    #[inline]
+    fn head_pending(&self) -> bool {
+        self.rob
+            .front()
+            .is_some_and(|e| e.state == SlotState::PendingLoad)
     }
 
     /// The ROB entry holding sequence number `seq`, if it is still in
@@ -265,48 +272,22 @@ impl OooCore {
 
     /// Advances the core by one cycle: retires up to `width` completed
     /// instructions in order, then dispatches up to `width` new ones,
-    /// issuing loads and stores to `port`. Inside a steady-compute span it
-    /// returns at once.
+    /// issuing loads and stores to `port` in program order. Before
+    /// [`next_tick`](Self::next_tick) it returns at once.
     pub fn tick<M: MemoryPort>(&mut self, now: u64, port: &mut M) {
-        if self.sleep.is_some_and(|s| now <= s.to) {
+        if now < self.next_tick() {
             return;
         }
         self.catch_up(now);
-        let mut buf = std::mem::take(&mut self.scratch);
-        self.tick_dispatch(now, &mut buf);
-        self.tick_issue(now, port, &buf);
-        buf.clear();
-        self.scratch = buf;
-        self.try_sleep(now);
+        self.idle = None;
+        self.retire(now);
+        self.dispatch(now, port);
+        self.settle(now);
     }
 
-    /// Starts a steady-compute span after the tick of cycle `now`. With
-    /// every slot done by `now + 1` and at least `width` slots in both the
-    /// ROB and the compute run, each of the next `compute_left / width`
-    /// cycles retires `width` and dispatches `width` compute instructions.
-    fn try_sleep(&mut self, now: u64) {
-        let w = self.width;
-        if self.compute_left < w || self.rob_len < w {
-            return;
-        }
-        let steady = |e: &RobEntry| matches!(e.state, SlotState::Done(at) if at <= now + 1);
-        if !self.rob.iter().all(steady) {
-            return;
-        }
-        let span = u64::try_from(self.compute_left / w).expect("span fits in u64");
-        self.sleep = Some(Sleep {
-            from: now,
-            to: now + span,
-        });
-    }
-
-    /// First half of [`tick`](Self::tick), touching only core-local state:
-    /// retires up to `width` completed instructions in order, then
-    /// dispatches up to `width` new ones. Dispatched loads enter the ROB as
-    /// pending and are appended to `out` together with dispatched stores,
-    /// preserving program order.
-    fn tick_dispatch(&mut self, now: u64, out: &mut Vec<PendingIssue>) {
-        // Retire.
+    /// Retires up to `width` slots done by `now`, in order; a pending load
+    /// at the head with nothing retired is a head stall.
+    fn retire(&mut self, now: u64) {
         let mut retired = 0;
         while retired < self.width {
             let Some(head) = self.rob.front_mut() else {
@@ -330,11 +311,11 @@ impl OooCore {
         }
         self.rob_len -= retired;
         self.stats.retired += retired as u64;
+    }
 
-        // Dispatch. Whether a load hits or misses never changes what else
-        // dispatches this cycle — it occupies one ROB slot either way — so
-        // the memory operations can be collected here and issued later
-        // without altering the schedule.
+    /// Dispatches up to `width` instructions while the ROB has room,
+    /// issuing each load and store to `port` as it dispatches.
+    fn dispatch<M: MemoryPort>(&mut self, now: u64, port: &mut M) {
         let mut dispatched = 0;
         while dispatched < self.width && self.rob_len < self.rob_capacity {
             if self.compute_left > 0 {
@@ -349,12 +330,10 @@ impl OooCore {
             let Some(op) = self.trace.ops.get(self.next_op) else {
                 break;
             };
+            self.next_op += 1;
             match *op {
-                TraceOp::Compute(n) => {
-                    self.next_op += 1;
-                    self.compute_left = n as usize;
-                    // Zero-length batches dissolve immediately.
-                }
+                // Zero-length batches dissolve immediately.
+                TraceOp::Compute(n) => self.compute_left = n as usize,
                 TraceOp::Load {
                     pc,
                     addr,
@@ -362,22 +341,20 @@ impl OooCore {
                     approx,
                     value,
                 } => {
-                    self.next_op += 1;
                     self.stats.loads += 1;
-                    let seq = self.push_run(SlotState::PendingLoad, 1);
-                    out.push(PendingIssue::Load {
-                        seq,
-                        pc,
-                        addr,
-                        ty,
-                        approx,
-                        value,
-                    });
+                    match port.load(self.id, now, pc, addr, ty, approx, value) {
+                        LoadResponse::Done { at } => {
+                            self.push_run(SlotState::Done(at.max(now + 1)), 1);
+                        }
+                        LoadResponse::Pending(req) => {
+                            let seq = self.push_run(SlotState::PendingLoad, 1);
+                            self.pending.insert(req, seq);
+                        }
+                    }
                     dispatched += 1;
                 }
                 TraceOp::Store { pc, addr, .. } => {
-                    self.next_op += 1;
-                    out.push(PendingIssue::Store { pc, addr });
+                    port.store(self.id, now, pc, addr);
                     // Stores complete into the store buffer next cycle.
                     self.push_run(SlotState::Done(now + 1), 1);
                     dispatched += 1;
@@ -386,31 +363,29 @@ impl OooCore {
         }
     }
 
-    /// Second half of [`tick`](Self::tick): issues the memory operations
-    /// collected by `tick_dispatch` to `port` in program order, resolving
-    /// each load's ROB entry from the response.
-    fn tick_issue<M: MemoryPort>(&mut self, now: u64, port: &mut M, reqs: &[PendingIssue]) {
-        for req in reqs {
-            match *req {
-                PendingIssue::Load {
-                    seq,
-                    pc,
-                    addr,
-                    ty,
-                    approx,
-                    value,
-                } => match port.load(self.id, now, pc, addr, ty, approx, value) {
-                    LoadResponse::Done { at } => {
-                        if let Some(entry) = self.rob_entry(seq) {
-                            entry.state = SlotState::Done(at.max(now + 1));
-                        }
-                    }
-                    LoadResponse::Pending(req) => {
-                        self.pending.insert(req, seq);
-                    }
-                },
-                PendingIssue::Store { pc, addr } => port.store(self.id, now, pc, addr),
-            }
+    /// Enters the idle state the tick of cycle `now` left the core in, if
+    /// any. Blocked: the head is pending and the ROB is full or the trace
+    /// spent. Asleep: every slot is done by `now + 1` and at least `width`
+    /// slots sit in both the ROB and the compute run, so each of the next
+    /// `compute_left / width` cycles retires `width` and dispatches `width`
+    /// compute instructions.
+    fn settle(&mut self, now: u64) {
+        let spent = self.compute_left == 0 && self.next_op >= self.trace.ops.len();
+        if self.head_pending() && (self.rob_len == self.rob_capacity || spent) {
+            self.idle = Some(Idle::Blocked { from: now });
+            return;
+        }
+        let w = self.width;
+        if self.compute_left < w || self.rob_len < w {
+            return;
+        }
+        let steady = |e: &RobEntry| matches!(e.state, SlotState::Done(at) if at <= now + 1);
+        if self.rob.iter().all(steady) {
+            let span = u64::try_from(self.compute_left / w).expect("span fits in u64");
+            self.idle = Some(Idle::Sleep {
+                from: now,
+                to: now + span,
+            });
         }
     }
 
@@ -625,6 +600,32 @@ mod tests {
         let mut core = OooCore::new(0, ThreadTrace::new());
         core.complete(ReqId(99), 5); // must not panic
         assert!(core.is_done());
+    }
+
+    #[test]
+    fn blocked_core_skips_to_its_head_completion() {
+        // One load that misses, then nothing: after its dispatch the head
+        // is pending and the trace is spent, so the core blocks until the
+        // load completes, and each skipped cycle is one head stall.
+        let mut t = ThreadTrace::new();
+        t.push_load(Pc(1), Addr(0), ValueType::F32, false, Value::from_f32(0.0));
+        let mut core = OooCore::new(0, t);
+        let mut port = PendingPort::new(0);
+        assert_eq!(core.next_tick(), 0);
+        core.tick(0, &mut port);
+        assert_eq!(core.next_tick(), u64::MAX, "blocked");
+        core.catch_up(40);
+        assert_eq!(core.stats().head_stall_cycles, 39, "cycles 1-39");
+        // The head's data arrives at 100: the tick that sees it counts no
+        // stall, and the load retires at 101.
+        core.complete(ReqId(0), 101);
+        assert_eq!(core.next_tick(), 0, "woken");
+        core.tick(100, &mut port);
+        assert_eq!(core.stats().head_stall_cycles, 99, "cycles 1-99");
+        core.tick(101, &mut port);
+        assert!(core.is_done());
+        assert_eq!(core.next_tick(), u64::MAX, "done");
+        assert_eq!(*core.stats(), CoreStats { retired: 1, loads: 1, head_stall_cycles: 99 });
     }
 
     #[test]

@@ -359,6 +359,11 @@ impl RandomPort {
         self.inflight.retain(|(_, at)| *at > now);
         due
     }
+
+    /// The earliest cycle a completion is due, if any is in flight.
+    fn next_due(&self) -> u64 {
+        self.inflight.iter().map(|&(_, at)| at).min().unwrap_or(u64::MAX)
+    }
 }
 
 impl MemoryPort for RandomPort {
@@ -417,15 +422,22 @@ fn compute_heavy_trace(rng: &mut Rng64) -> ThreadTrace {
     ThreadTrace { ops }
 }
 
-/// The run-length ROB with steady-compute sleep is cycle-exact against the
-/// per-instruction reference core, for widths 1-8 and ROBs of 1-128: the
-/// same port calls, the same statistics whenever they are read, and the
-/// same cycle at which the trace is done. Odd cases read the statistics
-/// every cycle (so per-cycle retirement matches); even cases read them at
-/// random cycles, so `catch_up` applies many slept cycles at once.
+/// The run-length ROB with steady-compute sleep and the blocked state is
+/// cycle-exact against the per-instruction reference core, for widths 1-8
+/// and ROBs of 1-128: the same port calls, the same statistics whenever
+/// they are read, and the same cycle at which the trace is done. Odd cases
+/// read the statistics every cycle (so per-cycle retirement matches); even
+/// cases read them at random cycles, so `catch_up` applies many slept
+/// cycles at once.
+///
+/// A second core is driven the way the full-system loop drives it: it is
+/// ticked only at the cycles it or its port name (`next_tick`, the next
+/// completion due), each completion is delivered at the first such cycle
+/// it is due, and its statistics are read after `catch_up` at random
+/// cycles, which may fall inside a skipped span.
 #[test]
 fn run_length_core_matches_the_per_instruction_reference() {
-    let mut lagged = 0u64;
+    let (mut lagged, mut blocked, mut skipped) = (0u64, 0u64, 0u64);
     for case in 0..CASES {
         let mut rng = rng_for(7, case);
         let width = rng.gen_range(1usize..9);
@@ -434,10 +446,13 @@ fn run_length_core_matches_the_per_instruction_reference() {
         let port_seed = rng.gen_u64();
         let every_cycle = case % 2 == 1;
         let mut core = OooCore::with_shape(0, trace.clone(), width, rob);
+        let mut jumper = OooCore::with_shape(0, trace.clone(), width, rob);
         let mut reference = ReferenceCore::new(trace, width, rob);
         let (mut port, mut ref_port) = (RandomPort::new(port_seed), RandomPort::new(port_seed));
+        let mut jump_port = RandomPort::new(port_seed);
+        let mut reads = Rng64::new(port_seed ^ 0x5eed);
         let ctx = format!("case {case}: width {width}, ROB {rob}");
-        let mut now = 0u64;
+        let (mut now, mut visit) = (0u64, 0u64);
         while !reference.is_done() {
             for (req, at) in port.due(now) {
                 core.complete(req, at);
@@ -447,11 +462,27 @@ fn run_length_core_matches_the_per_instruction_reference() {
             }
             core.tick(now, &mut port);
             reference.tick(now, &mut ref_port);
+            if now == visit {
+                for (req, at) in jump_port.due(now) {
+                    jumper.complete(req, at);
+                }
+                jumper.tick(now, &mut jump_port);
+                if jumper.next_tick() == u64::MAX && !jumper.is_done() {
+                    blocked += 1;
+                }
+                visit = jumper.next_tick().min(jump_port.next_due()).max(now + 1);
+                skipped += u64::from(visit > now + 1);
+            }
             now += 1;
             assert_eq!(
                 core.is_done(),
                 reference.is_done(),
                 "{ctx}: done at cycle {now}"
+            );
+            assert_eq!(
+                jumper.is_done(),
+                reference.is_done(),
+                "{ctx}: event-driven core done at cycle {now}"
             );
             if every_cycle || rng.gen_bool(1.0 / 16.0) || reference.is_done() {
                 if core.stats() != &reference.stats {
@@ -465,10 +496,22 @@ fn run_length_core_matches_the_per_instruction_reference() {
                     now - 1
                 );
             }
+            if reads.gen_bool(1.0 / 8.0) || reference.is_done() {
+                jumper.catch_up(now);
+                assert_eq!(
+                    jumper.stats(),
+                    &reference.stats,
+                    "{ctx}: event-driven core after cycle {}",
+                    now - 1
+                );
+            }
             assert!(now < 1_000_000, "{ctx}: runaway core");
         }
         assert!(core.is_done(), "{ctx}");
         assert_eq!(port.calls, ref_port.calls, "{ctx}: port calls");
+        assert_eq!(jump_port.calls, ref_port.calls, "{ctx}: event-driven port calls");
     }
     assert!(lagged > 0, "no core ever slept through a cycle");
+    assert!(blocked > 0, "no core ever blocked on its ROB head");
+    assert!(skipped > 0, "the event-driven core never skipped a cycle");
 }

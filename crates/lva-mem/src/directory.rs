@@ -1,10 +1,10 @@
-//! MSI directory state for the distributed shared L2 (§V-B, Table II).
+//! MSI/MESI directory state for the distributed shared L2 (§V-B, Table II).
 //!
 //! Each L2 bank owns the directory slice for the blocks it caches. The
-//! full-system simulator (in `lva-sim`) drives the protocol; this module
-//! holds the per-block bookkeeping: stable states, sharer sets and a busy
-//! bit implementing a blocking directory (one in-flight transaction per
-//! block, queueing the rest).
+//! full-system simulator (in `lva-sim`) drives the protocol and blocks on
+//! in-flight transactions itself: each bank keeps at most one open
+//! transaction per block and queues the requests that find one. This
+//! module holds only the stable per-block state: owners and sharer sets.
 
 use lva_core::{Addr, IntMap};
 
@@ -75,16 +75,11 @@ pub enum DirectoryState {
     Modified(usize),
 }
 
-#[derive(Debug, Clone, Default)]
-struct BlockInfo {
-    state: DirectoryState,
-    busy: bool,
-}
-
 /// Directory slice for one L2 bank.
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
-    blocks: IntMap<u64, BlockInfo>,
+    /// Every block not [`DirectoryState::Uncached`], by block index.
+    blocks: IntMap<u64, DirectoryState>,
 }
 
 impl Directory {
@@ -96,48 +91,21 @@ impl Directory {
 
     /// Current stable state for the block containing `addr`.
     #[must_use]
+    #[inline]
     pub fn state(&self, addr: Addr) -> DirectoryState {
         self.blocks
             .get(&addr.block_index())
-            .map_or(DirectoryState::Uncached, |b| b.state)
+            .copied()
+            .unwrap_or_default()
     }
 
     /// Replaces the stable state for the block.
+    #[inline]
     pub fn set_state(&mut self, addr: Addr, state: DirectoryState) {
-        let info = self.blocks.entry(addr.block_index()).or_default();
-        info.state = state;
-        if matches!(state, DirectoryState::Uncached) && !info.busy {
+        if state == DirectoryState::Uncached {
             self.blocks.remove(&addr.block_index());
-        }
-    }
-
-    /// Whether a transaction is in flight for the block.
-    #[must_use]
-    pub fn is_busy(&self, addr: Addr) -> bool {
-        self.blocks
-            .get(&addr.block_index())
-            .is_some_and(|b| b.busy)
-    }
-
-    /// Marks the block busy (start of a transaction). Returns `false` if it
-    /// already was — the caller must queue the request.
-    pub fn try_acquire(&mut self, addr: Addr) -> bool {
-        let info = self.blocks.entry(addr.block_index()).or_default();
-        if info.busy {
-            false
         } else {
-            info.busy = true;
-            true
-        }
-    }
-
-    /// Clears the busy bit (end of a transaction).
-    pub fn release(&mut self, addr: Addr) {
-        if let Some(info) = self.blocks.get_mut(&addr.block_index()) {
-            info.busy = false;
-            if matches!(info.state, DirectoryState::Uncached) {
-                self.blocks.remove(&addr.block_index());
-            }
+            self.blocks.insert(addr.block_index(), state);
         }
     }
 
@@ -169,33 +137,18 @@ mod tests {
     fn default_state_is_uncached() {
         let d = Directory::new();
         assert_eq!(d.state(Addr(0x40)), DirectoryState::Uncached);
-        assert!(!d.is_busy(Addr(0x40)));
     }
 
     #[test]
-    fn busy_bit_blocks_second_transaction() {
-        let mut d = Directory::new();
-        let a = Addr(0x80);
-        assert!(d.try_acquire(a));
-        assert!(!d.try_acquire(a));
-        // Same block, different byte.
-        assert!(!d.try_acquire(Addr(0x81)));
-        d.release(a);
-        assert!(d.try_acquire(a));
-    }
-
-    #[test]
-    fn uncached_idle_blocks_are_garbage_collected() {
+    fn uncached_blocks_are_garbage_collected() {
         let mut d = Directory::new();
         let a = Addr(0x40);
-        d.try_acquire(a);
         d.set_state(a, DirectoryState::Modified(2));
-        d.release(a);
         assert_eq!(d.tracked_blocks(), 1);
-        d.try_acquire(a);
+        // Same block, different byte.
+        assert_eq!(d.state(Addr(0x41)), DirectoryState::Modified(2));
         d.set_state(a, DirectoryState::Uncached);
-        d.release(a);
-        assert_eq!(d.tracked_blocks(), 0, "uncached+idle must be dropped");
+        assert_eq!(d.tracked_blocks(), 0, "uncached blocks must be dropped");
     }
 
     #[test]

@@ -27,8 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Identifier of a mesh node (tile). Nodes are numbered row-major:
@@ -143,36 +142,14 @@ impl MeshStats {
     }
 }
 
-#[derive(Debug)]
-struct InFlight<P> {
-    arrival: u64,
-    seq: u64,
-    payload: P,
-}
-
-impl<P> PartialEq for InFlight<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.arrival == other.arrival && self.seq == other.seq
-    }
-}
-impl<P> Eq for InFlight<P> {}
-impl<P> PartialOrd for InFlight<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<P> Ord for InFlight<P> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.arrival, self.seq).cmp(&(other.arrival, other.seq))
-    }
-}
-
 /// A cycle-driven mesh NoC delivering generic payloads.
 ///
 /// Senders call [`send`](Mesh::send) with the current cycle; receivers call
-/// [`pop_arrived`](Mesh::pop_arrived) each cycle until it returns `None`
-/// to drain packets whose tail flit has arrived. Contention is modelled
-/// per directed link: a link carries one flit per
+/// [`pop_arrived`](Mesh::pop_arrived) until it returns `None` to drain
+/// packets whose tail flit has arrived, at any cycle at or after
+/// [`next_arrival`](Mesh::next_arrival). Each node's packets come out in
+/// arrival order, ties in send order, however late they are polled.
+/// Contention is modelled per directed link: a link carries one flit per
 /// [`MeshConfig::link_cycles`], so multi-flit data packets delay later
 /// packets sharing the link (wormhole-style serialization without per-VC
 /// detail).
@@ -184,8 +161,10 @@ pub struct Mesh<P> {
     link_free: Vec<u64>,
     /// Link availability of the low-power plane, when one exists.
     low_power: Option<(LowPowerPlane, Vec<u64>)>,
-    queues: Vec<BinaryHeap<Reverse<InFlight<P>>>>,
-    seq: u64,
+    /// Per destination node, `(arrival, payload)` in delivery order.
+    queues: Vec<VecDeque<(u64, P)>>,
+    /// The earliest arrival in any queue; `u64::MAX` when none is queued.
+    earliest: u64,
     stats: MeshStats,
 }
 
@@ -248,8 +227,8 @@ impl<P> Mesh<P> {
             config,
             link_free: vec![0; config.nodes() * 4],
             low_power: None,
-            queues: (0..config.nodes()).map(|_| BinaryHeap::new()).collect(),
-            seq: 0,
+            queues: (0..config.nodes()).map(|_| VecDeque::new()).collect(),
+            earliest: u64::MAX,
             stats: MeshStats::default(),
         }
     }
@@ -366,12 +345,16 @@ impl<P> Mesh<P> {
             head + (flits - 1) * link_cycles
         };
         self.stats.total_latency += arrival - now;
-        self.seq += 1;
-        self.queues[dst.0].push(Reverse(InFlight {
-            arrival,
-            seq: self.seq,
-            payload,
-        }));
+        // Behind every packet arriving no later: ties leave in send order.
+        // Most packets arrive after everything queued, so append those.
+        let q = &mut self.queues[dst.0];
+        match q.back() {
+            Some(&(last, _)) if last > arrival => {
+                q.insert(q.partition_point(|&(at, _)| at <= arrival), (arrival, payload));
+            }
+            _ => q.push_back((arrival, payload)),
+        }
+        self.earliest = self.earliest.min(arrival);
     }
 
     /// Removes and returns the earliest packet whose tail has arrived at
@@ -381,26 +364,34 @@ impl<P> Mesh<P> {
     /// here is not returned until a later cycle.
     pub fn pop_arrived(&mut self, node: NodeId, now: u64) -> Option<P> {
         let q = &mut self.queues[node.0];
-        if q.peek()?.0.arrival > now {
+        if self.earliest > now || q.front()?.0 > now {
             return None;
         }
-        q.pop().map(|Reverse(p)| p.payload)
+        let (_, payload) = q.pop_front()?;
+        self.earliest = self
+            .queues
+            .iter()
+            .filter_map(|q| q.front())
+            .map(|&(at, _)| at)
+            .min()
+            .unwrap_or(u64::MAX);
+        Some(payload)
     }
 
     /// The earliest pending arrival cycle at any node, if any packet is in
-    /// flight — lets callers fast-forward idle simulations.
+    /// flight — lets callers jump an idle simulation to it.
     #[must_use]
     pub fn next_arrival(&self) -> Option<u64> {
-        self.queues
-            .iter()
-            .filter_map(|q| q.peek().map(|Reverse(p)| p.arrival))
-            .min()
+        (self.earliest != u64::MAX).then_some(self.earliest)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lva_core::Rng64;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn mesh() -> Mesh<u32> {
         Mesh::new(MeshConfig::paper())
@@ -521,6 +512,73 @@ mod tests {
         assert_eq!(m.pop_arrived(NodeId(1), 5), Some(2));
         assert_eq!(m.pop_arrived(NodeId(1), 7), None);
         assert_eq!(m.pop_arrived(NodeId(1), 8), Some(3));
+    }
+
+    /// The queue discipline the sorted per-node queues replace: a binary
+    /// heap per node ordered by (arrival, send sequence).
+    struct HeapModel {
+        queues: Vec<BinaryHeap<Reverse<(u64, u64, u32)>>>,
+        seq: u64,
+    }
+
+    impl HeapModel {
+        fn push(&mut self, dst: NodeId, arrival: u64, payload: u32) {
+            self.seq += 1;
+            self.queues[dst.0].push(Reverse((arrival, self.seq, payload)));
+        }
+
+        fn pop_arrived(&mut self, node: NodeId, now: u64) -> Option<u32> {
+            let q = &mut self.queues[node.0];
+            if q.peek()?.0 .0 > now {
+                return None;
+            }
+            q.pop().map(|Reverse((_, _, p))| p)
+        }
+
+        fn next_arrival(&self) -> Option<u64> {
+            self.queues.iter().filter_map(|q| q.peek().map(|r| r.0 .0)).min()
+        }
+    }
+
+    #[test]
+    fn queues_match_the_binary_heap_model() {
+        for case in 0..64u64 {
+            let mut rng = Rng64::new(0x006e_6f63 ^ case);
+            let config = MeshConfig::paper();
+            let mut m: Mesh<u32> = Mesh::new_heterogeneous(config, LowPowerPlane::default());
+            let mut model = HeapModel {
+                queues: (0..config.nodes()).map(|_| BinaryHeap::new()).collect(),
+                seq: 0,
+            };
+            let (mut clock, mut popped) = (0u64, 0usize);
+            for payload in 0..400u32 {
+                if rng.gen_bool(0.6) {
+                    // A send now or in the future (a bank's delayed reply,
+                    // a deprioritized training fetch), on either plane.
+                    let plane = if rng.gen_bool(0.3) { Plane::LowPower } else { Plane::Fast };
+                    let now = clock + rng.gen_range(0u64..40) * u64::from(rng.gen_bool(0.3));
+                    let src = NodeId(rng.gen_range(0usize..4));
+                    let dst = NodeId(rng.gen_range(0usize..4));
+                    let flits = rng.gen_range(1u64..6);
+                    // The mesh's own timing sets the arrival; the model
+                    // only checks the order packets come out in.
+                    let before = m.stats().total_latency;
+                    m.send_on(plane, now, src, dst, flits, payload);
+                    model.push(dst, now + m.stats().total_latency - before, payload);
+                } else {
+                    // A poll, often many cycles after the last one.
+                    clock += rng.gen_range(0u64..30);
+                    let node = NodeId(rng.gen_range(0usize..4));
+                    let got = drain(&mut m, node, clock);
+                    let want: Vec<u32> =
+                        std::iter::from_fn(|| model.pop_arrived(node, clock)).collect();
+                    assert_eq!(got, want, "case {case}: node {node} at {clock}");
+                    popped += got.len();
+                }
+                assert_eq!(m.next_arrival(), model.next_arrival(), "case {case}");
+            }
+            assert!(popped > 0, "case {case}: nothing was delivered");
+        }
     }
 
     #[test]

@@ -500,7 +500,12 @@ struct Bank {
     l2: SetAssocCache,
     dir: Directory,
     trans: IntMap<u64, Transaction>,
+    /// Requests that found their block's transaction open, oldest first.
     retry: VecDeque<Msg>,
+    /// A transaction closed since the last retry pass. A request fails
+    /// only while its block's transaction is open, so a pass with nothing
+    /// closed would fail every request and leave the queue as it was.
+    armed: bool,
     dram: BinaryHeap<Reverse<DramEvent>>,
 }
 
@@ -508,8 +513,11 @@ struct Bank {
 
 #[derive(Debug)]
 struct Mshr {
-    /// Outstanding load requests (id, issue cycle) waiting for data.
-    reqs: Vec<(ReqId, u64)>,
+    /// The first load request (id, issue cycle) waiting for the data. Most
+    /// MSHRs hold at most one, so it lives inline.
+    first: Option<(ReqId, u64)>,
+    /// Requests merged in after the first, in issue order.
+    merged: Vec<(ReqId, u64)>,
     /// The approximator training to apply when the data arrives. Only the
     /// fetch that opens the MSHR trains, so there is at most one.
     train: Option<(TrainToken, Value)>,
@@ -583,6 +591,7 @@ impl MemorySystem {
                 dir: Directory::new(),
                 trans: IntMap::default(),
                 retry: VecDeque::new(),
+                armed: false,
                 dram: BinaryHeap::new(),
             })
             .collect();
@@ -618,16 +627,29 @@ impl MemorySystem {
             .send_on(plane, now, NodeId(src), NodeId(dst), msg.flits(), msg);
     }
 
+    /// The first cycle from `now` on at which [`tick`](Self::tick) can
+    /// change anything: `now` while a bank's retry queue is armed, else the
+    /// next mesh arrival or DRAM fill (`u64::MAX` when none is pending).
+    fn next_event(&self, now: u64) -> u64 {
+        let mut next = self.mesh.next_arrival().unwrap_or(u64::MAX);
+        for bank in &self.banks {
+            if bank.armed && !bank.retry.is_empty() {
+                return now;
+            }
+            if let Some(Reverse(ev)) = bank.dram.peek() {
+                next = next.min(ev.due);
+            }
+        }
+        next
+    }
+
     /// One cycle of the memory system: DRAM completions, bank retries, and
     /// message delivery.
     fn tick(&mut self, now: u64) {
-        // Most cycles nothing reaches the memory system: no retry queued,
-        // no DRAM fill due, no packet arriving. The scan below would then
-        // change nothing, so skip it.
-        let bank_busy = |b: &Bank| {
-            !b.retry.is_empty() || b.dram.peek().is_some_and(|Reverse(ev)| ev.due <= now)
-        };
-        if !self.banks.iter().any(bank_busy) && self.mesh.next_arrival().is_none_or(|t| t > now) {
+        // A cycle may be visited for a core or an epoch boundary alone.
+        // With no retry armed, no DRAM fill due and no packet arriving,
+        // the scan below would change nothing, so skip it.
+        if self.next_event(now) > now {
             return;
         }
         // DRAM fills that are due.
@@ -640,8 +662,12 @@ impl MemorySystem {
                 self.banks[b].dram.pop();
                 self.dram_fill_ready(now, b, due);
             }
-            // Retry queue: one pass per cycle over what was queued before
-            // it; requests that must retry again queue behind them.
+            // Retry queue: one pass over what was queued before it, in a
+            // cycle after a transaction closed; requests that must retry
+            // again queue behind them.
+            if !std::mem::take(&mut self.banks[b].armed) {
+                continue;
+            }
             for _ in 0..self.banks[b].retry.len() {
                 let msg = self.banks[b].retry.pop_front().expect("queued retry");
                 self.bank_handle(now, b, msg);
@@ -794,6 +820,14 @@ impl MemorySystem {
         }
     }
 
+    /// Closes bank `b`'s transaction on `block`, if one is open, and arms
+    /// the bank's retry queue.
+    fn close(&mut self, b: usize, block: u64) -> Option<Transaction> {
+        let t = self.banks[b].trans.remove(&block);
+        self.banks[b].armed |= t.is_some();
+        t
+    }
+
     fn finish_directory(&mut self, b: usize, block: u64, requester: usize, exclusive: bool) {
         let next = if exclusive {
             DirectoryState::Modified(requester)
@@ -838,7 +872,7 @@ impl MemorySystem {
                     slow,
                 },
             );
-            self.banks[b].trans.remove(&block);
+            self.close(b, block);
         } else {
             // Miss in the bank: fetch from this bank's DRAM channel. Keep a
             // transaction so the requester/exclusivity survive the wait.
@@ -869,7 +903,7 @@ impl MemorySystem {
             self.stats.dram_accesses += 1;
             self.stats.energy.dram_accesses += 1;
         }
-        let Some(t) = self.banks[b].trans.remove(&block) else {
+        let Some(t) = self.close(b, block) else {
             return;
         };
         self.stats.l2_data_blocks += 1;
@@ -1034,7 +1068,7 @@ impl MemorySystem {
         let Some(mshr) = self.l1[core].mshr.remove(&block) else {
             return;
         };
-        for (req, issued) in mshr.reqs {
+        for (req, issued) in mshr.first.into_iter().chain(mshr.merged) {
             let latency = now.saturating_sub(issued);
             self.stats.miss_latency_sum += latency;
             self.l1[core].local_stats.load_latency_cycles += latency;
@@ -1073,12 +1107,13 @@ impl MemorySystem {
         core: usize,
         at: u64,
         block: u64,
-        reqs: Vec<(ReqId, u64)>,
+        first: Option<(ReqId, u64)>,
         train: Option<(TrainToken, Value)>,
         has_approximation: bool,
     ) {
         let mshr = Mshr {
-            reqs,
+            first,
+            merged: Vec::new(),
             train,
             has_approximation,
         };
@@ -1162,14 +1197,14 @@ impl MemoryPort for MemorySystem {
                             // over slow, low-energy paths (§VI-C).
                             let at = now + self.cfg.training_fetch_penalty;
                             let train = Some((token, value));
-                            self.fetch_block(core, at, block, Vec::new(), train, true);
+                            self.fetch_block(core, at, block, None, train, true);
                         }
                         return self.approximated(core, now);
                     }
                     MissAction::Fallthrough { token, .. } => {
                         let req = self.alloc_req();
                         let train = Some((token, value));
-                        self.fetch_block(core, now, block, vec![(req, now)], train, false);
+                        self.fetch_block(core, now, block, Some((req, now)), train, false);
                         return LoadResponse::Pending(req);
                     }
                     MissAction::Conventional => {}
@@ -1181,14 +1216,13 @@ impl MemoryPort for MemorySystem {
         // in-flight block with no approximation to reuse).
         let req = self.alloc_req();
         match self.l1[core].mshr.get_mut(&block) {
-            Some(mshr) => {
-                // Secondary miss: merge, no new traffic, not a new miss.
-                mshr.reqs.push((req, now));
-            }
+            // Secondary miss: merge, no new traffic, not a new miss.
+            Some(Mshr { first: first @ None, .. }) => *first = Some((req, now)),
+            Some(mshr) => mshr.merged.push((req, now)),
             None => {
                 self.stats.l1_load_misses += 1;
                 self.l1[core].local_stats.load_fetches += 1;
-                self.fetch_block(core, now, block, vec![(req, now)], None, false);
+                self.fetch_block(core, now, block, Some((req, now)), None, false);
             }
         }
         LoadResponse::Pending(req)
@@ -1215,7 +1249,8 @@ impl MemoryPort for MemorySystem {
         self.l1[core].mshr.insert(
             block,
             Mshr {
-                reqs: Vec::new(),
+                first: None,
+                merged: Vec::new(),
                 train: None,
                 has_approximation: false,
             },
@@ -1358,8 +1393,9 @@ impl FullSystem {
     /// flushed from the fully assembled end-of-run statistics, so every
     /// counter's per-epoch deltas sum exactly to its aggregate value.
     ///
-    /// Each cycle ticks the memory system, delivers the completions it
-    /// produced, then ticks every core in core-index order.
+    /// Each simulated cycle ticks the memory system, delivers the
+    /// completions it produced, then ticks every core in core-index order;
+    /// the loop visits only the cycles at which something can change.
     ///
     /// # Errors
     ///
@@ -1443,8 +1479,13 @@ fn assemble_stats(mem: &MemorySystem, cores: &mut [OooCore], now: u64) -> FullSy
     stats
 }
 
-/// The per-cycle loop: memory-system tick, completion delivery, then each
-/// core's tick in core-index order.
+/// The cycle loop. A visited cycle ticks the memory system, delivers the
+/// completions it produced, then ticks each core in core-index order. The
+/// loop then jumps to the next cycle at which anything can change: a
+/// memory-system event ([`MemorySystem::next_event`]), a core's
+/// [`OooCore::next_tick`], the timeline or governor epoch boundary while
+/// the cores run, or `max_cycles`. Every cycle it skips would have changed
+/// nothing, or only what [`OooCore::catch_up`] applies in closed form.
 fn run_cycles(
     mem: &mut MemorySystem,
     cores: &mut [OooCore],
@@ -1459,7 +1500,7 @@ fn run_cycles(
         for (core, req, at) in mem.completions.drain(..) {
             cores[core].complete(req, at);
         }
-        // Completions produced below reach their cores next cycle.
+        // Completions produced below reach their cores in a later cycle.
         for core in cores.iter_mut() {
             core.tick(now, mem);
         }
@@ -1496,6 +1537,16 @@ fn run_cycles(
                 mem.cfg.max_cycles
             ));
         }
+        // Jump to the next cycle at which anything can change. A boundary
+        // `b` is checked after cycle `b - 1`, so that cycle is visited.
+        let mut next = cores
+            .iter()
+            .map(OooCore::next_tick)
+            .fold(mem.next_event(now), u64::min);
+        if cores_done_at.is_none() {
+            next = next.min(due - 1).min(govern_due - 1);
+        }
+        now = next.min(mem.cfg.max_cycles.saturating_sub(1)).max(now);
     }
     Ok(CycleOutcome {
         now,
@@ -1908,6 +1959,32 @@ mod tests {
             spans[1],
             ("background-drain".to_owned(), stats.cycles, stats.drain_cycles)
         );
+    }
+
+    #[test]
+    fn replays_past_max_cycles_fail_even_when_a_jump_would_pass_the_limit() {
+        // A core asleep in a long compute run, and one blocked on a cold
+        // miss whose data is due after the limit: the loop's next event
+        // lies beyond `max_cycles` in both, and both must stop there.
+        let mut asleep = ThreadTrace::new();
+        asleep.push_compute(40_000);
+        let mut blocked = ThreadTrace::new();
+        blocked.push_load(Pc(1), Addr(0x40), ValueType::F32, false, Value::from_f32(0.0));
+        for (name, trace, limit) in [("asleep", asleep, 5_000), ("blocked", blocked, 50)] {
+            let mut cfg = FullSystemConfig::paper(MechanismKind::Precise);
+            cfg.max_cycles = limit;
+            let err = FullSystem::new(cfg.clone(), vec![trace.clone()]).run().unwrap_err();
+            assert_eq!(
+                err,
+                format!("full-system simulation exceeded {limit} cycles (deadlock?)"),
+                "{name}"
+            );
+            // A limit of exactly the cycles the replay takes is enough.
+            let needed = run(FullSystemConfig::paper(MechanismKind::Precise), vec![trace.clone()]);
+            assert!(needed.cycles > limit, "{name}: {} cycles", needed.cycles);
+            cfg.max_cycles = needed.cycles;
+            assert_eq!(FullSystem::new(cfg, vec![trace]).run(), Ok(needed), "{name}");
+        }
     }
 
     #[test]
