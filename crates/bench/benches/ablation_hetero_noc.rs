@@ -22,15 +22,11 @@ fn main() {
     let mut slowdown = Vec::new();
     let mut noc_energy = Vec::new();
     for (name, traces) in &suite {
-        let base = FullSystem::new(
-            FullSystemConfig::paper(mechanism.clone()),
-            traces.clone(),
-        )
-        .run()
-        .expect("baseline converges");
+        let base = FullSystem::new(FullSystemConfig::paper(mechanism.clone()), traces.clone())
+            .run()
+            .expect("baseline converges");
         let hetero = FullSystem::new(
-            FullSystemConfig::paper(mechanism.clone())
-                .with_hetero_noc(LowPowerPlane::default()),
+            FullSystemConfig::paper(mechanism.clone()).with_hetero_noc(LowPowerPlane::default()),
             traces.clone(),
         )
         .run()

@@ -56,8 +56,7 @@ fn main() {
             runs.iter()
                 .zip(&precise)
                 .map(|(r, p)| {
-                    (1.0 - r.hierarchy_energy_nj(&params) / p.hierarchy_energy_nj(&params))
-                        * 100.0
+                    (1.0 - r.hierarchy_energy_nj(&params) / p.hierarchy_energy_nj(&params)) * 100.0
                 })
                 .collect(),
         ));

@@ -176,10 +176,7 @@ fn plot_timeline(path: &str) -> Result<usize, String> {
         ));
     }
 
-    let workload = json
-        .get("workload")
-        .and_then(Json::as_str)
-        .unwrap_or("run");
+    let workload = json.get("workload").and_then(Json::as_str).unwrap_or("run");
     let title = format!(
         "{workload} — per-epoch counter deltas ({} core{})",
         records.len(),

@@ -58,7 +58,10 @@ pub fn banner(experiment: &str, paper_ref: &str) {
     println!("==============================================================================");
     println!("{experiment}");
     println!("  reproduces: {paper_ref}");
-    println!("  scale: {:?} (LVA_SCALE=test|small|medium)", scale_from_env());
+    println!(
+        "  scale: {:?} (LVA_SCALE=test|small|medium)",
+        scale_from_env()
+    );
     println!("==============================================================================");
 }
 
@@ -194,9 +197,7 @@ pub fn fullsystem_scale(scale: WorkloadScale) -> WorkloadScale {
 /// Records the per-thread traces of every benchmark (precise run) at the
 /// full-system scale derived from `scale`.
 #[must_use]
-pub fn fullsystem_suite(
-    scale: WorkloadScale,
-) -> Vec<(&'static str, Vec<lva_cpu::ThreadTrace>)> {
+pub fn fullsystem_suite(scale: WorkloadScale) -> Vec<(&'static str, Vec<lva_cpu::ThreadTrace>)> {
     registry(fullsystem_scale(scale))
         .iter()
         .map(|w| {

@@ -37,7 +37,9 @@ const PALETTE: [&str; 10] = [
 ];
 
 fn esc(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
+    s.replace('&', "&amp;")
+        .replace('<', "&lt;")
+        .replace('>', "&gt;")
 }
 
 /// Renders a grouped bar chart (benchmarks + mean on the x-axis, one bar
@@ -397,8 +399,14 @@ mod tests {
         // Every opened tag closes: rects are either self-closed or carry a
         // <title> child; text/line/title tags balance.
         assert_eq!(svg.matches("<text").count(), svg.matches("</text>").count());
-        assert_eq!(svg.matches("<title>").count(), svg.matches("</title>").count());
-        assert_eq!(svg.matches("<title>").count(), svg.matches("</rect>").count());
+        assert_eq!(
+            svg.matches("<title>").count(),
+            svg.matches("</title>").count()
+        );
+        assert_eq!(
+            svg.matches("<title>").count(),
+            svg.matches("</rect>").count()
+        );
     }
 
     #[test]

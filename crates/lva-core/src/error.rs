@@ -114,17 +114,13 @@ impl fmt::Display for ConfigError {
             ConfigError::IndexTagWidth {
                 index_bits,
                 tag_bits,
-            } => write!(
-                f,
-                "index ({index_bits}) + tag ({tag_bits}) bits exceed 64"
-            ),
+            } => write!(f, "index ({index_bits}) + tag ({tag_bits}) bits exceed 64"),
             ConfigError::PrefetcherTable { table } => {
                 write!(f, "prefetcher {table} table must have entries")
             }
-            ConfigError::HierarchyDepth { depth } => write!(
-                f,
-                "hierarchy depth must be 2..=4 (L1..DRAM), got {depth}"
-            ),
+            ConfigError::HierarchyDepth { depth } => {
+                write!(f, "hierarchy depth must be 2..=4 (L1..DRAM), got {depth}")
+            }
             ConfigError::SlowThreshold { level, depth } => write!(
                 f,
                 "slow threshold (hierarchy index {level}) is unreachable in a \

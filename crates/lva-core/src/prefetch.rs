@@ -168,8 +168,7 @@ impl GhbPrefetcher {
             _ => None,
         };
         let pos = self.abs;
-        self.ghb[(pos % self.config.ghb_entries as u64) as usize] =
-            Some(GhbSlot { block, prev });
+        self.ghb[(pos % self.config.ghb_entries as u64) as usize] = Some(GhbSlot { block, prev });
         self.abs += 1;
         self.index[islot] = Some(IndexSlot { pc, last: pos });
 
@@ -292,7 +291,12 @@ mod tests {
         let c = p.on_miss(Pc(1), block_addr(10));
         assert_eq!(
             c,
-            vec![block_addr(11), block_addr(12), block_addr(13), block_addr(14)]
+            vec![
+                block_addr(11),
+                block_addr(12),
+                block_addr(13),
+                block_addr(14)
+            ]
         );
     }
 

@@ -5,8 +5,8 @@
 use lva_core::{
     Addr, ApproximatorConfig, CacheLevel, ClpConfig, ComputeFn, ConfidenceCounter,
     ConfidenceUpdate, ConfidenceWindow, ContextHasher, FetchAction, GhbPrefetcher, HashKind,
-    HistoryBuffer, LevelPredictor, LoadValueApproximator, MissOutcome, Pc, PrefetcherConfig,
-    Rng64, Value, ValueType,
+    HistoryBuffer, LevelPredictor, LoadValueApproximator, MissOutcome, Pc, PrefetcherConfig, Rng64,
+    Value, ValueType,
 };
 
 const CASES: u64 = 256;
@@ -55,7 +55,12 @@ fn from_numeric_stays_close_for_in_range() {
     for case in 0..CASES {
         let mut rng = rng_for(2, case);
         let x = rng.gen_range(-1.0e4f64..1.0e4);
-        for ty in [ValueType::I32, ValueType::I64, ValueType::F32, ValueType::F64] {
+        for ty in [
+            ValueType::I32,
+            ValueType::I64,
+            ValueType::F32,
+            ValueType::F64,
+        ] {
             let v = Value::from_numeric(x, ty);
             assert_eq!(v.value_type(), ty);
             assert!(
@@ -170,7 +175,10 @@ fn average_is_bounded_by_history() {
         let avg = ComputeFn::Average.apply(&lhb);
         let lo = vals.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        assert!(avg >= lo - 1e-9 && avg <= hi + 1e-9, "{avg} not in [{lo}, {hi}]");
+        assert!(
+            avg >= lo - 1e-9 && avg <= hi + 1e-9,
+            "{avg} not in [{lo}, {hi}]"
+        );
         let w = ComputeFn::WeightedAverage.apply(&lhb);
         assert!(w >= lo - 1e-9 && w <= hi + 1e-9);
     }
@@ -193,7 +201,12 @@ fn in_window_training_is_monotone() {
             let before = c.value();
             // approx == actual: always inside any window.
             let x = Value::from_f64(v);
-            c.train(x, x, ConfidenceWindow::Relative(0.10), ConfidenceUpdate::Proportional);
+            c.train(
+                x,
+                x,
+                ConfidenceWindow::Relative(0.10),
+                ConfidenceUpdate::Proportional,
+            );
             assert!(c.value() >= before);
         }
     }
@@ -314,10 +327,21 @@ fn clp_eviction_preserves_accuracy_accounting() {
         assert_eq!(s.predictions, n as u64);
         assert!(s.correct <= s.predictions);
         assert!(s.mispredictions <= s.predictions);
-        assert!(s.evicted_predictions >= s.evictions, "an evicted slot saw >= 1 prediction");
+        assert!(
+            s.evicted_predictions >= s.evictions,
+            "an evicted slot saw >= 1 prediction"
+        );
         let (live, live_correct) = p.live_predictions();
-        assert_eq!(live + s.evicted_predictions, s.predictions, "prediction accounting leaks");
-        assert_eq!(live_correct + s.evicted_correct, s.correct, "correct accounting leaks");
+        assert_eq!(
+            live + s.evicted_predictions,
+            s.predictions,
+            "prediction accounting leaks"
+        );
+        assert_eq!(
+            live_correct + s.evicted_correct,
+            s.correct,
+            "correct accounting leaks"
+        );
         let acc = s.accuracy();
         assert!((0.0..=1.0).contains(&acc));
     }

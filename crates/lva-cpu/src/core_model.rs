@@ -520,7 +520,13 @@ mod tests {
         // ~800 cycles; the ROB overlaps them into ~100.
         let mut t = ThreadTrace::new();
         for i in 0..8 {
-            t.push_load(Pc(i), Addr(i * 64), ValueType::F32, false, Value::from_f32(0.0));
+            t.push_load(
+                Pc(i),
+                Addr(i * 64),
+                ValueType::F32,
+                false,
+                Value::from_f32(0.0),
+            );
         }
         let mut core = OooCore::new(0, t);
         let mut port = PendingPort::new(100);
@@ -541,7 +547,13 @@ mod tests {
         // 32 at a time → at least two full latency exposures.
         let mut t = ThreadTrace::new();
         for i in 0..64 {
-            t.push_load(Pc(i), Addr(i * 64), ValueType::F32, false, Value::from_f32(0.0));
+            t.push_load(
+                Pc(i),
+                Addr(i * 64),
+                ValueType::F32,
+                false,
+                Value::from_f32(0.0),
+            );
         }
         let mut core = OooCore::new(0, t);
         let mut port = PendingPort::new(100);
@@ -559,7 +571,13 @@ mod tests {
     fn instant_loads_do_not_stall() {
         let mut t = ThreadTrace::new();
         for i in 0..100 {
-            t.push_load(Pc(i), Addr(i * 64), ValueType::F32, true, Value::from_f32(0.0));
+            t.push_load(
+                Pc(i),
+                Addr(i * 64),
+                ValueType::F32,
+                true,
+                Value::from_f32(0.0),
+            );
         }
         let (cycles, stats) = run_fixed(t, 1);
         assert_eq!(stats.loads, 100);
@@ -625,7 +643,14 @@ mod tests {
         core.tick(101, &mut port);
         assert!(core.is_done());
         assert_eq!(core.next_tick(), u64::MAX, "done");
-        assert_eq!(*core.stats(), CoreStats { retired: 1, loads: 1, head_stall_cycles: 99 });
+        assert_eq!(
+            *core.stats(),
+            CoreStats {
+                retired: 1,
+                loads: 1,
+                head_stall_cycles: 99
+            }
+        );
     }
 
     #[test]
@@ -636,7 +661,13 @@ mod tests {
         // past sequence 0, so each one must land on slot `seq - head`.
         let mut t = ThreadTrace::new();
         for i in 0..40 {
-            t.push_load(Pc(i), Addr(i * 64), ValueType::F32, false, Value::from_f32(0.0));
+            t.push_load(
+                Pc(i),
+                Addr(i * 64),
+                ValueType::F32,
+                false,
+                Value::from_f32(0.0),
+            );
         }
         let mut core = OooCore::new(0, t);
         let mut port = PendingPort::new(0);

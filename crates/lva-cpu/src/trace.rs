@@ -150,7 +150,13 @@ mod tests {
     fn stats_count_each_kind() {
         let mut t = ThreadTrace::new();
         t.push_compute(10);
-        t.push_load(Pc(1), Addr(0x40), ValueType::F32, true, Value::from_f32(1.0));
+        t.push_load(
+            Pc(1),
+            Addr(0x40),
+            ValueType::F32,
+            true,
+            Value::from_f32(1.0),
+        );
         t.push_load(Pc(2), Addr(0x80), ValueType::I32, false, Value::from_i32(3));
         t.push_store(Pc(3), Addr(0xc0), ValueType::F32);
         let s = t.stats();

@@ -180,10 +180,22 @@ mod tests {
     fn sample() -> Vec<ThreadTrace> {
         let mut t0 = ThreadTrace::new();
         t0.push_compute(42);
-        t0.push_load(Pc(0x100), Addr(0x40), ValueType::F32, true, Value::from_f32(1.5));
+        t0.push_load(
+            Pc(0x100),
+            Addr(0x40),
+            ValueType::F32,
+            true,
+            Value::from_f32(1.5),
+        );
         t0.push_store(Pc(0x104), Addr(0x80), ValueType::I32);
         let mut t1 = ThreadTrace::new();
-        t1.push_load(Pc(0x200), Addr(0xc0), ValueType::U8, false, Value::from_u8(9));
+        t1.push_load(
+            Pc(0x200),
+            Addr(0xc0),
+            ValueType::U8,
+            false,
+            Value::from_u8(9),
+        );
         vec![t0, t1, ThreadTrace::new()]
     }
 

@@ -362,7 +362,11 @@ impl RandomPort {
 
     /// The earliest cycle a completion is due, if any is in flight.
     fn next_due(&self) -> u64 {
-        self.inflight.iter().map(|&(_, at)| at).min().unwrap_or(u64::MAX)
+        self.inflight
+            .iter()
+            .map(|&(_, at)| at)
+            .min()
+            .unwrap_or(u64::MAX)
     }
 }
 
@@ -509,7 +513,10 @@ fn run_length_core_matches_the_per_instruction_reference() {
         }
         assert!(core.is_done(), "{ctx}");
         assert_eq!(port.calls, ref_port.calls, "{ctx}: port calls");
-        assert_eq!(jump_port.calls, ref_port.calls, "{ctx}: event-driven port calls");
+        assert_eq!(
+            jump_port.calls, ref_port.calls,
+            "{ctx}: event-driven port calls"
+        );
     }
     assert!(lagged > 0, "no core ever slept through a cycle");
     assert!(blocked > 0, "no core ever blocked on its ROB head");

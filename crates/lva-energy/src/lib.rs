@@ -118,8 +118,7 @@ impl EnergyEvents {
             l2_accesses: self.l2_accesses + other.l2_accesses,
             dram_accesses: self.dram_accesses + other.dram_accesses,
             noc_flit_hops: self.noc_flit_hops + other.noc_flit_hops,
-            noc_low_power_flit_hops: self.noc_low_power_flit_hops
-                + other.noc_low_power_flit_hops,
+            noc_low_power_flit_hops: self.noc_low_power_flit_hops + other.noc_low_power_flit_hops,
             approximator_accesses: self.approximator_accesses + other.approximator_accesses,
         }
     }

@@ -159,8 +159,7 @@ fn memory_read_after_write() {
         for _ in 0..n {
             let off = rng.gen_range(0u64..512);
             let bits = rng.gen_u64();
-            let ty = [ValueType::U8, ValueType::I32, ValueType::F64]
-                [rng.gen_range(0usize..3)];
+            let ty = [ValueType::U8, ValueType::I32, ValueType::F64][rng.gen_range(0usize..3)];
             let addr = Addr(0x10_000 + off);
             mem.write_value(addr, Value::from_bits(bits, ty));
             for i in 0..ty.size_bytes() {

@@ -74,7 +74,10 @@ fn no_early_delivery() {
             when + hops * 4 + (flits - 1)
         };
         if min > 0 {
-            assert!(drain(&mut mesh, NodeId(dst), min - 1).is_empty(), "delivered early");
+            assert!(
+                drain(&mut mesh, NodeId(dst), min - 1).is_empty(),
+                "delivered early"
+            );
         }
         assert_eq!(drain(&mut mesh, NodeId(dst), min), vec![1]);
     }

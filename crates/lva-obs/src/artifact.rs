@@ -16,7 +16,13 @@ pub fn bench_file_name(name: &str) -> String {
     // Keep file names shell- and CI-friendly regardless of run names.
     let slug: String = name
         .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect();
     format!("BENCH_{slug}.json")
 }
@@ -66,8 +72,8 @@ pub fn write_manifest(path: &Path, record: &RunRecord) -> io::Result<()> {
 /// Returns a message for I/O failures, JSON parse errors, or schema
 /// violations — always naming the offending path.
 pub fn read_manifest(path: &Path) -> Result<RunRecord, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("read {}: {e}", path.display()))?;
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
     RunRecord::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 

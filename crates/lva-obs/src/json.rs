@@ -239,7 +239,11 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "json parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "json parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -445,9 +449,7 @@ impl Parser<'_> {
                             out.push(self.unicode_escape()?);
                             continue; // already advanced past the digits
                         }
-                        Some(c) => {
-                            return Err(self.err(format!("bad escape '\\{}'", c as char)))
-                        }
+                        Some(c) => return Err(self.err(format!("bad escape '\\{}'", c as char))),
                     }
                     self.pos += 1;
                 }
@@ -489,8 +491,7 @@ impl Parser<'_> {
         }
         let digits = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
             .map_err(|_| self.err("non-ascii in \\u escape"))?;
-        let v = u32::from_str_radix(digits, 16)
-            .map_err(|_| self.err("bad hex in \\u escape"))?;
+        let v = u32::from_str_radix(digits, 16).map_err(|_| self.err("bad hex in \\u escape"))?;
         self.pos += 4;
         Ok(v)
     }
@@ -532,11 +533,17 @@ mod tests {
         let v = Json::Obj(vec![
             ("cmd".into(), Json::Str("submit\nline".into())),
             ("n".into(), Json::Num(2.5)),
-            ("flags".into(), Json::Arr(vec![Json::Bool(true), Json::Null])),
+            (
+                "flags".into(),
+                Json::Arr(vec![Json::Bool(true), Json::Null]),
+            ),
             ("empty".into(), Json::Obj(vec![])),
         ]);
         let line = v.to_string_compact();
-        assert!(!line.contains('\n'), "wire form must be newline-free: {line}");
+        assert!(
+            !line.contains('\n'),
+            "wire form must be newline-free: {line}"
+        );
         assert_eq!(
             line,
             r#"{"cmd":"submit\nline","n":2.5,"flags":[true,null],"empty":{}}"#
@@ -549,7 +556,12 @@ mod tests {
     fn object_member_order_is_preserved() {
         let text = r#"{"z": 1, "a": 2, "m": 3}"#;
         let v = parse(text).expect("parses");
-        let keys: Vec<&str> = v.as_obj().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        let keys: Vec<&str> = v
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
         assert_eq!(keys, ["z", "a", "m"]);
     }
 
@@ -579,7 +591,10 @@ mod tests {
         // emits, and control characters, repeated far past any buffer.
         let unit = "ascii \u{e9}\u{3bb}\u{4e2d}\u{1f600} \" \\ \n \r \t \u{1}\u{1f} /";
         let long = unit.repeat(2000);
-        for v in [Json::Str(long.clone()), Json::Obj(vec![(long.clone(), Json::Str(long))])] {
+        for v in [
+            Json::Str(long.clone()),
+            Json::Obj(vec![(long.clone(), Json::Str(long))]),
+        ] {
             assert_eq!(parse(&v.to_string_compact()).unwrap(), v);
             assert_eq!(roundtrip(&v), v);
         }
@@ -636,7 +651,15 @@ mod tests {
 
     #[test]
     fn finite_floats_round_trip_exactly() {
-        for v in [0.1, 1.0 / 3.0, 1e300, 5e-324, -2.2250738585072014e-308, 0.0, -0.0] {
+        for v in [
+            0.1,
+            1.0 / 3.0,
+            1e300,
+            5e-324,
+            -2.2250738585072014e-308,
+            0.0,
+            -0.0,
+        ] {
             let back = roundtrip(&Json::Num(v));
             match back {
                 Json::Num(b) => assert_eq!(b.to_bits(), v.to_bits(), "{v}"),
@@ -698,7 +721,10 @@ mod tests {
         }
         // Underflow to zero and the largest finite doubles stay accepted.
         assert_eq!(parse("1e-999").unwrap(), Json::Num(0.0));
-        assert_eq!(parse("1.7976931348623157e308").unwrap(), Json::Num(f64::MAX));
+        assert_eq!(
+            parse("1.7976931348623157e308").unwrap(),
+            Json::Num(f64::MAX)
+        );
     }
 
     #[test]

@@ -552,9 +552,10 @@ mod tests {
         let record = RunRecord::parse(&a).unwrap();
         assert!(record.stat("summary/norm_mpki").is_some());
         assert!(
-            record.stats.iter().all(|(path, _)| {
-                !path.starts_with("time/") && !path.starts_with("env/")
-            }),
+            record
+                .stats
+                .iter()
+                .all(|(path, _)| { !path.starts_with("time/") && !path.starts_with("env/") }),
             "cached manifests must carry no wall-clock or host stats"
         );
         assert_eq!(record.meta("fingerprint").unwrap().len(), 16);
@@ -563,7 +564,9 @@ mod tests {
     #[test]
     fn evaluate_point_reports_unknown_workloads() {
         let spec = PointSpec::new("nonesuch", WorkloadScale::Test, 0, SimConfig::precise());
-        assert!(evaluate_point(&spec).unwrap_err().contains("unknown workload"));
+        assert!(evaluate_point(&spec)
+            .unwrap_err()
+            .contains("unknown workload"));
     }
 
     #[test]

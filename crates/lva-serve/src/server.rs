@@ -194,7 +194,10 @@ fn refuse_oversized_line(reader: BufReader<TcpStream>, writer: &mut TcpStream) {
     let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
     let _ = send_line(writer, &protocol::encode_error(&message));
     let _ = writer.shutdown(Shutdown::Write);
-    let _ = std::io::copy(&mut reader.take(MAX_REQUEST_LINE as u64), &mut std::io::sink());
+    let _ = std::io::copy(
+        &mut reader.take(MAX_REQUEST_LINE as u64),
+        &mut std::io::sink(),
+    );
 }
 
 /// Handles one request line; returns `false` when the connection should
@@ -303,12 +306,18 @@ mod tests {
     #[test]
     fn ping_garbage_and_shutdown_over_a_raw_socket() {
         let (handle, mut stream) = test_server();
-        assert_eq!(round_trip(&mut stream, r#"{"cmd":"ping"}"#), protocol::encode_pong());
+        assert_eq!(
+            round_trip(&mut stream, r#"{"cmd":"ping"}"#),
+            protocol::encode_pong()
+        );
 
         let reply = round_trip(&mut stream, "this is not json");
         assert!(reply.contains("\"ok\":false"), "{reply}");
         // The connection survived the bad request.
-        assert_eq!(round_trip(&mut stream, r#"{"cmd":"ping"}"#), protocol::encode_pong());
+        assert_eq!(
+            round_trip(&mut stream, r#"{"cmd":"ping"}"#),
+            protocol::encode_pong()
+        );
 
         let reply = round_trip(&mut stream, r#"{"cmd":"shutdown"}"#);
         assert_eq!(reply, protocol::encode_stopping());

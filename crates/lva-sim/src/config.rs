@@ -88,7 +88,10 @@ impl fmt::Display for ConfigError {
                  confidence window: skipped fetches are never observed"
             ),
             ConfigError::FaultRate { knob, rate } => {
-                write!(f, "fault rate {knob} must be a probability in [0, 1], got {rate}")
+                write!(
+                    f,
+                    "fault rate {knob} must be a probability in [0, 1], got {rate}"
+                )
             }
             ConfigError::ZeroEpoch => {
                 write!(f, "timeline epoch length must be at least 1 clock unit")
@@ -485,7 +488,10 @@ mod tests {
     fn labels_are_informative() {
         assert_eq!(SimConfig::precise().mechanism.label(), "precise");
         assert!(SimConfig::prefetch(4).mechanism.label().contains("deg=4"));
-        assert!(SimConfig::baseline_lva().mechanism.label().starts_with("lva"));
+        assert!(SimConfig::baseline_lva()
+            .mechanism
+            .label()
+            .starts_with("lva"));
     }
 
     #[test]
@@ -562,7 +568,13 @@ mod tests {
                 .validate()
                 .unwrap_err();
             assert!(
-                matches!(err, ConfigError::GovernorKnob { knob: "error_budget", .. }),
+                matches!(
+                    err,
+                    ConfigError::GovernorKnob {
+                        knob: "error_budget",
+                        ..
+                    }
+                ),
                 "{bad}: {err}"
             );
         }
@@ -598,7 +610,16 @@ mod tests {
                 .with_faults(FaultConfig::seeded(1).with_drop_rate(bad))
                 .validate()
                 .unwrap_err();
-            assert!(matches!(err, ConfigError::FaultRate { knob: "drop_rate", .. }), "{err}");
+            assert!(
+                matches!(
+                    err,
+                    ConfigError::FaultRate {
+                        knob: "drop_rate",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
         }
     }
 
@@ -694,10 +715,19 @@ mod tests {
     #[test]
     fn validate_rejects_bad_governor_knobs() {
         for bad in [f64::NAN, 0.0, -0.02, f64::INFINITY] {
-            let err = SimConfig::baseline_lva().with_govern_slo(bad).validate().unwrap_err();
+            let err = SimConfig::baseline_lva()
+                .with_govern_slo(bad)
+                .validate()
+                .unwrap_err();
             // NaN never compares equal, so match on the knob name alone.
             assert!(
-                matches!(err, ConfigError::GovernorKnob { knob: "slo_error", .. }),
+                matches!(
+                    err,
+                    ConfigError::GovernorKnob {
+                        knob: "slo_error",
+                        ..
+                    }
+                ),
                 "{bad}: {err}"
             );
             assert!(err.to_string().contains("governor knob"), "{err}");
@@ -706,7 +736,10 @@ mod tests {
             epoch_len: 0,
             ..GovernorConfig::slo(0.02)
         };
-        let err = SimConfig::baseline_lva().with_govern(bad).validate().unwrap_err();
+        let err = SimConfig::baseline_lva()
+            .with_govern(bad)
+            .validate()
+            .unwrap_err();
         assert_eq!(
             err,
             ConfigError::GovernorKnob {

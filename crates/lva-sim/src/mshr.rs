@@ -155,10 +155,7 @@ impl InFlightSet {
 
     /// Doubles the table and rehashes every key.
     fn grow(&mut self) {
-        let old = std::mem::replace(
-            &mut self.slots,
-            vec![EMPTY; 0].into_boxed_slice(),
-        );
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; 0].into_boxed_slice());
         let mut bigger = Self::with_slots(old.len() * 2);
         for &k in old.iter().filter(|&&k| k != EMPTY) {
             bigger.insert(k);

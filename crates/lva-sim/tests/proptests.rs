@@ -137,7 +137,10 @@ fn lva_never_fetches_more_than_misses() {
         let mut rng = rng_for(4, case);
         let ops = arb_ops(&mut rng);
         let degree = rng.gen_range(0u32..17);
-        let s = drive(SimConfig::lva(ApproximatorConfig::with_degree(degree)), &ops);
+        let s = drive(
+            SimConfig::lva(ApproximatorConfig::with_degree(degree)),
+            &ops,
+        );
         assert!(s.fetches() <= s.total.raw_misses);
     }
 }

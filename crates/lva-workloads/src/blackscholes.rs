@@ -191,7 +191,14 @@ impl Kernel for Blackscholes {
                 ]);
                 let (s, k, r, v, t) = (s.as_f32(), k.as_f32(), r.as_f32(), v.as_f32(), t.as_f32());
                 let call = call.as_u8() != 0;
-                let key = (s.to_bits(), k.to_bits(), r.to_bits(), v.to_bits(), t.to_bits(), call);
+                let key = (
+                    s.to_bits(),
+                    k.to_bits(),
+                    r.to_bits(),
+                    v.to_bits(),
+                    t.to_bits(),
+                    call,
+                );
                 let p = match memo.get(&key) {
                     Some(&p) => p,
                     None => {
@@ -299,6 +306,9 @@ mod tests {
             .filter(|o| o.spot == 100.0 || o.spot == 42.0)
             .count() as f64
             / wl.len() as f64;
-        assert!(dominant > 0.97, "two spot values must cover >97%: {dominant}");
+        assert!(
+            dominant > 0.97,
+            "two spot values must cover >97%: {dominant}"
+        );
     }
 }

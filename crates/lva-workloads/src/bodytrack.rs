@@ -197,7 +197,9 @@ impl Kernel for Bodytrack {
                     acc += wbuf[j];
                     j += 1;
                 }
-                new_px.push((px[j] + rng.gen_range(-4.0f32..4.0)).clamp(0.0, self.width as f32 - 1.0));
+                new_px.push(
+                    (px[j] + rng.gen_range(-4.0f32..4.0)).clamp(0.0, self.width as f32 - 1.0),
+                );
                 new_py.push(
                     (py[j] + rng.gen_range(-4.0f32..4.0)).clamp(0.0, self.height as f32 - 1.0),
                 );

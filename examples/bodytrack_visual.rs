@@ -42,7 +42,9 @@ fn write_pgm(path: &Path, img: &[u8]) -> std::io::Result<()> {
 }
 
 fn main() -> std::io::Result<()> {
-    let dir = std::env::args().nth(1).unwrap_or_else(|| "target/fig1".into());
+    let dir = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "target/fig1".into());
     fs::create_dir_all(&dir)?;
     let workload = Bodytrack::new(WorkloadScale::Test);
 
@@ -57,7 +59,10 @@ fn main() -> std::io::Result<()> {
 
     println!("Figure 1 analogue written to {dir}/precise.pgm and {dir}/approx.pgm");
     println!();
-    println!("{:<8} {:>22} {:>22}", "frame", "precise (x, y)", "approx (x, y)");
+    println!(
+        "{:<8} {:>22} {:>22}",
+        "frame", "precise (x, y)", "approx (x, y)"
+    );
     for (i, (p, a)) in precise.iter().zip(&approx).enumerate() {
         println!(
             "{:<8} {:>10.2} {:>10.2} {:>10.2} {:>10.2}",

@@ -183,9 +183,7 @@ fn mechanism_of(args: &Args) -> Result<MechanismKind, String> {
         "lva" => MechanismKind::Lva(lva_config()),
         "lvp" => MechanismKind::Lvp(LvpConfig::with_ghb(ghb)),
         "real-lvp" => MechanismKind::RealisticLvp(Default::default()),
-        "prefetch" => {
-            MechanismKind::Prefetch(lva::core::PrefetcherConfig::paper(degree.max(1)))
-        }
+        "prefetch" => MechanismKind::Prefetch(lva::core::PrefetcherConfig::paper(degree.max(1))),
         "clp" => MechanismKind::Clp(clp_of(args)?),
         "lva+clp" => MechanismKind::LvaClp(lva_config(), clp_of(args)?),
         other => return Err(format!("unknown mechanism {other}")),
@@ -248,9 +246,11 @@ fn govern_of(args: &Args) -> Result<Option<GovernorConfig>, String> {
             "epoch" => cfg.epoch_len = parsed(value, "--govern epoch")?,
             "hysteresis" => cfg.hysteresis_epochs = parsed(value, "--govern hysteresis")?,
             "min-samples" => cfg.min_samples = parsed(value, "--govern min-samples")?,
-            other => return Err(format!(
+            other => {
+                return Err(format!(
                 "unknown --govern key {other} (quality|energy-weight|epoch|hysteresis|min-samples)"
-            )),
+            ))
+            }
         }
     }
     if cfg.slo_error.is_some_and(f64::is_nan) {
@@ -301,7 +301,16 @@ fn print_govern(run: &WorkloadRun) {
     println!("  governor ({} thread(s)):", run.govern.len());
     println!(
         "    {:>6} {:>6} {:>7} {:>7} {:>6} {:>7} {:>7} {:>9} {:>6} {:>12}",
-        "thread", "epochs", "actuate", "tighten", "relax", "revert", "rung", "window", "deg", "edp/load"
+        "thread",
+        "epochs",
+        "actuate",
+        "tighten",
+        "relax",
+        "revert",
+        "rung",
+        "window",
+        "deg",
+        "edp/load"
     );
     for (i, g) in run.govern.iter().enumerate() {
         println!(
@@ -318,7 +327,11 @@ fn print_govern(run: &WorkloadRun) {
             g.last_edp.map_or_else(|| "-".into(), |e| format!("{e:.3}")),
         );
         if !g.disabled_pcs.is_empty() {
-            let pcs: Vec<String> = g.disabled_pcs.iter().map(|pc| format!("{:#x}", pc.0)).collect();
+            let pcs: Vec<String> = g
+                .disabled_pcs
+                .iter()
+                .map(|pc| format!("{:#x}", pc.0))
+                .collect();
             println!("           disabled PCs: {}", pcs.join(", "));
         }
     }
@@ -326,11 +339,7 @@ fn print_govern(run: &WorkloadRun) {
 
 /// Prints the governor budget ladder's per-PC verdict for a finished run.
 fn print_degrade(run: &WorkloadRun) {
-    let mut offenders: Vec<_> = run
-        .degrade
-        .iter()
-        .flat_map(|r| r.offenders())
-        .collect();
+    let mut offenders: Vec<_> = run.degrade.iter().flat_map(|r| r.offenders()).collect();
     if offenders.is_empty() {
         println!("  quality: no PC left the healthy state");
         return;
@@ -379,14 +388,20 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     println!("  instructions        {:>14}", run.stats.total.instructions);
     println!("  loads               {:>14}", run.stats.total.loads);
     println!("  raw L1 misses       {:>14}", run.stats.total.raw_misses);
-    println!("  approximated        {:>14}", run.stats.total.approximations);
+    println!(
+        "  approximated        {:>14}",
+        run.stats.total.approximations
+    );
     println!("  predicted correct   {:>14}", run.stats.total.lvp_correct);
     println!("  rollbacks           {:>14}", run.stats.total.rollbacks);
     println!("  blocks fetched      {:>14}", run.stats.fetches());
     println!("  MPKI                {:>14.4}", run.stats.mpki());
     println!("  normalized MPKI     {:>14.4}", run.normalized_mpki());
     println!("  normalized fetches  {:>14.4}", run.normalized_fetches());
-    println!("  coverage            {:>13.1}%", run.stats.coverage() * 100.0);
+    println!(
+        "  coverage            {:>13.1}%",
+        run.stats.coverage() * 100.0
+    );
     println!("  output error        {:>13.2}%", run.output_error * 100.0);
     if run.stats.total.clp_predictions > 0 {
         println!(
@@ -395,7 +410,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             run.stats.clp_accuracy() * 100.0,
             run.stats.total.clp_mispredicts,
         );
-        println!("  avg load latency    {:>14.2}", run.stats.avg_load_latency());
+        println!(
+            "  avg load latency    {:>14.2}",
+            run.stats.avg_load_latency()
+        );
     }
     if config.govern.is_some_and(|g| g.error_budget.is_some()) {
         println!(
@@ -463,11 +481,15 @@ fn grid_configs_of(args: &Args) -> Result<Vec<SimConfig>, String> {
     if args.switch("with-precise") {
         spec = spec.mechanism(MechanismKind::Precise);
     }
-    spec.try_build().map_err(|e| format!("invalid sweep grid: {e}"))
+    spec.try_build()
+        .map_err(|e| format!("invalid sweep grid: {e}"))
 }
 
 /// Resolves a `<benchmark|all>` positional against the registry.
-fn benchmarks_of(args: &Args, scale: WorkloadScale) -> Result<(String, Vec<Box<dyn lva::workloads::Workload>>), String> {
+fn benchmarks_of(
+    args: &Args,
+    scale: WorkloadScale,
+) -> Result<(String, Vec<Box<dyn lva::workloads::Workload>>), String> {
     let which = args
         .positional
         .get(1)
@@ -478,7 +500,9 @@ fn benchmarks_of(args: &Args, scale: WorkloadScale) -> Result<(String, Vec<Box<d
         .filter(|w| which == "all" || w.name() == which)
         .collect();
     if workloads.is_empty() {
-        return Err(format!("unknown benchmark {which} (try `lva-explore list`)"));
+        return Err(format!(
+            "unknown benchmark {which} (try `lva-explore list`)"
+        ));
     }
     Ok((which, workloads))
 }
@@ -514,7 +538,11 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         let run = &outcome.value;
         println!(
             "{:<28} {:<14} {:>12.4} {:>12.4} {:>10.2}  [{:.2?}]",
-            format!("{} d={}", configs[c].mechanism.label(), configs[c].value_delay),
+            format!(
+                "{} d={}",
+                configs[c].mechanism.label(),
+                configs[c].value_delay
+            ),
             workloads[w].name(),
             run.normalized_mpki(),
             run.normalized_fetches(),
@@ -554,8 +582,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         let mut registry = MetricsRegistry::new();
         sweep.record_metrics(&mut registry);
         record.absorb_registry(&registry);
-        write_manifest(Path::new(path), &record)
-            .map_err(|e| format!("write {path}: {e}"))?;
+        write_manifest(Path::new(path), &record).map_err(|e| format!("write {path}: {e}"))?;
         println!("wrote sweep manifest to {path}");
     }
     Ok(())
@@ -690,8 +717,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         let run = workload.execute(&config);
         let events: Vec<_> = run.collectors.iter().flat_map(|c| c.events()).collect();
         let json = chrome_trace(&events);
-        std::fs::write(out, json.to_string_pretty())
-            .map_err(|e| format!("write {out}: {e}"))?;
+        std::fs::write(out, json.to_string_pretty()).map_err(|e| format!("write {out}: {e}"))?;
         println!(
             "wrote {} trace events ({} cores) to {out} [Chrome trace-event JSON]",
             events.len(),
@@ -731,7 +757,11 @@ fn cmd_attribute(args: &Args) -> Result<(), String> {
             merged.merge(a);
         }
     }
-    println!("per-PC attribution of {} under {}:", run.name, config.mechanism.label());
+    println!(
+        "per-PC attribution of {} under {}:",
+        run.name,
+        config.mechanism.label()
+    );
     match args.flag("top") {
         Some(top) => {
             let n: usize = top.parse().map_err(|e| format!("bad --top: {e}"))?;
@@ -809,7 +839,10 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
         let approx_pcs = pcs.values().filter(|p| p.approximate).count();
         println!("thread {i}:");
         println!("  instructions        {:>12}", stats.instructions);
-        println!("  loads / stores      {:>12} / {}", stats.loads, stats.stores);
+        println!(
+            "  loads / stores      {:>12} / {}",
+            stats.loads, stats.stores
+        );
         println!(
             "  approximate loads   {:>12} ({} static PCs)",
             stats.approx_loads, approx_pcs
@@ -869,10 +902,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
         "  hierarchy energy    {:>12.1} nJ",
         stats.hierarchy_energy_nj(&params)
     );
-    println!(
-        "  L1-miss EDP         {:>14.3}",
-        stats.l1_miss_edp(&params)
-    );
+    println!("  L1-miss EDP         {:>14.3}", stats.l1_miss_edp(&params));
     if degrading {
         println!(
             "  demoted / disabled  {:>12} / {} ({} misses denied, {} fetches forced)",
@@ -1012,8 +1042,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     };
     let epoch_ms = positive(args, "timeline-ms", Scheduler::DEFAULT_EPOCH_MS)?;
     let scheduler = std::sync::Arc::new(Scheduler::new_every(workers, cache, epoch_ms));
-    let server =
-        Server::bind(addr, scheduler).map_err(|e| format!("cannot bind {addr}: {e}"))?;
+    let server = Server::bind(addr, scheduler).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     let local = server
         .local_addr()
         .map_err(|e| format!("cannot resolve listen address: {e}"))?;
@@ -1045,8 +1074,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
         })
         .collect();
 
-    let mut client =
-        Client::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    let mut client = Client::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     let show_progress = args.switch("progress");
     let outcome = client.submit_with_progress(&points, |done, total| {
         if show_progress {
@@ -1097,7 +1125,8 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
     // content address — identical to the server's own disk cache layout.
     if let Some(dir) = args.flag("out-dir") {
         let dir = Path::new(dir);
-        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         for (point, result) in points.iter().zip(&outcome.results) {
             if let Ok(text) = result {
                 let path = dir.join(format!(
@@ -1173,9 +1202,10 @@ fn cmd_serve_ctl(args: &Args) -> Result<(), String> {
         .get(1)
         .map(String::as_str)
         .ok_or("usage: lva-explore serve-ctl <ping|metrics|watch|stop> --addr HOST:PORT")?;
-    let addr = args.flag("addr").ok_or("serve-ctl needs --addr HOST:PORT")?;
-    let mut client =
-        Client::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    let addr = args
+        .flag("addr")
+        .ok_or("serve-ctl needs --addr HOST:PORT")?;
+    let mut client = Client::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     match action {
         "ping" => {
             client.ping()?;

@@ -40,10 +40,10 @@
 
 pub use lva_core as core;
 pub use lva_cpu as cpu;
-pub use lva_obs as obs;
-pub use lva_serve as serve;
 pub use lva_energy as energy;
 pub use lva_mem as mem;
 pub use lva_noc as noc;
+pub use lva_obs as obs;
+pub use lva_serve as serve;
 pub use lva_sim as sim;
 pub use lva_workloads as workloads;

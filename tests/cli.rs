@@ -144,7 +144,13 @@ fn compare_passes_on_itself_and_fails_on_a_regression() {
     let baseline = dir.join("BENCH_base.json");
     let base_str = baseline.to_str().expect("utf8 path");
     let (ok, _, stderr) = explore(&[
-        "report", "--workload", "blackscholes", "--scale", "test", "--out", base_str,
+        "report",
+        "--workload",
+        "blackscholes",
+        "--scale",
+        "test",
+        "--out",
+        base_str,
     ]);
     assert!(ok, "report failed: {stderr}");
 
@@ -300,7 +306,10 @@ fn clp_report_round_trips_through_compare() {
     assert!(ok, "clp report failed: {stderr}");
     let record = lva::obs::read_manifest(&path).expect("manifest parses");
     assert!(
-        record.meta("mechanism").expect("mechanism meta").starts_with("clp("),
+        record
+            .meta("mechanism")
+            .expect("mechanism meta")
+            .starts_with("clp("),
         "wrong mechanism meta: {:?}",
         record.meta("mechanism")
     );
@@ -308,7 +317,9 @@ fn clp_report_round_trips_through_compare() {
         .stat("phase1/total/clp/predictions")
         .expect("clp predictions stat");
     assert!(predictions > 0.0, "predictor never ran");
-    assert!(record.stat("phase1/total/clp/load_latency_cycles").is_some());
+    assert!(record
+        .stat("phase1/total/clp/load_latency_cycles")
+        .is_some());
 
     // A clp manifest gates against itself like any other.
     let (ok, stdout, stderr) = explore(&["compare", path_str, path_str]);
@@ -339,7 +350,12 @@ fn bad_clp_geometry_is_a_config_error_not_a_panic() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     // So must an unparseable slow-threshold label.
     let (ok, _, stderr) = explore(&[
-        "run", "blackscholes", "--mechanism", "lva+clp", "--clp-slow", "l9",
+        "run",
+        "blackscholes",
+        "--mechanism",
+        "lva+clp",
+        "--clp-slow",
+        "l9",
     ]);
     assert!(!ok);
     assert!(stderr.contains("bad --clp-slow"), "{stderr}");
@@ -366,7 +382,12 @@ fn attribute_shows_level_accuracy_under_clp() {
 
     // Mechanisms without a predictor must not grow the extra table.
     let (ok, stdout, _) = explore(&[
-        "attribute", "blackscholes", "--mech", "lva", "--scale", "test",
+        "attribute",
+        "blackscholes",
+        "--mech",
+        "lva",
+        "--scale",
+        "test",
     ]);
     assert!(ok);
     assert!(
@@ -382,7 +403,13 @@ fn compare_top_flag_truncates_the_delta_table() {
     let baseline = dir.join("BENCH_base.json");
     let base_str = baseline.to_str().expect("utf8 path");
     let (ok, _, stderr) = explore(&[
-        "report", "--workload", "swaptions", "--scale", "test", "--out", base_str,
+        "report",
+        "--workload",
+        "swaptions",
+        "--scale",
+        "test",
+        "--out",
+        base_str,
     ]);
     assert!(ok, "report failed: {stderr}");
 

@@ -31,7 +31,10 @@ fn mechanisms() -> Vec<(&'static str, SimConfig)> {
 
 /// Runs every (mechanism, workload) pair and returns canonical
 /// fingerprints in grid order.
-fn battery_fingerprints(workers: usize, map: impl Fn(&SimConfig) -> SimConfig + Sync) -> Vec<String> {
+fn battery_fingerprints(
+    workers: usize,
+    map: impl Fn(&SimConfig) -> SimConfig + Sync,
+) -> Vec<String> {
     let workloads = registry(WorkloadScale::Test);
     let configs: Vec<SimConfig> = mechanisms().into_iter().map(|(_, c)| map(&c)).collect();
     let grid: Vec<(usize, usize)> = (0..configs.len())
@@ -75,8 +78,7 @@ fn every_mechanism_is_trace_neutral() {
     let off = battery_fingerprints(4, Clone::clone);
     let ring = battery_fingerprints(4, |c| c.clone().with_trace(TraceConfig::ring(1024)));
     assert_eq!(off, ring, "ring tracing perturbed a mechanism");
-    let attributed =
-        battery_fingerprints(4, |c| c.clone().with_trace(TraceConfig::attribution()));
+    let attributed = battery_fingerprints(4, |c| c.clone().with_trace(TraceConfig::attribution()));
     assert_eq!(off, attributed, "attribution tracing perturbed a mechanism");
 }
 
@@ -172,7 +174,8 @@ fn fast_path_invariant_holds_for_every_mechanism() {
             let mut h = SimHarness::new(cfg);
             let base = h.alloc(64 * 512, 64);
             for i in 0..512u64 {
-                h.memory_mut().write_f32(base.offset(i * 64), (i % 7) as f32);
+                h.memory_mut()
+                    .write_f32(base.offset(i * 64), (i % 7) as f32);
             }
             for step in 0..4_000u64 {
                 h.set_thread((rng.gen_u64() % threads as u64) as usize);
@@ -257,7 +260,10 @@ fn invalid_knob_values_error_without_panicking() {
                 }
                 Ok(applied) => {
                     assert!(!applied, "{name}: invalid window accepted");
-                    assert!(before.is_none(), "{name}: present knob swallowed a bad value");
+                    assert!(
+                        before.is_none(),
+                        "{name}: present knob swallowed a bad value"
+                    );
                 }
             }
         }
@@ -273,7 +279,9 @@ fn invalid_knob_values_error_without_panicking() {
         Mechanism::from_config(&SimConfig::lva_clp(ApproximatorConfig::baseline(), shallow))
             .unwrap();
     assert!(
-        hybrid.set(&Knob::ClpSlowThreshold(CacheLevel::Dram)).is_err(),
+        hybrid
+            .set(&Knob::ClpSlowThreshold(CacheLevel::Dram))
+            .is_err(),
         "unreachable slow threshold accepted"
     );
     assert_eq!(

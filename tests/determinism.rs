@@ -68,7 +68,10 @@ fn figure_configs() -> Vec<(&'static str, SimConfig)> {
         ("fig6/lva-win20", ConfidenceWindow::Relative(0.20)),
         ("fig6/lva-wininf", ConfidenceWindow::Infinite),
     ] {
-        v.push((name, SimConfig::lva(ApproximatorConfig::with_confidence_window(w))));
+        v.push((
+            name,
+            SimConfig::lva(ApproximatorConfig::with_confidence_window(w)),
+        ));
     }
     for (name, d) in [
         ("fig7/delay4", 4u64),
@@ -275,12 +278,23 @@ fn clp_figure_fingerprints_are_pinned_across_worker_counts() {
     let config = |name: &str| &configs.iter().find(|(n, _)| n == name).expect(name).1;
     let t = blackscholes.execute(config("clp/precise")).stats.total;
     assert_eq!(
-        [t.clp_predictions, t.clp_correct, t.clp_mispredicts, t.load_latency_cycles],
+        [
+            t.clp_predictions,
+            t.clp_correct,
+            t.clp_mispredicts,
+            t.load_latency_cycles
+        ],
         [987, 987, 0, 175_581],
         "blackscholes clp: [predictions, correct, mispredicts, load_latency_cycles]"
     );
-    let t = blackscholes.execute(config("lva+clp/fig4/lva-ghb0")).stats.total;
-    assert_eq!(t.load_latency_cycles, 132_174, "blackscholes lva+clp: load_latency_cycles");
+    let t = blackscholes
+        .execute(config("lva+clp/fig4/lva-ghb0"))
+        .stats
+        .total;
+    assert_eq!(
+        t.load_latency_cycles, 132_174,
+        "blackscholes lva+clp: load_latency_cycles"
+    );
 }
 
 /// Runs a synthetic kernel that keeps the maximum number of training
@@ -291,7 +305,8 @@ fn mshr_stress_fingerprint(cfg: &SimConfig) -> String {
     let mut h = SimHarness::new(cfg.clone());
     let base = h.alloc(64 * 2048, 64);
     for i in 0..2048u64 {
-        h.memory_mut().write_f32(base.offset(i * 64), (i % 5) as f32);
+        h.memory_mut()
+            .write_f32(base.offset(i * 64), (i % 5) as f32);
     }
     for i in 0..2048u64 {
         let _ = h.load_approx_f32(Pc(7), base.offset(i * 64));
@@ -494,7 +509,10 @@ fn event_tracing_never_perturbs_results() {
         run.stats.fingerprint()
     })
     .into_values();
-    assert_eq!(off, attributed, "attribution tracing changed simulation results");
+    assert_eq!(
+        off, attributed,
+        "attribution tracing changed simulation results"
+    );
 }
 
 #[test]
@@ -506,9 +524,11 @@ fn sampled_tracing_never_perturbs_results() {
     let workloads = registry(WorkloadScale::Test);
     for w in &workloads {
         let plain = w.execute(&cfg).stats.fingerprint();
-        let sampled_cfg = cfg
-            .clone()
-            .with_trace(TraceConfig::ring(256).with_every_nth_miss(7).with_pc_filter(&[0x1004]));
+        let sampled_cfg = cfg.clone().with_trace(
+            TraceConfig::ring(256)
+                .with_every_nth_miss(7)
+                .with_pc_filter(&[0x1004]),
+        );
         let sampled = w.execute(&sampled_cfg).stats.fingerprint();
         assert_eq!(plain, sampled, "{}: sampled tracing diverged", w.name());
     }
@@ -528,7 +548,11 @@ fn robustness_configs() -> Vec<(&'static str, SimConfig)> {
             "budget1/drop-delay",
             SimConfig::baseline_lva()
                 .with_error_budget(0.01)
-                .with_faults(FaultConfig::seeded(7).with_drop_rate(0.02).with_delay(0.05, 16)),
+                .with_faults(
+                    FaultConfig::seeded(7)
+                        .with_drop_rate(0.02)
+                        .with_delay(0.05, 16),
+                ),
         ),
     ]
 }
@@ -637,7 +661,10 @@ fn governed_configs() -> Vec<(&'static str, SimConfig)> {
     };
     vec![
         ("govern2", SimConfig::baseline_lva().with_govern(govern2)),
-        ("govern-quiet", SimConfig::baseline_lva().with_govern_slo(10.0)),
+        (
+            "govern-quiet",
+            SimConfig::baseline_lva().with_govern_slo(10.0),
+        ),
         (
             "budget5+govern2",
             SimConfig::baseline_lva()
@@ -734,7 +761,10 @@ fn quiet_governor_is_fingerprint_identical_to_governor_off() {
             );
         }
     }
-    assert!(actuations > 0, "the active governor never actuated anywhere");
+    assert!(
+        actuations > 0,
+        "the active governor never actuated anywhere"
+    );
 }
 
 #[test]
@@ -799,18 +829,31 @@ fn fullsystem_timeline_never_perturbs_results() {
     for w in registry(WorkloadScale::Test) {
         let recorded = w.execute(&SimConfig::precise().with_traces());
         let mech = MechanismKind::Lva(ApproximatorConfig::baseline());
-        let plain = FullSystem::new(FullSystemConfig::paper(mech.clone()), recorded.traces.clone())
-            .run()
-            .expect("plain replay converges");
+        let plain = FullSystem::new(
+            FullSystemConfig::paper(mech.clone()),
+            recorded.traces.clone(),
+        )
+        .run()
+        .expect("plain replay converges");
         let (sampled, timeline) = FullSystem::new(
             FullSystemConfig::paper(mech).with_timeline(TimelineConfig::every(4096)),
             recorded.traces,
         )
         .run_with_timeline()
         .expect("sampled replay converges");
-        assert_eq!(plain, sampled, "{}: timeline perturbed the replay", w.name());
+        assert_eq!(
+            plain,
+            sampled,
+            "{}: timeline perturbed the replay",
+            w.name()
+        );
         assert!(!timeline.is_empty(), "{}: no frames collected", w.name());
-        assert_eq!(timeline.sum_counter("fs/cycles"), sampled.cycles, "{}", w.name());
+        assert_eq!(
+            timeline.sum_counter("fs/cycles"),
+            sampled.cycles,
+            "{}",
+            w.name()
+        );
         assert_eq!(
             timeline.sum_counter("fs/instructions"),
             sampled.instructions,
@@ -913,7 +956,11 @@ fn fullsystem_configs() -> Vec<(&'static str, lva::sim::FullSystemConfig, (usize
             FullSystemConfig::paper(MechanismKind::Precise).with_govern(govern2),
             paper,
         ),
-        ("lva+mesi", FullSystemConfig::paper(lva.clone()).with_mesi(), paper),
+        (
+            "lva+mesi",
+            FullSystemConfig::paper(lva.clone()).with_mesi(),
+            paper,
+        ),
         (
             "lva+hetero",
             FullSystemConfig::paper(lva.clone()).with_hetero_noc(LowPowerPlane::default()),
@@ -991,11 +1038,16 @@ fn fullsystem_replays_are_pinned() {
         // build no governor.
         match *name {
             "lva+budget5" => {
-                assert_eq!((runs[0].demotions, runs[0].degrade_denied), (16, 224), "{name}");
+                assert_eq!(
+                    (runs[0].demotions, runs[0].degrade_denied),
+                    (16, 224),
+                    "{name}"
+                );
             }
             "lva+budget5+govern2" => {
                 assert!(
-                    runs.iter().any(|s| s.demotions > 0 && s.govern_actuations > 0),
+                    runs.iter()
+                        .any(|s| s.demotions > 0 && s.govern_actuations > 0),
                     "{name}: the budget and the SLO never both acted on one replay"
                 );
             }
@@ -1003,7 +1055,9 @@ fn fullsystem_replays_are_pinned() {
                 assert_eq!(runs[1].govern_actuations, 27, "{name}");
             }
             "precise+govern2" => {
-                assert!(runs.iter().all(|s| s.govern.is_empty() && s.govern_epochs == 0));
+                assert!(runs
+                    .iter()
+                    .all(|s| s.govern.is_empty() && s.govern_epochs == 0));
             }
             "lva+hetero" => {
                 assert!(

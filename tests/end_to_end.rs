@@ -68,7 +68,8 @@ fn traces_replay_in_the_full_system() {
         let recorded = w.execute(&SimConfig::precise().with_traces());
         let trace_instructions: u64 = recorded.traces.iter().map(|t| t.stats().instructions).sum();
         assert_eq!(
-            trace_instructions, recorded.stats.total.instructions,
+            trace_instructions,
+            recorded.stats.total.instructions,
             "{}: trace must capture every instruction",
             w.name()
         );
@@ -207,7 +208,9 @@ fn value_delay_zero_and_large_both_work() {
 /// through the whole report/compare pipeline without poisoning gates.
 #[test]
 fn empty_histogram_mean_survives_report_and_compare_as_null() {
-    use lva::obs::{compare, read_manifest, write_manifest, CompareOptions, MetricsRegistry, RunRecord};
+    use lva::obs::{
+        compare, read_manifest, write_manifest, CompareOptions, MetricsRegistry, RunRecord,
+    };
 
     let mut registry = MetricsRegistry::new();
     registry.histogram("quiet/latency_ns"); // registered, never observed
@@ -215,7 +218,10 @@ fn empty_histogram_mean_survives_report_and_compare_as_null() {
     let mut record = RunRecord::new("empty-hist");
     record.absorb_registry(&registry);
     assert!(
-        record.stat("quiet/latency_ns/mean").expect("stat present").is_nan(),
+        record
+            .stat("quiet/latency_ns/mean")
+            .expect("stat present")
+            .is_nan(),
         "empty histogram dumps a NaN mean"
     );
 
@@ -231,7 +237,10 @@ fn empty_histogram_mean_survives_report_and_compare_as_null() {
     assert!(!text.contains("NaN"), "no bare NaN literals in JSON");
 
     let back = read_manifest(&path).expect("reload manifest");
-    assert!(back.stat("quiet/latency_ns/mean").expect("stat survives").is_nan());
+    assert!(back
+        .stat("quiet/latency_ns/mean")
+        .expect("stat survives")
+        .is_nan());
     assert_eq!(back.stat("loads"), Some(42.0));
 
     // NaN == NaN for gating purposes: both sides undefined is not drift.

@@ -20,7 +20,10 @@ fn lva_beats_idealized_lvp_on_average() {
         .collect();
     let lvp: Vec<f64> = workloads
         .iter()
-        .map(|w| w.execute(&SimConfig::lvp(LvpConfig::baseline())).normalized_mpki())
+        .map(|w| {
+            w.execute(&SimConfig::lvp(LvpConfig::baseline()))
+                .normalized_mpki()
+        })
         .collect();
     assert!(
         mean(&lva) < mean(&lvp),
@@ -86,12 +89,31 @@ fn lva_and_prefetching_sit_on_opposite_fetch_sides() {
         .iter()
         .map(|w| w.execute(&SimConfig::lva(ApproximatorConfig::with_degree(8))))
         .collect();
-    let pf_fetches = mean(&prefetch.iter().map(|r| r.normalized_fetches()).collect::<Vec<_>>());
-    let lva_fetches = mean(&lva.iter().map(|r| r.normalized_fetches()).collect::<Vec<_>>());
-    assert!(pf_fetches > 1.0, "prefetching must inflate fetches: {pf_fetches}");
+    let pf_fetches = mean(
+        &prefetch
+            .iter()
+            .map(|r| r.normalized_fetches())
+            .collect::<Vec<_>>(),
+    );
+    let lva_fetches = mean(
+        &lva.iter()
+            .map(|r| r.normalized_fetches())
+            .collect::<Vec<_>>(),
+    );
+    assert!(
+        pf_fetches > 1.0,
+        "prefetching must inflate fetches: {pf_fetches}"
+    );
     assert!(lva_fetches < 1.0, "LVA must reduce fetches: {lva_fetches}");
     // Both reduce MPKI on average.
-    assert!(mean(&prefetch.iter().map(|r| r.normalized_mpki()).collect::<Vec<_>>()) < 1.0);
+    assert!(
+        mean(
+            &prefetch
+                .iter()
+                .map(|r| r.normalized_mpki())
+                .collect::<Vec<_>>()
+        ) < 1.0
+    );
     assert!(mean(&lva.iter().map(|r| r.normalized_mpki()).collect::<Vec<_>>()) < 1.0);
 }
 

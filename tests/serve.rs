@@ -234,11 +234,17 @@ fn precise_memo_serves_manifests_byte_identical_to_evaluate_point() {
         let (hits, misses) = precise_lookups(&sched);
         println!("{what}: {hits} precise hits, {misses} misses");
         assert_eq!(hits + misses, n, "{what}: one lookup per point");
-        assert!(misses >= MEMO_KEYS, "{what}: every key misses at least once");
+        assert!(
+            misses >= MEMO_KEYS,
+            "{what}: every key misses at least once"
+        );
         if workers == 1 {
             // Deterministic on one worker; two workers' claim timing
             // moves the split, never the sum.
-            assert!(misses < n, "{what}: the shuffle still shares some references");
+            assert!(
+                misses < n,
+                "{what}: the shuffle still shares some references"
+            );
         }
     }
 }
@@ -251,7 +257,12 @@ fn repeated_identical_sweep_is_served_from_cache_and_far_faster() {
     // protocol + cache, ~tens of milliseconds).
     let points = vec![
         PointSpec::new("canneal", WorkloadScale::Small, 0, SimConfig::precise()),
-        PointSpec::new("canneal", WorkloadScale::Small, 0, SimConfig::baseline_lva()),
+        PointSpec::new(
+            "canneal",
+            WorkloadScale::Small,
+            0,
+            SimConfig::baseline_lva(),
+        ),
     ];
 
     let handle = start_server(2);
@@ -293,7 +304,14 @@ impl Drop for ServeChild {
 fn spawn_cli_server(extra: &[&str]) -> (ServeChild, String) {
     let explore = env!("CARGO_BIN_EXE_lva-explore");
     let child = std::process::Command::new(explore)
-        .args(["serve", "--addr", "127.0.0.1:0", "--memory-only", "--threads", "2"])
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--memory-only",
+            "--threads",
+            "2",
+        ])
         .args(extra)
         .stdout(std::process::Stdio::piped())
         .spawn()
@@ -348,7 +366,12 @@ fn cli_serve_submit_round_trip() {
     let listing = |dir: &std::path::Path| {
         let mut names: Vec<String> = std::fs::read_dir(dir)
             .expect("out dir readable")
-            .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
             .collect();
         names.sort();
         names
@@ -552,7 +575,6 @@ fn cli_watch_streams_live_frames_and_metrics_print_as_a_table() {
     assert!(child.0.wait().expect("server exits").success());
 }
 
-
 /// A peer that never sends a newline cannot grow one request line
 /// without bound: at the cap it gets a protocol error and its connection
 /// closes, while other clients keep being served — including a request
@@ -590,8 +612,13 @@ fn oversized_request_line_is_refused_and_the_server_keeps_serving() {
     std::thread::sleep(std::time::Duration::from_millis(300));
     split.write_all(b"\"ping\"}\n").expect("second half");
     let mut reply = String::new();
-    BufReader::new(split).read_line(&mut reply).expect("pong line");
-    assert!(matches!(parse_server_line(&reply), Ok(ServerLine::Pong)), "{reply}");
+    BufReader::new(split)
+        .read_line(&mut reply)
+        .expect("pong line");
+    assert!(
+        matches!(parse_server_line(&reply), Ok(ServerLine::Pong)),
+        "{reply}"
+    );
 
     let mut client = Client::connect(handle.addr()).expect("connect");
     client.ping().expect("the server still serves");
