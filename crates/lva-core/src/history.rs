@@ -42,12 +42,6 @@ impl<T> HistoryBuffer<T> {
         self.items.is_empty()
     }
 
-    /// Whether the buffer holds `capacity` items.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.items.len() == self.capacity
-    }
-
     /// Pushes `item`, evicting and returning the oldest item if full. With
     /// capacity zero the item is dropped and returned immediately.
     pub fn push(&mut self, item: T) -> Option<T> {
@@ -67,13 +61,6 @@ impl<T> HistoryBuffer<T> {
     #[must_use]
     pub fn newest(&self) -> Option<&T> {
         self.items.back()
-    }
-
-    /// Mutable access to the most recently pushed item — used by fault
-    /// injection to flip bits in stored history values; the mechanisms
-    /// themselves never mutate history in place.
-    pub fn newest_mut(&mut self) -> Option<&mut T> {
-        self.items.back_mut()
     }
 
     /// The oldest retained item.
@@ -120,7 +107,6 @@ mod tests {
         assert_eq!(buf.push(1), None);
         assert_eq!(buf.push(2), None);
         assert_eq!(buf.push(3), None);
-        assert!(buf.is_full());
         assert_eq!(buf.push(4), Some(1));
         assert_eq!(buf.iter().copied().collect::<Vec<_>>(), vec![2, 3, 4]);
     }
@@ -130,7 +116,6 @@ mod tests {
         let mut buf = HistoryBuffer::new(0);
         assert_eq!(buf.push(42), Some(42));
         assert!(buf.is_empty());
-        assert!(!buf.is_full() || buf.capacity() == 0);
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //!
 //! The table is the hottest structure on the phase-1 load path, so entry
 //! state lives in parallel arrays rather than a `Vec` of entry structs: one
-//! array each for tags, confidence counters, degree counters, health marks,
-//! and one flat value array holding every entry's LHB back to back. Tag
-//! compares and confidence probes touch one small dense array apiece
-//! instead of striding over wide entry structs, and the per-entry LHB is a
+//! array each for tags, confidence counters and degree counters, and one
+//! flat value array holding every entry's LHB back to back. Tag compares
+//! and confidence probes touch one small dense array apiece instead of
+//! striding over wide entry structs, and the per-entry LHB is a
 //! contiguous oldest→newest slice (`lhb_values`) the compute functions can
 //! consume without chasing a ring buffer. Pushing into a full LHB shifts
 //! the slice left by one — LHBs are a handful of values deep, so the shift
@@ -52,20 +52,6 @@ pub(crate) fn validate_geometry(
     Ok(())
 }
 
-/// Quality-control state of one table entry, driven by an external
-/// quality controller (see `lva-sim`'s `govern` module). The
-/// approximator itself only records the state; the controller decides the
-/// transitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EntryHealth {
-    /// Normal operation.
-    #[default]
-    Healthy,
-    /// Demoted by a quality-budget controller: the degree counter is
-    /// bypassed so every approximation triggers a training fetch.
-    Demoted,
-}
-
 /// Tags are stored biased by one so `0` means "never allocated": the warm
 /// path compares a single `u64` per lookup with no separate valid bit.
 const TAG_FREE: u64 = 0;
@@ -81,8 +67,6 @@ pub struct ApproximatorTable {
     /// Per-entry remaining approximations before the next training fetch
     /// (§III-C).
     degree: Vec<u32>,
-    /// Per-entry degradation-controller health state; reset on reallocation.
-    health: Vec<EntryHealth>,
     /// Flat LHB storage: entry `i` owns `lhb[i * lhb_capacity ..]`, of which
     /// the first `lhb_len[i]` values are live, oldest first.
     lhb: Vec<Value>,
@@ -116,7 +100,6 @@ impl ApproximatorTable {
             tags: vec![TAG_FREE; entries],
             confidence: vec![fresh_confidence; entries],
             degree: vec![degree; entries],
-            health: vec![EntryHealth::Healthy; entries],
             lhb: vec![Value::from_bits(0, ValueType::U8); entries * lhb_entries],
             lhb_len: vec![0; entries],
             lhb_capacity: lhb_entries,
@@ -152,7 +135,7 @@ impl ApproximatorTable {
     /// log2 of the entry count — the number of index bits the hasher must
     /// produce.
     #[must_use]
-    pub fn index_bits(&self) -> u32 {
+    pub(crate) fn index_bits(&self) -> u32 {
         self.tags.len().trailing_zeros()
     }
 
@@ -193,43 +176,31 @@ impl ApproximatorTable {
     /// The degree counter at `index`: remaining approximations before the
     /// next training fetch.
     #[must_use]
-    pub fn degree_counter(&self, index: usize) -> u32 {
+    pub(crate) fn degree_counter(&self, index: usize) -> u32 {
         self.degree[index]
     }
 
     /// Exclusive access to the degree counter at `index`.
-    pub fn degree_counter_mut(&mut self, index: usize) -> &mut u32 {
+    pub(crate) fn degree_counter_mut(&mut self, index: usize) -> &mut u32 {
         &mut self.degree[index]
-    }
-
-    /// The health state at `index`.
-    #[must_use]
-    pub fn health(&self, index: usize) -> EntryHealth {
-        self.health[index]
-    }
-
-    /// Marks the entry at `index` with `health` (degradation-controller
-    /// hook).
-    pub fn set_health(&mut self, index: usize, health: EntryHealth) {
-        self.health[index] = health;
     }
 
     /// The live LHB contents at `index`, oldest value first.
     #[must_use]
-    pub fn lhb_values(&self, index: usize) -> &[Value] {
+    pub(crate) fn lhb_values(&self, index: usize) -> &[Value] {
         let start = index * self.lhb_capacity;
         &self.lhb[start..start + self.lhb_len[index] as usize]
     }
 
     /// Whether the LHB at `index` holds no values.
     #[must_use]
-    pub fn lhb_is_empty(&self, index: usize) -> bool {
+    pub(crate) fn lhb_is_empty(&self, index: usize) -> bool {
         self.lhb_len[index] == 0
     }
 
     /// The most recent LHB value at `index`, if any.
     #[must_use]
-    pub fn lhb_newest(&self, index: usize) -> Option<Value> {
+    pub(crate) fn lhb_newest(&self, index: usize) -> Option<Value> {
         self.lhb_values(index).last().copied()
     }
 
@@ -242,7 +213,7 @@ impl ApproximatorTable {
 
     /// Pushes `value` into the LHB at `index`, evicting the oldest value
     /// when the buffer is full (a zero-capacity LHB retains nothing).
-    pub fn lhb_push(&mut self, index: usize, value: Value) {
+    pub(crate) fn lhb_push(&mut self, index: usize, value: Value) {
         if self.lhb_capacity == 0 {
             return;
         }
@@ -260,11 +231,11 @@ impl ApproximatorTable {
     }
 
     /// Looks up `index`, reallocating the entry for `tag` on a miss: the
-    /// tag is replaced and the confidence, degree counter, health and LHB
-    /// are reset, mirroring what a direct-mapped hardware table does on a
+    /// tag is replaced and the confidence, degree counter and LHB are
+    /// reset, mirroring what a direct-mapped hardware table does on a
     /// tag mismatch. Returns `true` if the tag already matched (the context
     /// was warm).
-    pub fn lookup_or_allocate(&mut self, index: usize, tag: u64, degree: u32) -> bool {
+    pub(crate) fn lookup_or_allocate(&mut self, index: usize, tag: u64, degree: u32) -> bool {
         // Hasher-produced tags are at most 63 bits (index + tag ≤ 64 with at
         // least one index bit), so the bias can never wrap into TAG_FREE.
         let stored = tag.wrapping_add(1);
@@ -274,27 +245,9 @@ impl ApproximatorTable {
             self.tags[index] = stored;
             self.confidence[index] = self.fresh_confidence;
             self.degree[index] = degree;
-            self.health[index] = EntryHealth::Healthy;
             self.lhb_len[index] = 0;
             false
         }
-    }
-
-    /// Number of entries that have ever been allocated — a proxy for table
-    /// occupancy used by the hardware-overhead study (§VII-A).
-    #[must_use]
-    pub fn allocated_entries(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != TAG_FREE).count()
-    }
-
-    /// Number of entries currently marked [`EntryHealth::Demoted`] by a
-    /// degradation controller.
-    #[must_use]
-    pub fn demoted_entries(&self) -> usize {
-        self.health
-            .iter()
-            .filter(|&&h| h == EntryHealth::Demoted)
-            .count()
     }
 }
 
@@ -327,16 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_counts_allocated_entries() {
-        let mut t = ApproximatorTable::new(16, 4, 4, 0);
-        assert_eq!(t.allocated_entries(), 0);
-        t.lookup_or_allocate(0, 1, 0);
-        t.lookup_or_allocate(5, 2, 0);
-        t.lookup_or_allocate(5, 3, 0); // reallocation, same slot
-        assert_eq!(t.allocated_entries(), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two() {
         let _ = ApproximatorTable::new(100, 4, 4, 0);
@@ -357,17 +300,6 @@ mod tests {
             ConfigError::ConfidenceBits { bits: 1 }
         );
         assert!(ApproximatorTable::try_new(8, 4, 4, 0).is_ok());
-    }
-
-    #[test]
-    fn health_resets_on_reallocation_and_is_counted() {
-        let mut t = ApproximatorTable::new(8, 4, 4, 0);
-        t.lookup_or_allocate(2, 0xaa, 0);
-        t.set_health(2, EntryHealth::Demoted);
-        assert_eq!(t.demoted_entries(), 1);
-        t.lookup_or_allocate(2, 0xbb, 0);
-        assert_eq!(t.health(2), EntryHealth::Healthy);
-        assert_eq!(t.demoted_entries(), 0);
     }
 
     #[test]

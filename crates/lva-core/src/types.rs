@@ -38,12 +38,6 @@ impl Addr {
         self.0 / BLOCK_BYTES
     }
 
-    /// Byte offset within the containing cache block.
-    #[must_use]
-    pub fn block_offset(self) -> u64 {
-        self.0 % BLOCK_BYTES
-    }
-
     /// The address `bytes` past `self`.
     #[must_use]
     pub fn offset(self, bytes: u64) -> Addr {
@@ -63,18 +57,6 @@ impl From<u64> for Addr {
     }
 }
 
-/// Identifier of a logical application thread (and, in the full-system
-/// simulator, the core it is pinned to). The paper runs every workload with
-/// 4 threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct ThreadId(pub usize);
-
-impl fmt::Display for ThreadId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,12 +70,6 @@ mod tests {
     }
 
     #[test]
-    fn block_offset_and_index_are_consistent() {
-        let a = Addr(0x1fe7);
-        assert_eq!(a.block_index() * BLOCK_BYTES + a.block_offset(), a.0);
-    }
-
-    #[test]
     fn offset_adds_bytes() {
         assert_eq!(Addr(10).offset(54), Addr(64));
     }
@@ -102,6 +78,5 @@ mod tests {
     fn display_formats() {
         assert_eq!(Pc(0x10).to_string(), "pc:0x10");
         assert_eq!(Addr(0x40).to_string(), "0x40");
-        assert_eq!(ThreadId(2).to_string(), "t2");
     }
 }

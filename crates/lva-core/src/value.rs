@@ -39,7 +39,7 @@ impl ValueType {
     /// Whether the type is a floating-point type. The baseline configuration
     /// applies confidence estimation only to floating-point data (§VI).
     #[must_use]
-    pub fn is_float(self) -> bool {
+    pub(crate) fn is_float(self) -> bool {
         matches!(self, ValueType::F32 | ValueType::F64)
     }
 }

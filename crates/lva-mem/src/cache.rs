@@ -39,7 +39,7 @@ impl CacheConfig {
 
     /// Full-system private L1: 16 KB, 8-way, 64 B blocks (Table II).
     #[must_use]
-    pub fn fullsystem_l1() -> Self {
+    pub const fn fullsystem_l1() -> Self {
         CacheConfig {
             size_bytes: 16 * 1024,
             ways: 8,
@@ -50,7 +50,7 @@ impl CacheConfig {
     /// One bank of the distributed shared L2: 512 KB total over 4 banks,
     /// 16-way (Table II).
     #[must_use]
-    pub fn fullsystem_l2_bank() -> Self {
+    pub const fn fullsystem_l2_bank() -> Self {
         CacheConfig {
             size_bytes: 128 * 1024,
             ways: 16,

@@ -108,12 +108,6 @@ impl Directory {
             self.blocks.insert(addr.block_index(), state);
         }
     }
-
-    /// Number of blocks with non-default bookkeeping (for tests/stats).
-    #[must_use]
-    pub fn tracked_blocks(&self) -> usize {
-        self.blocks.len()
-    }
 }
 
 #[cfg(test)]
@@ -144,11 +138,11 @@ mod tests {
         let mut d = Directory::new();
         let a = Addr(0x40);
         d.set_state(a, DirectoryState::Modified(2));
-        assert_eq!(d.tracked_blocks(), 1);
+        assert_eq!(d.blocks.len(), 1);
         // Same block, different byte.
         assert_eq!(d.state(Addr(0x41)), DirectoryState::Modified(2));
         d.set_state(a, DirectoryState::Uncached);
-        assert_eq!(d.tracked_blocks(), 0, "uncached blocks must be dropped");
+        assert_eq!(d.blocks.len(), 0, "uncached blocks must be dropped");
     }
 
     #[test]

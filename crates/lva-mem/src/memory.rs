@@ -74,12 +74,6 @@ impl SimMemory {
         Addr(base)
     }
 
-    /// Total bytes handed out by [`alloc`](Self::alloc).
-    #[must_use]
-    pub fn allocated_bytes(&self) -> u64 {
-        self.brk.saturating_sub(HEAP_BASE)
-    }
-
     /// Reads one byte.
     #[must_use]
     #[inline]
@@ -245,7 +239,7 @@ impl SimMemory {
     }
 
     /// Writes an `f64`.
-    pub fn write_f64(&mut self, addr: Addr, v: f64) {
+    pub(crate) fn write_f64(&mut self, addr: Addr, v: f64) {
         self.write_value(addr, Value::from_f64(v));
     }
 
@@ -258,17 +252,6 @@ impl SimMemory {
     /// Writes an `i32`.
     pub fn write_i32(&mut self, addr: Addr, v: i32) {
         self.write_value(addr, Value::from_i32(v));
-    }
-
-    /// Reads an `i64`.
-    #[must_use]
-    pub fn read_i64(&self, addr: Addr) -> i64 {
-        self.read_value(addr, ValueType::I64).as_i64()
-    }
-
-    /// Writes an `i64`.
-    pub fn write_i64(&mut self, addr: Addr, v: i64) {
-        self.write_value(addr, Value::from_i64(v));
     }
 
     /// Writes a contiguous array of bytes starting at `addr` — the bulk
@@ -307,7 +290,7 @@ impl SimMemory {
 
     /// Writes a contiguous array of `f64` values (8 bytes apart,
     /// little-endian) starting at `addr`; equivalent to repeated
-    /// [`write_f64`](Self::write_f64) calls.
+    /// `write_f64` calls.
     pub fn write_f64_slice(&mut self, addr: Addr, values: &[f64]) {
         let off = addr.0.wrapping_sub(HEAP_BASE) as usize;
         if addr.0 >= HEAP_BASE {
@@ -359,12 +342,10 @@ mod tests {
         mem.write_f32(Addr(0x100), -1.5);
         mem.write_f64(Addr(0x108), 2.25);
         mem.write_i32(Addr(0x110), -42);
-        mem.write_i64(Addr(0x118), i64::MIN);
         mem.write_u8(Addr(0x120), 200);
         assert_eq!(mem.read_f32(Addr(0x100)), -1.5);
         assert_eq!(mem.read_f64(Addr(0x108)), 2.25);
         assert_eq!(mem.read_i32(Addr(0x110)), -42);
-        assert_eq!(mem.read_i64(Addr(0x118)), i64::MIN);
         assert_eq!(mem.read_u8(Addr(0x120)), 200);
     }
 
@@ -400,17 +381,9 @@ mod tests {
         assert_eq!(mem.read_f64(Addr(0xdead_0000)), 2.5);
         assert_eq!(mem.read_f32(Addr(0x100)), 3.5);
         // A value straddling the end of the dense heap round-trips.
-        let end = Addr(HEAP_BASE + mem.allocated_bytes() - 2);
+        let end = Addr(mem.brk - 2);
         mem.write_f64(end, 9.25);
         assert_eq!(mem.read_f64(end), 9.25);
-    }
-
-    #[test]
-    fn allocated_bytes_tracks_brk() {
-        let mut mem = SimMemory::new();
-        assert_eq!(mem.allocated_bytes(), 0);
-        mem.alloc(64, 64);
-        assert!(mem.allocated_bytes() >= 64);
     }
 
     #[test]

@@ -27,30 +27,30 @@
 //!
 //! * [`fingerprint`] — canonical rendering and FNV-1a content address
 //!   of a point; versioned so schema bumps invalidate cleanly.
-//! * [`point`] — [`PointSpec`] (workload, scale, seed, config), its wire
+//! * `point` — [`PointSpec`] (workload, scale, seed, config), its wire
 //!   form over `lva-sim`'s config codec, and the batch-identical manifest
 //!   builder.
-//! * [`cache`] — the two-tier [`ResultCache`] with crash-safe writes.
+//! * `cache` — the two-tier [`ResultCache`] with crash-safe writes.
 //! * `memo` — the bounded precise-reference memo the production
 //!   evaluator shares precise runs through (crate-private).
-//! * [`sched`] — the persistent [`Scheduler`]: intra-job dedup, cache
+//! * `sched` — the persistent [`Scheduler`]: intra-job dedup, cache
 //!   lookups, in-flight coalescing, fair cross-job interleaving, and a
 //!   wall-interval timeline (an `lva-obs` [`lva_obs::EpochSampler`] fed
 //!   by a sampler thread) that the `watch` request streams live.
 //! * [`protocol`] — the line-JSON wire format, both directions.
-//! * [`server`] / [`client`] — the TCP accept loop and its typed
+//! * [`server`] / `client` — the TCP accept loop and its typed
 //!   counterpart.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod client;
+mod cache;
+mod client;
 pub mod fingerprint;
 mod memo;
-pub mod point;
+mod point;
 pub mod protocol;
-pub mod sched;
+mod sched;
 pub mod server;
 
 pub use cache::{default_cache_dir, ResultCache};
