@@ -9,9 +9,10 @@
 use crate::point::PointSpec;
 use crate::protocol::{self, ServerLine};
 use crate::sched::PointResult;
+use crate::server::MAX_REQUEST_LINE;
 use lva_obs::EpochFrame;
 use lva_sim::sched::JobId;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// What a submit handed back: [`crate::sched::JobOutcome`] plus the
@@ -61,10 +62,17 @@ impl Client {
             .map_err(|e| format!("send failed: {e}"))
     }
 
-    fn read_server_line(&mut self) -> Result<ServerLine, String> {
+    /// Reads one server line of at most [`MAX_REQUEST_LINE`] bytes per
+    /// point the caller waits on (at least one): an outcome line carries
+    /// every manifest of its job, so its bound grows with the job.
+    fn read_server_line(&mut self, points: usize) -> Result<ServerLine, String> {
+        let limit = MAX_REQUEST_LINE.saturating_mul(points.max(1));
         let mut line = String::new();
-        match self.reader.read_line(&mut line) {
+        match self.reader.by_ref().take(limit as u64).read_line(&mut line) {
             Ok(0) => Err("server closed the connection".into()),
+            Ok(n) if n == limit && !line.ends_with('\n') => {
+                Err(format!("server line exceeds {limit} bytes"))
+            }
             Ok(_) => protocol::parse_server_line(&line),
             Err(e) => Err(format!("receive failed: {e}")),
         }
@@ -78,7 +86,7 @@ impl Client {
     /// protocol.
     pub fn ping(&mut self) -> Result<(), String> {
         self.send(&protocol::encode_command("ping"))?;
-        match self.read_server_line()? {
+        match self.read_server_line(1)? {
             ServerLine::Pong => Ok(()),
             ServerLine::Error(msg) => Err(msg),
             other => Err(format!("expected pong, got {other:?}")),
@@ -93,7 +101,7 @@ impl Client {
     /// protocol.
     pub fn metrics(&mut self) -> Result<Vec<(String, f64)>, String> {
         self.send(&protocol::encode_command("metrics"))?;
-        match self.read_server_line()? {
+        match self.read_server_line(1)? {
             ServerLine::Metrics(dump) => Ok(dump),
             ServerLine::Error(msg) => Err(msg),
             other => Err(format!("expected metrics, got {other:?}")),
@@ -109,7 +117,7 @@ impl Client {
     /// protocol.
     pub fn shutdown_server(&mut self) -> Result<(), String> {
         self.send(&protocol::encode_command("shutdown"))?;
-        match self.read_server_line()? {
+        match self.read_server_line(1)? {
             ServerLine::Stopping => Ok(()),
             ServerLine::Error(msg) => Err(msg),
             other => Err(format!("expected stopping, got {other:?}")),
@@ -139,7 +147,7 @@ impl Client {
             if frames > 0 && seen == frames {
                 return Ok(seen);
             }
-            match self.read_server_line() {
+            match self.read_server_line(1) {
                 Ok(ServerLine::Frame(frame)) => {
                     seen += 1;
                     if !on_frame(&frame) {
@@ -180,7 +188,7 @@ impl Client {
         self.send(&protocol::encode_submit(points)?)?;
         let mut job_id = None;
         loop {
-            match self.read_server_line()? {
+            match self.read_server_line(points.len())? {
                 ServerLine::Accepted { job, points: n } => {
                     if n != points.len() {
                         return Err(format!("server accepted {n} of {} points", points.len()));
@@ -333,5 +341,59 @@ mod tests {
         assert_eq!(ob.cache_hits, 1, "b is served from a's evaluation");
         a.shutdown_server().unwrap();
         handle.join();
+    }
+
+    /// A one-connection fake server: reads the client's request line,
+    /// then writes `reply` and closes.
+    fn fake_server(reply: Vec<u8>) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut request = String::new();
+            BufReader::new(stream.try_clone().unwrap())
+                .read_line(&mut request)
+                .unwrap();
+            let _ = (&stream).write_all(&reply);
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn an_endless_server_line_is_refused_at_the_bound() {
+        let extra = 4096;
+        let (addr, server) = fake_server(vec![b'a'; MAX_REQUEST_LINE + extra]);
+        let mut client = Client::connect(addr).unwrap();
+        let err = client.ping().unwrap_err();
+        assert!(
+            err.contains(&MAX_REQUEST_LINE.to_string()),
+            "names the limit: {err}"
+        );
+        // The client consumed exactly the bound; the rest is still unread.
+        let mut rest = Vec::new();
+        client.reader.read_to_end(&mut rest).unwrap();
+        assert_eq!(rest.len(), extra);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn an_outcome_line_may_carry_a_cap_per_point() {
+        let manifest = "m".repeat(MAX_REQUEST_LINE / 2 + 1024);
+        let outcome = crate::sched::JobOutcome {
+            results: vec![Ok(manifest.clone()), Ok(manifest.clone())],
+            cache_hits: 0,
+            deduped: 0,
+        };
+        let line = protocol::encode_outcome(3, &outcome);
+        assert!(line.len() > MAX_REQUEST_LINE && line.len() < 2 * MAX_REQUEST_LINE);
+        let reply = format!("{}\n{line}\n", protocol::encode_accepted(3, 2));
+        let (addr, server) = fake_server(reply.into_bytes());
+        let mut client = Client::connect(addr).unwrap();
+        let got = client
+            .submit(&[spec("blackscholes", 0), spec("canneal", 0)])
+            .unwrap();
+        assert_eq!(got.job, 3);
+        assert_eq!(got.results, vec![Ok(manifest.clone()), Ok(manifest)]);
+        server.join().unwrap();
     }
 }
