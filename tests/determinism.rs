@@ -122,7 +122,12 @@ fn clp_figure_configs() -> Vec<(String, SimConfig)> {
 }
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a64 hash `h` over `bytes`, so a long stream can be
+/// hashed piece by piece.
+fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -401,6 +406,76 @@ fn kernels_are_reproducible_from_seed() {
             .collect();
         assert_eq!(first, second, "same seed {seed} must replay identically");
     }
+}
+
+/// FNV-1a64 of each kernel's recorded instruction stream (test scale,
+/// seed 0, [`SimConfig::baseline_lva`] with traces on; registry order).
+/// The statistics goldens pin counters; these pin every load's PC,
+/// address, type and value and every store in program order, so a kernel
+/// rewrite that issues the same counts in another order still fails.
+const GOLDEN_TRACE_HASHES: [(&str, u64); 7] = [
+    ("blackscholes", 0x2ef602505f1ede7f),
+    ("bodytrack", 0x9e2c9c168eb1633b),
+    ("canneal", 0x5db0f884e36fd50d),
+    ("ferret", 0xf0f55e846404f145),
+    ("fluidanimate", 0x8d94be027c2b2522),
+    ("swaptions", 0x941e9f433da442cf),
+    ("x264", 0xcad783a5e4df9417),
+];
+
+/// Hashes `traces` thread by thread: the thread's op count, then each op
+/// as a tag byte and its fields in little-endian order.
+fn trace_hash(traces: &[lva::cpu::ThreadTrace]) -> u64 {
+    use lva::cpu::TraceOp;
+    let mut h = fnv1a64(b"");
+    let mut bytes = Vec::with_capacity(32);
+    for trace in traces {
+        h = fnv1a64_extend(h, &(trace.ops.len() as u64).to_le_bytes());
+        for op in &trace.ops {
+            bytes.clear();
+            match *op {
+                TraceOp::Compute(n) => {
+                    bytes.push(b'C');
+                    bytes.extend(n.to_le_bytes());
+                }
+                TraceOp::Load {
+                    pc,
+                    addr,
+                    ty,
+                    approx,
+                    value,
+                } => {
+                    bytes.push(b'L');
+                    bytes.extend(pc.0.to_le_bytes());
+                    bytes.extend(addr.0.to_le_bytes());
+                    bytes.push(ty as u8);
+                    bytes.push(u8::from(approx));
+                    bytes.extend(value.bits().to_le_bytes());
+                }
+                TraceOp::Store { pc, addr, ty } => {
+                    bytes.push(b'S');
+                    bytes.extend(pc.0.to_le_bytes());
+                    bytes.extend(addr.0.to_le_bytes());
+                    bytes.push(ty as u8);
+                }
+            }
+            h = fnv1a64_extend(h, &bytes);
+        }
+    }
+    h
+}
+
+#[test]
+fn recorded_traces_are_pinned() {
+    let cfg = SimConfig::baseline_lva().with_traces();
+    let hashes: Vec<(&str, u64)> = registry(WorkloadScale::Test)
+        .iter()
+        .map(|w| (w.name(), trace_hash(&w.execute(&cfg).traces)))
+        .collect();
+    assert_eq!(
+        hashes, GOLDEN_TRACE_HASHES,
+        "recorded traces diverged; captured hashes {hashes:#018x?}"
+    );
 }
 
 #[test]
