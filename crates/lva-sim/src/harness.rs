@@ -59,6 +59,12 @@ struct PendingTrain {
     kind: TrainKind,
 }
 
+/// Slots in a thread's annotated-PC filter (a power of two). Every kernel
+/// has at most a few dozen annotated load sites, and consecutive
+/// annotated loads usually come from different ones, so one slot per
+/// site keeps nearly every load off `PcSet::insert`'s binary search.
+const PC_FILTER_SLOTS: usize = 64;
+
 /// Modelled per-thread L2 slice: 256 KB, 8-way.
 const L2_BYTES: u64 = 256 * 1024;
 /// Modelled per-thread LLC slice: 2 MB, 16-way.
@@ -81,9 +87,10 @@ struct ThreadCtx {
     in_flight: InFlightSet,
     /// Loads issued on this thread so far; the time base for `PendingTrain::due`.
     load_clock: u64,
-    /// Memoizes the most recent annotated PC so the common
-    /// same-PC-in-a-loop case skips the `approx_pcs` hash insert.
-    last_approx_pc: Option<Pc>,
+    /// Direct-mapped filter in front of `stats.approx_pcs`: a slot only
+    /// ever holds a PC already in the set, so a hit skips an insert that
+    /// would have returned `false`. See [`ThreadCtx::note_approx_pc`].
+    pc_filter: [Option<Pc>; PC_FILTER_SLOTS],
     stats: ThreadStats,
     trace: ThreadTrace,
     /// Write-only event collector ([`SimConfig::trace`]); never read by the
@@ -105,6 +112,21 @@ struct ThreadCtx {
     /// `u64::MAX` without the governor's SLO layer (same idiom as
     /// `timeline_due`).
     govern_due: u64,
+}
+
+impl ThreadCtx {
+    /// Records that annotated PC `pc` issued. The filter slot is keyed on
+    /// the instruction-aligned PC bits; a miss inserts into `approx_pcs`
+    /// and then takes the slot, so two colliding PCs only cost each other
+    /// a redundant insert.
+    #[inline]
+    fn note_approx_pc(&mut self, pc: Pc) {
+        let slot = &mut self.pc_filter[(pc.0 >> 2) as usize & (PC_FILTER_SLOTS - 1)];
+        if *slot != Some(pc) {
+            *slot = Some(pc);
+            self.stats.approx_pcs.insert(pc);
+        }
+    }
 }
 
 /// Everything a finished run yields: statistics and (optionally) the
@@ -202,7 +224,7 @@ impl SimHarness {
                 // Occupancy is bounded by the outstanding training fetches.
                 in_flight: InFlightSet::with_capacity(config.value_delay.min(256) as usize + 1),
                 load_clock: 0,
-                last_approx_pc: None,
+                pc_filter: [None; PC_FILTER_SLOTS],
                 stats: ThreadStats::default(),
                 trace: ThreadTrace::new(),
                 obs: config.trace.collector(),
@@ -319,9 +341,8 @@ impl SimHarness {
         t.stats.instructions += 1;
         t.stats.loads += 1;
         t.stats.approx_loads += u64::from(approx);
-        if approx && t.last_approx_pc != Some(pc) {
-            t.last_approx_pc = Some(pc);
-            t.stats.approx_pcs.insert(pc);
+        if approx {
+            t.note_approx_pc(pc);
         }
         let actual = self.mem.read_value(addr, ty);
         if self.config.record_traces {
@@ -393,10 +414,7 @@ impl SimHarness {
                 issued += 1;
                 if approx {
                     approx_loads += 1;
-                    if t.last_approx_pc != Some(pc) {
-                        t.last_approx_pc = Some(pc);
-                        t.stats.approx_pcs.insert(pc);
-                    }
+                    t.note_approx_pc(pc);
                 }
                 let actual = mem.read_value(addr, ty);
                 match t.l1.access(addr) {
@@ -1592,5 +1610,83 @@ mod tests {
             governed.0.govern[0].epochs > 0,
             "the governor closed epochs"
         );
+    }
+
+    #[test]
+    fn pc_filter_collisions_keep_every_annotated_pc() {
+        use std::collections::BTreeSet;
+        // Three filter slots, each shared by 40 PCs: 120 distinct annotated
+        // PCs, far more than the filter holds. Thread 1 issues only the
+        // even ones, so the two threads' sets differ.
+        let stride = 4 * PC_FILTER_SLOTS as u64;
+        let colliding: Vec<Pc> = (0..3u64)
+            .flat_map(|s| (0..40u64).map(move |m| Pc(0x4000 + 4 * s + stride * m)))
+            .collect();
+        // (thread, pc, element, approx), interleaved load by load.
+        let mut rng = Rng64::new(0xF11E);
+        let stream: Vec<(usize, Pc, u64, bool)> = (0..6_000u64)
+            .map(|i| {
+                let thread = usize::from(rng.gen_bool(0.3));
+                let pool = colliding.len() as u64 >> thread;
+                let elem = rng.gen_range(0..4096u64);
+                if rng.gen_bool(0.1) {
+                    // Precise loads never enter the set.
+                    (thread, Pc(0x9000 + 4 * (i % 7)), elem, false)
+                } else {
+                    let pc = colliding[(rng.gen_range(0..pool) << thread) as usize];
+                    (thread, pc, elem, true)
+                }
+            })
+            .collect();
+        let mut expected = [BTreeSet::new(), BTreeSet::new()];
+        for &(thread, pc, _, approx) in &stream {
+            if approx {
+                expected[thread].insert(pc.0);
+            }
+        }
+        assert_eq!([expected[0].len(), expected[1].len()], [120, 60]);
+        let union: BTreeSet<u64> = expected.iter().flatten().copied().collect();
+
+        let mut splits = Rng64::new(0x5B17);
+        for cfg in [SimConfig::precise(), SimConfig::baseline_lva()] {
+            for batched in [false, true] {
+                let mut h = SimHarness::new(cfg.clone());
+                let base = h.alloc(4 * 4096, 64);
+                let mut rest = &stream[..];
+                while let Some(&(thread, ..)) = rest.first() {
+                    h.set_thread(thread);
+                    let same = rest.iter().take_while(|op| op.0 == thread).count();
+                    let take = if batched {
+                        splits.gen_range(1..=same)
+                    } else {
+                        1
+                    };
+                    let reqs: Vec<LoadReq> = rest[..take]
+                        .iter()
+                        .map(|&(_, pc, elem, approx)| {
+                            (pc, base.offset(4 * elem), ValueType::F32, approx)
+                        })
+                        .collect();
+                    if batched {
+                        let mut out = vec![Value::from_u8(0); take];
+                        h.load_batch(&reqs, &mut out);
+                    } else {
+                        let (pc, addr, ty, approx) = reqs[0];
+                        let _ = h.load(pc, addr, ty, approx);
+                    }
+                    rest = &rest[take..];
+                }
+                let run = h.finish();
+                for (thread, want) in expected.iter().enumerate() {
+                    let got: BTreeSet<u64> = run.stats.per_thread[thread]
+                        .approx_pcs
+                        .iter()
+                        .map(|pc| pc.0)
+                        .collect();
+                    assert_eq!(&got, want, "thread {thread}, batched {batched}");
+                }
+                assert_eq!(run.stats.static_approx_pcs(), union.len());
+            }
+        }
     }
 }
