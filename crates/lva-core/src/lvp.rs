@@ -148,8 +148,9 @@ impl IdealizedLvp {
     }
 
     /// Event counters.
+    #[cfg(test)]
     #[must_use]
-    pub fn stats(&self) -> &LvpStats {
+    pub(crate) fn stats(&self) -> &LvpStats {
         &self.stats
     }
 

@@ -149,8 +149,9 @@ impl GhbPrefetcher {
     }
 
     /// Event counters.
+    #[cfg(test)]
     #[must_use]
-    pub fn stats(&self) -> &PrefetcherStats {
+    pub(crate) fn stats(&self) -> &PrefetcherStats {
         &self.stats
     }
 

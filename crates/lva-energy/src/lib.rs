@@ -25,6 +25,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unnameable_types)]
 
 /// Per-access dynamic energies in nanojoules.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -61,6 +61,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unnameable_types)]
 
 mod artifact;
 pub mod compare;

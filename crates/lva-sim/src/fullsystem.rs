@@ -76,8 +76,9 @@ pub struct FullSystemConfig {
     /// Route training fetches (and their data responses) over a
     /// heterogeneous low-power NoC plane (§VI-C). `None` in the baseline.
     pub hetero_noc: Option<LowPowerPlane>,
-    /// Directory coherence protocol (paper baseline: MSI).
-    pub protocol: CoherenceProtocol,
+    /// Directory coherence protocol (paper baseline: MSI; MESI through
+    /// [`with_mesi`](Self::with_mesi)).
+    pub(crate) protocol: CoherenceProtocol,
     /// Hard cycle limit (deadlock guard).
     pub max_cycles: u64,
     /// Per-L1 quality governor (off by default; only meaningful with an

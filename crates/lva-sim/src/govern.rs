@@ -726,7 +726,7 @@ impl Governor {
     /// folds the outcome into [`ThreadStats`] (see
     /// `apply_decision`). With the SLO layer off the epoch clock never
     /// fires, and a stray call is quiet.
-    pub fn epoch(&mut self, cumulative: &ThreadStats) -> EpochDecision {
+    pub(crate) fn epoch(&mut self, cumulative: &ThreadStats) -> EpochDecision {
         let Some(slo) = self.cfg.slo_error else {
             return EpochDecision::quiet();
         };

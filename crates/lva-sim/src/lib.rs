@@ -20,6 +20,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unnameable_types)]
 
 pub mod codec;
 mod config;
@@ -37,7 +38,9 @@ pub mod sweep;
 pub use config::{ConfigError, MechanismKind, SimConfig, MAX_L1_BYTES, MAX_THREADS};
 pub use fault::FaultConfig;
 pub use fullsystem::{FullSystem, FullSystemConfig, FullSystemStats};
-pub use govern::{DegradeReport, Governor, GovernorConfig, GovernorReport, QualityState};
+pub use govern::{
+    DegradeReport, Governor, GovernorConfig, GovernorReport, PcDegradeEntry, QualityState,
+};
 pub use harness::{LoadReq, RunArtifacts, SimHarness};
 pub use lva_obs::{TraceCollector, TraceConfig, TraceMode};
 pub use mechanism::{Knob, KnobKind, Mechanism};

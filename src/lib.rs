@@ -38,6 +38,8 @@
 //! assert!(approx.output_error < 0.15, "error {}", approx.output_error);
 //! ```
 
+#![warn(unnameable_types)]
+
 pub use lva_core as core;
 pub use lva_cpu as cpu;
 pub use lva_energy as energy;
