@@ -8,9 +8,14 @@ use std::fmt;
 /// A small set of static PCs, stored as a sorted `Vec`.
 ///
 /// Workloads have at most a few dozen annotated load sites, so a sorted
-/// vector beats a `HashSet<Pc>` on the per-load hot path: membership is a
-/// short binary search over one cache line instead of a SipHash round, and
-/// iteration is already in the canonical (sorted) fingerprint order.
+/// vector beats a `HashSet<Pc>`: membership is a short binary search
+/// over one cache line instead of a SipHash round, and iteration is
+/// already in the canonical (sorted) fingerprint order.
+///
+/// In the harness, [`ThreadStats::approx_pcs`] inserts arrive through a
+/// per-thread direct-mapped filter of PCs already in the set, so an
+/// annotated load reaches [`insert`](Self::insert) only when its filter
+/// slot holds another PC or none.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PcSet {
     pcs: Vec<Pc>,
