@@ -3,7 +3,7 @@
 //! seeded-PRNG case loops.
 
 use lva_core::Rng64;
-use lva_noc::{Mesh, MeshConfig, NodeId};
+use lva_noc::{LowPowerPlane, Mesh, MeshConfig, NodeId, Plane};
 
 const CASES: u64 = 256;
 
@@ -131,5 +131,92 @@ fn same_link_serialization() {
             }
         }
         assert_eq!(seen, count);
+    }
+}
+
+/// A brute-force shadow of the mesh's delivery queues: per node, every
+/// packet in flight as `(arrival, send sequence, payload)`.
+struct ShadowQueues {
+    nodes: Vec<Vec<(u64, u64, u32)>>,
+    seq: u64,
+}
+
+impl ShadowQueues {
+    fn push(&mut self, dst: NodeId, arrival: u64, payload: u32) {
+        self.seq += 1;
+        self.nodes[dst.0].push((arrival, self.seq, payload));
+    }
+
+    /// Index of `node`'s next packet: earliest arrival, ties in send order.
+    fn front(&self, node: usize) -> Option<usize> {
+        let q = &self.nodes[node];
+        (0..q.len()).min_by_key(|&i| (q[i].0, q[i].1))
+    }
+
+    fn pop_arrived(&mut self, node: NodeId, now: u64) -> Option<u32> {
+        let i = self.front(node.0)?;
+        (self.nodes[node.0][i].0 <= now).then(|| self.nodes[node.0].remove(i).2)
+    }
+
+    fn next_arrival(&self) -> Option<u64> {
+        (0..self.nodes.len())
+            .filter_map(|n| self.front(n).map(|i| self.nodes[n][i].0))
+            .min()
+    }
+}
+
+/// Interleaved sends and pops against the shadow model, on both planes of
+/// a heterogeneous mesh and on a homogeneous one: after every operation
+/// `next_arrival` is the shadow's earliest front, and every pop returns
+/// the shadow's next payload at that node.
+#[test]
+fn interleaved_sends_and_pops_match_a_shadow_model() {
+    for case in 0..CASES {
+        let mut rng = rng_for(5, case);
+        let heterogeneous = case % 2 == 0;
+        let config = MeshConfig::paper();
+        let mut mesh: Mesh<u32> = if heterogeneous {
+            Mesh::new_heterogeneous(config, LowPowerPlane::default())
+        } else {
+            Mesh::new(config)
+        };
+        let mut shadow = ShadowQueues {
+            nodes: vec![Vec::new(); config.nodes()],
+            seq: 0,
+        };
+        let (mut now, mut popped) = (0u64, 0usize);
+        for payload in 0..300u32 {
+            if rng.gen_bool(0.55) {
+                // Sends at the current cycle or in the future (a bank's
+                // delayed reply, a deprioritized training fetch).
+                let plane = if rng.gen_bool(0.4) {
+                    Plane::LowPower
+                } else {
+                    Plane::Fast
+                };
+                let at = now + rng.gen_range(0u64..30) * u64::from(rng.gen_bool(0.3));
+                let src = NodeId(rng.gen_range(0usize..4));
+                let dst = NodeId(rng.gen_range(0usize..4));
+                let flits = rng.gen_range(1u64..6);
+                // The mesh's timing sets the arrival; the shadow checks
+                // the order and the due time packets come out at.
+                let before = mesh.stats().total_latency;
+                mesh.send_on(plane, at, src, dst, flits, payload);
+                shadow.push(dst, at + mesh.stats().total_latency - before, payload);
+            } else {
+                now += rng.gen_range(0u64..12);
+                let node = NodeId(rng.gen_range(0usize..4));
+                let got = mesh.pop_arrived(node, now);
+                let want = shadow.pop_arrived(node, now);
+                assert_eq!(got, want, "case {case}: pop at {node}, cycle {now}");
+                popped += usize::from(got.is_some());
+            }
+            assert_eq!(
+                mesh.next_arrival(),
+                shadow.next_arrival(),
+                "case {case}: next arrival after op {payload}"
+            );
+        }
+        assert!(popped > 0, "case {case}: nothing was delivered");
     }
 }
