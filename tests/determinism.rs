@@ -986,8 +986,9 @@ fn fullsystem_timeline_frames_are_pinned() {
 /// under an actively-tightening governor, a governor beside a precise
 /// machine (which builds no governor at all), MESI, training on a
 /// low-power NoC plane, training fetches deprioritized by 200 cycles (sent
-/// in the future), and a 2-wide core with an 8-entry ROB, whose head
-/// stalls on a full ROB.
+/// in the future), a 2-wide core with an 8-entry ROB, whose head stalls on
+/// a full ROB, and plain LVA over the [`coherence_stress_traces`] instead
+/// of the workloads' traces.
 fn fullsystem_configs() -> Vec<(&'static str, lva::sim::FullSystemConfig, (usize, usize))> {
     use lva::noc::LowPowerPlane;
     use lva::sim::{FullSystemConfig, GovernorConfig};
@@ -1046,8 +1047,53 @@ fn fullsystem_configs() -> Vec<(&'static str, lva::sim::FullSystemConfig, (usize
             FullSystemConfig::paper(lva.clone()).with_deprioritized_training(200),
             paper,
         ),
-        ("lva+w2rob8", FullSystemConfig::paper(lva), (2, 8)),
+        ("lva+w2rob8", FullSystemConfig::paper(lva.clone()), (2, 8)),
+        ("coherence-stress", FullSystemConfig::paper(lva), paper),
     ]
+}
+
+/// Three seeded four-core trace sets that keep every bank busy at once.
+/// Each core loads (half of them annotated) and stores at random into two
+/// hot blocks homed on each bank, which all four cores share, and into 64
+/// blocks per bank that fall in one L1 set and one L2 set. The hot blocks
+/// queue requests behind open transactions and draw forwards and
+/// invalidations; the set-conflicting blocks evict dirty lines from the
+/// L1s and the L2 banks and refill from DRAM. With four cores issuing
+/// together, these coincide in one cycle across banks.
+fn coherence_stress_traces() -> Vec<(String, Vec<lva::cpu::ThreadTrace>)> {
+    use lva::core::{Addr, Rng64, Value, ValueType};
+    use lva::cpu::ThreadTrace;
+    (0..3u64)
+        .map(|seed| {
+            let traces = (0..4u64)
+                .map(|core| {
+                    let mut rng = Rng64::new(0x5354_5245_5353 ^ (seed << 8) ^ core);
+                    let mut t = ThreadTrace::new();
+                    for _ in 0..1200 {
+                        let bank = rng.gen_range(0u64..4);
+                        let block = if rng.gen_bool(0.25) {
+                            0x1000 + bank + 4 * rng.gen_range(0u64..2)
+                        } else {
+                            0x4000 + 16 + bank + 128 * rng.gen_range(0u64..128)
+                        };
+                        let addr = Addr(block * 64 + 4 * rng.gen_range(0u64..16));
+                        let pc = Pc(0x400 + 4 * bank);
+                        if rng.gen_bool(0.4) {
+                            let value = Value::from_f32(rng.gen_range(0u64..4) as f32);
+                            t.push_load(pc, addr, ValueType::F32, rng.gen_bool(0.5), value);
+                        } else {
+                            t.push_store(pc, addr, ValueType::F32);
+                        }
+                        if rng.gen_bool(0.3) {
+                            t.push_compute(rng.gen_range(1u32..6));
+                        }
+                    }
+                    t
+                })
+                .collect();
+            (format!("stress{seed}"), traces)
+        })
+        .collect()
 }
 
 /// FNV-1a64 of `<name>:<FullSystemStats debug>` over the seven test-scale
@@ -1056,7 +1102,7 @@ fn fullsystem_configs() -> Vec<(&'static str, lva::sim::FullSystemConfig, (usize
 /// miss pipeline (`lva+budget5+govern2`: before the per-PC budget ladder
 /// moved into the governor; the last four rows: before the cycle loop
 /// jumped from event to event).
-const GOLDEN_FULLSYSTEM_HASHES: [(&str, u64); 10] = [
+const GOLDEN_FULLSYSTEM_HASHES: [(&str, u64); 11] = [
     ("lva", 0xb48eedbaf8e7295a),
     ("lva+budget5", 0x138284ad15aca085),
     ("lva+budget5+govern2", 0xf8af271c3bac525d),
@@ -1067,23 +1113,32 @@ const GOLDEN_FULLSYSTEM_HASHES: [(&str, u64); 10] = [
     ("lva+hetero", 0x7447b6ca6bf3cc01),
     ("lva+deprio200", 0x017c2ba2726f9e79),
     ("lva+w2rob8", 0x571803bea72d12cb),
+    ("coherence-stress", 0x0854206259c6cab2),
 ];
 
 #[test]
 fn fullsystem_replays_are_pinned() {
     use lva::cpu::OooCore;
     use lva::sim::FullSystem;
-    let workloads = registry(WorkloadScale::Test);
-    let traces: Vec<_> = workloads
+    let recorded: Vec<_> = registry(WorkloadScale::Test)
         .iter()
-        .map(|w| w.execute(&SimConfig::precise().with_traces()).traces)
+        .map(|w| {
+            let traces = w.execute(&SimConfig::precise().with_traces()).traces;
+            (w.name().to_owned(), traces)
+        })
         .collect();
+    let stress = coherence_stress_traces();
     let configs = fullsystem_configs();
     assert_eq!(configs.len(), GOLDEN_FULLSYSTEM_HASHES.len());
     for (c, (name, cfg, (width, rob))) in configs.iter().enumerate() {
-        let runs: Vec<_> = traces
+        let inputs = if *name == "coherence-stress" {
+            &stress
+        } else {
+            &recorded
+        };
+        let runs: Vec<_> = inputs
             .iter()
-            .map(|t| {
+            .map(|(_, t)| {
                 let cores = t
                     .iter()
                     .enumerate()
@@ -1095,10 +1150,10 @@ fn fullsystem_replays_are_pinned() {
                     .expect("replay converges")
             })
             .collect();
-        let text: String = workloads
+        let text: String = inputs
             .iter()
             .zip(&runs)
-            .map(|(w, s)| format!("{}:{s:?}", w.name()))
+            .map(|((label, _), s)| format!("{label}:{s:?}"))
             .collect();
         let (golden_name, golden) = GOLDEN_FULLSYSTEM_HASHES[c];
         assert_eq!(*name, golden_name, "golden table out of sync");
@@ -1145,6 +1200,18 @@ fn fullsystem_replays_are_pinned() {
                     runs.iter().any(|s| s.head_stall_cycles > 0),
                     "{name}: no replay stalled on its ROB head"
                 );
+            }
+            "coherence-stress" => {
+                for s in &runs {
+                    assert!(s.head_stall_cycles > 0, "{name}: no head stall");
+                    assert!(s.approximated > 0, "{name}: nothing approximated");
+                    // A fill that serves a request counts once in each;
+                    // the excess DRAM accesses are dirty L2 victims.
+                    assert!(
+                        s.dram_accesses > s.l2_data_blocks,
+                        "{name}: no dirty L2 victim went back to DRAM"
+                    );
+                }
             }
             _ => {}
         }
