@@ -157,6 +157,8 @@ impl MeshStats {
 #[derive(Debug)]
 pub struct Mesh<P> {
     config: MeshConfig,
+    /// `(x, y)` of every node, so routing divides by the width only once.
+    coords: Vec<(usize, usize)>,
     /// `link_free[l]` = first cycle link `l` can accept a new head flit.
     /// Directed links indexed `node * 4 + direction` (E, W, S, N).
     link_free: Vec<u64>,
@@ -164,7 +166,10 @@ pub struct Mesh<P> {
     low_power: Option<(LowPowerPlane, Vec<u64>)>,
     /// Per destination node, `(arrival, payload)` in delivery order.
     queues: Vec<VecDeque<(u64, P)>>,
-    /// The earliest arrival in any queue; `u64::MAX` when none is queued.
+    /// Per destination node, the arrival of its queue's front packet;
+    /// `u64::MAX` when the queue is empty.
+    heads: Vec<u64>,
+    /// The least of `heads`.
     earliest: u64,
     stats: MeshStats,
 }
@@ -226,9 +231,13 @@ impl<P> Mesh<P> {
         );
         Mesh {
             config,
+            coords: (0..config.nodes())
+                .map(|n| (n % config.width, n / config.width))
+                .collect(),
             link_free: vec![0; config.nodes() * 4],
             low_power: None,
             queues: (0..config.nodes()).map(|_| VecDeque::new()).collect(),
+            heads: vec![u64::MAX; config.nodes()],
             earliest: u64::MAX,
             stats: MeshStats::default(),
         }
@@ -267,11 +276,10 @@ impl<P> Mesh<P> {
     /// XY route from `src` to `dst`: the (node, outgoing direction) pair
     /// of every link crossed, in order. Empty when `src == dst`.
     fn route(&self, src: NodeId, dst: NodeId) -> XyRoute {
-        let w = self.config.width;
         XyRoute {
-            width: w,
-            at: (src.0 % w, src.0 / w),
-            to: (dst.0 % w, dst.0 / w),
+            width: self.config.width,
+            at: self.coords[src.0],
+            to: self.coords[dst.0],
         }
     }
 
@@ -352,6 +360,7 @@ impl<P> Mesh<P> {
             }
             _ => q.push_back((arrival, payload)),
         }
+        self.heads[dst.0] = self.heads[dst.0].min(arrival);
         self.earliest = self.earliest.min(arrival);
     }
 
@@ -361,18 +370,18 @@ impl<P> Mesh<P> {
     /// is sent, so a packet sent at `now` while handling the ones popped
     /// here is not returned until a later cycle.
     pub fn pop_arrived(&mut self, node: NodeId, now: u64) -> Option<P> {
-        let q = &mut self.queues[node.0];
-        if self.earliest > now || q.front()?.0 > now {
+        let head = self.heads[node.0];
+        if head > now {
             return None;
         }
+        let q = &mut self.queues[node.0];
+        // An empty queue's head reads `u64::MAX`, which a poll at
+        // `u64::MAX` does not exceed.
         let (_, payload) = q.pop_front()?;
-        self.earliest = self
-            .queues
-            .iter()
-            .filter_map(|q| q.front())
-            .map(|&(at, _)| at)
-            .min()
-            .unwrap_or(u64::MAX);
+        self.heads[node.0] = q.front().map_or(u64::MAX, |&(at, _)| at);
+        if head == self.earliest {
+            self.earliest = self.heads.iter().copied().min().unwrap_or(u64::MAX);
+        }
         Some(payload)
     }
 

@@ -524,10 +524,6 @@ struct Bank {
     trans: IntMap<u64, Transaction>,
     /// Requests that found their block's transaction open, oldest first.
     retry: VecDeque<Msg>,
-    /// A transaction closed since the last retry pass. A request fails
-    /// only while its block's transaction is open, so a pass with nothing
-    /// closed would fail every request and leave the queue as it was.
-    armed: bool,
     dram: BinaryHeap<Reverse<DramEvent>>,
 }
 
@@ -567,12 +563,27 @@ struct L1Ctx {
 
 /// The memory system shared by all cores: caches, directory banks, mesh.
 /// Implements [`MemoryPort`] for the core models.
+///
+/// Its calendar says which banks and nodes a cycle has work for: the mesh
+/// keeps each node's head arrival, `dram_due` each bank's next fill and
+/// `armed` the banks whose retry queue must run a pass.
 #[derive(Debug)]
 struct MemorySystem {
     cfg: FullSystemConfig,
     mesh: Mesh<Msg>,
     l1: Vec<L1Ctx>,
     banks: Vec<Bank>,
+    /// `dram_due[b]` = the due cycle of bank `b`'s earliest DRAM fill;
+    /// `u64::MAX` when none is pending.
+    dram_due: Vec<u64>,
+    /// The least of `dram_due`.
+    dram_next: u64,
+    /// Bit `b` set: a transaction closed at bank `b` while requests sat in
+    /// its retry queue, so its next cycle runs a retry pass. A request
+    /// fails only while its block's transaction is open, so a pass with
+    /// nothing closed would fail every request and leave the queue as it
+    /// was.
+    armed: u32,
     completions: Vec<(usize, ReqId, u64)>,
     next_req: u64,
     stats: FullSystemStats,
@@ -613,7 +624,6 @@ impl MemorySystem {
                 dir: Directory::new(),
                 trans: IntMap::default(),
                 retry: VecDeque::new(),
-                armed: false,
                 dram: BinaryHeap::new(),
             })
             .collect();
@@ -626,6 +636,9 @@ impl MemorySystem {
             mesh,
             l1,
             banks,
+            dram_due: vec![u64::MAX; nodes],
+            dram_next: u64::MAX,
+            armed: 0,
             completions: Vec::new(),
             next_req: 0,
             stats: FullSystemStats::default(),
@@ -653,57 +666,91 @@ impl MemorySystem {
     /// change anything: `now` while a bank's retry queue is armed, else the
     /// next mesh arrival or DRAM fill (`u64::MAX` when none is pending).
     fn next_event(&self, now: u64) -> u64 {
-        let mut next = self.mesh.next_arrival().unwrap_or(u64::MAX);
-        for bank in &self.banks {
-            if bank.armed && !bank.retry.is_empty() {
-                return now;
-            }
-            if let Some(Reverse(ev)) = bank.dram.peek() {
-                next = next.min(ev.due);
-            }
+        self.debug_check_calendar();
+        if self.armed != 0 {
+            return now;
         }
-        next
+        let next = self.mesh.next_arrival().unwrap_or(u64::MAX);
+        next.min(self.dram_next)
     }
 
-    /// One cycle of the memory system: DRAM completions, bank retries, and
-    /// message delivery.
+    /// One cycle of the memory system: in bank-index order each bank's due
+    /// DRAM fills, then its retry pass if armed; then the arrived messages,
+    /// in node-index order. Only banks and nodes with work due are touched.
     fn tick(&mut self, now: u64) {
-        // A cycle may be visited for a core or an epoch boundary alone.
-        // With no retry armed, no DRAM fill due and no packet arriving,
-        // the scan below would change nothing, so skip it.
-        if self.next_event(now) > now {
-            return;
+        if self.dram_next <= now || self.armed != 0 {
+            self.tick_banks(now);
         }
-        // DRAM fills that are due.
+        // Mesh deliveries. Every send arrives at `now + 1` or later, so a
+        // message sent while handling these waits for the next cycle.
+        if self.mesh.next_arrival().is_some_and(|at| at <= now) {
+            for node in 0..MESH.nodes() {
+                while let Some(msg) = self.mesh.pop_arrived(NodeId(node), now) {
+                    if msg.is_for_bank() {
+                        self.bank_handle(now, node, msg);
+                    } else {
+                        self.l1_handle(now, node, msg);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The bank half of [`tick`](Self::tick).
+    fn tick_banks(&mut self, now: u64) {
         for b in 0..self.banks.len() {
-            loop {
-                let due = match self.banks[b].dram.peek() {
-                    Some(Reverse(ev)) if ev.due <= now => ev.block,
-                    _ => break,
-                };
-                self.banks[b].dram.pop();
-                self.dram_fill_ready(now, b, due);
+            if self.dram_due[b] <= now {
+                while let Some(Reverse(ev)) = self.banks[b].dram.peek() {
+                    if ev.due > now {
+                        break;
+                    }
+                    let block = ev.block;
+                    self.banks[b].dram.pop();
+                    self.dram_fill_ready(now, b, block);
+                }
+                self.dram_due[b] = self.banks[b].dram.peek().map_or(u64::MAX, |r| r.0.due);
             }
             // Retry queue: one pass over what was queued before it, in a
             // cycle after a transaction closed; requests that must retry
             // again queue behind them.
-            if !std::mem::take(&mut self.banks[b].armed) {
+            let bit = 1 << b;
+            if self.armed & bit == 0 {
                 continue;
             }
+            self.armed &= !bit;
             for _ in 0..self.banks[b].retry.len() {
                 let msg = self.banks[b].retry.pop_front().expect("queued retry");
                 self.bank_handle(now, b, msg);
             }
         }
-        // Mesh deliveries. Every send arrives at `now + 1` or later, so a
-        // message sent while handling these waits for the next cycle.
-        for node in 0..MESH.nodes() {
-            while let Some(msg) = self.mesh.pop_arrived(NodeId(node), now) {
-                if msg.is_for_bank() {
-                    self.bank_handle(now, node, msg);
-                } else {
-                    self.l1_handle(now, node, msg);
-                }
+        self.dram_next = self.dram_due.iter().copied().min().unwrap_or(u64::MAX);
+    }
+
+    /// Debug builds check the calendar against the banks: each cached fill
+    /// time is the bank's earliest DRAM event, an armed bank has requests
+    /// to retry, and every request an unarmed bank holds waits on an open
+    /// transaction (so skipping its retry pass changes nothing).
+    fn debug_check_calendar(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let least = self.dram_due.iter().copied().min().unwrap_or(u64::MAX);
+        assert_eq!(self.dram_next, least, "cached earliest DRAM due time");
+        for (b, bank) in self.banks.iter().enumerate() {
+            let due = bank.dram.peek().map_or(u64::MAX, |r| r.0.due);
+            assert_eq!(self.dram_due[b], due, "bank {b}: cached DRAM due time");
+            if self.armed & (1 << b) != 0 {
+                assert!(!bank.retry.is_empty(), "bank {b}: armed with no retry");
+                continue;
+            }
+            for msg in &bank.retry {
+                let (Msg::GetS { block, .. } | Msg::GetM { block, .. }) = *msg else {
+                    unreachable!("bank {b} queued {msg:?} for retry");
+                };
+                assert!(
+                    bank.trans.contains_key(&block),
+                    "bank {b}: unarmed retry of block {block} with no open transaction"
+                );
             }
         }
     }
@@ -843,10 +890,12 @@ impl MemorySystem {
     }
 
     /// Closes bank `b`'s transaction on `block`, if one is open, and arms
-    /// the bank's retry queue.
+    /// the bank's retry queue if it holds requests.
     fn close(&mut self, b: usize, block: u64) -> Option<Transaction> {
         let t = self.banks[b].trans.remove(&block);
-        self.banks[b].armed |= t.is_some();
+        if t.is_some() && !self.banks[b].retry.is_empty() {
+            self.armed |= 1 << b;
+        }
         t
     }
 
@@ -906,10 +955,10 @@ impl MemorySystem {
                 slow,
                 grant_e,
             });
-            self.banks[b].dram.push(Reverse(DramEvent {
-                due: now + L2_LATENCY + DRAM_LATENCY,
-                block,
-            }));
+            let due = now + L2_LATENCY + DRAM_LATENCY;
+            self.banks[b].dram.push(Reverse(DramEvent { due, block }));
+            self.dram_due[b] = self.dram_due[b].min(due);
+            self.dram_next = self.dram_next.min(due);
         }
     }
 
@@ -1534,12 +1583,16 @@ fn assemble_stats(mem: &MemorySystem, cores: &mut [OooCore], now: u64) -> FullSy
 }
 
 /// The cycle loop. A visited cycle ticks the memory system, delivers the
-/// completions it produced, then ticks each core in core-index order. The
-/// loop then jumps to the next cycle at which anything can change: a
-/// memory-system event ([`MemorySystem::next_event`]), a core's
-/// [`OooCore::next_tick`], the timeline or governor epoch boundary while
-/// the cores run, or `max_cycles`. Every cycle it skips would have changed
-/// nothing, or only what [`OooCore::catch_up`] applies in closed form.
+/// completions it produced, then ticks each core whose wake-up cycle has
+/// come, in core-index order. The loop then jumps to the next cycle at
+/// which anything can change: a memory-system event
+/// ([`MemorySystem::next_event`]), a core's wake-up, the timeline or
+/// governor epoch boundary while the cores run, or `max_cycles`. Every
+/// cycle it skips would have changed nothing, or only what
+/// [`OooCore::catch_up`] applies in closed form.
+///
+/// `wake[i]` caches core `i`'s [`OooCore::next_tick`]. Only a tick, a
+/// completion or a catch-up changes it, and each refreshes the cache.
 fn run_cycles(
     mem: &mut MemorySystem,
     cores: &mut [OooCore],
@@ -1549,17 +1602,28 @@ fn run_cycles(
     let mut govern_due = mem.cfg.govern.map_or(u64::MAX, |g| g.epoch_period());
     let mut now = 0u64;
     let mut cores_done_at: Option<u64> = None;
+    let mut wake: Vec<u64> = cores.iter().map(OooCore::next_tick).collect();
+    // A core finishes in a tick and never ticks again, so each is counted
+    // once: here if its trace is empty, else by the tick that retires it.
+    let mut done = cores.iter().filter(|c| c.is_done()).count();
     loop {
         mem.tick(now);
         for (core, req, at) in mem.completions.drain(..) {
             cores[core].complete(req, at);
+            wake[core] = cores[core].next_tick();
         }
         // Completions produced below reach their cores in a later cycle.
-        for core in cores.iter_mut() {
-            core.tick(now, mem);
+        let mut next_wake = u64::MAX;
+        for (core, wake) in cores.iter_mut().zip(&mut wake) {
+            if *wake <= now {
+                core.tick(now, mem);
+                *wake = core.next_tick();
+                done += usize::from(core.is_done());
+            }
+            next_wake = next_wake.min(*wake);
         }
         now += 1;
-        if cores_done_at.is_none() && cores.iter().all(OooCore::is_done) {
+        if cores_done_at.is_none() && done == cores.len() {
             // The application has finished; execution time stops here.
             // Outstanding background traffic (training fetches nobody
             // waits for) keeps draining below for clean accounting.
@@ -1571,6 +1635,11 @@ fn run_cycles(
                 assemble_stats(mem, cores, now).record_metrics(&mut registry, "fs");
                 s.sample(now, &registry);
                 due = s.next_boundary();
+                // The catch-up can end a core's sleep.
+                for (core, wake) in cores.iter().zip(&mut wake) {
+                    *wake = core.next_tick();
+                }
+                next_wake = wake.iter().copied().min().unwrap_or(u64::MAX);
             }
         }
         // Close each L1's governor epoch in L1-index order.
@@ -1593,10 +1662,11 @@ fn run_cycles(
         }
         // Jump to the next cycle at which anything can change. A boundary
         // `b` is checked after cycle `b - 1`, so that cycle is visited.
-        let mut next = cores
-            .iter()
-            .map(OooCore::next_tick)
-            .fold(mem.next_event(now), u64::min);
+        debug_assert!(
+            cores.iter().zip(&wake).all(|(c, &w)| c.next_tick() == w),
+            "a cached wake-up cycle went stale"
+        );
+        let mut next = next_wake.min(mem.next_event(now));
         if cores_done_at.is_none() {
             next = next.min(due - 1).min(govern_due - 1);
         }
