@@ -78,21 +78,11 @@ pub struct LvpOutcome {
 impl LvpOutcome {
     /// Whether the oracle had any candidate values at all (a cold entry can
     /// never predict).
+    #[cfg(test)]
     #[must_use]
     pub(crate) fn has_candidates(&self) -> bool {
         !self.candidates.is_empty()
     }
-}
-
-/// Counters exposed for the evaluation harness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LvpStats {
-    /// Misses presented to the predictor.
-    pub misses_seen: u64,
-    /// Resolutions where a candidate matched the actual value exactly.
-    pub correct: u64,
-    /// Resolutions with candidates but no exact match.
-    pub incorrect: u64,
 }
 
 /// The idealized load value predictor.
@@ -102,7 +92,6 @@ pub struct IdealizedLvp {
     hasher: ContextHasher,
     ghb: HistoryBuffer<Value>,
     table: ApproximatorTable,
-    stats: LvpStats,
 }
 
 impl IdealizedLvp {
@@ -124,7 +113,6 @@ impl IdealizedLvp {
             hasher,
             ghb,
             table,
-            stats: LvpStats::default(),
         })
     }
 
@@ -147,18 +135,10 @@ impl IdealizedLvp {
         &self.config
     }
 
-    /// Event counters.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn stats(&self) -> &LvpStats {
-        &self.stats
-    }
-
     /// Records a miss at `pc` and snapshots the oracle's candidate set.
     /// The block is always fetched; pass the actual value to
     /// [`resolve`](Self::resolve) when it arrives.
     pub fn on_miss(&mut self, pc: Pc) -> LvpOutcome {
-        self.stats.misses_seen += 1;
         let slot = self.hasher.slot(pc, &self.ghb);
         self.table.lookup_or_allocate(slot.index, slot.tag, 0);
         let candidates = self.table.lhb_values(slot.index).to_vec();
@@ -177,13 +157,6 @@ impl IdealizedLvp {
             .candidates
             .iter()
             .any(|c| c.bits() == actual.bits() && c.value_type() == actual.value_type());
-        if outcome.has_candidates() {
-            if correct {
-                self.stats.correct += 1;
-            } else {
-                self.stats.incorrect += 1;
-            }
-        }
         self.ghb.push(actual);
         self.table.lhb_push(outcome.entry_index, actual);
         correct
@@ -206,10 +179,10 @@ mod tests {
     fn exact_repeat_is_predicted() {
         let mut lvp = IdealizedLvp::new(LvpConfig::baseline());
         let o = lvp.on_miss(Pc(1));
-        lvp.resolve(&o, Value::from_f32(42.0));
+        assert!(!lvp.resolve(&o, Value::from_f32(42.0)));
         let o = lvp.on_miss(Pc(1));
+        assert!(o.has_candidates());
         assert!(lvp.resolve(&o, Value::from_f32(42.0)));
-        assert_eq!(lvp.stats().correct, 1);
     }
 
     #[test]
@@ -219,8 +192,8 @@ mod tests {
         lvp.resolve(&o, Value::from_f32(1.000));
         let o = lvp.on_miss(Pc(1));
         // 1.001 is within ±10% of 1.000 — LVA would accept it, LVP cannot.
+        assert!(o.has_candidates());
         assert!(!lvp.resolve(&o, Value::from_f32(1.001)));
-        assert_eq!(lvp.stats().incorrect, 1);
     }
 
     #[test]

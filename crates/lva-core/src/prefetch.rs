@@ -81,17 +81,6 @@ struct IndexSlot {
     last: u64,
 }
 
-/// Counters exposed for the evaluation harness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PrefetcherStats {
-    /// Misses presented to the prefetcher.
-    pub misses_seen: u64,
-    /// Prefetch candidates issued.
-    pub prefetches_issued: u64,
-    /// Candidates produced by delta correlation (vs. next-line fill).
-    pub correlated: u64,
-}
-
 /// The GHB prefetcher.
 ///
 /// Call [`on_miss`](Self::on_miss) for every L1 miss; the returned block
@@ -105,7 +94,6 @@ pub struct GhbPrefetcher {
     /// Absolute count of GHB pushes; `abs % ghb_entries` is the ring slot.
     abs: u64,
     index: Vec<Option<IndexSlot>>,
-    stats: PrefetcherStats,
 }
 
 impl GhbPrefetcher {
@@ -138,7 +126,6 @@ impl GhbPrefetcher {
             ghb: vec![None; config.ghb_entries],
             abs: 0,
             index: vec![None; config.index_entries],
-            stats: PrefetcherStats::default(),
         }
     }
 
@@ -148,18 +135,10 @@ impl GhbPrefetcher {
         &self.config
     }
 
-    /// Event counters.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn stats(&self) -> &PrefetcherStats {
-        &self.stats
-    }
-
     /// Records an L1 miss at `pc` for `addr` and returns up to
     /// `degree` prefetch candidates as block-aligned addresses (never
     /// including `addr`'s own block).
     pub fn on_miss(&mut self, pc: Pc, addr: Addr) -> Vec<Addr> {
-        self.stats.misses_seen += 1;
         let block = addr.block_index();
 
         // Link into the per-PC chain through the index table.
@@ -180,7 +159,6 @@ impl GhbPrefetcher {
             self.config.degree as usize,
             self.config.correlation_depth,
         );
-        self.stats.correlated += candidates.len() as u64;
 
         if self.config.next_line {
             // Fill remaining slots with sequential blocks.
@@ -196,7 +174,6 @@ impl GhbPrefetcher {
         candidates.retain(|&b| b != block);
         candidates.sort_unstable();
         candidates.dedup();
-        self.stats.prefetches_issued += candidates.len() as u64;
         candidates
             .into_iter()
             .map(|b| Addr(b * BLOCK_BYTES))
@@ -311,9 +288,9 @@ mod tests {
         for b in (0..15).step_by(3) {
             p.on_miss(Pc(7), block_addr(b));
         }
+        // With next-line fill off, every candidate is a correlated one.
         let c = p.on_miss(Pc(7), block_addr(15));
         assert_eq!(c, vec![block_addr(18), block_addr(21)]);
-        assert!(p.stats().correlated > 0);
     }
 
     #[test]
