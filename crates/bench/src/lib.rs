@@ -29,7 +29,7 @@ pub use manifest::FigureManifest;
 
 pub use lva_workloads::{registry, registry_seeded, Workload, WorkloadRun, WorkloadScale};
 
-use lva_sim::sweep::{run_sweep, SweepOptions};
+use lva_sim::sweep::SweepOptions;
 use lva_sim::SimConfig;
 
 /// Benchmark names in the paper's figure order.
@@ -157,7 +157,9 @@ impl GridResults {
 }
 
 /// Evaluates `configs` on every benchmark for `LVA_RUNS` seeds in one
-/// parallel sweep — the phase-1 benches' one entry onto the engine.
+/// [`run_grid`](lva_workloads::run_grid) sweep — the phase-1 benches' one
+/// entry onto the engine, sharing each (benchmark, seed) precise
+/// reference across the configs.
 /// Grid order is preserved regardless of the worker count; set
 /// `LVA_THREADS=1` to force a serial run. The timing summary is printed
 /// to stderr so figure output stays clean.
@@ -167,16 +169,10 @@ pub fn sweep_grid(scale: WorkloadScale, configs: &[SimConfig]) -> GridResults {
 }
 
 fn seeded_grid(scale: WorkloadScale, seeds: usize, configs: &[SimConfig]) -> GridResults {
-    let registries: Vec<_> = (0..seeds as u64)
-        .map(|s| registry_seeded(scale, s))
+    let workloads: Vec<_> = (0..seeds as u64)
+        .flat_map(|s| registry_seeded(scale, s))
         .collect();
-    let grid: Vec<(usize, usize, usize)> = (0..configs.len())
-        .flat_map(|c| (0..seeds).map(move |s| (c, s)))
-        .flat_map(|(c, s)| (0..BENCHMARKS.len()).map(move |w| (c, s, w)))
-        .collect();
-    let run = run_sweep(&grid, &SweepOptions::default(), |_, &(c, s, w)| {
-        registries[s][w].execute(&configs[c])
-    });
+    let run = lva_workloads::run_grid(configs, &workloads, &SweepOptions::default());
     eprintln!("  sweep: {}", run.summary());
     GridResults {
         seeds,

@@ -19,7 +19,7 @@
 //! Module map (data flows top to bottom):
 //!
 //! ```text
-//! client ──line JSON──▶ protocol ──▶ server ──▶ sched ──▶ memo ──▶ point ──▶ lva-sim
+//! client ──line JSON──▶ protocol ──▶ server ──▶ sched ──▶ point ──▶ lva-workloads (memo) ──▶ lva-sim
 //!                                               │  ▲
 //!                                               ▼  │
 //!                                     fingerprint ─▶ cache (mem LRU + disk)
@@ -31,8 +31,6 @@
 //!   form over `lva-sim`'s config codec, and the batch-identical manifest
 //!   builder.
 //! * `cache` — the two-tier [`ResultCache`] with crash-safe writes.
-//! * `memo` — the bounded precise-reference memo the production
-//!   evaluator shares precise runs through (crate-private).
 //! * `sched` — the persistent [`Scheduler`]: intra-job dedup, cache
 //!   lookups, in-flight coalescing, fair cross-job interleaving, and a
 //!   wall-interval timeline (an `lva-obs` [`lva_obs::EpochSampler`] fed
@@ -48,7 +46,6 @@
 mod cache;
 mod client;
 pub mod fingerprint;
-mod memo;
 mod point;
 pub mod protocol;
 mod sched;

@@ -43,10 +43,10 @@
 //! the simulators, whose timelines run on simulated clocks.
 
 use crate::cache::ResultCache;
-use crate::memo::{group_by_reference, Lookup, PreciseMemo};
-use crate::point::PointSpec;
+use crate::point::{point_record, resolve_point, PointSpec};
 use lva_obs::{EpochFrame, EpochSampler, MetricsRegistry, Timeline, TimelineConfig};
 use lva_sim::sched::{catch_point, JobId, SubmissionQueue};
+use lva_workloads::{group_by_reference, Lookup, PreciseMemo, WorkloadScale};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -58,19 +58,40 @@ use std::time::{Duration, Instant};
 #[cfg(test)]
 pub(crate) type Evaluator = dyn Fn(&PointSpec) -> Result<String, String> + Send + Sync;
 
+/// The kernel instance a point runs: its seed (first, so most
+/// mismatches stop at one integer), scale and workload name.
+type Instance = (u64, WorkloadScale, String);
+
+fn instance(spec: &PointSpec) -> Instance {
+    (spec.seed, spec.scale, spec.workload.clone())
+}
+
 /// How the workers evaluate a point.
 enum Eval {
-    /// The production path: memoized precise references.
-    Memo(PreciseMemo),
+    /// The production path: [`crate::point::evaluate_point`] with its
+    /// precise references memoized.
+    Memo(PreciseMemo<Instance>),
     /// An injected evaluator (test seam).
     #[cfg(test)]
     Custom(Box<Evaluator>),
 }
 
 impl Eval {
+    /// The point's manifest text, and how it found its precise
+    /// reference: `None` when it failed before the lookup (invalid
+    /// config, unknown workload).
     fn evaluate(&self, spec: &PointSpec) -> (PointResult, Option<Lookup>) {
         match self {
-            Eval::Memo(memo) => memo.evaluate(spec),
+            Eval::Memo(memo) => match resolve_point(spec) {
+                Ok(workload) => {
+                    let (run, lookup) = memo.execute(instance(spec), &*workload, &spec.config);
+                    (
+                        Ok(point_record(spec, &run).to_string_pretty()),
+                        Some(lookup),
+                    )
+                }
+                Err(e) => (Err(e), None),
+            },
             #[cfg(test)]
             Eval::Custom(eval) => (eval(spec), None),
         }
@@ -157,12 +178,6 @@ impl Scheduler {
     /// Default wall interval between timeline epochs, in milliseconds.
     pub const DEFAULT_EPOCH_MS: u64 = 500;
 
-    /// Precise references the production evaluator's memo keeps per
-    /// worker: one for the key a worker is on, one for an interleaved
-    /// job's. A job's points are queued grouped by key, so one slot per
-    /// worker and job in flight is all a grid needs.
-    const PRECISE_REFS_PER_WORKER: usize = 2;
-
     /// Spawns `workers` threads evaluating points with the production
     /// evaluator: [`crate::point::evaluate_point`]'s manifests, with
     /// precise references shared through a memo of two references per
@@ -176,7 +191,7 @@ impl Scheduler {
     /// epochs in milliseconds (clamped to at least 1).
     #[must_use]
     pub fn new_every(workers: usize, cache: ResultCache, epoch_ms: u64) -> Self {
-        let memo = PreciseMemo::new(workers.max(1) * Self::PRECISE_REFS_PER_WORKER);
+        let memo = PreciseMemo::new(workers);
         Self::spawn(workers, cache, Eval::Memo(memo), epoch_ms)
     }
 
@@ -308,7 +323,7 @@ impl Scheduler {
 
         // Points sharing a precise reference go out back to back, so the
         // memo's small bound serves a grid sent in any order.
-        let scheduled = group_by_reference(scheduled);
+        let scheduled = group_by_reference(scheduled, |(_, spec)| (instance(spec), &spec.config));
         let queued = scheduled.len();
         let mut completed = false;
         {
@@ -619,7 +634,6 @@ fn worker_loop(inner: &Inner) {
 mod tests {
     use super::*;
     use lva_sim::SimConfig;
-    use lva_workloads::WorkloadScale;
     use std::sync::atomic::AtomicUsize;
 
     fn spec(workload: &str, seed: u64) -> PointSpec {
@@ -878,6 +892,20 @@ mod tests {
         assert_eq!(dump["serve/precise/misses"], 1.0);
         assert_eq!(dump["serve/precise/hits"], 3.0);
         assert_eq!(dump["serve/points/evaluated"], 4.0);
+    }
+
+    #[test]
+    fn failures_before_the_lookup_leave_the_memo_untouched() {
+        // One worker: the memo keeps two references.
+        let eval = Eval::Memo(PreciseMemo::new(1));
+        let lookup = |spec| eval.evaluate(&spec).1;
+        assert_eq!(lookup(spec("swaptions", 0)), Some(Lookup::Miss));
+        assert_eq!(lookup(spec("swaptions", 1)), Some(Lookup::Miss));
+        let (text, failed) = eval.evaluate(&spec("nonesuch", 0));
+        assert!(text.unwrap_err().contains("unknown workload nonesuch"));
+        assert_eq!(failed, None);
+        // A failure that took a slot would have evicted seed 0's.
+        assert_eq!(lookup(spec("swaptions", 0)), Some(Lookup::Hit));
     }
 
     #[test]

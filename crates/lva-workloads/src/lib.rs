@@ -29,9 +29,12 @@ pub mod bodytrack;
 pub mod canneal;
 pub mod ferret;
 pub mod fluidanimate;
+mod memo;
 pub mod swaptions;
 pub mod util;
 pub mod x264;
+
+pub use memo::{group_by_reference, run_grid, Lookup, PreciseMemo};
 
 use lva_cpu::ThreadTrace;
 use lva_sim::{MechanismKind, Phase1Stats, SimConfig, SimHarness};
@@ -465,7 +468,7 @@ mod tests {
         ]
     }
 
-    fn assert_same_run(a: &WorkloadRun, b: &WorkloadRun, what: &str) {
+    pub(crate) fn assert_same_run(a: &WorkloadRun, b: &WorkloadRun, what: &str) {
         assert_eq!(a.name, b.name, "{what}");
         assert_eq!(a.stats.fingerprint(), b.stats.fingerprint(), "{what}");
         assert_eq!(

@@ -1,8 +1,9 @@
 //! Design-space exploration on one workload: sweep the approximator's GHB
 //! size, confidence window and computation function the way §VI of the
 //! paper does, and print the MPKI/error frontier. All points fan out on
-//! the parallel sweep engine (`lva_sim::sweep`); the printed frontier is
-//! in declaration order and identical for any `LVA_THREADS`.
+//! the grid evaluator (`lva_workloads::run_grid`), which shares one
+//! precise reference run between them; the printed frontier is in
+//! declaration order and identical for any `LVA_THREADS`.
 //!
 //! ```text
 //! cargo run --release --example design_space [-- <benchmark>]
@@ -11,9 +12,9 @@
 //! (default: canneal).
 
 use lva::core::{ApproximatorConfig, ComputeFn, ConfidenceWindow};
-use lva::sim::sweep::{run_sweep, SweepOptions};
+use lva::sim::sweep::SweepOptions;
 use lva::sim::SimConfig;
-use lva::workloads::{registry, WorkloadScale};
+use lva::workloads::{registry, run_grid, WorkloadScale};
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "canneal".into());
@@ -66,9 +67,15 @@ fn main() {
         ));
     }
 
-    let sweep = run_sweep(&points, &SweepOptions::default(), |_, (_, cfg)| {
-        workload.execute(&SimConfig::lva(cfg.clone()))
-    });
+    let configs: Vec<SimConfig> = points
+        .iter()
+        .map(|(_, cfg)| SimConfig::lva(cfg.clone()))
+        .collect();
+    let sweep = run_grid(
+        &configs,
+        std::slice::from_ref(workload),
+        &SweepOptions::default(),
+    );
     let summary = sweep.summary();
 
     println!("design-space exploration on {}\n", workload.name());

@@ -31,11 +31,13 @@ use lva::obs::{
     TIMELINE_SCHEMA_VERSION,
 };
 use lva::serve::{Client, PointSpec, ResultCache, Scheduler, Server};
-use lva::sim::sweep::{run_sweep, SweepOptions};
+use lva::sim::sweep::SweepOptions;
 use lva::sim::{
     FaultConfig, FullSystem, FullSystemConfig, GovernorConfig, MechanismKind, SimConfig, SweepSpec,
 };
-use lva::workloads::{registry, workload_seeded, WorkloadRun, WorkloadScale, WORKLOAD_NAMES};
+use lva::workloads::{
+    registry, run_grid, workload_seeded, WorkloadRun, WorkloadScale, WORKLOAD_NAMES,
+};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::Path;
@@ -522,19 +524,16 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     };
 
     // Full cross product, config-major, through one parallel sweep.
-    let grid: Vec<(usize, usize)> = (0..configs.len())
-        .flat_map(|c| (0..workloads.len()).map(move |w| (c, w)))
-        .collect();
-    let sweep = run_sweep(&grid, &options, |_, &(c, w)| {
-        workloads[w].execute(&configs[c])
-    });
+    let sweep = run_grid(&configs, &workloads, &options);
     let summary = sweep.summary();
 
     println!(
         "{:<28} {:<14} {:>12} {:>12} {:>10}",
         "configuration", "benchmark", "norm. MPKI", "norm. fetch", "error %"
     );
-    for (&(c, w), outcome) in grid.iter().zip(&sweep.outcomes) {
+    let n = workloads.len();
+    for outcome in &sweep.outcomes {
+        let (c, w) = (outcome.index / n, outcome.index % n);
         let run = &outcome.value;
         println!(
             "{:<28} {:<14} {:>12.4} {:>12.4} {:>10.2}  [{:.2?}]",
@@ -571,7 +570,8 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
                 format!("{} d={}", config.mechanism.label(), config.value_delay),
             );
         }
-        for (&(c, w), outcome) in grid.iter().zip(&sweep.outcomes) {
+        for outcome in &sweep.outcomes {
+            let (c, w) = (outcome.index / n, outcome.index % n);
             let run = &outcome.value;
             let key = format!("grid/c{c}/{}", workloads[w].name());
             record.push_stat(format!("{key}/norm_mpki"), run.normalized_mpki());

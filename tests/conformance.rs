@@ -11,9 +11,9 @@
 
 use lva::core::{ApproximatorConfig, CacheLevel, ClpConfig, ConfidenceWindow, Pc};
 use lva::obs::{PcAttribution, TraceConfig};
-use lva::sim::sweep::{run_sweep, SweepOptions};
+use lva::sim::sweep::SweepOptions;
 use lva::sim::{Knob, KnobKind, Mechanism, SimConfig, SimHarness};
-use lva::workloads::{registry, registry_seeded, WorkloadScale};
+use lva::workloads::{registry, registry_seeded, run_grid, WorkloadScale};
 
 /// The conformance table: every mechanism family under test, by name.
 /// A new family joins the battery by adding one row here.
@@ -31,23 +31,18 @@ fn mechanisms() -> Vec<(&'static str, SimConfig)> {
 
 /// Runs every (mechanism, workload) pair and returns canonical
 /// fingerprints in grid order.
-fn battery_fingerprints(
-    workers: usize,
-    map: impl Fn(&SimConfig) -> SimConfig + Sync,
-) -> Vec<String> {
+fn battery_fingerprints(workers: usize, map: impl Fn(&SimConfig) -> SimConfig) -> Vec<String> {
     let workloads = registry(WorkloadScale::Test);
     let configs: Vec<SimConfig> = mechanisms().into_iter().map(|(_, c)| map(&c)).collect();
-    let grid: Vec<(usize, usize)> = (0..configs.len())
-        .flat_map(|c| (0..workloads.len()).map(move |w| (c, w)))
-        .collect();
     let options = SweepOptions {
         workers: Some(workers),
         progress: false,
     };
-    run_sweep(&grid, &options, |_, &(c, w)| {
-        workloads[w].execute(&configs[c]).stats.fingerprint()
-    })
-    .into_values()
+    run_grid(&configs, &workloads, &options)
+        .into_values()
+        .iter()
+        .map(|run| run.stats.fingerprint())
+        .collect()
 }
 
 #[test]

@@ -4,9 +4,9 @@
 //! bench fan out across threads without perturbing the paper's numbers.
 
 use lva::core::{ApproximatorConfig, ClpConfig, ConfidenceWindow, LvpConfig, Pc};
-use lva::sim::sweep::{run_sweep, SweepOptions};
+use lva::sim::sweep::{run_sweep, SweepOptions, SweepRun};
 use lva::sim::{FaultConfig, MechanismKind, Phase1Stats, SimConfig, SimHarness, SweepSpec};
-use lva::workloads::{registry, registry_seeded, WorkloadScale};
+use lva::workloads::{registry, registry_seeded, run_grid, WorkloadRun, WorkloadScale};
 
 /// A small but non-trivial grid: several mechanisms x value delays, crossed
 /// with every workload in the registry at test scale.
@@ -23,22 +23,25 @@ fn fixed_grid() -> Vec<SimConfig> {
     configs
 }
 
-/// Runs the full (config x workload) grid with a given worker count and
-/// returns one canonical fingerprint string per point, in grid order.
-fn grid_fingerprints(workers: usize) -> Vec<String> {
-    let workloads = registry(WorkloadScale::Test);
-    let configs = fixed_grid();
-    let grid: Vec<(usize, usize)> = (0..configs.len())
-        .flat_map(|c| (0..workloads.len()).map(move |w| (c, w)))
-        .collect();
+/// Runs `configs` on every workload in the registry at test scale through
+/// the grid evaluator on `workers` threads; runs config-major.
+fn grid_sweep(configs: &[SimConfig], workers: usize) -> SweepRun<WorkloadRun> {
     let options = SweepOptions {
         workers: Some(workers),
         progress: false,
     };
-    let sweep = run_sweep(&grid, &options, |_, &(c, w)| {
-        workloads[w].execute(&configs[c]).stats.fingerprint()
-    });
-    sweep.into_values()
+    run_grid(configs, &registry(WorkloadScale::Test), &options)
+}
+
+/// One canonical fingerprint string per run.
+fn fingerprints(runs: &[WorkloadRun]) -> Vec<String> {
+    runs.iter().map(|run| run.stats.fingerprint()).collect()
+}
+
+/// Runs the full (config x workload) grid with a given worker count and
+/// returns one canonical fingerprint string per point, in grid order.
+fn grid_fingerprints(workers: usize) -> Vec<String> {
+    fingerprints(&grid_sweep(&fixed_grid(), workers).into_values())
 }
 
 /// All 25 (mechanism, parameter) points behind Figs. 4, 6, 7 and 8, plus
@@ -135,6 +138,38 @@ fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// Runs `configs` on the test-scale registry under 1, 2 and 8 sweep
+/// workers and checks each config's FNV-1a64 of `<name>:<fingerprint>`
+/// over the seven workloads against its entry in `goldens`. `check` sees
+/// each config's seven runs first.
+fn assert_pinned_across_worker_counts<N: AsRef<str>>(
+    configs: &[(N, SimConfig)],
+    goldens: &[(&str, u64)],
+    check: impl Fn(&str, &[WorkloadRun]),
+) {
+    assert_eq!(configs.len(), goldens.len(), "golden table out of sync");
+    let grid: Vec<SimConfig> = configs.iter().map(|(_, c)| c.clone()).collect();
+    for workers in [1usize, 2, 8] {
+        let runs = grid_sweep(&grid, workers).into_values();
+        let chunks = runs.chunks(runs.len() / grid.len());
+        for (((name, _), &(golden_name, golden)), chunk) in configs.iter().zip(goldens).zip(chunks)
+        {
+            let name = name.as_ref();
+            assert_eq!(name, golden_name, "golden table out of sync");
+            check(name, chunk);
+            let pieces: String = chunk
+                .iter()
+                .map(|run| format!("{}:{}", run.name, run.stats.fingerprint()))
+                .collect();
+            let hash = fnv1a64(pieces.as_bytes());
+            assert_eq!(
+                hash, golden,
+                "{name}: fingerprints diverged (workers={workers}); captured hash {hash:#018x}"
+            );
+        }
+    }
+}
+
 /// FNV-1a64 of `<name>:<fingerprint>` over all 7 workloads (test scale,
 /// registry order), per figure configuration — captured on the commit
 /// *before* the load-pipeline fast-path rework (Vec pending queue +
@@ -173,36 +208,7 @@ fn figure_fingerprints_match_pre_rework_goldens_across_worker_counts() {
     // configuration must produce byte-identical `Phase1Stats::fingerprint`
     // strings to the pre-rework pending-queue implementation, under every
     // worker count. The hashes above were captured on the old code.
-    let workloads = registry(WorkloadScale::Test);
-    let configs = figure_configs();
-    assert_eq!(configs.len(), GOLDEN_FINGERPRINT_HASHES.len());
-    let grid: Vec<(usize, usize)> = (0..configs.len())
-        .flat_map(|c| (0..workloads.len()).map(move |w| (c, w)))
-        .collect();
-    for workers in [1usize, 2, 8] {
-        let options = SweepOptions {
-            workers: Some(workers),
-            progress: false,
-        };
-        let pieces = run_sweep(&grid, &options, |_, &(c, w)| {
-            format!(
-                "{}:{}",
-                workloads[w].name(),
-                workloads[w].execute(&configs[c].1).stats.fingerprint()
-            )
-        })
-        .into_values();
-        for (c, chunk) in pieces.chunks(workloads.len()).enumerate() {
-            let (name, golden) = GOLDEN_FINGERPRINT_HASHES[c];
-            assert_eq!(configs[c].0, name, "golden table out of sync");
-            assert_eq!(
-                fnv1a64(chunk.concat().as_bytes()),
-                golden,
-                "{name}: fingerprints diverged from the pre-rework goldens \
-                 (workers={workers})"
-            );
-        }
-    }
+    assert_pinned_across_worker_counts(&figure_configs(), &GOLDEN_FINGERPRINT_HASHES, |_, _| {});
 }
 
 /// FNV-1a64 of `<name>:<fingerprint>` over all 7 workloads (test scale,
@@ -245,40 +251,11 @@ fn clp_figure_fingerprints_are_pinned_across_worker_counts() {
     // under 1, 2 and 8 sweep workers. The predictor's table state is a
     // function of the per-thread miss stream alone, so worker scheduling
     // must not be able to leak into these.
-    let workloads = registry(WorkloadScale::Test);
     let configs = clp_figure_configs();
-    assert_eq!(configs.len(), GOLDEN_CLP_FINGERPRINT_HASHES.len());
-    let grid: Vec<(usize, usize)> = (0..configs.len())
-        .flat_map(|c| (0..workloads.len()).map(move |w| (c, w)))
-        .collect();
-    for workers in [1usize, 2, 8] {
-        let options = SweepOptions {
-            workers: Some(workers),
-            progress: false,
-        };
-        let pieces = run_sweep(&grid, &options, |_, &(c, w)| {
-            format!(
-                "{}:{}",
-                workloads[w].name(),
-                workloads[w].execute(&configs[c].1).stats.fingerprint()
-            )
-        })
-        .into_values();
-        for (c, chunk) in pieces.chunks(workloads.len()).enumerate() {
-            let (name, golden) = GOLDEN_CLP_FINGERPRINT_HASHES[c];
-            assert_eq!(configs[c].0, name, "golden table out of sync");
-            assert_eq!(
-                fnv1a64(chunk.concat().as_bytes()),
-                golden,
-                "{name}: clp fingerprints diverged (workers={workers}); \
-                 captured hash {:#018x}",
-                fnv1a64(chunk.concat().as_bytes())
-            );
-        }
-    }
+    assert_pinned_across_worker_counts(&configs, &GOLDEN_CLP_FINGERPRINT_HASHES, |_, _| {});
     // Named values behind two of the hashes' `clp=[…]` groups, so a
     // mismatch there says which counter moved.
-    let blackscholes = &workloads[0];
+    let blackscholes = &registry(WorkloadScale::Test)[0];
     assert_eq!(blackscholes.name(), "blackscholes");
     let config = |name: &str| &configs.iter().find(|(n, _)| n == name).expect(name).1;
     let t = blackscholes.execute(config("clp/precise")).stats.total;
@@ -500,29 +477,17 @@ fn metrics_collection_never_perturbs_results() {
     // into a MetricsRegistry (per-point and engine-level) must leave the
     // canonical fingerprints byte-identical to a metrics-off run.
     use lva::obs::MetricsRegistry;
-    let workloads = registry(WorkloadScale::Test);
-    let configs = fixed_grid();
-    let grid: Vec<(usize, usize)> = (0..configs.len())
-        .flat_map(|c| (0..workloads.len()).map(move |w| (c, w)))
-        .collect();
-    let options = SweepOptions {
-        workers: Some(4),
-        progress: false,
-    };
-
-    let off = run_sweep(&grid, &options, |_, &(c, w)| {
-        workloads[w].execute(&configs[c]).stats.fingerprint()
-    })
-    .into_values();
-
-    let on = run_sweep(&grid, &options, |_, &(c, w)| {
-        let run = workloads[w].execute(&configs[c]);
+    let off = grid_fingerprints(4);
+    let on = grid_sweep(&fixed_grid(), 4);
+    for outcome in &on.outcomes {
         let mut registry = MetricsRegistry::new();
-        run.stats.record_metrics(&mut registry, "phase1");
-        run.precise_stats.record_metrics(&mut registry, "precise");
+        outcome.value.stats.record_metrics(&mut registry, "phase1");
+        outcome
+            .value
+            .precise_stats
+            .record_metrics(&mut registry, "precise");
         assert!(!registry.is_empty(), "metrics export produced nothing");
-        run.stats.fingerprint()
-    });
+    }
     // Exporting the engine's own profile must not touch outcomes either.
     let mut engine = MetricsRegistry::new();
     on.record_metrics(&mut engine);
@@ -530,7 +495,7 @@ fn metrics_collection_never_perturbs_results() {
 
     assert_eq!(
         off,
-        on.into_values(),
+        fingerprints(&on.into_values()),
         "metrics collection changed simulation results"
     );
 }
@@ -542,34 +507,28 @@ fn event_tracing_never_perturbs_results() {
     // buffers, and with full per-PC attribution must produce byte-identical
     // canonical fingerprints — and the traced runs must actually collect.
     use lva::obs::{PcAttribution, TraceConfig};
-    let workloads = registry(WorkloadScale::Test);
-    let configs = fixed_grid();
-    let grid: Vec<(usize, usize)> = (0..configs.len())
-        .flat_map(|c| (0..workloads.len()).map(move |w| (c, w)))
-        .collect();
-    let options = SweepOptions {
-        workers: Some(4),
-        progress: false,
+    let traced = |trace: TraceConfig| {
+        let configs: Vec<SimConfig> = fixed_grid()
+            .into_iter()
+            .map(|c| c.with_trace(trace.clone()))
+            .collect();
+        grid_sweep(&configs, 4).into_values()
     };
+    let off = grid_fingerprints(4);
 
-    let off = run_sweep(&grid, &options, |_, &(c, w)| {
-        workloads[w].execute(&configs[c]).stats.fingerprint()
-    })
-    .into_values();
-
-    let ring = run_sweep(&grid, &options, |_, &(c, w)| {
-        let cfg = configs[c].clone().with_trace(TraceConfig::ring(1024));
-        let run = workloads[w].execute(&cfg);
+    let ring = traced(TraceConfig::ring(1024));
+    for run in &ring {
         let events: usize = run.collectors.iter().map(|col| col.events().len()).sum();
         assert!(events > 0, "ring tracing collected nothing");
-        run.stats.fingerprint()
-    })
-    .into_values();
-    assert_eq!(off, ring, "ring-buffer tracing changed simulation results");
+    }
+    assert_eq!(
+        off,
+        fingerprints(&ring),
+        "ring-buffer tracing changed simulation results"
+    );
 
-    let attributed = run_sweep(&grid, &options, |_, &(c, w)| {
-        let cfg = configs[c].clone().with_trace(TraceConfig::attribution());
-        let run = workloads[w].execute(&cfg);
+    let attributed = traced(TraceConfig::attribution());
+    for run in &attributed {
         let mut merged = PcAttribution::new();
         for col in &run.collectors {
             if let Some(a) = col.attribution() {
@@ -581,11 +540,10 @@ fn event_tracing_never_perturbs_results() {
             run.stats.total.raw_misses,
             "attribution must account for every miss"
         );
-        run.stats.fingerprint()
-    })
-    .into_values();
+    }
     assert_eq!(
-        off, attributed,
+        off,
+        fingerprints(&attributed),
         "attribution tracing changed simulation results"
     );
 }
@@ -644,34 +602,7 @@ const GOLDEN_ROBUSTNESS_HASHES: [(&str, u64); 2] = [
 
 #[test]
 fn fault_injection_fingerprints_are_pinned_across_worker_counts() {
-    let workloads = registry(WorkloadScale::Test);
-    let configs = robustness_configs();
-    assert_eq!(configs.len(), GOLDEN_ROBUSTNESS_HASHES.len());
-    let grid: Vec<(usize, usize)> = (0..configs.len())
-        .flat_map(|c| (0..workloads.len()).map(move |w| (c, w)))
-        .collect();
-    for workers in [1usize, 2, 8] {
-        let options = SweepOptions {
-            workers: Some(workers),
-            progress: false,
-        };
-        let pieces = run_sweep(&grid, &options, |_, &(c, w)| {
-            let run = workloads[w].execute(&configs[c].1);
-            format!("{}:{}", workloads[w].name(), run.stats.fingerprint())
-        })
-        .into_values();
-        for (c, chunk) in pieces.chunks(workloads.len()).enumerate() {
-            let (name, golden) = GOLDEN_ROBUSTNESS_HASHES[c];
-            assert_eq!(configs[c].0, name, "golden table out of sync");
-            assert_eq!(
-                fnv1a64(chunk.concat().as_bytes()),
-                golden,
-                "{name}: fault-injection fingerprints diverged (workers={workers}); \
-                 captured hash {:#018x}",
-                fnv1a64(chunk.concat().as_bytes())
-            );
-        }
-    }
+    assert_pinned_across_worker_counts(&robustness_configs(), &GOLDEN_ROBUSTNESS_HASHES, |_, _| {});
 }
 
 #[test]
@@ -762,44 +693,24 @@ const GOLDEN_GOVERNED_HASHES: [(&str, u64); 3] = [
 
 #[test]
 fn governed_fingerprints_are_pinned_across_worker_counts() {
-    let workloads = registry(WorkloadScale::Test);
-    let configs = governed_configs();
-    assert_eq!(configs.len(), GOLDEN_GOVERNED_HASHES.len());
-    let grid: Vec<(usize, usize)> = (0..configs.len())
-        .flat_map(|c| (0..workloads.len()).map(move |w| (c, w)))
-        .collect();
-    for workers in [1usize, 2, 8] {
-        let options = SweepOptions {
-            workers: Some(workers),
-            progress: false,
-        };
-        let pieces = run_sweep(&grid, &options, |_, &(c, w)| {
-            let run = workloads[w].execute(&configs[c].1);
-            format!("{}:{}", workloads[w].name(), run.stats.fingerprint())
-        })
-        .into_values();
-        for (c, chunk) in pieces.chunks(workloads.len()).enumerate() {
-            let (name, golden) = GOLDEN_GOVERNED_HASHES[c];
-            assert_eq!(configs[c].0, name, "golden table out of sync");
+    assert_pinned_across_worker_counts(
+        &governed_configs(),
+        &GOLDEN_GOVERNED_HASHES,
+        |name, runs| {
             if name == "budget5+govern2" {
-                // Non-vacuity: both ladders act on one run, so one
-                // thread line carries both groups.
+                // Non-vacuity: both ladders act on one run, so one thread
+                // line carries both groups.
                 assert!(
-                    chunk.iter().any(|fp| fp
+                    runs.iter().any(|run| run
+                        .stats
+                        .fingerprint()
                         .split(';')
                         .any(|line| line.contains(",dg=[") && line.contains(",gv=["))),
                     "{name}: the budget and the SLO never both acted on one thread"
                 );
             }
-            assert_eq!(
-                fnv1a64(chunk.concat().as_bytes()),
-                golden,
-                "{name}: governed fingerprints diverged (workers={workers}); \
-                 captured hash {:#018x}",
-                fnv1a64(chunk.concat().as_bytes())
-            );
-        }
-    }
+        },
+    );
 }
 
 #[test]
@@ -856,40 +767,18 @@ fn timeline_sampling_never_perturbs_results() {
     // reproduce the pinned pre-rework golden hashes under every worker
     // count — and actually collect frames while doing so.
     use lva::obs::TimelineConfig;
-    let workloads = registry(WorkloadScale::Test);
-    let configs = figure_configs();
-    let grid: Vec<(usize, usize)> = (0..configs.len())
-        .flat_map(|c| (0..workloads.len()).map(move |w| (c, w)))
+    let configs: Vec<(&str, SimConfig)> = figure_configs()
+        .into_iter()
+        .map(|(name, c)| (name, c.with_timeline(TimelineConfig::every(512))))
         .collect();
-    for workers in [1usize, 2, 8] {
-        let options = SweepOptions {
-            workers: Some(workers),
-            progress: false,
-        };
-        let pieces = run_sweep(&grid, &options, |_, &(c, w)| {
-            let cfg = configs[c]
-                .1
-                .clone()
-                .with_timeline(TimelineConfig::every(512));
-            let run = workloads[w].execute(&cfg);
+    assert_pinned_across_worker_counts(&configs, &GOLDEN_FINGERPRINT_HASHES, |name, runs| {
+        for run in runs {
             assert!(
                 run.timelines.iter().any(|tl| !tl.is_empty()),
-                "timeline sampling collected nothing"
-            );
-            format!("{}:{}", workloads[w].name(), run.stats.fingerprint())
-        })
-        .into_values();
-        for (c, chunk) in pieces.chunks(workloads.len()).enumerate() {
-            let (name, golden) = GOLDEN_FINGERPRINT_HASHES[c];
-            assert_eq!(configs[c].0, name, "golden table out of sync");
-            assert_eq!(
-                fnv1a64(chunk.concat().as_bytes()),
-                golden,
-                "{name}: timeline-on fingerprints diverged from the pinned \
-                 goldens (workers={workers})"
+                "{name}: timeline sampling collected nothing"
             );
         }
-    }
+    });
 }
 
 #[test]
