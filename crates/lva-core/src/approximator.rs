@@ -282,26 +282,6 @@ impl MissOutcome {
     }
 }
 
-/// Event counters exposed by the approximator for the evaluation harness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ApproximatorStats {
-    /// Misses presented to the approximator.
-    pub misses_seen: u64,
-    /// Misses served with an approximation.
-    pub approximations: u64,
-    /// Approximations whose training fetch was skipped (degree > 0).
-    pub fetches_skipped: u64,
-    /// Training events (actual values observed).
-    pub trainings: u64,
-    /// Trainings where the approximation fell inside the confidence window.
-    pub window_hits: u64,
-    /// Table entries re-allocated due to tag conflicts.
-    pub reallocations: u64,
-    /// Approximations whose training fetch would have been skipped by the
-    /// degree counter but was forced by [`MissPolicy::ForceFetch`].
-    pub forced_fetches: u64,
-}
-
 /// The load value approximator of Fig. 3.
 ///
 /// See the crate-level docs for a usage example. The structure is purely
@@ -313,7 +293,6 @@ pub struct LoadValueApproximator {
     hasher: ContextHasher,
     ghb: HistoryBuffer<Value>,
     table: ApproximatorTable,
-    stats: ApproximatorStats,
     /// PCs whose misses must bypass the approximator entirely, sorted for
     /// binary search. Runtime state (a governor actuation), not
     /// configuration: constructors always start with every PC enabled.
@@ -348,7 +327,6 @@ impl LoadValueApproximator {
             hasher,
             ghb,
             table,
-            stats: ApproximatorStats::default(),
             disabled_pcs: Vec::new(),
         })
     }
@@ -372,12 +350,6 @@ impl LoadValueApproximator {
     #[must_use]
     pub fn config(&self) -> &ApproximatorConfig {
         &self.config
-    }
-
-    /// Event counters.
-    #[must_use]
-    pub fn stats(&self) -> &ApproximatorStats {
-        &self.stats
     }
 
     /// The global history buffer (read-only; useful for tests and tools).
@@ -487,14 +459,9 @@ impl LoadValueApproximator {
         sink: &mut dyn TraceSink,
         ctx: TraceCtx,
     ) -> MissOutcome {
-        self.stats.misses_seen += 1;
         let slot = self.hasher.slot(pc, &self.ghb);
-        let warm = self
-            .table
+        self.table
             .lookup_or_allocate(slot.index, slot.tag, self.config.degree);
-        if !warm {
-            self.stats.reallocations += 1;
-        }
 
         if self.table.lhb_is_empty(slot.index) {
             // Nothing to compute an estimate from: plain miss.
@@ -525,11 +492,9 @@ impl LoadValueApproximator {
             });
         }
 
-        self.stats.approximations += 1;
         if policy == MissPolicy::ForceFetch {
             // Demotion: close any open degree window.
             if self.table.degree_counter(slot.index) > 0 {
-                self.stats.forced_fetches += 1;
                 *self.table.degree_counter_mut(slot.index) = 0;
                 if sink.enabled() {
                     sink.record(TraceEvent::at(
@@ -562,7 +527,6 @@ impl LoadValueApproximator {
             let counter = self.table.degree_counter_mut(slot.index);
             *counter -= 1;
             let window_closed = *counter == 0;
-            self.stats.fetches_skipped += 1;
             if sink.enabled() && window_closed {
                 sink.record(TraceEvent::at(
                     ctx,
@@ -633,22 +597,18 @@ impl LoadValueApproximator {
         sink: &mut dyn TraceSink,
         ctx: TraceCtx,
     ) -> Option<f64> {
-        self.stats.trainings += 1;
         self.ghb.push(actual);
         let gated = token.ty.is_float() || self.config.confidence_on_int;
         if let Some(approx) = token.approx {
             if gated {
                 let confidence = self.table.confidence_mut(token.entry_index);
                 let confident_before = confidence.is_confident();
-                let hit = confidence.train(
+                confidence.train(
                     approx,
                     actual,
                     self.config.confidence_window,
                     self.config.confidence_update,
                 );
-                if hit {
-                    self.stats.window_hits += 1;
-                }
                 if sink.enabled() {
                     let confident_after = confidence.is_confident();
                     if confident_after != confident_before {
@@ -660,8 +620,6 @@ impl LoadValueApproximator {
                         sink.record(TraceEvent::at(ctx, kind));
                     }
                 }
-            } else if self.config.confidence_window.accepts(approx, actual) {
-                self.stats.window_hits += 1;
             }
         }
         if sink.enabled() {
@@ -837,10 +795,12 @@ mod tests {
     fn degree_zero_always_fetches() {
         let mut a = LoadValueApproximator::new(ApproximatorConfig::baseline());
         warm_up(&mut a, Pc(4), &[1.0; 5]);
+        let mut approximations = 0;
         for _ in 0..10 {
             match a.on_miss(Pc(4), ValueType::F32) {
                 MissOutcome::Approximate(ap) => {
                     assert_eq!(ap.fetch, FetchAction::Fetch);
+                    approximations += 1;
                     a.train(ap.token, Value::from_f32(1.0));
                 }
                 MissOutcome::Fallthrough(t) => {
@@ -848,7 +808,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(a.stats().fetches_skipped, 0);
+        assert!(approximations > 0, "a warm entry approximates");
     }
 
     #[test]
@@ -858,23 +818,26 @@ mod tests {
         warm_up(&mut a, Pc(5), &[3.0, 3.0, 3.0, 9.0]);
         // The GHB now holds recent values; changing them redirects the next
         // miss to a different entry, which will be cold.
-        let realloc_before = a.stats().reallocations;
-        let _ = a.on_miss(Pc(5), ValueType::F32);
-        // Whether or not this specific hash collides, the mechanism as a
-        // whole must have allocated more than one entry across the history.
+        assert!(matches!(
+            a.on_miss(Pc(5), ValueType::F32),
+            MissOutcome::Fallthrough(_)
+        ));
+        // One PC, several history contexts: more than one entry allocated.
         let table = a.table();
         let allocated = (0..table.len()).filter(|&i| table.tag(i).is_some());
-        assert!(allocated.count() >= 2 || realloc_before > 1);
+        assert!(allocated.count() >= 2);
     }
 
     #[test]
-    fn stats_are_consistent() {
+    fn warm_entry_approximates() {
         let mut a = LoadValueApproximator::new(ApproximatorConfig::baseline());
-        warm_up(&mut a, Pc(6), &[1.0, 1.0, 1.0, 1.0, 1.0]);
-        let s = a.stats();
-        assert_eq!(s.misses_seen, 5);
-        assert_eq!(s.trainings, 5);
-        assert!(s.approximations >= 3, "warm entry approximates");
+        let mut approximations = 0;
+        for _ in 0..5 {
+            let outcome = a.on_miss(Pc(6), ValueType::F32);
+            approximations += u32::from(outcome.approximation().is_some());
+            a.train(outcome.token(), Value::from_f32(1.0));
+        }
+        assert!(approximations >= 3, "warm entry approximates");
     }
 
     #[test]
@@ -970,7 +933,6 @@ mod tests {
         );
         // The next miss would skip its fetch (degree window open) — the
         // policy forces a training fetch instead.
-        let skipped_before = a.stats().fetches_skipped;
         let forced = a.on_miss_policed(
             Pc(3),
             ValueType::I32,
@@ -982,8 +944,11 @@ mod tests {
             MissOutcome::Approximate(ap) => assert_eq!(ap.fetch, FetchAction::Fetch),
             MissOutcome::Fallthrough(_) => panic!("warm entry must approximate"),
         }
-        assert_eq!(a.stats().forced_fetches, 1);
-        assert_eq!(a.stats().fetches_skipped, skipped_before);
+        // The forced fetch closed the window: the next miss fetches again.
+        match a.on_miss(Pc(3), ValueType::I32) {
+            MissOutcome::Approximate(ap) => assert_eq!(ap.fetch, FetchAction::Fetch),
+            MissOutcome::Fallthrough(_) => panic!("warm entry must approximate"),
+        }
     }
 
     #[test]
@@ -1004,11 +969,13 @@ mod tests {
             );
             if !skip {
                 let v = Value::from_i32(7 + (i as i32 % 3));
-                plain.train(a.token(), v);
-                traced.train_traced(b.token(), v, &mut ring, ctx);
+                assert_eq!(
+                    plain.train(a.token(), v),
+                    traced.train_traced(b.token(), v, &mut ring, ctx),
+                    "tracing must not perturb training feedback (miss {i})"
+                );
             }
         }
-        assert_eq!(plain.stats(), traced.stats());
         let names: std::collections::HashSet<&str> =
             ring.events().iter().map(|e| e.kind.name()).collect();
         for expected in ["approx", "train", "degree-open", "degree-close"] {

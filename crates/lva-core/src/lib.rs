@@ -70,18 +70,18 @@ mod types;
 mod value;
 
 pub use approximator::{
-    Approximation, ApproximatorConfig, ApproximatorStats, ComputeFn, FetchAction,
-    LoadValueApproximator, MissOutcome, MissPolicy, TrainToken,
+    Approximation, ApproximatorConfig, ComputeFn, FetchAction, LoadValueApproximator, MissOutcome,
+    MissPolicy, TrainToken,
 };
 pub use confidence::{ConfidenceCounter, ConfidenceUpdate, ConfidenceWindow};
 pub use error::{ConfigError, MAX_HISTORY_ENTRIES, MAX_TABLE_ENTRIES};
 pub use hash::{ContextHasher, HashKind, TableSlot};
 pub use history::HistoryBuffer;
 pub use intmap::{IntHasher, IntMap};
-pub use levelpred::{CacheLevel, ClpConfig, ClpStats, LevelPrediction, LevelPredictor};
+pub use levelpred::{CacheLevel, ClpConfig, LevelPrediction, LevelPredictor};
 pub use lvp::{IdealizedLvp, LvpConfig, LvpOutcome};
 pub use prefetch::{GhbPrefetcher, PrefetcherConfig};
-pub use realistic_lvp::{LvpPrediction, RealisticLvp, RealisticLvpConfig, RealisticLvpStats};
+pub use realistic_lvp::{LvpPrediction, RealisticLvp, RealisticLvpConfig};
 pub use rng::{Rng64, UniformRange};
 pub use table::ApproximatorTable;
 pub use types::{Addr, Pc, BLOCK_BYTES};

@@ -59,8 +59,6 @@ pub trait MemoryPort {
 pub struct CoreStats {
     /// Instructions retired.
     pub retired: u64,
-    /// Loads dispatched.
-    pub loads: u64,
     /// Cycles in which nothing retired while a pending load blocked the ROB
     /// head — the exposed miss latency LVA attacks.
     pub head_stall_cycles: u64,
@@ -341,7 +339,6 @@ impl OooCore {
                     approx,
                     value,
                 } => {
-                    self.stats.loads += 1;
                     match port.load(self.id, now, pc, addr, ty, approx, value) {
                         LoadResponse::Done { at } => {
                             self.push_run(SlotState::Done(at.max(now + 1)), 1);
@@ -488,7 +485,9 @@ mod tests {
         fn store(&mut self, _core: usize, _now: u64, _pc: Pc, _addr: Addr) {}
     }
 
-    fn run_fixed(trace: ThreadTrace, latency: u64) -> (u64, CoreStats) {
+    /// Runs `trace` to completion: the cycle count, the core's stats and
+    /// the loads the port received.
+    fn run_fixed(trace: ThreadTrace, latency: u64) -> (u64, CoreStats, u64) {
         let mut core = OooCore::new(0, trace);
         let mut port = FixedLatency { latency, loads: 0 };
         let mut now = 0;
@@ -497,7 +496,7 @@ mod tests {
             now += 1;
             assert!(now < 1_000_000, "runaway simulation");
         }
-        (now, *core.stats())
+        (now, *core.stats(), port.loads)
     }
 
     fn compute_trace(n: u32) -> ThreadTrace {
@@ -508,7 +507,7 @@ mod tests {
 
     #[test]
     fn compute_retires_at_full_width() {
-        let (cycles, stats) = run_fixed(compute_trace(400), 1);
+        let (cycles, stats, _) = run_fixed(compute_trace(400), 1);
         assert_eq!(stats.retired, 400);
         // 4-wide: ~100 cycles plus small pipeline ramp.
         assert!((100..=110).contains(&cycles), "{cycles} cycles");
@@ -579,8 +578,8 @@ mod tests {
                 Value::from_f32(0.0),
             );
         }
-        let (cycles, stats) = run_fixed(t, 1);
-        assert_eq!(stats.loads, 100);
+        let (cycles, stats, loads) = run_fixed(t, 1);
+        assert_eq!(loads, 100);
         assert_eq!(stats.head_stall_cycles, 0);
         assert!(cycles <= 30, "{cycles}");
     }
@@ -591,7 +590,7 @@ mod tests {
         for i in 0..100 {
             t.push_store(Pc(i), Addr(i * 64), ValueType::F32);
         }
-        let (cycles, stats) = run_fixed(t, 1);
+        let (cycles, stats, _) = run_fixed(t, 1);
         assert_eq!(stats.retired, 100);
         assert!(cycles <= 30, "{cycles}");
     }
@@ -603,7 +602,7 @@ mod tests {
         t.push_load(Pc(1), Addr(0), ValueType::I32, false, Value::from_i32(1));
         t.push_compute(5);
         t.push_store(Pc(2), Addr(64), ValueType::I32);
-        let (_, stats) = run_fixed(t, 3);
+        let (_, stats, _) = run_fixed(t, 3);
         assert_eq!(stats.retired, 17);
     }
 
@@ -647,7 +646,6 @@ mod tests {
             *core.stats(),
             CoreStats {
                 retired: 1,
-                loads: 1,
                 head_stall_cycles: 99
             }
         );

@@ -17,6 +17,8 @@ struct DelayPort {
     latency: u64,
     next: u64,
     inflight: Vec<(ReqId, u64)>,
+    /// Loads received.
+    loads: u64,
 }
 
 impl MemoryPort for DelayPort {
@@ -30,6 +32,7 @@ impl MemoryPort for DelayPort {
         _approx: bool,
         _value: Value,
     ) -> LoadResponse {
+        self.loads += 1;
         if self.latency == 0 {
             return LoadResponse::Done { at: now + 1 };
         }
@@ -72,12 +75,15 @@ fn arb_trace(rng: &mut Rng64) -> ThreadTrace {
     ThreadTrace { ops }
 }
 
-fn run(trace: ThreadTrace, latency: u64) -> (u64, lva_cpu::CoreStats) {
+/// Runs `trace` to completion: the cycle count, the core's stats and the
+/// loads the port received.
+fn run(trace: ThreadTrace, latency: u64) -> (u64, CoreStats, u64) {
     let mut core = OooCore::new(0, trace);
     let mut port = DelayPort {
         latency,
         next: 0,
         inflight: Vec::new(),
+        loads: 0,
     };
     let mut now = 0u64;
     while !core.is_done() {
@@ -95,7 +101,7 @@ fn run(trace: ThreadTrace, latency: u64) -> (u64, lva_cpu::CoreStats) {
         now += 1;
         assert!(now < 10_000_000, "runaway core");
     }
-    (now, *core.stats())
+    (now, *core.stats(), port.loads)
 }
 
 /// Serialization round-trips arbitrary traces exactly.
@@ -143,9 +149,9 @@ fn retires_exactly_trace_instructions() {
         let trace = arb_trace(&mut rng);
         let latency = rng.gen_range(0u64..50);
         let expected = trace.stats();
-        let (_, stats) = run(trace, latency);
+        let (_, stats, loads) = run(trace, latency);
         assert_eq!(stats.retired, expected.instructions);
-        assert_eq!(stats.loads, expected.loads);
+        assert_eq!(loads, expected.loads);
     }
 }
 
@@ -155,8 +161,8 @@ fn latency_monotonicity() {
     for case in 0..CASES {
         let mut rng = rng_for(4, case);
         let trace = arb_trace(&mut rng);
-        let (fast, _) = run(trace.clone(), 2);
-        let (slow, _) = run(trace, 60);
+        let (fast, _, _) = run(trace.clone(), 2);
+        let (slow, _, _) = run(trace, 60);
         assert!(slow >= fast, "slow {slow} < fast {fast}");
     }
 }
@@ -170,7 +176,7 @@ fn cycles_are_bounded() {
         let trace = arb_trace(&mut rng);
         let latency = rng.gen_range(1u64..40);
         let instr = trace.stats().instructions;
-        let (cycles, _) = run(trace, latency);
+        let (cycles, _, _) = run(trace, latency);
         assert!(cycles >= instr / 4);
         assert!(
             cycles <= instr * (latency + 4) + 16,
@@ -295,7 +301,6 @@ impl ReferenceCore {
                     approx,
                     value,
                 } => {
-                    self.stats.loads += 1;
                     let seq = self.push(None);
                     issues.push(Issue::Load(seq, pc, addr, ty, approx, value));
                     dispatched += 1;

@@ -654,7 +654,6 @@ impl TimelineRecord {
 pub struct JsonlSink {
     file: std::fs::File,
     path: PathBuf,
-    written: u64,
 }
 
 impl JsonlSink {
@@ -670,7 +669,6 @@ impl JsonlSink {
         Ok(JsonlSink {
             file: std::fs::File::create(path)?,
             path: path.to_owned(),
-            written: 0,
         })
     }
 
@@ -684,14 +682,7 @@ impl JsonlSink {
         line.push('\n');
         self.file.write_all(line.as_bytes())?;
         self.file.flush()?;
-        self.written += 1;
         Ok(())
-    }
-
-    /// Lines appended so far.
-    #[must_use]
-    pub fn written(&self) -> u64 {
-        self.written
     }
 
     /// The sink's path.
@@ -968,7 +959,8 @@ mod tests {
             sink.append(sampler.frames().back().unwrap())
                 .expect("appends");
         }
-        assert_eq!(sink.written(), 3);
+        let text = std::fs::read_to_string(&path).expect("reads");
+        assert_eq!(text.lines().count(), 3);
         assert_eq!(sink.path(), path);
         let load = read_jsonl(&path).expect("loads");
         assert!(!load.truncated);

@@ -365,7 +365,6 @@ pub struct RingBufferSink {
     policy: SamplingPolicy,
     buf: Vec<TraceEvent>,
     head: usize,
-    recorded: u64,
 }
 
 impl RingBufferSink {
@@ -382,13 +381,7 @@ impl RingBufferSink {
             policy,
             buf: Vec::new(),
             head: 0,
-            recorded: 0,
         }
-    }
-
-    /// Total events admitted by the policy (including overwritten ones).
-    pub fn recorded(&self) -> u64 {
-        self.recorded
     }
 
     /// Number of events currently held.
@@ -419,7 +412,6 @@ impl TraceSink for RingBufferSink {
         if !self.policy.admits(&event) {
             return;
         }
-        self.recorded += 1;
         if self.buf.len() < self.capacity {
             self.buf.push(event);
         } else {
@@ -1058,7 +1050,6 @@ mod tests {
         for i in 0..10 {
             ring.record(miss(i, 0x10));
         }
-        assert_eq!(ring.recorded(), 10);
         assert_eq!(ring.len(), 4);
         let ts: Vec<u64> = ring.events().iter().map(|e| e.ts).collect();
         assert_eq!(ts, vec![6, 7, 8, 9]);
