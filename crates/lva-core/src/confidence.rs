@@ -143,8 +143,8 @@ impl ConfidenceCounter {
     }
 
     /// Applies a full training update: compares `approx` against `actual`
-    /// under `window` and adjusts the counter per `update`. Returns `true`
-    /// if the approximation was accepted (counter incremented).
+    /// under `window`, increments the counter if the window accepts the
+    /// approximation and otherwise decrements it per `update`.
     ///
     /// Under [`ConfidenceWindow::Infinite`] the counter is never decremented.
     pub fn train(
@@ -153,17 +153,15 @@ impl ConfidenceCounter {
         actual: Value,
         window: ConfidenceWindow,
         update: ConfidenceUpdate,
-    ) -> bool {
+    ) {
         if window.accepts(approx, actual) {
             self.increment();
-            true
         } else {
             let amount = match update {
                 ConfidenceUpdate::Unit => 1,
                 ConfidenceUpdate::Proportional => proportional_penalty(approx, actual, window),
             };
             self.decrement(amount);
-            false
         }
     }
 }
@@ -233,19 +231,19 @@ mod tests {
         let actual = Value::from_f32(100.0);
         let near = Value::from_f32(105.0);
         let far = Value::from_f32(150.0);
-        assert!(c.train(
+        c.train(
             near,
             actual,
             ConfidenceWindow::Relative(0.10),
-            ConfidenceUpdate::Unit
-        ));
+            ConfidenceUpdate::Unit,
+        );
         assert_eq!(c.value(), 1);
-        assert!(!c.train(
+        c.train(
             far,
             actual,
             ConfidenceWindow::Relative(0.10),
-            ConfidenceUpdate::Unit
-        ));
+            ConfidenceUpdate::Unit,
+        );
         assert_eq!(c.value(), 0);
     }
 
@@ -261,15 +259,15 @@ mod tests {
         let mut c = ConfidenceCounter::new(4);
         let wildly_off = Value::from_f32(1e20);
         let actual = Value::from_f32(1.0);
-        for _ in 0..5 {
-            assert!(c.train(
+        for expected in 1..=5 {
+            c.train(
                 wildly_off,
                 actual,
                 ConfidenceWindow::Infinite,
-                ConfidenceUpdate::Unit
-            ));
+                ConfidenceUpdate::Unit,
+            );
+            assert_eq!(c.value(), expected);
         }
-        assert_eq!(c.value(), 5);
     }
 
     #[test]
@@ -311,12 +309,12 @@ mod tests {
         let w = ConfidenceWindow::Relative(0.10);
         // Exactly 1x the window width is *inside* the window: no penalty.
         let mut c = ConfidenceCounter::new(6);
-        assert!(c.train(
+        c.train(
             Value::from_f32(11.0),
             Value::from_f32(10.0),
             w,
-            ConfidenceUpdate::Proportional
-        ));
+            ConfidenceUpdate::Proportional,
+        );
         assert_eq!(c.value(), 1);
         // 1.5x the width spans into the second window: penalty 2, not 1.
         assert_eq!(penalty_of(11.5, 10.0, w), 2);

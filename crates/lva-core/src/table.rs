@@ -233,20 +233,16 @@ impl ApproximatorTable {
     /// Looks up `index`, reallocating the entry for `tag` on a miss: the
     /// tag is replaced and the confidence, degree counter and LHB are
     /// reset, mirroring what a direct-mapped hardware table does on a
-    /// tag mismatch. Returns `true` if the tag already matched (the context
-    /// was warm).
-    pub(crate) fn lookup_or_allocate(&mut self, index: usize, tag: u64, degree: u32) -> bool {
+    /// tag mismatch.
+    pub(crate) fn lookup_or_allocate(&mut self, index: usize, tag: u64, degree: u32) {
         // Hasher-produced tags are at most 63 bits (index + tag ≤ 64 with at
         // least one index bit), so the bias can never wrap into TAG_FREE.
         let stored = tag.wrapping_add(1);
-        if self.tags[index] == stored {
-            true
-        } else {
+        if self.tags[index] != stored {
             self.tags[index] = stored;
             self.confidence[index] = self.fresh_confidence;
             self.degree[index] = degree;
             self.lhb_len[index] = 0;
-            false
         }
     }
 }
@@ -258,15 +254,20 @@ mod tests {
     #[test]
     fn allocation_resets_state() {
         let mut t = ApproximatorTable::new(8, 4, 4, 2);
-        assert!(!t.lookup_or_allocate(3, 0xaa, 2));
+        assert_eq!(t.tag(3), None);
+        t.lookup_or_allocate(3, 0xaa, 2);
+        assert_eq!(t.tag(3), Some(0xaa));
         t.lhb_push(3, Value::from_f32(1.0));
         t.confidence_mut(3).decrement(3);
         *t.degree_counter_mut(3) = 0;
         // Same tag: state is preserved.
-        assert!(t.lookup_or_allocate(3, 0xaa, 2));
+        t.lookup_or_allocate(3, 0xaa, 2);
+        assert_eq!(t.tag(3), Some(0xaa));
         assert_eq!(t.lhb_values(3).len(), 1);
+        assert_eq!(t.confidence(3).value(), -3);
+        assert_eq!(t.degree_counter(3), 0);
         // Conflicting tag: everything resets.
-        assert!(!t.lookup_or_allocate(3, 0xbb, 2));
+        t.lookup_or_allocate(3, 0xbb, 2);
         assert!(t.lhb_is_empty(3));
         assert_eq!(t.confidence(3).value(), 0);
         assert_eq!(t.degree_counter(3), 2);
@@ -311,7 +312,10 @@ mod tests {
         t.corrupt_tag(1, 0b100);
         assert_eq!(t.tag(1), Some(0xaa ^ 0b100));
         // The next lookup under the true tag reallocates (tag mismatch).
-        assert!(!t.lookup_or_allocate(1, 0xaa, 0));
+        t.lhb_push(1, Value::from_i32(1));
+        t.lookup_or_allocate(1, 0xaa, 0);
+        assert_eq!(t.tag(1), Some(0xaa));
+        assert!(t.lhb_is_empty(1));
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The out-of-order core: a ROB-occupancy timing model over a thread trace.
 
 use crate::{ThreadTrace, TraceOp};
-use lva_core::{Addr, IntMap, Pc, Value, ValueType};
+use lva_core::{Addr, Pc, Value, ValueType};
 use std::collections::VecDeque;
 use std::fmt;
 
-/// Identifier of an outstanding memory request, allocated by the
-/// [`MemoryPort`] implementation.
+/// Identifier of a load a core issues: the ROB sequence number of the
+/// entry it would occupy while pending. Unique per core, not across cores;
+/// the memory system tells cores apart by the core index it was given.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ReqId(pub u64);
 
@@ -26,20 +27,21 @@ pub enum LoadResponse {
         at: u64,
     },
     /// The load misses and must wait; the memory system will call
-    /// [`OooCore::complete`] with this id when data arrives.
-    Pending(ReqId),
+    /// [`OooCore::complete`] with the load's [`ReqId`] when data arrives.
+    Pending,
 }
 
 /// The memory system as seen by a core. Implemented by the full-system
 /// simulator in `lva-sim`; simple mocks suffice for unit tests.
 pub trait MemoryPort {
-    /// Issues a load dispatched at `now`. The `approx` flag and precise
-    /// `value` come straight from the trace so the port can drive the
-    /// approximator.
+    /// Issues load `req` dispatched at `now`. The `approx` flag and
+    /// precise `value` come straight from the trace so the port can drive
+    /// the approximator.
     #[allow(clippy::too_many_arguments)]
     fn load(
         &mut self,
         core: usize,
+        req: ReqId,
         now: u64,
         pc: Pc,
         addr: Addr,
@@ -108,7 +110,8 @@ enum Idle {
 /// - **Run-length ROB.** Adjacent slots that complete in the same cycle
 ///   share one entry with a count, so a cycle's compute dispatch is a
 ///   single push and retirement takes from counts. Entries carry their own
-///   sequence numbers, which keeps [`complete`](Self::complete) an index.
+///   sequence numbers, and a load's [`ReqId`] is its entry's, which keeps
+///   [`complete`](Self::complete) an index.
 /// - **Steady-compute sleep.** When a tick ends with every ROB slot done by
 ///   the next cycle, at least `width` slots in the ROB and at least `width`
 ///   compute instructions left in the current run, each of the next
@@ -136,7 +139,6 @@ pub struct OooCore {
     rob: VecDeque<RobEntry>,
     /// Slots in the ROB: the sum of the entries' counts.
     rob_len: usize,
-    pending: IntMap<ReqId, u64>,
     next_seq: u64,
     idle: Option<Idle>,
     stats: CoreStats,
@@ -166,7 +168,6 @@ impl OooCore {
             compute_left: 0,
             rob: VecDeque::with_capacity(rob_capacity),
             rob_len: 0,
-            pending: IntMap::default(),
             next_seq: 0,
             idle: None,
             stats: CoreStats::default(),
@@ -208,10 +209,11 @@ impl OooCore {
         }
     }
 
-    /// Marks the pending load `req` as completed at cycle `at`.
+    /// Marks the pending load `req` as completed at cycle `at`. An id that
+    /// names no pending load changes nothing.
     pub fn complete(&mut self, req: ReqId, at: u64) {
-        if let Some(seq) = self.pending.remove(&req) {
-            if let Some(entry) = self.rob_entry(seq) {
+        if let Some(entry) = self.rob_entry(req.0) {
+            if entry.state == SlotState::PendingLoad {
                 entry.state = SlotState::Done(at);
             }
         }
@@ -339,15 +341,14 @@ impl OooCore {
                     approx,
                     value,
                 } => {
-                    match port.load(self.id, now, pc, addr, ty, approx, value) {
-                        LoadResponse::Done { at } => {
-                            self.push_run(SlotState::Done(at.max(now + 1)), 1);
-                        }
-                        LoadResponse::Pending(req) => {
-                            let seq = self.push_run(SlotState::PendingLoad, 1);
-                            self.pending.insert(req, seq);
-                        }
-                    }
+                    // A pending load never merges, so its entry's sequence
+                    // number is `next_seq`: that is its request id.
+                    let req = ReqId(self.next_seq);
+                    let state = match port.load(self.id, req, now, pc, addr, ty, approx, value) {
+                        LoadResponse::Done { at } => SlotState::Done(at.max(now + 1)),
+                        LoadResponse::Pending => SlotState::PendingLoad,
+                    };
+                    self.push_run(state, 1);
                     dispatched += 1;
                 }
                 TraceOp::Store { pc, addr, .. } => {
@@ -388,19 +389,17 @@ impl OooCore {
 
     /// Appends `count` slots in `state`, merging them into the tail entry
     /// when it is done in the same cycle; a pending load never merges.
-    /// Returns the sequence number of the entry holding them.
-    fn push_run(&mut self, state: SlotState, count: usize) -> u64 {
+    fn push_run(&mut self, state: SlotState, count: usize) {
         self.rob_len += count;
         if let Some(tail) = self.rob.back_mut() {
             if matches!(state, SlotState::Done(_)) && tail.state == state {
                 tail.count += count;
-                return tail.seq;
+                return;
             }
         }
         let seq = self.next_seq;
         self.next_seq += 1;
         self.rob.push_back(RobEntry { seq, count, state });
-        seq
     }
 }
 
@@ -418,6 +417,7 @@ mod tests {
         fn load(
             &mut self,
             _core: usize,
+            _req: ReqId,
             now: u64,
             _pc: Pc,
             _addr: Addr,
@@ -438,7 +438,6 @@ mod tests {
     /// drives completions manually.
     struct PendingPort {
         latency: u64,
-        next: u64,
         inflight: Vec<(ReqId, u64)>,
     }
 
@@ -446,7 +445,6 @@ mod tests {
         fn new(latency: u64) -> Self {
             PendingPort {
                 latency,
-                next: 0,
                 inflight: Vec::new(),
             }
         }
@@ -469,6 +467,7 @@ mod tests {
         fn load(
             &mut self,
             _core: usize,
+            req: ReqId,
             now: u64,
             _pc: Pc,
             _addr: Addr,
@@ -476,10 +475,8 @@ mod tests {
             _approx: bool,
             _value: Value,
         ) -> LoadResponse {
-            let req = ReqId(self.next);
-            self.next += 1;
             self.inflight.push((req, now + self.latency));
-            LoadResponse::Pending(req)
+            LoadResponse::Pending
         }
 
         fn store(&mut self, _core: usize, _now: u64, _pc: Pc, _addr: Addr) {}
@@ -653,8 +650,9 @@ mod tests {
 
     #[test]
     fn out_of_order_completions_resolve_the_right_rob_slots() {
-        // 40 pending loads through a 32-entry, 4-wide ROB. The port hands
-        // out request ids in issue order, so request k is ROB sequence k.
+        // 40 pending loads through a 32-entry, 4-wide ROB. Each pending
+        // load has an entry of its own, so load k is request and ROB
+        // sequence k.
         // Completions arrive in reverse order and after the head has moved
         // past sequence 0, so each one must land on slot `seq - head`.
         let mut t = ThreadTrace::new();
@@ -693,6 +691,9 @@ mod tests {
                         core.complete(ReqId(req), if req == 9 { 34 } else { 30 });
                     }
                 }
+                // Sequence 9 is done but not yet retired: a second
+                // completion must not move its cycle.
+                31 => core.complete(ReqId(9), 99),
                 _ => {}
             }
             let before = core.stats().retired;

@@ -15,7 +15,6 @@ fn rng_for(test_seed: u64, case: u64) -> Rng64 {
 /// completions the test driver delivers.
 struct DelayPort {
     latency: u64,
-    next: u64,
     inflight: Vec<(ReqId, u64)>,
     /// Loads received.
     loads: u64,
@@ -25,6 +24,7 @@ impl MemoryPort for DelayPort {
     fn load(
         &mut self,
         _core: usize,
+        req: ReqId,
         now: u64,
         _pc: Pc,
         _addr: Addr,
@@ -36,10 +36,8 @@ impl MemoryPort for DelayPort {
         if self.latency == 0 {
             return LoadResponse::Done { at: now + 1 };
         }
-        let req = ReqId(self.next);
-        self.next += 1;
         self.inflight.push((req, now + self.latency));
-        LoadResponse::Pending(req)
+        LoadResponse::Pending
     }
 
     fn store(&mut self, _core: usize, _now: u64, _pc: Pc, _addr: Addr) {}
@@ -81,7 +79,6 @@ fn run(trace: ThreadTrace, latency: u64) -> (u64, CoreStats, u64) {
     let mut core = OooCore::new(0, trace);
     let mut port = DelayPort {
         latency,
-        next: 0,
         inflight: Vec::new(),
         loads: 0,
     };
@@ -315,13 +312,14 @@ impl ReferenceCore {
         for issue in issues {
             match issue {
                 Issue::Load(seq, pc, addr, ty, approx, value) => {
-                    match port.load(0, now, pc, addr, ty, approx, value) {
+                    let req = ReqId(seq);
+                    match port.load(0, req, now, pc, addr, ty, approx, value) {
                         LoadResponse::Done { at } => {
                             if let Some(slot) = self.slot(seq) {
                                 *slot = Some(at.max(now + 1));
                             }
                         }
-                        LoadResponse::Pending(req) => {
+                        LoadResponse::Pending => {
                             self.pending.insert(req, seq);
                         }
                     }
@@ -338,7 +336,6 @@ impl ReferenceCore {
 /// they make the same calls.
 struct RandomPort {
     rng: Rng64,
-    next: u64,
     inflight: Vec<(ReqId, u64)>,
     calls: Vec<(u64, u64, bool)>,
 }
@@ -347,7 +344,6 @@ impl RandomPort {
     fn new(seed: u64) -> Self {
         RandomPort {
             rng: Rng64::new(seed),
-            next: 0,
             inflight: Vec::new(),
             calls: Vec::new(),
         }
@@ -379,6 +375,7 @@ impl MemoryPort for RandomPort {
     fn load(
         &mut self,
         _core: usize,
+        req: ReqId,
         now: u64,
         pc: Pc,
         _addr: Addr,
@@ -392,11 +389,9 @@ impl MemoryPort for RandomPort {
                 at: now + self.rng.gen_range(1u64..4),
             };
         }
-        let req = ReqId(self.next);
-        self.next += 1;
         self.inflight
             .push((req, now + self.rng.gen_range(0u64..201)));
-        LoadResponse::Pending(req)
+        LoadResponse::Pending
     }
 
     fn store(&mut self, _core: usize, now: u64, pc: Pc, _addr: Addr) {

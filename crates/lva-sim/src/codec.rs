@@ -273,6 +273,11 @@ record!(SimConfig = SimConfig::precise();
     skip mechanism, govern, trace, timeline, record_traces
 );
 
+/// The mechanism's name, as its JSON form and the CLI spell it.
+pub(crate) fn mechanism_name(kind: &MechanismKind) -> &'static str {
+    mechanism_parts(kind).0
+}
+
 /// The mechanism's label and its configured structures, by key.
 fn mechanism_parts(kind: &MechanismKind) -> (&'static str, Vec<(&'static str, &dyn Field)>) {
     match kind {

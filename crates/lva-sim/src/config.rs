@@ -65,6 +65,12 @@ pub enum ConfigError {
         /// The rejected value.
         value: f64,
     },
+    /// The full-system model was given a mechanism it does not model: it
+    /// replays precise and LVA runs only (§V-B).
+    UnmodelledMechanism {
+        /// The mechanism's name, as the config codec and the CLI spell it.
+        kind: &'static str,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -99,6 +105,10 @@ impl fmt::Display for ConfigError {
             ConfigError::GovernorKnob { knob, value } => {
                 write!(f, "governor knob {knob} is out of range: {value}")
             }
+            ConfigError::UnmodelledMechanism { kind } => write!(
+                f,
+                "full-system replay models the precise and lva mechanisms, not {kind}"
+            ),
         }
     }
 }

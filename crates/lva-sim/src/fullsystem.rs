@@ -12,6 +12,11 @@
 //! counter demands one) proceeds off the critical path. Value delay arises
 //! naturally from the fetch latency here, unlike the fixed-delay model of
 //! phase 1.
+//!
+//! The paper's phase 2 replays precise and LVA runs, and so does this
+//! model: every other [`MechanismKind`] is refused with
+//! [`ConfigError::UnmodelledMechanism`], never replayed as something else
+//! under its label.
 
 use crate::govern::{Governor, GovernorConfig, GovernorReport};
 use crate::mechanism::{Knob, KnobKind, Mechanism};
@@ -64,8 +69,9 @@ pub enum CoherenceProtocol {
 /// sampling and the cycle limit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FullSystemConfig {
-    /// Miss-handling mechanism. Only [`MechanismKind::Precise`] and
-    /// [`MechanismKind::Lva`] appear in the paper's full-system results.
+    /// Miss-handling mechanism: [`MechanismKind::Precise`] or
+    /// [`MechanismKind::Lva`], the two the paper's full-system results use.
+    /// The constructors refuse any other kind.
     pub mechanism: MechanismKind,
     /// Extra cycles added to approximator *training* fetches before they
     /// enter the NoC — modelling the §VI-C optimization of deprioritizing
@@ -547,8 +553,7 @@ struct Mshr {
 #[derive(Debug)]
 struct L1Ctx {
     cache: SetAssocCache,
-    /// `Lva` for the lva and lva+clp mechanisms (phase 2 replays the
-    /// hybrid with its approximator alone), `Precise` otherwise.
+    /// `Precise` or `Lva`, built from [`FullSystemConfig::mechanism`].
     mechanism: Mechanism,
     mshr: IntMap<u64, Mshr>,
     /// The LVA miss decision with this L1's quality governor
@@ -585,27 +590,28 @@ struct MemorySystem {
     /// was.
     armed: u32,
     completions: Vec<(usize, ReqId, u64)>,
-    next_req: u64,
     stats: FullSystemStats,
 }
 
 impl MemorySystem {
+    /// The one validation both [`FullSystem`] constructors reach: the
+    /// mechanism kind, then the governor, then the timeline epoch.
     fn try_new(cfg: FullSystemConfig) -> Result<Self, ConfigError> {
+        if !matches!(
+            cfg.mechanism,
+            MechanismKind::Precise | MechanismKind::Lva(_)
+        ) {
+            let kind = crate::codec::mechanism_name(&cfg.mechanism);
+            return Err(ConfigError::UnmodelledMechanism { kind });
+        }
         MissPipeline::validate(&cfg.mechanism, cfg.govern.as_ref())?;
+        if cfg.timeline.as_ref().is_some_and(|t| t.epoch_len == 0) {
+            return Err(ConfigError::ZeroEpoch);
+        }
         let nodes = MESH.nodes();
         let mut l1 = Vec::with_capacity(nodes);
         for _ in 0..nodes {
-            // Phase 2 only models Precise and LVA (the paper's full-system
-            // results); other kinds — including standalone clp — degrade to
-            // precise replay, and the lva+clp hybrid replays with its
-            // approximator alone, so the governor's ladder has no CLP
-            // screen here. Construction still goes through the shared
-            // Mechanism front door so bad geometry surfaces as the same
-            // ConfigError everywhere.
-            let mechanism = match Mechanism::from_kind(&cfg.mechanism)? {
-                Mechanism::Lva(a) | Mechanism::LvaClp(a, _) => Mechanism::Lva(a),
-                _ => Mechanism::Precise,
-            };
+            let mechanism = Mechanism::from_kind(&cfg.mechanism)?;
             let govern = cfg
                 .govern
                 .filter(|_| matches!(mechanism, Mechanism::Lva(_)));
@@ -640,7 +646,6 @@ impl MemorySystem {
             dram_next: u64::MAX,
             armed: 0,
             completions: Vec::new(),
-            next_req: 0,
             stats: FullSystemStats::default(),
         })
     }
@@ -1222,18 +1227,13 @@ impl MemorySystem {
             },
         );
     }
-
-    fn alloc_req(&mut self) -> ReqId {
-        let id = ReqId(self.next_req);
-        self.next_req += 1;
-        id
-    }
 }
 
 impl MemoryPort for MemorySystem {
     fn load(
         &mut self,
         core: usize,
+        req: ReqId,
         now: u64,
         pc: Pc,
         addr: Addr,
@@ -1299,10 +1299,9 @@ impl MemoryPort for MemorySystem {
                         return self.approximated(core, now);
                     }
                     MissAction::Fallthrough { token, .. } => {
-                        let req = self.alloc_req();
                         let train = Some((token, value));
                         self.fetch_block(core, now, block, Some((req, now)), train, false);
-                        return LoadResponse::Pending(req);
+                        return LoadResponse::Pending;
                     }
                     MissAction::Conventional => {}
                 }
@@ -1311,7 +1310,6 @@ impl MemoryPort for MemorySystem {
 
         // Conventional miss path (precise data, no approximator, or an
         // in-flight block with no approximation to reuse).
-        let req = self.alloc_req();
         match self.l1[core].mshr.get_mut(&block) {
             // Secondary miss: merge, no new traffic, not a new miss.
             Some(Mshr {
@@ -1325,7 +1323,7 @@ impl MemoryPort for MemorySystem {
                 self.fetch_block(core, now, block, Some((req, now)), None, false);
             }
         }
-        LoadResponse::Pending(req)
+        LoadResponse::Pending
     }
 
     fn store(&mut self, core: usize, now: u64, _pc: Pc, addr: Addr) {
@@ -1400,9 +1398,10 @@ impl FullSystem {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] if the mechanism configuration is
-    /// malformed, or the governor configuration is rejected (the same
-    /// checks [`crate::SimConfig::validate`] runs).
+    /// Returns a [`ConfigError`] if the mechanism is neither precise nor
+    /// LVA, its configuration is malformed, the governor configuration is
+    /// rejected (the same checks [`crate::SimConfig::validate`] runs) or
+    /// the timeline epoch is 0.
     ///
     /// # Panics
     ///
@@ -1411,32 +1410,20 @@ impl FullSystem {
         config: FullSystemConfig,
         traces: Vec<ThreadTrace>,
     ) -> Result<Self, ConfigError> {
-        assert!(
-            traces.len() <= MESH.nodes(),
-            "{} traces exceed {} mesh nodes",
-            traces.len(),
-            MESH.nodes()
-        );
-        if config.timeline.as_ref().is_some_and(|t| t.epoch_len == 0) {
-            return Err(ConfigError::ZeroEpoch);
-        }
         let cores = traces
             .into_iter()
             .enumerate()
             .map(|(i, t)| OooCore::new(i, t))
             .collect();
-        Ok(FullSystem {
-            cores,
-            mem: MemorySystem::try_new(config)?,
-        })
+        Self::try_with_cores(config, cores)
     }
 
-    /// [`try_new`](Self::try_new), panicking on a malformed configuration.
+    /// [`try_new`](Self::try_new), panicking on a rejected configuration.
     ///
     /// # Panics
     ///
     /// Panics if more traces than mesh nodes are supplied, or if the
-    /// mechanism configuration is malformed.
+    /// configuration is rejected.
     #[must_use]
     pub fn new(config: FullSystemConfig, traces: Vec<ThreadTrace>) -> Self {
         Self::try_new(config, traces).unwrap_or_else(|e| panic!("{e}"))
@@ -1447,9 +1434,7 @@ impl FullSystem {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] if the mechanism configuration is
-    /// malformed, or the governor configuration is rejected (the same
-    /// checks [`crate::SimConfig::validate`] runs).
+    /// The same as [`try_new`](Self::try_new).
     ///
     /// # Panics
     ///
@@ -1470,13 +1455,13 @@ impl FullSystem {
         })
     }
 
-    /// [`try_with_cores`](Self::try_with_cores), panicking on a malformed
+    /// [`try_with_cores`](Self::try_with_cores), panicking on a rejected
     /// configuration.
     ///
     /// # Panics
     ///
     /// Panics if more cores than mesh nodes are supplied, or if the
-    /// mechanism configuration is malformed.
+    /// configuration is rejected.
     #[must_use]
     pub fn with_cores(config: FullSystemConfig, cores: Vec<OooCore>) -> Self {
         Self::try_with_cores(config, cores).unwrap_or_else(|e| panic!("{e}"))
@@ -1792,9 +1777,49 @@ mod tests {
         let cfg =
             FullSystemConfig::paper(MechanismKind::Precise).with_timeline(TimelineConfig::every(0));
         assert_eq!(
-            FullSystem::try_new(cfg, vec![ThreadTrace::new()]).err(),
+            FullSystem::try_new(cfg.clone(), vec![ThreadTrace::new()]).err(),
             Some(ConfigError::ZeroEpoch)
         );
+        assert_eq!(
+            FullSystem::try_with_cores(cfg, vec![OooCore::new(0, ThreadTrace::new())]).err(),
+            Some(ConfigError::ZeroEpoch)
+        );
+    }
+
+    #[test]
+    fn unmodelled_mechanisms_are_refused_by_both_constructors() {
+        use lva_core::{ClpConfig, LvpConfig, PrefetcherConfig};
+        let refused = [
+            ("clp", MechanismKind::Clp(ClpConfig::baseline())),
+            ("lvp", MechanismKind::Lvp(LvpConfig::baseline())),
+            ("real-lvp", MechanismKind::RealisticLvp(Default::default())),
+            (
+                "prefetch",
+                MechanismKind::Prefetch(PrefetcherConfig::paper(1)),
+            ),
+            (
+                "lva+clp",
+                MechanismKind::LvaClp(ApproximatorConfig::baseline(), ClpConfig::baseline()),
+            ),
+        ];
+        let trace = || load_trace(8, 64, true, 1.0);
+        for (kind, mechanism) in refused {
+            let cfg = FullSystemConfig::paper(mechanism);
+            let want = ConfigError::UnmodelledMechanism { kind };
+            assert!(want.to_string().ends_with(&format!("not {kind}")), "{want}");
+            let want = Some(want);
+            assert_eq!(FullSystem::try_new(cfg.clone(), vec![trace()]).err(), want);
+            let cores = vec![OooCore::new(0, trace())];
+            assert_eq!(FullSystem::try_with_cores(cfg, cores).err(), want);
+        }
+        for mechanism in [
+            MechanismKind::Precise,
+            MechanismKind::Lva(ApproximatorConfig::baseline()),
+        ] {
+            let cfg = FullSystemConfig::paper(mechanism);
+            assert!(FullSystem::try_new(cfg.clone(), vec![trace()]).is_ok());
+            assert!(FullSystem::try_with_cores(cfg, vec![OooCore::new(0, trace())]).is_ok());
+        }
     }
 
     #[test]

@@ -14,8 +14,9 @@ use lva_core::{
 use crate::config::{ConfigError, MechanismKind, SimConfig};
 
 /// One runtime-tunable setting of a live [`Mechanism`] — the typed
-/// actuation surface shared by the supervisory governor and the CLI. A `Knob` carries both the setting
-/// and its new value; [`KnobKind`] names the setting alone (for reads).
+/// actuation surface the supervisory governor drives. A `Knob` carries
+/// both the setting and its new value; [`KnobKind`] names the setting
+/// alone (for reads).
 ///
 /// Not every knob applies to every mechanism: setting the approximation
 /// degree on a plain `Clp` mechanism is an explicit no-op

@@ -70,6 +70,11 @@ fn trace_then_replay_round_trips() {
         assert!(stdout.contains("cycles"), "{stdout}");
         assert!(stdout.contains("IPC"));
     }
+    // Phase 2 models precise and LVA only: any other mechanism is refused
+    // by name, not replayed as something else under its label.
+    let (ok, _, stderr) = explore(&["replay", path_str, "--mech", "clp"]);
+    assert!(!ok, "replay under clp must fail");
+    assert!(stderr.contains("not clp"), "{stderr}");
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -871,8 +871,8 @@ fn fullsystem_timeline_frames_are_pinned() {
 
 /// Full-system configurations pinned by [`GOLDEN_FULLSYSTEM_HASHES`], each
 /// with its core shape `(width, ROB entries)`: plain LVA, LVA under a 5%
-/// error budget (alone and beside a 2% SLO), LVA and the lva+clp hybrid
-/// under an actively-tightening governor, a governor beside a precise
+/// error budget (alone and beside a 2% SLO), LVA under an
+/// actively-tightening governor, a governor beside a precise
 /// machine (which builds no governor at all), MESI, training on a
 /// low-power NoC plane, training fetches deprioritized by 200 cycles (sent
 /// in the future), a 2-wide core with an 8-entry ROB, whose head stalls on
@@ -887,7 +887,6 @@ fn fullsystem_configs() -> Vec<(&'static str, lva::sim::FullSystemConfig, (usize
         ..GovernorConfig::slo(0.02)
     };
     let lva = MechanismKind::Lva(ApproximatorConfig::baseline());
-    let lva_clp = MechanismKind::LvaClp(ApproximatorConfig::baseline(), ClpConfig::baseline());
     let paper = (4, 32);
     vec![
         ("lva", FullSystemConfig::paper(lva.clone()), paper),
@@ -909,11 +908,6 @@ fn fullsystem_configs() -> Vec<(&'static str, lva::sim::FullSystemConfig, (usize
         (
             "lva+govern2",
             FullSystemConfig::paper(lva.clone()).with_govern(govern2),
-            paper,
-        ),
-        (
-            "lva+clp+govern2",
-            FullSystemConfig::paper(lva_clp).with_govern(govern2),
             paper,
         ),
         (
@@ -991,12 +985,11 @@ fn coherence_stress_traces() -> Vec<(String, Vec<lva::cpu::ThreadTrace>)> {
 /// miss pipeline (`lva+budget5+govern2`: before the per-PC budget ladder
 /// moved into the governor; the last four rows: before the cycle loop
 /// jumped from event to event).
-const GOLDEN_FULLSYSTEM_HASHES: [(&str, u64); 11] = [
+const GOLDEN_FULLSYSTEM_HASHES: [(&str, u64); 10] = [
     ("lva", 0xb48eedbaf8e7295a),
     ("lva+budget5", 0x138284ad15aca085),
     ("lva+budget5+govern2", 0xf8af271c3bac525d),
     ("lva+govern2", 0x359d2aa034ebeca2),
-    ("lva+clp+govern2", 0x359d2aa034ebeca2),
     ("precise+govern2", 0xabd0f3eb44874d52),
     ("lva+mesi", 0x90ec88ee6ed1a46c),
     ("lva+hetero", 0x7447b6ca6bf3cc01),
@@ -1070,7 +1063,7 @@ fn fullsystem_replays_are_pinned() {
                     "{name}: the budget and the SLO never both acted on one replay"
                 );
             }
-            "lva+govern2" | "lva+clp+govern2" => {
+            "lva+govern2" => {
                 assert_eq!(runs[1].govern_actuations, 27, "{name}");
             }
             "precise+govern2" => {
