@@ -27,8 +27,9 @@ pub enum ConfigError {
     /// `threads` was 0.
     ZeroThreads,
     /// An integer knob above its limit: `threads` above [`MAX_THREADS`],
-    /// or any integer above [`MAX_EXACT`], which a JSON number could not
-    /// carry exactly.
+    /// any integer above [`MAX_EXACT`], which a JSON number could not
+    /// carry exactly, or a full system given more `cores` than its mesh
+    /// has nodes.
     OutOfRange {
         /// Which knob (its field name).
         knob: &'static str,

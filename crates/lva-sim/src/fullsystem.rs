@@ -19,7 +19,7 @@
 //! under its label.
 
 use crate::govern::{Governor, GovernorConfig, GovernorReport};
-use crate::mechanism::{Knob, KnobKind, Mechanism};
+use crate::mechanism::Mechanism;
 use crate::miss::{MissAction, MissPipeline};
 use crate::stats::ThreadStats;
 use crate::{ConfigError, MechanismKind};
@@ -1264,8 +1264,10 @@ impl MemoryPort for MemorySystem {
             // without re-consulting). If the primary miss fell through,
             // there is nothing to reuse and the load merges as pending. A
             // disabled PC never reuses a buffered approximation.
-            let enabled = l1.mechanism.get(KnobKind::PcEnable(pc))
-                == Some(Knob::PcEnable { pc, enabled: true });
+            let enabled = l1
+                .mechanism
+                .approximator()
+                .is_some_and(|a| a.pc_enabled(pc));
             let in_flight = enabled.then(|| l1.mshr.get(&block)).flatten();
             if let Some(has_approximation) = in_flight.map(|m| m.has_approximation) {
                 self.stats.l1_load_misses += 1;
@@ -1392,24 +1394,36 @@ pub struct FullSystem {
     mem: MemorySystem,
 }
 
+/// One core per mesh node at most.
+fn check_cores(cores: usize) -> Result<(), ConfigError> {
+    if cores > MESH.nodes() {
+        return Err(ConfigError::OutOfRange {
+            knob: "cores",
+            value: cores as u64,
+            max: MESH.nodes() as u64,
+        });
+    }
+    Ok(())
+}
+
 impl FullSystem {
     /// Builds the machine with one core per trace (at most one per mesh
     /// node).
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] if the mechanism is neither precise nor
-    /// LVA, its configuration is malformed, the governor configuration is
-    /// rejected (the same checks [`crate::SimConfig::validate`] runs) or
-    /// the timeline epoch is 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more traces than mesh nodes are supplied.
+    /// Returns a [`ConfigError`] if more traces than mesh nodes are
+    /// supplied ([`ConfigError::OutOfRange`] on `cores`), the mechanism is
+    /// neither precise nor LVA, its configuration is malformed, the
+    /// governor configuration is rejected (the same checks
+    /// [`crate::SimConfig::validate`] runs) or the timeline epoch is 0.
     pub fn try_new(
         config: FullSystemConfig,
         traces: Vec<ThreadTrace>,
     ) -> Result<Self, ConfigError> {
+        // Refused before any core is built: a trace file's header alone
+        // can name 65535 threads.
+        check_cores(traces.len())?;
         let cores = traces
             .into_iter()
             .enumerate()
@@ -1422,8 +1436,8 @@ impl FullSystem {
     ///
     /// # Panics
     ///
-    /// Panics if more traces than mesh nodes are supplied, or if the
-    /// configuration is rejected.
+    /// Panics wherever [`try_new`](Self::try_new) returns an error,
+    /// including when more traces than mesh nodes are supplied.
     #[must_use]
     pub fn new(config: FullSystemConfig, traces: Vec<ThreadTrace>) -> Self {
         Self::try_new(config, traces).unwrap_or_else(|e| panic!("{e}"))
@@ -1434,21 +1448,13 @@ impl FullSystem {
     ///
     /// # Errors
     ///
-    /// The same as [`try_new`](Self::try_new).
-    ///
-    /// # Panics
-    ///
-    /// Panics if more cores than mesh nodes are supplied.
+    /// The same as [`try_new`](Self::try_new), with more cores than mesh
+    /// nodes in place of more traces.
     pub fn try_with_cores(
         config: FullSystemConfig,
         cores: Vec<OooCore>,
     ) -> Result<Self, ConfigError> {
-        assert!(
-            cores.len() <= MESH.nodes(),
-            "{} cores exceed {} mesh nodes",
-            cores.len(),
-            MESH.nodes()
-        );
+        check_cores(cores.len())?;
         Ok(FullSystem {
             cores,
             mem: MemorySystem::try_new(config)?,
@@ -1460,8 +1466,8 @@ impl FullSystem {
     ///
     /// # Panics
     ///
-    /// Panics if more cores than mesh nodes are supplied, or if the
-    /// configuration is rejected.
+    /// Panics wherever [`try_with_cores`](Self::try_with_cores) returns
+    /// an error, including when more cores than mesh nodes are supplied.
     #[must_use]
     pub fn with_cores(config: FullSystemConfig, cores: Vec<OooCore>) -> Self {
         Self::try_with_cores(config, cores).unwrap_or_else(|e| panic!("{e}"))
@@ -1820,6 +1826,26 @@ mod tests {
             assert!(FullSystem::try_new(cfg.clone(), vec![trace()]).is_ok());
             assert!(FullSystem::try_with_cores(cfg, vec![OooCore::new(0, trace())]).is_ok());
         }
+    }
+
+    #[test]
+    fn more_cores_than_mesh_nodes_are_refused_by_both_constructors() {
+        let cfg = FullSystemConfig::paper(MechanismKind::Precise);
+        let nodes = MESH.nodes();
+        let want = Some(ConfigError::OutOfRange {
+            knob: "cores",
+            value: nodes as u64 + 1,
+            max: nodes as u64,
+        });
+        let traces = vec![ThreadTrace::new(); nodes + 1];
+        assert_eq!(FullSystem::try_new(cfg.clone(), traces).err(), want);
+        let cores = (0..=nodes).map(|i| OooCore::new(i, ThreadTrace::new()));
+        assert_eq!(
+            FullSystem::try_with_cores(cfg.clone(), cores.collect()).err(),
+            want
+        );
+        let full = vec![ThreadTrace::new(); nodes];
+        assert!(FullSystem::try_new(cfg, full).is_ok());
     }
 
     #[test]

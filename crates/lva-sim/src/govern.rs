@@ -1070,7 +1070,6 @@ pub fn apply_decision(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mechanism::KnobKind;
     use lva_core::ApproximatorConfig;
     use lva_obs::NullSink;
 
@@ -1251,8 +1250,8 @@ mod tests {
         assert_eq!(stats.govern_epochs, 1);
         assert_eq!(stats.govern_tightens, 1);
         assert!(stats.govern_actuations >= 1);
-        let got = mech.get(KnobKind::Degree);
-        assert_ne!(got, Some(Knob::Degree(4)), "degree moved off the top rung");
+        let got = mech.approximator().map(|a| a.config().degree);
+        assert_ne!(got, Some(4), "degree moved off the top rung");
     }
 
     #[test]

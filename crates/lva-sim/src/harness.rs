@@ -16,9 +16,10 @@ use crate::fault::FaultInjector;
 use crate::govern::{DegradeReport, Governor, GovernorReport};
 use crate::mechanism::Mechanism;
 use crate::miss::{MissAction, MissPipeline};
-use crate::mshr::InFlightSet;
 use crate::{ConfigError, Phase1Stats, SimConfig, ThreadStats};
-use lva_core::{Addr, CacheLevel, LvpOutcome, LvpPrediction, Pc, TrainToken, Value, ValueType};
+use lva_core::{
+    Addr, CacheLevel, IntMap, LvpOutcome, LvpPrediction, Pc, TrainToken, Value, ValueType,
+};
 use lva_cpu::ThreadTrace;
 use lva_mem::{CacheConfig, SetAssocCache, SimMemory};
 use lva_obs::{
@@ -84,7 +85,9 @@ struct ThreadCtx {
     /// Deadline-ordered value-delay queue; drained front-first, preserving
     /// the old scan-in-insertion-order drain order exactly.
     pending: VecDeque<PendingTrain>,
-    in_flight: InFlightSet,
+    /// Blocks with an outstanding training fetch (the MSHR analogue): a
+    /// secondary miss to one merges instead of missing again.
+    in_flight: IntMap<u64, ()>,
     /// Loads issued on this thread so far; the time base for `PendingTrain::due`.
     load_clock: u64,
     /// Direct-mapped filter in front of `stats.approx_pcs`: a slot only
@@ -222,7 +225,10 @@ impl SimHarness {
                 mechanism,
                 pending: VecDeque::new(),
                 // Occupancy is bounded by the outstanding training fetches.
-                in_flight: InFlightSet::with_capacity(config.value_delay.min(256) as usize + 1),
+                in_flight: IntMap::with_capacity_and_hasher(
+                    config.value_delay.min(256) as usize + 1,
+                    Default::default(),
+                ),
                 load_clock: 0,
                 pc_filter: [None; PC_FILTER_SLOTS],
                 stats: ThreadStats::default(),
@@ -472,7 +478,7 @@ impl SimHarness {
         let t = &mut self.threads[self.cur];
         // With nothing pending the in-flight set is empty, so this probe
         // is exact on every path.
-        if t.in_flight.contains(addr.block_index()) {
+        if t.in_flight.contains_key(&addr.block_index()) {
             t.stats.l1_hits += 1;
             t.stats.load_latency_cycles += CacheLevel::L1.service_latency();
             return actual;
@@ -558,7 +564,8 @@ impl SimHarness {
                 t.stats.load_fetches += 1;
                 t.l1.install_traced(addr, false, &mut t.obs, ctx);
                 for candidate in prefetcher.on_miss(pc, addr) {
-                    if !t.l1.probe(candidate) && !t.in_flight.contains(candidate.block_index()) {
+                    if !t.l1.probe(candidate) && !t.in_flight.contains_key(&candidate.block_index())
+                    {
                         t.l1.install_traced(candidate, true, &mut t.obs, ctx);
                         t.stats.load_fetches += 1;
                     }
@@ -616,7 +623,7 @@ impl SimHarness {
         match action {
             MissAction::Approximate { value, fetch } => {
                 if let Some((token, extra_delay)) = fetch {
-                    t.in_flight.insert(addr.block_index());
+                    t.in_flight.insert(addr.block_index(), ());
                     let delay = value_delay + extra_delay;
                     Self::queue_train(mem, t, TrainKind::Lva(token), addr, ty, true, delay, ctx);
                 }
@@ -735,7 +742,7 @@ impl SimHarness {
         if record {
             t.trace.push_store(pc, addr, value.value_type());
         }
-        if !t.l1.access(addr).is_hit() && !t.in_flight.contains(addr.block_index()) {
+        if !t.l1.access(addr).is_hit() && !t.in_flight.contains_key(&addr.block_index()) {
             let ctx = TraceCtx::new(t.core, t.stats.instructions);
             t.l1.install_traced(addr, false, &mut t.obs, ctx);
             t.stats.store_fetches += 1;
@@ -823,7 +830,7 @@ impl SimHarness {
             }
         }
         if train.install {
-            t.in_flight.remove(train.addr.block_index());
+            t.in_flight.remove(&train.addr.block_index());
             t.l1.install_traced(train.addr, false, &mut t.obs, ctx);
         }
     }
@@ -1526,7 +1533,7 @@ mod tests {
                     None => {
                         for (pc, addr, ty, approx) in reqs {
                             let t = &h.threads[h.cur];
-                            let in_flight = t.in_flight.contains(addr.block_index());
+                            let in_flight = t.in_flight.contains_key(&addr.block_index());
                             merges += u64::from(in_flight && !t.l1.probe(addr));
                             values.push(h.load(pc, addr, ty, approx));
                         }

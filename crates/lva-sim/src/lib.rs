@@ -30,7 +30,6 @@ mod govern;
 mod harness;
 mod mechanism;
 mod miss;
-mod mshr;
 pub mod sched;
 mod stats;
 pub mod sweep;
@@ -43,8 +42,7 @@ pub use govern::{
 };
 pub use harness::{LoadReq, RunArtifacts, SimHarness};
 pub use lva_obs::{TraceCollector, TraceConfig, TraceMode};
-pub use mechanism::{Knob, KnobKind, Mechanism};
-pub use mshr::InFlightSet;
+pub use mechanism::{Knob, Mechanism};
 pub use sched::{catch_point, Claim, JobId, SubmissionQueue};
 pub use stats::{PcSet, Phase1Stats, SweepSummary, ThreadStats};
 pub use sweep::{

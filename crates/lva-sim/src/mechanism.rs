@@ -15,8 +15,7 @@ use crate::config::{ConfigError, MechanismKind, SimConfig};
 
 /// One runtime-tunable setting of a live [`Mechanism`] — the typed
 /// actuation surface the supervisory governor drives. A `Knob` carries
-/// both the setting and its new value; [`KnobKind`] names the setting
-/// alone (for reads).
+/// both the setting and its new value.
 ///
 /// Not every knob applies to every mechanism: setting the approximation
 /// degree on a plain `Clp` mechanism is an explicit no-op
@@ -41,17 +40,6 @@ pub enum Knob {
 }
 
 impl Knob {
-    /// The [`KnobKind`] naming this knob (its read-side selector).
-    #[must_use]
-    pub fn kind(&self) -> KnobKind {
-        match self {
-            Knob::ConfidenceWindow(_) => KnobKind::ConfidenceWindow,
-            Knob::Degree(_) => KnobKind::Degree,
-            Knob::PcEnable { pc, .. } => KnobKind::PcEnable(*pc),
-            Knob::ClpSlowThreshold(_) => KnobKind::ClpSlowThreshold,
-        }
-    }
-
     /// A short stable name for traces and reports (`"window"`,
     /// `"degree"`, `"pc_enable"`, `"clp_slow_threshold"`).
     #[must_use]
@@ -78,19 +66,6 @@ impl Knob {
             Knob::ClpSlowThreshold(level) => f64::from(level.index()),
         }
     }
-}
-
-/// Selects one [`Knob`] for a read through [`Mechanism::get`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KnobKind {
-    /// The approximator's confidence window.
-    ConfidenceWindow,
-    /// The approximation degree.
-    Degree,
-    /// The per-PC enable state for one PC.
-    PcEnable(Pc),
-    /// The cache-level predictor's slow threshold.
-    ClpSlowThreshold,
 }
 
 /// One per-thread miss-handling mechanism instance.
@@ -207,8 +182,8 @@ impl Mechanism {
     /// Returns `Ok(true)` when the knob was applied, `Ok(false)` when the
     /// knob does not exist on this mechanism (a precise core has no
     /// confidence window — the actuation is a no-op, never a panic).
-    /// `set` and [`get`](Self::get) agree: `set` returns `Ok(false)`
-    /// exactly when `get` returns `None` for the same knob.
+    /// Window, degree and per-PC enable live on the approximator; the slow
+    /// threshold lives on the level predictor.
     ///
     /// # Errors
     ///
@@ -245,26 +220,6 @@ impl Mechanism {
                 }
                 None => Ok(false),
             },
-        }
-    }
-
-    /// Reads one knob's current value, or `None` when the knob does not
-    /// exist on this mechanism (the same cases where
-    /// [`set`](Self::set) returns `Ok(false)`).
-    #[must_use]
-    pub fn get(&self, kind: KnobKind) -> Option<Knob> {
-        match kind {
-            KnobKind::ConfidenceWindow => self
-                .approximator()
-                .map(|a| Knob::ConfidenceWindow(a.config().confidence_window)),
-            KnobKind::Degree => self.approximator().map(|a| Knob::Degree(a.config().degree)),
-            KnobKind::PcEnable(pc) => self.approximator().map(|a| Knob::PcEnable {
-                pc,
-                enabled: a.pc_enabled(pc),
-            }),
-            KnobKind::ClpSlowThreshold => self
-                .predictor()
-                .map(|p| Knob::ClpSlowThreshold(p.config().slow_threshold)),
         }
     }
 }

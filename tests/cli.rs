@@ -552,3 +552,74 @@ fn timeline_deltas_sum_exactly_to_the_aggregate_registry() {
     assert!(checked >= 10, "only {checked} counters cross-checked");
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// Runs the binary and returns its exit code and stderr.
+fn explore_status(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_lva-explore"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn malformed_invocations_exit_1_not_101() {
+    // No CLI input panics: each malformed invocation is reported as an
+    // `error:` line with exit code 1, never a panic's exit code 101.
+    let dir = std::env::temp_dir().join("lva_cli_malformed");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    // A well-formed trace of five zero-op threads, one more than the mesh
+    // has nodes: header `LVAT`, version 1, thread count 5, five op counts.
+    let path = dir.join("five.lvat");
+    let mut bytes = b"LVAT".to_vec();
+    bytes.extend_from_slice(&1u16.to_le_bytes());
+    bytes.extend_from_slice(&5u16.to_le_bytes());
+    bytes.extend_from_slice(&[0; 5 * 8]);
+    std::fs::write(&path, bytes).expect("write trace");
+    let trace = path.to_str().expect("utf8");
+    let run =
+        |flags: &[&'static str]| [&["run", "blackscholes", "--scale", "test"], flags].concat();
+    let cases = [
+        (vec!["replay", trace], "cores = 5 is above its limit of 4"),
+        (
+            run(&["--window", "nan"]),
+            "fraction must be finite and >= 0, got NaN",
+        ),
+        (
+            run(&["--govern", "quality=2%,epoch=0"]),
+            "epoch_len is out of range: 0",
+        ),
+        (
+            run(&["--inject", "delay-extra=18446744073709551615,delay=1"]),
+            "delay_extra = 18446744073709551615 is above its limit",
+        ),
+        (
+            run(&["--mech", "clp", "--clp-table", "3"]),
+            "table entries must be a power of two",
+        ),
+        (
+            vec![
+                "timeline",
+                "blackscholes",
+                "--scale",
+                "test",
+                "--epoch",
+                "0",
+            ],
+            "epoch length must be at least 1",
+        ),
+    ];
+    for (args, message) in cases {
+        let (code, stderr) = explore_status(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        let line = stderr.lines().find(|l| l.starts_with("error: "));
+        assert!(
+            line.is_some_and(|l| l.contains(message)),
+            "{args:?}: want an `error:` line with {message:?}, got {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}

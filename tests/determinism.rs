@@ -302,7 +302,7 @@ fn mshr_stress_fingerprint(cfg: &SimConfig) -> String {
 #[test]
 fn random_value_delay_configs_replay_identically_at_mshr_capacity() {
     // Proptest-style loop: seeded random (value_delay, degree) draws, with
-    // delays well past the in-flight set's initial capacity, must replay
+    // up to 96 training fetches in flight per thread, must replay
     // bit-for-bit and stay insensitive to harness-internal data structures.
     let mut rng = lva::core::Rng64::new(0x0d15_ea5e);
     for case in 0..12 {
