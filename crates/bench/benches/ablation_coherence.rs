@@ -8,34 +8,26 @@
 //! (bodytrack, ferret) pay a little, and cycles barely move — evidence the
 //! paper's MSI choice doesn't distort its results.
 
-use lva_bench::{banner, fullsystem_suite, scale_from_env, FigureManifest, Series};
-use lva_sim::{FullSystem, FullSystemConfig, MechanismKind};
+use lva_bench::{banner, fullsystem_grid, scale_from_env, FigureManifest, Series};
+use lva_sim::{FullSystemConfig, MechanismKind};
 
 fn main() {
     banner(
         "Ablation — MSI vs MESI directory protocol (precise execution)",
         "San Miguel et al., MICRO 2014, Table II (MSI protocol choice)",
     );
-    let suite = fullsystem_suite(scale_from_env());
-    let mut traffic = Vec::new();
-    let mut cycles = Vec::new();
-    for (name, traces) in &suite {
-        let msi = FullSystem::new(
-            FullSystemConfig::paper(MechanismKind::Precise),
-            traces.clone(),
-        )
-        .run()
-        .expect("msi converges");
-        let mesi = FullSystem::new(
-            FullSystemConfig::paper(MechanismKind::Precise).with_mesi(),
-            traces.clone(),
-        )
-        .run()
-        .expect("mesi converges");
-        traffic.push((1.0 - mesi.flit_hops as f64 / msi.flit_hops.max(1) as f64) * 100.0);
-        cycles.push((mesi.cycles as f64 / msi.cycles.max(1) as f64 - 1.0) * 100.0);
-        eprintln!("  {name:<14} done");
-    }
+    let msi = FullSystemConfig::paper(MechanismKind::Precise);
+    let rows = fullsystem_grid(scale_from_env(), &[msi.clone(), msi.with_mesi()]);
+    let (traffic, cycles): (Vec<f64>, Vec<f64>) = rows[0]
+        .iter()
+        .zip(&rows[1])
+        .map(|(msi, mesi)| {
+            (
+                (1.0 - mesi.flit_hops as f64 / msi.flit_hops.max(1) as f64) * 100.0,
+                (mesi.cycles as f64 / msi.cycles.max(1) as f64 - 1.0) * 100.0,
+            )
+        })
+        .unzip();
     let mut manifest = FigureManifest::new("ablation_coherence", 1);
     manifest.add_table(
         "metric",

@@ -7,54 +7,39 @@
 //! turns precise execution purely miss-bound — exactly where LVA's
 //! instant loads shine. The baseline 4-wide/ROB-32 point sits between.
 
-use lva_bench::{banner, fullsystem_suite, scale_from_env, FigureManifest, Series};
+use lva_bench::{banner, fullsystem_grid, scale_from_env, FigureManifest, Series};
 use lva_core::ApproximatorConfig;
-use lva_cpu::OooCore;
-use lva_sim::{FullSystem, FullSystemConfig, MechanismKind};
-
-fn run_with_shape(
-    traces: &[lva_cpu::ThreadTrace],
-    mechanism: MechanismKind,
-    width: usize,
-    rob: usize,
-) -> u64 {
-    // Build the system manually so the core shape can be overridden.
-    let config = FullSystemConfig::paper(mechanism);
-    let system = FullSystem::with_cores(
-        config,
-        traces
-            .iter()
-            .enumerate()
-            .map(|(i, t)| OooCore::with_shape(i, t.clone(), width, rob))
-            .collect(),
-    );
-    system.run().expect("simulation converges").cycles
-}
+use lva_sim::{FullSystemConfig, MechanismKind};
 
 fn main() {
     banner(
         "Ablation — LVA speedup vs out-of-order window size",
         "San Miguel et al., MICRO 2014, §VI-E (OoO latency hiding)",
     );
-    let suite = fullsystem_suite(scale_from_env());
-    let mut series = Vec::new();
-    for (width, rob) in [(2usize, 8usize), (4, 32), (8, 128)] {
-        let values: Vec<f64> = suite
-            .iter()
-            .map(|(name, traces)| {
-                let precise = run_with_shape(traces, MechanismKind::Precise, width, rob);
-                let lva = run_with_shape(
-                    traces,
-                    MechanismKind::Lva(ApproximatorConfig::baseline()),
-                    width,
-                    rob,
-                );
-                eprintln!("  {name:<14} {width}-wide/ROB-{rob} done");
-                (precise as f64 / lva as f64 - 1.0) * 100.0
-            })
-            .collect();
-        series.push(Series::new(format!("{width}-wide ROB-{rob}"), values));
-    }
+    let shapes = [(2usize, 8usize), (4, 32), (8, 128)];
+    let configs: Vec<_> = shapes
+        .iter()
+        .flat_map(|&(width, rob)| {
+            [
+                MechanismKind::Precise,
+                MechanismKind::Lva(ApproximatorConfig::baseline()),
+            ]
+            .map(|m| FullSystemConfig::paper(m).with_core_shape(width, rob))
+        })
+        .collect();
+    let rows = fullsystem_grid(scale_from_env(), &configs);
+    let series: Vec<_> = shapes
+        .iter()
+        .zip(rows.chunks(2))
+        .map(|((width, rob), pair)| {
+            let values = pair[0]
+                .iter()
+                .zip(&pair[1])
+                .map(|(precise, lva)| (precise.cycles as f64 / lva.cycles as f64 - 1.0) * 100.0)
+                .collect();
+            Series::new(format!("{width}-wide ROB-{rob}"), values)
+        })
+        .collect();
     let mut manifest = FigureManifest::new("ablation_core_shape", 1);
     manifest.add_table("LVA speedup %", &series);
     manifest.write();

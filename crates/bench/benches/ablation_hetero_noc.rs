@@ -4,43 +4,37 @@
 //! LVA against LVA-with-hetero-NoC on the full-system machine: expected
 //! shape — cycles essentially unchanged, NoC energy down.
 
-use lva_bench::{banner, fullsystem_suite, scale_from_env, FigureManifest, Series};
+use lva_bench::{banner, fullsystem_grid, scale_from_env, FigureManifest, Series};
 use lva_core::ApproximatorConfig;
 use lva_energy::EnergyParams;
 use lva_noc::LowPowerPlane;
-use lva_sim::{FullSystem, FullSystemConfig, MechanismKind};
+use lva_sim::{FullSystemConfig, MechanismKind};
 
 fn main() {
     banner(
         "Ablation — heterogeneous low-power NoC plane for training fetches",
         "San Miguel et al., MICRO 2014, §VI-C (deprioritized approximate traffic)",
     );
-    let suite = fullsystem_suite(scale_from_env());
     let params = EnergyParams::cacti_32nm();
-    let mechanism = MechanismKind::Lva(ApproximatorConfig::with_degree(4));
-
-    let mut slowdown = Vec::new();
-    let mut noc_energy = Vec::new();
-    for (name, traces) in &suite {
-        let base = FullSystem::new(FullSystemConfig::paper(mechanism.clone()), traces.clone())
-            .run()
-            .expect("baseline converges");
-        let hetero = FullSystem::new(
-            FullSystemConfig::paper(mechanism.clone()).with_hetero_noc(LowPowerPlane::default()),
-            traces.clone(),
-        )
-        .run()
-        .expect("hetero converges");
-        slowdown.push((hetero.cycles as f64 / base.cycles.max(1) as f64 - 1.0) * 100.0);
-        let base_noc = params.breakdown(&base.energy).noc_nj;
-        let hetero_noc = params.breakdown(&hetero.energy).noc_nj;
-        noc_energy.push(if base_noc > 0.0 {
-            (1.0 - hetero_noc / base_noc) * 100.0
-        } else {
-            0.0
-        });
-        eprintln!("  {name:<14} done");
-    }
+    let base = FullSystemConfig::paper(MechanismKind::Lva(ApproximatorConfig::with_degree(4)));
+    let hetero = base.clone().with_hetero_noc(LowPowerPlane::default());
+    let rows = fullsystem_grid(scale_from_env(), &[base, hetero]);
+    let (slowdown, noc_energy): (Vec<f64>, Vec<f64>) = rows[0]
+        .iter()
+        .zip(&rows[1])
+        .map(|(base, hetero)| {
+            let base_noc = params.breakdown(&base.energy).noc_nj;
+            let hetero_noc = params.breakdown(&hetero.energy).noc_nj;
+            (
+                (hetero.cycles as f64 / base.cycles.max(1) as f64 - 1.0) * 100.0,
+                if base_noc > 0.0 {
+                    (1.0 - hetero_noc / base_noc) * 100.0
+                } else {
+                    0.0
+                },
+            )
+        })
+        .unzip();
     let mut manifest = FigureManifest::new("ablation_hetero_noc", 1);
     manifest.add_table(
         "metric",

@@ -8,53 +8,37 @@
 //! Like the paper — which drops from simlarge to simmedium inputs for
 //! full-system simulation — this bench runs the workloads one scale down.
 
-use lva_bench::{banner, fullsystem_suite, scale_from_env, FigureManifest, Series};
-use lva_core::ApproximatorConfig;
+use lva_bench::{
+    banner, fullsystem_degree_configs, fullsystem_grid, scale_from_env, FigureManifest, Series,
+    FULLSYSTEM_DEGREES,
+};
 use lva_energy::EnergyParams;
-use lva_sim::MechanismKind;
 
 fn main() {
     banner(
         "Figure 10 — full-system speedup and energy savings vs approximation degree",
         "San Miguel et al., MICRO 2014, Fig. 10 (+ §VI-E latency/traffic claims)",
     );
-    let suite = fullsystem_suite(scale_from_env());
+    let rows = fullsystem_grid(scale_from_env(), &fullsystem_degree_configs());
+    let (precise, approx) = rows.split_first().expect("precise row");
     let params = EnergyParams::cacti_32nm();
-
-    let precise: Vec<_> = suite
-        .iter()
-        .map(|(name, traces)| {
-            let s = lva_bench::run_fullsystem(traces.clone(), MechanismKind::Precise);
-            eprintln!("  {name:<14} precise done ({} cycles)", s.cycles);
-            s
-        })
-        .collect();
 
     let mut speedup = Vec::new();
     let mut savings = Vec::new();
     let mut misslat = Vec::new();
     let mut traffic = Vec::new();
-    for degree in [0u32, 2, 4, 8, 16] {
-        let mech = MechanismKind::Lva(ApproximatorConfig::with_degree(degree));
-        let runs: Vec<_> = suite
-            .iter()
-            .map(|(name, traces)| {
-                let s = lva_bench::run_fullsystem(traces.clone(), mech.clone());
-                eprintln!("  {name:<14} approx-{degree} done ({} cycles)", s.cycles);
-                s
-            })
-            .collect();
+    for (degree, runs) in FULLSYSTEM_DEGREES.iter().zip(approx) {
         speedup.push(Series::new(
             format!("approx-{degree}"),
             runs.iter()
-                .zip(&precise)
+                .zip(precise)
                 .map(|(r, p)| (r.speedup_vs(p) - 1.0) * 100.0)
                 .collect(),
         ));
         savings.push(Series::new(
             format!("approx-{degree}"),
             runs.iter()
-                .zip(&precise)
+                .zip(precise)
                 .map(|(r, p)| {
                     (1.0 - r.hierarchy_energy_nj(&params) / p.hierarchy_energy_nj(&params)) * 100.0
                 })
@@ -63,14 +47,14 @@ fn main() {
         misslat.push(Series::new(
             format!("approx-{degree}"),
             runs.iter()
-                .zip(&precise)
+                .zip(precise)
                 .map(|(r, p)| (1.0 - r.avg_miss_latency() / p.avg_miss_latency()) * 100.0)
                 .collect(),
         ));
         traffic.push(Series::new(
             format!("approx-{degree}"),
             runs.iter()
-                .zip(&precise)
+                .zip(precise)
                 .map(|(r, p)| (1.0 - r.flit_hops as f64 / p.flit_hops as f64) * 100.0)
                 .collect(),
         ));

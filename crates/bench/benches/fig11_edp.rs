@@ -3,37 +3,27 @@
 //! monotonically with degree (the paper reports mean reductions of 41.9%,
 //! 53.8% and 63.8% at degrees 0, 4 and 16).
 
-use lva_bench::{banner, fullsystem_suite, scale_from_env, FigureManifest, Series};
-use lva_core::ApproximatorConfig;
+use lva_bench::{
+    banner, fullsystem_degree_configs, fullsystem_grid, scale_from_env, FigureManifest, Series,
+    FULLSYSTEM_DEGREES,
+};
 use lva_energy::EnergyParams;
-use lva_sim::MechanismKind;
 
 fn main() {
     banner(
         "Figure 11 — normalized L1-miss EDP vs approximation degree",
         "San Miguel et al., MICRO 2014, Fig. 11",
     );
-    let suite = fullsystem_suite(scale_from_env());
+    let rows = fullsystem_grid(scale_from_env(), &fullsystem_degree_configs());
+    let (precise, approx) = rows.split_first().expect("precise row");
     let params = EnergyParams::cacti_32nm();
 
-    let precise: Vec<_> = suite
-        .iter()
-        .map(|(name, traces)| {
-            let s = lva_bench::run_fullsystem(traces.clone(), MechanismKind::Precise);
-            eprintln!("  {name:<14} precise done");
-            s
-        })
-        .collect();
-
-    let mut series = vec![Series::new("baseline", vec![1.0; suite.len()])];
-    for degree in [0u32, 2, 4, 8, 16] {
-        let mech = MechanismKind::Lva(ApproximatorConfig::with_degree(degree));
-        let values: Vec<f64> = suite
+    let mut series = vec![Series::new("baseline", vec![1.0; precise.len()])];
+    for (degree, runs) in FULLSYSTEM_DEGREES.iter().zip(approx) {
+        let values: Vec<f64> = runs
             .iter()
-            .zip(&precise)
-            .map(|((name, traces), p)| {
-                let s = lva_bench::run_fullsystem(traces.clone(), mech.clone());
-                eprintln!("  {name:<14} approx-{degree} done");
+            .zip(precise)
+            .map(|(s, p)| {
                 let base = p.l1_miss_edp(&params);
                 if base == 0.0 {
                     1.0

@@ -2,8 +2,9 @@
 //!
 //! Every table and figure of the paper has a bench target under
 //! `benches/`. Each phase-1 bench evaluates its configurations with one
-//! [`sweep_grid`] call, and every bench except fig13 prints its tables
-//! through one [`FigureManifest`], which records them into
+//! [`sweep_grid`] call, and each full-system bench replays its machines
+//! with one [`fullsystem_grid`] call. Every bench except fig13 prints its
+//! tables through one [`FigureManifest`], which records them into
 //! `BENCH_<id>.json` for `lva-explore compare` and `plot --from-json`.
 //! Run them all with `cargo bench`, or one with
 //! `cargo bench --bench fig4_ghb_mpki`.
@@ -29,8 +30,9 @@ pub use manifest::FigureManifest;
 
 pub use lva_workloads::{registry, registry_seeded, Workload, WorkloadRun, WorkloadScale};
 
-use lva_sim::sweep::SweepOptions;
-use lva_sim::SimConfig;
+use lva_core::ApproximatorConfig;
+use lva_sim::sweep::{run_fullsystem_grid, SweepOptions};
+use lva_sim::{FullSystemConfig, FullSystemStats, MechanismKind, SimConfig};
 
 /// Benchmark names in the paper's figure order.
 pub const BENCHMARKS: [&str; 7] = [
@@ -180,44 +182,52 @@ fn seeded_grid(scale: WorkloadScale, seeds: usize, configs: &[SimConfig]) -> Gri
     }
 }
 
-/// The scale used for full-system (phase-2) experiments: one notch below
-/// the phase-1 scale, mirroring the paper's drop from simlarge to
-/// simmedium inputs for full-system simulation (§V-B).
-#[must_use]
-pub fn fullsystem_scale(scale: WorkloadScale) -> WorkloadScale {
-    match scale {
-        WorkloadScale::Medium => WorkloadScale::Small,
-        _ => WorkloadScale::Test,
-    }
-}
+/// Figs. 10–11's approximation degrees.
+pub const FULLSYSTEM_DEGREES: [u32; 5] = [0, 2, 4, 8, 16];
 
-/// Records the per-thread traces of every benchmark (precise run) at the
-/// full-system scale derived from `scale`.
+/// Figs. 10–11's machines: precise, then LVA at each of
+/// [`FULLSYSTEM_DEGREES`].
 #[must_use]
-pub fn fullsystem_suite(scale: WorkloadScale) -> Vec<(&'static str, Vec<lva_cpu::ThreadTrace>)> {
-    registry(fullsystem_scale(scale))
-        .iter()
-        .map(|w| {
-            let run = w.execute(&SimConfig::precise().with_traces());
-            (w.name(), run.traces)
-        })
+pub fn fullsystem_degree_configs() -> Vec<FullSystemConfig> {
+    std::iter::once(MechanismKind::Precise)
+        .chain(FULLSYSTEM_DEGREES.map(|d| MechanismKind::Lva(ApproximatorConfig::with_degree(d))))
+        .map(FullSystemConfig::paper)
         .collect()
 }
 
-/// Replays traces on the Table II machine under `mechanism`.
+/// Replays every benchmark's precise traces on each of `configs` in one
+/// [`run_fullsystem_grid`] sweep — the phase-2 benches' one entry onto
+/// the engine. Row `c` holds config `c`'s stats, one per benchmark in
+/// [`BENCHMARKS`] order, for any worker count. The timing summary is
+/// printed to stderr so figure output stays clean.
+///
+/// The traces are recorded one scale below `scale`, mirroring the
+/// paper's drop from simlarge to simmedium inputs for full-system
+/// simulation (§V-B).
 ///
 /// # Panics
 ///
-/// Panics if the protocol deadlocks (exceeds the cycle guard) — which
-/// would be a simulator bug worth crashing loudly on.
+/// Panics if a config is refused or a replay exceeds its cycle limit.
 #[must_use]
-pub fn run_fullsystem(
-    traces: Vec<lva_cpu::ThreadTrace>,
-    mechanism: lva_sim::MechanismKind,
-) -> lva_sim::FullSystemStats {
-    lva_sim::FullSystem::new(lva_sim::FullSystemConfig::paper(mechanism), traces)
-        .run()
-        .expect("full-system simulation converges")
+pub fn fullsystem_grid(
+    scale: WorkloadScale,
+    configs: &[FullSystemConfig],
+) -> Vec<Vec<FullSystemStats>> {
+    let scale = match scale {
+        WorkloadScale::Medium => WorkloadScale::Small,
+        _ => WorkloadScale::Test,
+    };
+    let trace_sets: Vec<_> = registry(scale)
+        .iter()
+        .map(|w| w.execute(&SimConfig::precise().with_traces()).traces)
+        .collect();
+    let run = run_fullsystem_grid(configs, &trace_sets, &SweepOptions::default());
+    eprintln!("  fullsystem sweep: {}", run.summary());
+    let mut values = run.into_values().into_iter();
+    configs
+        .iter()
+        .map(|_| values.by_ref().take(trace_sets.len()).collect())
+        .collect()
 }
 
 #[cfg(test)]

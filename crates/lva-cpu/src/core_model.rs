@@ -97,8 +97,8 @@ enum Idle {
     Blocked { from: u64 },
 }
 
-/// A 4-wide out-of-order core with a 32-entry ROB (Table II), replaying one
-/// [`ThreadTrace`].
+/// An out-of-order core replaying one [`ThreadTrace`] (Table II's is
+/// 4-wide with a 32-entry ROB).
 ///
 /// Call [`tick`](Self::tick) with the memory port at every cycle from
 /// [`next_tick`](Self::next_tick) on; deliver each miss completion via
@@ -145,13 +145,8 @@ pub struct OooCore {
 }
 
 impl OooCore {
-    /// Creates a core with the paper's parameters (4-wide, 32-entry ROB).
-    #[must_use]
-    pub fn new(id: usize, trace: ThreadTrace) -> Self {
-        Self::with_shape(id, trace, 4, 32)
-    }
-
-    /// Creates a core with a custom width and ROB size.
+    /// Creates a core that dispatches and retires `width` instructions a
+    /// cycle through a `rob_capacity`-entry ROB.
     ///
     /// # Panics
     ///
@@ -485,7 +480,7 @@ mod tests {
     /// Runs `trace` to completion: the cycle count, the core's stats and
     /// the loads the port received.
     fn run_fixed(trace: ThreadTrace, latency: u64) -> (u64, CoreStats, u64) {
-        let mut core = OooCore::new(0, trace);
+        let mut core = OooCore::with_shape(0, trace, 4, 32);
         let mut port = FixedLatency { latency, loads: 0 };
         let mut now = 0;
         while !core.is_done() {
@@ -524,7 +519,7 @@ mod tests {
                 Value::from_f32(0.0),
             );
         }
-        let mut core = OooCore::new(0, t);
+        let mut core = OooCore::with_shape(0, t, 4, 32);
         let mut port = PendingPort::new(100);
         let mut now = 0;
         while !core.is_done() {
@@ -551,7 +546,7 @@ mod tests {
                 Value::from_f32(0.0),
             );
         }
-        let mut core = OooCore::new(0, t);
+        let mut core = OooCore::with_shape(0, t, 4, 32);
         let mut port = PendingPort::new(100);
         let mut now = 0;
         while !core.is_done() {
@@ -605,13 +600,13 @@ mod tests {
 
     #[test]
     fn empty_trace_is_immediately_done() {
-        let core = OooCore::new(0, ThreadTrace::new());
+        let core = OooCore::with_shape(0, ThreadTrace::new(), 4, 32);
         assert!(core.is_done());
     }
 
     #[test]
     fn completion_of_unknown_request_is_ignored() {
-        let mut core = OooCore::new(0, ThreadTrace::new());
+        let mut core = OooCore::with_shape(0, ThreadTrace::new(), 4, 32);
         core.complete(ReqId(99), 5); // must not panic
         assert!(core.is_done());
     }
@@ -623,7 +618,7 @@ mod tests {
         // load completes, and each skipped cycle is one head stall.
         let mut t = ThreadTrace::new();
         t.push_load(Pc(1), Addr(0), ValueType::F32, false, Value::from_f32(0.0));
-        let mut core = OooCore::new(0, t);
+        let mut core = OooCore::with_shape(0, t, 4, 32);
         let mut port = PendingPort::new(0);
         assert_eq!(core.next_tick(), 0);
         core.tick(0, &mut port);
@@ -665,7 +660,7 @@ mod tests {
                 Value::from_f32(0.0),
             );
         }
-        let mut core = OooCore::new(0, t);
+        let mut core = OooCore::with_shape(0, t, 4, 32);
         let mut port = PendingPort::new(0);
         let mut retired_at: Vec<(u64, u64)> = Vec::new();
         let mut now = 0;

@@ -76,7 +76,7 @@ fn arb_trace(rng: &mut Rng64) -> ThreadTrace {
 /// Runs `trace` to completion: the cycle count, the core's stats and the
 /// loads the port received.
 fn run(trace: ThreadTrace, latency: u64) -> (u64, CoreStats, u64) {
-    let mut core = OooCore::new(0, trace);
+    let mut core = OooCore::with_shape(0, trace, 4, 32);
     let mut port = DelayPort {
         latency,
         inflight: Vec::new(),

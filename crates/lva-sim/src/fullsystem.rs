@@ -65,8 +65,8 @@ pub enum CoherenceProtocol {
 /// Full-system configuration. The machine itself is Table II's and
 /// fixed: the L1 and L2-bank geometries, the mesh and the L1, L2 and DRAM
 /// latencies are constants of this module. The fields choose the
-/// mechanism, the §VI-C and coherence ablations, the governor, timeline
-/// sampling and the cycle limit.
+/// mechanism, the §VI-C, coherence and core-shape ablations, the
+/// governor, timeline sampling and the cycle limit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FullSystemConfig {
     /// Miss-handling mechanism: [`MechanismKind::Precise`] or
@@ -85,6 +85,9 @@ pub struct FullSystemConfig {
     /// Directory coherence protocol (paper baseline: MSI; MESI through
     /// [`with_mesi`](Self::with_mesi)).
     pub(crate) protocol: CoherenceProtocol,
+    /// Every core's issue width and ROB entries (paper baseline: 4 and
+    /// 32; others through [`with_core_shape`](Self::with_core_shape)).
+    pub(crate) core_shape: (usize, usize),
     /// Hard cycle limit (deadlock guard).
     pub max_cycles: u64,
     /// Per-L1 quality governor (off by default; only meaningful with an
@@ -113,6 +116,7 @@ impl FullSystemConfig {
             training_fetch_penalty: 0,
             hetero_noc: None,
             protocol: CoherenceProtocol::Msi,
+            core_shape: (4, 32),
             max_cycles: 2_000_000_000,
             govern: None,
             timeline: None,
@@ -165,6 +169,15 @@ impl FullSystemConfig {
     #[must_use]
     pub fn with_mesi(mut self) -> Self {
         self.protocol = CoherenceProtocol::Mesi;
+        self
+    }
+
+    /// Same machine, with `width`-wide cores and `rob`-entry ROBs, for
+    /// microarchitectural ablations. A zero panics when the machine is
+    /// built, as in [`OooCore::with_shape`].
+    #[must_use]
+    pub fn with_core_shape(mut self, width: usize, rob: usize) -> Self {
+        self.core_shape = (width, rob);
         self
     }
 
@@ -1394,21 +1407,9 @@ pub struct FullSystem {
     mem: MemorySystem,
 }
 
-/// One core per mesh node at most.
-fn check_cores(cores: usize) -> Result<(), ConfigError> {
-    if cores > MESH.nodes() {
-        return Err(ConfigError::OutOfRange {
-            knob: "cores",
-            value: cores as u64,
-            max: MESH.nodes() as u64,
-        });
-    }
-    Ok(())
-}
-
 impl FullSystem {
     /// Builds the machine with one core per trace (at most one per mesh
-    /// node).
+    /// node), each of the configuration's core shape.
     ///
     /// # Errors
     ///
@@ -1423,13 +1424,23 @@ impl FullSystem {
     ) -> Result<Self, ConfigError> {
         // Refused before any core is built: a trace file's header alone
         // can name 65535 threads.
-        check_cores(traces.len())?;
+        if traces.len() > MESH.nodes() {
+            return Err(ConfigError::OutOfRange {
+                knob: "cores",
+                value: traces.len() as u64,
+                max: MESH.nodes() as u64,
+            });
+        }
+        let (width, rob) = config.core_shape;
         let cores = traces
             .into_iter()
             .enumerate()
-            .map(|(i, t)| OooCore::new(i, t))
+            .map(|(i, t)| OooCore::with_shape(i, t, width, rob))
             .collect();
-        Self::try_with_cores(config, cores)
+        Ok(FullSystem {
+            cores,
+            mem: MemorySystem::try_new(config)?,
+        })
     }
 
     /// [`try_new`](Self::try_new), panicking on a rejected configuration.
@@ -1441,36 +1452,6 @@ impl FullSystem {
     #[must_use]
     pub fn new(config: FullSystemConfig, traces: Vec<ThreadTrace>) -> Self {
         Self::try_new(config, traces).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builds the machine from pre-constructed cores, allowing custom core
-    /// shapes (width / ROB size) for microarchitectural ablations.
-    ///
-    /// # Errors
-    ///
-    /// The same as [`try_new`](Self::try_new), with more cores than mesh
-    /// nodes in place of more traces.
-    pub fn try_with_cores(
-        config: FullSystemConfig,
-        cores: Vec<OooCore>,
-    ) -> Result<Self, ConfigError> {
-        check_cores(cores.len())?;
-        Ok(FullSystem {
-            cores,
-            mem: MemorySystem::try_new(config)?,
-        })
-    }
-
-    /// [`try_with_cores`](Self::try_with_cores), panicking on a rejected
-    /// configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics wherever [`try_with_cores`](Self::try_with_cores) returns
-    /// an error, including when more cores than mesh nodes are supplied.
-    #[must_use]
-    pub fn with_cores(config: FullSystemConfig, cores: Vec<OooCore>) -> Self {
-        Self::try_with_cores(config, cores).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Runs to completion and returns the statistics, discarding any
@@ -1783,17 +1764,13 @@ mod tests {
         let cfg =
             FullSystemConfig::paper(MechanismKind::Precise).with_timeline(TimelineConfig::every(0));
         assert_eq!(
-            FullSystem::try_new(cfg.clone(), vec![ThreadTrace::new()]).err(),
-            Some(ConfigError::ZeroEpoch)
-        );
-        assert_eq!(
-            FullSystem::try_with_cores(cfg, vec![OooCore::new(0, ThreadTrace::new())]).err(),
+            FullSystem::try_new(cfg, vec![ThreadTrace::new()]).err(),
             Some(ConfigError::ZeroEpoch)
         );
     }
 
     #[test]
-    fn unmodelled_mechanisms_are_refused_by_both_constructors() {
+    fn unmodelled_mechanisms_are_refused() {
         use lva_core::{ClpConfig, LvpConfig, PrefetcherConfig};
         let refused = [
             ("clp", MechanismKind::Clp(ClpConfig::baseline())),
@@ -1813,23 +1790,19 @@ mod tests {
             let cfg = FullSystemConfig::paper(mechanism);
             let want = ConfigError::UnmodelledMechanism { kind };
             assert!(want.to_string().ends_with(&format!("not {kind}")), "{want}");
-            let want = Some(want);
-            assert_eq!(FullSystem::try_new(cfg.clone(), vec![trace()]).err(), want);
-            let cores = vec![OooCore::new(0, trace())];
-            assert_eq!(FullSystem::try_with_cores(cfg, cores).err(), want);
+            assert_eq!(FullSystem::try_new(cfg, vec![trace()]).err(), Some(want));
         }
         for mechanism in [
             MechanismKind::Precise,
             MechanismKind::Lva(ApproximatorConfig::baseline()),
         ] {
             let cfg = FullSystemConfig::paper(mechanism);
-            assert!(FullSystem::try_new(cfg.clone(), vec![trace()]).is_ok());
-            assert!(FullSystem::try_with_cores(cfg, vec![OooCore::new(0, trace())]).is_ok());
+            assert!(FullSystem::try_new(cfg, vec![trace()]).is_ok());
         }
     }
 
     #[test]
-    fn more_cores_than_mesh_nodes_are_refused_by_both_constructors() {
+    fn more_cores_than_mesh_nodes_are_refused() {
         let cfg = FullSystemConfig::paper(MechanismKind::Precise);
         let nodes = MESH.nodes();
         let want = Some(ConfigError::OutOfRange {
@@ -1839,11 +1812,6 @@ mod tests {
         });
         let traces = vec![ThreadTrace::new(); nodes + 1];
         assert_eq!(FullSystem::try_new(cfg.clone(), traces).err(), want);
-        let cores = (0..=nodes).map(|i| OooCore::new(i, ThreadTrace::new()));
-        assert_eq!(
-            FullSystem::try_with_cores(cfg.clone(), cores.collect()).err(),
-            want
-        );
         let full = vec![ThreadTrace::new(); nodes];
         assert!(FullSystem::try_new(cfg, full).is_ok());
     }

@@ -33,14 +33,15 @@
 //!   in a stable declared order.
 //!
 //! The workload dimension lives upstream (`lva-workloads` depends on
-//! this crate, not the reverse), so the full
-//! `(workload, MechanismKind, SimConfig)` grid is composed by the
-//! callers in `lva-bench`, the `lva-explore` CLI and the examples.
+//! this crate, not the reverse), so the phase-1 configs × workloads grid
+//! is `lva_workloads::run_grid`. The phase-2 grid, configs × recorded
+//! trace sets, is [`run_fullsystem_grid`] here.
 
 use crate::sched::{catch_point, SubmissionQueue};
 use crate::stats::SweepSummary;
-use crate::{ConfigError, MechanismKind, SimConfig};
+use crate::{ConfigError, FullSystem, FullSystemConfig, FullSystemStats, MechanismKind, SimConfig};
 use lva_core::{ApproximatorConfig, ConfidenceWindow};
+use lva_cpu::ThreadTrace;
 use lva_obs::{MetricsRegistry, TraceCtx, TraceEvent, TraceEventKind, TraceSink};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -121,9 +122,17 @@ pub struct SweepRun<R> {
 
 impl<R> SweepRun<R> {
     /// Strips indices and timings, returning just the results in grid
-    /// order.
+    /// order: value `i` is point `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the first [`SweepError`] if any point failed, since a
+    /// missing value would shift every later one onto the wrong point.
     #[must_use]
     pub fn into_values(self) -> Vec<R> {
+        if let Some(error) = self.errors.first() {
+            panic!("{error}");
+        }
         self.outcomes.into_iter().map(|o| o.value).collect()
     }
 
@@ -353,6 +362,28 @@ where
         workers,
         worker_loads,
     }
+}
+
+/// Replays every trace set on every full-system config in one
+/// [`run_sweep`] and returns the stats config-major: point
+/// `c * trace_sets.len() + t` is config `c` on trace set `t`. A point
+/// whose config [`FullSystem::try_new`] refuses, or whose replay fails,
+/// lands in [`SweepRun::errors`] with that error's message.
+#[must_use]
+pub fn run_fullsystem_grid(
+    configs: &[FullSystemConfig],
+    trace_sets: &[Vec<ThreadTrace>],
+    options: &SweepOptions,
+) -> SweepRun<FullSystemStats> {
+    let points: Vec<_> = configs
+        .iter()
+        .flat_map(|config| trace_sets.iter().map(move |traces| (config, traces)))
+        .collect();
+    run_sweep(&points, options, |_, &(config, traces)| {
+        FullSystem::new(config.clone(), traces.clone())
+            .run()
+            .unwrap_or_else(|e| panic!("{e}"))
+    })
 }
 
 /// Declarative grid of phase-1 configurations.
@@ -838,6 +869,15 @@ mod tests {
             run.record_metrics(&mut reg);
             let dump: std::collections::HashMap<String, f64> = reg.dump().into_iter().collect();
             assert_eq!(dump["sweep/errors"], 1.0);
+            // Values line up by position, so a gap must not pass silently.
+            let panic =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run.into_values()))
+                    .expect_err("into_values must refuse a sweep with a failed point");
+            let message = panic.downcast_ref::<String>().expect("formatted message");
+            assert!(
+                message.starts_with("point 5 panicked: injected failure"),
+                "{message}"
+            );
         }
         // Healthy sweeps don't grow a zero-valued error stat (the CI
         // baselines were captured without one).
@@ -846,6 +886,58 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         run.record_metrics(&mut reg);
         assert!(reg.dump().iter().all(|(path, _)| path != "sweep/errors"));
+    }
+
+    #[test]
+    fn fullsystem_grid_is_config_major_and_matches_direct_replays() {
+        use lva_core::{Addr, ClpConfig, Pc, Value, ValueType};
+        let trace_set = |loads: u64| -> Vec<ThreadTrace> {
+            (0..2u64)
+                .map(|core| {
+                    let mut t = ThreadTrace::new();
+                    for i in 0..loads {
+                        let addr = Addr(0x10_0000 * (core + 1) + i * 64);
+                        t.push_load(Pc(0x40), addr, ValueType::F32, true, Value::from_f32(1.0));
+                        t.push_compute(3);
+                    }
+                    t
+                })
+                .collect()
+        };
+        let trace_sets = [trace_set(32), trace_set(96)];
+        let configs = [
+            MechanismKind::Precise,
+            MechanismKind::Lva(ApproximatorConfig::baseline()),
+            MechanismKind::Clp(ClpConfig::baseline()),
+        ]
+        .map(FullSystemConfig::paper);
+        let direct: Vec<FullSystemStats> = configs[..2]
+            .iter()
+            .flat_map(|c| {
+                trace_sets
+                    .iter()
+                    .map(|t| FullSystem::new(c.clone(), t.clone()))
+            })
+            .map(|system| system.run().expect("replays"))
+            .collect();
+        assert!(direct[0] != direct[1] && direct[0] != direct[2]);
+        // The refused config fails its own points, and no other.
+        let refusal = ConfigError::UnmodelledMechanism { kind: "clp" }.to_string();
+        for workers in [1, 8] {
+            let opts = SweepOptions {
+                workers: Some(workers),
+                progress: false,
+            };
+            let run = run_fullsystem_grid(&configs, &trace_sets, &opts);
+            let errors: Vec<_> = run.errors.iter().map(|e| (e.index, &*e.message)).collect();
+            assert_eq!(
+                errors,
+                [(4, &*refusal), (5, &*refusal)],
+                "{workers} workers"
+            );
+            let values: Vec<_> = run.outcomes.into_iter().map(|o| o.value).collect();
+            assert_eq!(values, direct, "{workers} workers");
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 
 use lva::core::ApproximatorConfig;
 use lva::energy::EnergyParams;
-use lva::sim::{FullSystem, FullSystemConfig, MechanismKind, SimConfig};
+use lva::sim::sweep::{run_fullsystem_grid, SweepOptions};
+use lva::sim::{FullSystemConfig, MechanismKind, SimConfig};
 use lva::workloads::{canneal::Canneal, Workload, WorkloadScale};
 
 fn main() {
@@ -20,13 +21,16 @@ fn main() {
     let recorded = workload.execute(&SimConfig::precise().with_traces());
     let params = EnergyParams::cacti_32nm();
 
-    let run = |mechanism: MechanismKind| {
-        FullSystem::new(FullSystemConfig::paper(mechanism), recorded.traces.clone())
-            .run()
-            .expect("simulation converges")
-    };
+    // Precise first, then one LVA machine per degree.
+    let degrees = [0u32, 2, 4, 8, 16];
+    let configs: Vec<_> = std::iter::once(MechanismKind::Precise)
+        .chain(degrees.map(|d| MechanismKind::Lva(ApproximatorConfig::with_degree(d))))
+        .map(FullSystemConfig::paper)
+        .collect();
+    let runs =
+        run_fullsystem_grid(&configs, &[recorded.traces], &SweepOptions::default()).into_values();
+    let (precise, approx) = runs.split_first().expect("precise run");
 
-    let precise = run(MechanismKind::Precise);
     println!(
         "{:<12} {:>10} {:>10} {:>12} {:>12} {:>10}",
         "config", "cycles", "speedup", "energy (nJ)", "miss lat.", "norm. EDP"
@@ -40,13 +44,12 @@ fn main() {
         precise.avg_miss_latency(),
         1.0
     );
-    for degree in [0u32, 2, 4, 8, 16] {
-        let stats = run(MechanismKind::Lva(ApproximatorConfig::with_degree(degree)));
+    for (degree, stats) in degrees.iter().zip(approx) {
         println!(
             "{:<12} {:>10} {:>9.3}x {:>12.1} {:>12.1} {:>10.3}",
             format!("degree {degree}"),
             stats.cycles,
-            stats.speedup_vs(&precise),
+            stats.speedup_vs(precise),
             stats.hierarchy_energy_nj(&params),
             stats.avg_miss_latency(),
             stats.l1_miss_edp(&params) / precise.l1_miss_edp(&params),

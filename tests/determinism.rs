@@ -869,16 +869,15 @@ fn fullsystem_timeline_frames_are_pinned() {
     }
 }
 
-/// Full-system configurations pinned by [`GOLDEN_FULLSYSTEM_HASHES`], each
-/// with its core shape `(width, ROB entries)`: plain LVA, LVA under a 5%
-/// error budget (alone and beside a 2% SLO), LVA under an
-/// actively-tightening governor, a governor beside a precise
+/// Full-system configurations pinned by [`GOLDEN_FULLSYSTEM_HASHES`]:
+/// plain LVA, LVA under a 5% error budget (alone and beside a 2% SLO),
+/// LVA under an actively-tightening governor, a governor beside a precise
 /// machine (which builds no governor at all), MESI, training on a
 /// low-power NoC plane, training fetches deprioritized by 200 cycles (sent
 /// in the future), a 2-wide core with an 8-entry ROB, whose head stalls on
 /// a full ROB, and plain LVA over the [`coherence_stress_traces`] instead
 /// of the workloads' traces.
-fn fullsystem_configs() -> Vec<(&'static str, lva::sim::FullSystemConfig, (usize, usize))> {
+fn fullsystem_configs() -> Vec<(&'static str, lva::sim::FullSystemConfig)> {
     use lva::noc::LowPowerPlane;
     use lva::sim::{FullSystemConfig, GovernorConfig};
     let govern2 = GovernorConfig {
@@ -887,51 +886,35 @@ fn fullsystem_configs() -> Vec<(&'static str, lva::sim::FullSystemConfig, (usize
         ..GovernorConfig::slo(0.02)
     };
     let lva = MechanismKind::Lva(ApproximatorConfig::baseline());
-    let paper = (4, 32);
+    let paper = |mechanism: &MechanismKind| FullSystemConfig::paper(mechanism.clone());
     vec![
-        ("lva", FullSystemConfig::paper(lva.clone()), paper),
-        (
-            "lva+budget5",
-            FullSystemConfig::paper(lva.clone()).with_error_budget(0.05),
-            paper,
-        ),
+        ("lva", paper(&lva)),
+        ("lva+budget5", paper(&lva).with_error_budget(0.05)),
         (
             "lva+budget5+govern2",
-            FullSystemConfig::paper(lva.clone())
+            paper(&lva)
                 .with_error_budget(0.05)
                 .with_govern(GovernorConfig {
                     epoch_len: 500,
                     ..GovernorConfig::slo(0.02)
                 }),
-            paper,
         ),
-        (
-            "lva+govern2",
-            FullSystemConfig::paper(lva.clone()).with_govern(govern2),
-            paper,
-        ),
+        ("lva+govern2", paper(&lva).with_govern(govern2)),
         (
             "precise+govern2",
-            FullSystemConfig::paper(MechanismKind::Precise).with_govern(govern2),
-            paper,
+            paper(&MechanismKind::Precise).with_govern(govern2),
         ),
-        (
-            "lva+mesi",
-            FullSystemConfig::paper(lva.clone()).with_mesi(),
-            paper,
-        ),
+        ("lva+mesi", paper(&lva).with_mesi()),
         (
             "lva+hetero",
-            FullSystemConfig::paper(lva.clone()).with_hetero_noc(LowPowerPlane::default()),
-            paper,
+            paper(&lva).with_hetero_noc(LowPowerPlane::default()),
         ),
         (
             "lva+deprio200",
-            FullSystemConfig::paper(lva.clone()).with_deprioritized_training(200),
-            paper,
+            paper(&lva).with_deprioritized_training(200),
         ),
-        ("lva+w2rob8", FullSystemConfig::paper(lva.clone()), (2, 8)),
-        ("coherence-stress", FullSystemConfig::paper(lva), paper),
+        ("lva+w2rob8", paper(&lva).with_core_shape(2, 8)),
+        ("coherence-stress", paper(&lva)),
     ]
 }
 
@@ -1000,8 +983,7 @@ const GOLDEN_FULLSYSTEM_HASHES: [(&str, u64); 10] = [
 
 #[test]
 fn fullsystem_replays_are_pinned() {
-    use lva::cpu::OooCore;
-    use lva::sim::FullSystem;
+    use lva::sim::sweep::run_fullsystem_grid;
     let recorded: Vec<_> = registry(WorkloadScale::Test)
         .iter()
         .map(|w| {
@@ -1010,92 +992,93 @@ fn fullsystem_replays_are_pinned() {
         })
         .collect();
     let stress = coherence_stress_traces();
-    let configs = fullsystem_configs();
-    assert_eq!(configs.len(), GOLDEN_FULLSYSTEM_HASHES.len());
-    for (c, (name, cfg, (width, rob))) in configs.iter().enumerate() {
-        let inputs = if *name == "coherence-stress" {
-            &stress
-        } else {
-            &recorded
+    let (names, configs): (Vec<_>, Vec<_>) = fullsystem_configs().into_iter().unzip();
+    assert_eq!(
+        names,
+        GOLDEN_FULLSYSTEM_HASHES.map(|(name, _)| name),
+        "golden table out of sync"
+    );
+    // The last row replays the stress trace sets, every other row the
+    // workloads' traces: one grid each.
+    let (kernel_configs, stress_configs) = configs.split_at(configs.len() - 1);
+    for workers in [1, 8] {
+        let options = SweepOptions {
+            workers: Some(workers),
+            progress: false,
         };
-        let runs: Vec<_> = inputs
-            .iter()
-            .map(|(_, t)| {
-                let cores = t
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| OooCore::with_shape(i, t.clone(), *width, *rob))
-                    .collect();
-                FullSystem::try_with_cores(cfg.clone(), cores)
-                    .expect("valid full-system config")
-                    .run()
-                    .expect("replay converges")
-            })
-            .collect();
-        let text: String = inputs
-            .iter()
-            .zip(&runs)
-            .map(|((label, _), s)| format!("{label}:{s:?}"))
-            .collect();
-        let (golden_name, golden) = GOLDEN_FULLSYSTEM_HASHES[c];
-        assert_eq!(*name, golden_name, "golden table out of sync");
-        assert_eq!(
-            fnv1a64(text.as_bytes()),
-            golden,
-            "{name}: full-system statistics diverged; captured hash {:#018x}",
-            fnv1a64(text.as_bytes())
-        );
-        // Non-vacuity: each controller must actually act (runs[0] is
-        // blackscholes, runs[1] bodytrack), and a precise machine must
-        // build no governor.
-        match *name {
-            "lva+budget5" => {
-                assert_eq!(
-                    (runs[0].demotions, runs[0].degrade_denied),
-                    (16, 224),
-                    "{name}"
-                );
-            }
-            "lva+budget5+govern2" => {
-                assert!(
-                    runs.iter()
-                        .any(|s| s.demotions > 0 && s.govern_actuations > 0),
-                    "{name}: the budget and the SLO never both acted on one replay"
-                );
-            }
-            "lva+govern2" => {
-                assert_eq!(runs[1].govern_actuations, 27, "{name}");
-            }
-            "precise+govern2" => {
-                assert!(runs
-                    .iter()
-                    .all(|s| s.govern.is_empty() && s.govern_epochs == 0));
-            }
-            "lva+hetero" => {
-                assert!(
-                    runs.iter().any(|s| s.energy.noc_low_power_flit_hops > 0),
-                    "{name}: no training traffic rode the low-power plane"
-                );
-            }
-            "lva+w2rob8" => {
-                assert!(
-                    runs.iter().any(|s| s.head_stall_cycles > 0),
-                    "{name}: no replay stalled on its ROB head"
-                );
-            }
-            "coherence-stress" => {
-                for s in &runs {
-                    assert!(s.head_stall_cycles > 0, "{name}: no head stall");
-                    assert!(s.approximated > 0, "{name}: nothing approximated");
-                    // A fill that serves a request counts once in each;
-                    // the excess DRAM accesses are dirty L2 victims.
-                    assert!(
-                        s.dram_accesses > s.l2_data_blocks,
-                        "{name}: no dirty L2 victim went back to DRAM"
+        let rows = [(kernel_configs, &recorded), (stress_configs, &stress)]
+            .into_iter()
+            .flat_map(|(configs, inputs)| {
+                let trace_sets: Vec<_> = inputs.iter().map(|(_, t)| t.clone()).collect();
+                let values = run_fullsystem_grid(configs, &trace_sets, &options).into_values();
+                let rows: Vec<_> = values.chunks(inputs.len()).map(<[_]>::to_vec).collect();
+                rows.into_iter().map(move |runs| (inputs, runs))
+            });
+        for ((name, golden), (inputs, runs)) in GOLDEN_FULLSYSTEM_HASHES.into_iter().zip(rows) {
+            let text: String = inputs
+                .iter()
+                .zip(&runs)
+                .map(|((label, _), s)| format!("{label}:{s:?}"))
+                .collect();
+            assert_eq!(
+                fnv1a64(text.as_bytes()),
+                golden,
+                "{name} at {workers} workers: full-system statistics diverged; \
+                 captured hash {:#018x}",
+                fnv1a64(text.as_bytes())
+            );
+            // Non-vacuity: each controller must actually act (runs[0] is
+            // blackscholes, runs[1] bodytrack), and a precise machine must
+            // build no governor.
+            match name {
+                "lva+budget5" => {
+                    assert_eq!(
+                        (runs[0].demotions, runs[0].degrade_denied),
+                        (16, 224),
+                        "{name}"
                     );
                 }
+                "lva+budget5+govern2" => {
+                    assert!(
+                        runs.iter()
+                            .any(|s| s.demotions > 0 && s.govern_actuations > 0),
+                        "{name}: the budget and the SLO never both acted on one replay"
+                    );
+                }
+                "lva+govern2" => {
+                    assert_eq!(runs[1].govern_actuations, 27, "{name}");
+                }
+                "precise+govern2" => {
+                    assert!(runs
+                        .iter()
+                        .all(|s| s.govern.is_empty() && s.govern_epochs == 0));
+                }
+                "lva+hetero" => {
+                    assert!(
+                        runs.iter().any(|s| s.energy.noc_low_power_flit_hops > 0),
+                        "{name}: no training traffic rode the low-power plane"
+                    );
+                }
+                "lva+w2rob8" => {
+                    assert!(
+                        runs.iter().any(|s| s.head_stall_cycles > 0),
+                        "{name}: no replay stalled on its ROB head"
+                    );
+                }
+                "coherence-stress" => {
+                    for s in &runs {
+                        assert!(s.head_stall_cycles > 0, "{name}: no head stall");
+                        assert!(s.approximated > 0, "{name}: nothing approximated");
+                        // A fill that serves a request counts once in each;
+                        // the excess DRAM accesses are dirty L2 victims.
+                        assert!(
+                            s.dram_accesses > s.l2_data_blocks,
+                            "{name}: no dirty L2 victim went back to DRAM"
+                        );
+                    }
+                }
+                _ => {}
             }
-            _ => {}
         }
     }
 }

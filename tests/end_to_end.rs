@@ -2,7 +2,8 @@
 //! trace capture, and phase-2 full-system replay.
 
 use lva::core::ApproximatorConfig;
-use lva::sim::{FaultConfig, FullSystem, FullSystemConfig, MechanismKind, QualityState, SimConfig};
+use lva::sim::sweep::{run_fullsystem_grid, SweepOptions};
+use lva::sim::{FaultConfig, FullSystemConfig, MechanismKind, QualityState, SimConfig};
 use lva::workloads::{registry, WorkloadScale};
 
 #[test]
@@ -64,8 +65,19 @@ fn runs_are_deterministic() {
 
 #[test]
 fn traces_replay_in_the_full_system() {
-    for w in registry(WorkloadScale::Test) {
-        let recorded = w.execute(&SimConfig::precise().with_traces());
+    let workloads = registry(WorkloadScale::Test);
+    let recorded: Vec<_> = workloads
+        .iter()
+        .map(|w| w.execute(&SimConfig::precise().with_traces()))
+        .collect();
+    let configs = [
+        FullSystemConfig::paper(MechanismKind::Precise),
+        FullSystemConfig::paper(MechanismKind::Lva(ApproximatorConfig::baseline())),
+    ];
+    let trace_sets: Vec<_> = recorded.iter().map(|r| r.traces.clone()).collect();
+    let values = run_fullsystem_grid(&configs, &trace_sets, &SweepOptions::default()).into_values();
+    let (precise, lva) = values.split_at(workloads.len());
+    for (((w, recorded), stats), lva) in workloads.iter().zip(&recorded).zip(precise).zip(lva) {
         let trace_instructions: u64 = recorded.traces.iter().map(|t| t.stats().instructions).sum();
         assert_eq!(
             trace_instructions,
@@ -73,22 +85,8 @@ fn traces_replay_in_the_full_system() {
             "{}: trace must capture every instruction",
             w.name()
         );
-
-        let stats = FullSystem::new(
-            FullSystemConfig::paper(MechanismKind::Precise),
-            recorded.traces.clone(),
-        )
-        .run()
-        .expect("precise replay converges");
         assert_eq!(stats.instructions, trace_instructions, "{}", w.name());
         assert!(stats.cycles > 0);
-
-        let lva = FullSystem::new(
-            FullSystemConfig::paper(MechanismKind::Lva(ApproximatorConfig::baseline())),
-            recorded.traces,
-        )
-        .run()
-        .expect("LVA replay converges");
         assert_eq!(lva.instructions, trace_instructions);
         // LVA never slows the machine down catastrophically.
         assert!(

@@ -307,31 +307,28 @@ fn mantissa_truncation_helps_fluidanimate() {
 /// rise with degree; normalised EDP is below 1 and falls with degree.
 #[test]
 fn fullsystem_gains_follow_the_approximation_degree() {
-    use lva::sim::{FullSystem, FullSystemConfig, MechanismKind};
+    use lva::sim::sweep::{run_fullsystem_grid, SweepOptions};
+    use lva::sim::{FullSystemConfig, MechanismKind};
     let params = lva::energy::EnergyParams::cacti_32nm();
-    let replay = |traces: &Vec<lva::cpu::ThreadTrace>, mech: MechanismKind| {
-        FullSystem::new(FullSystemConfig::paper(mech), traces.clone())
-            .run()
-            .expect("full-system simulation converges")
-    };
     let workloads = registry(WorkloadScale::Test);
     let traces: Vec<_> = workloads
         .iter()
         .map(|w| w.execute(&SimConfig::precise().with_traces()).traces)
         .collect();
-    let precise: Vec<_> = traces
-        .iter()
-        .map(|t| replay(t, MechanismKind::Precise))
-        .collect();
-
     let degrees = [0u32, 4, 16];
+    let configs: Vec<_> = std::iter::once(MechanismKind::Precise)
+        .chain(degrees.map(|d| MechanismKind::Lva(ApproximatorConfig::with_degree(d))))
+        .map(FullSystemConfig::paper)
+        .collect();
+    let values = run_fullsystem_grid(&configs, &traces, &SweepOptions::default()).into_values();
+    let mut rows = values.chunks(traces.len());
+    let precise = rows.next().expect("precise row");
+
     let mut speedup = Vec::new();
     let mut savings = Vec::new();
     let mut edp = Vec::new();
-    for degree in degrees {
-        let mech = MechanismKind::Lva(ApproximatorConfig::with_degree(degree));
-        let runs: Vec<_> = traces.iter().map(|t| replay(t, mech.clone())).collect();
-        let pairs = || runs.iter().zip(&precise);
+    for runs in rows {
+        let pairs = || runs.iter().zip(precise);
         speedup.push(
             pairs()
                 .map(|(r, p)| (r.speedup_vs(p) - 1.0) * 100.0)
