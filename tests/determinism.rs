@@ -386,18 +386,28 @@ fn kernels_are_reproducible_from_seed() {
 }
 
 /// FNV-1a64 of each kernel's recorded instruction stream (test scale,
-/// seed 0, [`SimConfig::baseline_lva`] with traces on; registry order).
+/// [`SimConfig::baseline_lva`] with traces on; registry order), for
+/// seeds 0 and 3.
 /// The statistics goldens pin counters; these pin every load's PC,
 /// address, type and value and every store in program order, so a kernel
-/// rewrite that issues the same counts in another order still fails.
-const GOLDEN_TRACE_HASHES: [(&str, u64); 7] = [
-    ("blackscholes", 0x2ef602505f1ede7f),
-    ("bodytrack", 0x9e2c9c168eb1633b),
-    ("canneal", 0x5db0f884e36fd50d),
-    ("ferret", 0xf0f55e846404f145),
-    ("fluidanimate", 0x8d94be027c2b2522),
-    ("swaptions", 0x941e9f433da442cf),
-    ("x264", 0xcad783a5e4df9417),
+/// rewrite that issues the same counts in another order still fails. The
+/// second seed matters for kernels whose access pattern depends on the
+/// input, such as fluidanimate's cell occupancy.
+const GOLDEN_TRACE_HASHES: [(&str, u64, u64); 14] = [
+    ("blackscholes", 0, 0x2ef602505f1ede7f),
+    ("bodytrack", 0, 0x9e2c9c168eb1633b),
+    ("canneal", 0, 0x5db0f884e36fd50d),
+    ("ferret", 0, 0xf0f55e846404f145),
+    ("fluidanimate", 0, 0x8d94be027c2b2522),
+    ("swaptions", 0, 0x941e9f433da442cf),
+    ("x264", 0, 0xcad783a5e4df9417),
+    ("blackscholes", 3, 0x56155e433ef271d0),
+    ("bodytrack", 3, 0xf0db44005b55220b),
+    ("canneal", 3, 0x237cf7e6213151ee),
+    ("ferret", 3, 0xc3f3b3c9b23ffa85),
+    ("fluidanimate", 3, 0x9d22975a13499e48),
+    ("swaptions", 3, 0xba84156eefba2965),
+    ("x264", 3, 0xdbce82329cd73583),
 ];
 
 /// Hashes `traces` thread by thread: the thread's op count, then each op
@@ -445,9 +455,14 @@ fn trace_hash(traces: &[lva::cpu::ThreadTrace]) -> u64 {
 #[test]
 fn recorded_traces_are_pinned() {
     let cfg = SimConfig::baseline_lva().with_traces();
-    let hashes: Vec<(&str, u64)> = registry(WorkloadScale::Test)
-        .iter()
-        .map(|w| (w.name(), trace_hash(&w.execute(&cfg).traces)))
+    let hashes: Vec<(&str, u64, u64)> = [0, 3]
+        .into_iter()
+        .flat_map(|seed| {
+            registry_seeded(WorkloadScale::Test, seed)
+                .iter()
+                .map(|w| (w.name(), seed, trace_hash(&w.execute(&cfg).traces)))
+                .collect::<Vec<_>>()
+        })
         .collect();
     assert_eq!(
         hashes, GOLDEN_TRACE_HASHES,
