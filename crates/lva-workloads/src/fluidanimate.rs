@@ -7,11 +7,20 @@
 //! loops. Physics-based animation tolerates imprecision; the output error
 //! is the percentage of particles that end in a different cell than in the
 //! precise execution.
+//!
+//! Each step first repartitions the particles with a stable counting sort
+//! by cell (`CellIndex`). That is host-side bookkeeping and is not
+//! simulated; it reorders the arrays in memory directly. Afterwards a
+//! cell's particles are one contiguous range of slots, so the 27 cells
+//! around a particle are nine ranges, one per (dz, dy) row of up to three
+//! cells along x. Both passes issue their annotated neighbour loads
+//! straight from those ranges, cell by cell in z, y, x order.
 
 use crate::util::{interleaved_chunks, seeded_rng};
 use crate::{Kernel, WorkloadScale};
 use lva_core::{Pc, Value, ValueType};
 use lva_sim::{LoadReq, SimHarness};
+use std::ops::Range;
 
 const PC_BASE: u64 = 0x7000;
 const PC_NBR_X: Pc = Pc(PC_BASE);
@@ -30,6 +39,8 @@ const TICKS_PER_PARTICLE: u32 = 24;
 const H: f32 = 0.05;
 /// Simulation domain edge (cube).
 const DOMAIN: f32 = 1.0;
+/// Cells per axis.
+const NAX: usize = (DOMAIN / H) as usize;
 
 /// The fluidanimate kernel.
 #[derive(Debug, Clone)]
@@ -73,15 +84,10 @@ impl Fluidanimate {
         }
     }
 
-    /// Cells per axis.
-    fn cells_per_axis() -> i32 {
-        (DOMAIN / H) as i32
-    }
-
     /// Cell id of a position.
     #[must_use]
     pub(crate) fn cell_of(x: f32, y: f32, z: f32) -> i32 {
-        let n = Self::cells_per_axis();
+        let n = NAX as i32;
         let cx = ((x / H) as i32).clamp(0, n - 1);
         let cy = ((y / H) as i32).clamp(0, n - 1);
         let cz = ((z / H) as i32).clamp(0, n - 1);
@@ -89,47 +95,60 @@ impl Fluidanimate {
     }
 }
 
-/// One step's neighbour list, reused from particle to particle.
+/// The cell-major index of one step: a stable counting sort of the
+/// particles by cell, its buffers reused from step to step.
 ///
-/// The list of a cell is the ids of every particle in it and in the
-/// adjacent cells, cell by cell in z, y, x order. `cells` does not change
-/// during a step, so the list depends on the cell id alone: refilling it
-/// only when the cell changes hands every particle the same ids in the
-/// same order as building it afresh, and the kernel issues the same
-/// loads. Particles are in cell-major order, so a pass refills it about
-/// once per occupied cell rather than once per particle.
+/// `order[k]` is the particle that moves to slot `k`. After the move,
+/// cell `c` holds exactly the slots `start[c]..start[c + 1]`, in
+/// ascending order, so a row of adjacent cells along x is one contiguous
+/// range of slots.
 #[derive(Default)]
-struct Neighbours {
-    cell: Option<usize>,
-    ids: Vec<u32>,
+struct CellIndex {
+    start: Vec<u32>,
+    order: Vec<u32>,
 }
 
-impl Neighbours {
-    /// The particle ids around `cell`, rebuilt from `cells` only when
-    /// `cell` differs from the previous call's.
-    fn of(&mut self, cell: usize, cells: &[Vec<u32>]) -> &[u32] {
-        if self.cell != Some(cell) {
-            self.cell = Some(cell);
-            self.ids.clear();
-            let nax = Fluidanimate::cells_per_axis();
-            let c = cell as i32;
-            let (cx, cy, cz) = (c % nax, (c / nax) % nax, c / (nax * nax));
-            for dz in -1..=1 {
-                for dy in -1..=1 {
-                    for dx in -1..=1 {
-                        let (nx2, ny2, nz2) = (cx + dx, cy + dy, cz + dz);
-                        if (0..nax).contains(&nx2)
-                            && (0..nax).contains(&ny2)
-                            && (0..nax).contains(&nz2)
-                        {
-                            let id = ((nz2 * nax + ny2) * nax + nx2) as usize;
-                            self.ids.extend(cells[id].iter().copied());
-                        }
-                    }
-                }
-            }
+impl CellIndex {
+    /// Sorts the particles `0..cells.len()`, particle `i` lying in cell
+    /// `cells[i]`.
+    fn sort(&mut self, cells: &[u32]) {
+        self.start.clear();
+        self.start.resize(NAX.pow(3) + 1, 0);
+        for &c in cells {
+            self.start[c as usize + 1] += 1;
         }
-        &self.ids
+        for c in 1..self.start.len() {
+            self.start[c] += self.start[c - 1];
+        }
+        // Placing each particle at its cell's cursor leaves `start[c]` at
+        // the cell's end, which is where cell `c + 1` starts.
+        self.order.resize(cells.len(), 0);
+        for (i, &c) in cells.iter().enumerate() {
+            let cursor = &mut self.start[c as usize];
+            self.order[*cursor as usize] = i as u32;
+            *cursor += 1;
+        }
+        self.start.rotate_right(1);
+        self.start[0] = 0;
+    }
+
+    /// The slots around `cell`, one range per (dz, dy) row in z, y order:
+    /// the up to three adjacent cells along x, or an empty range for a row
+    /// outside the domain. Concatenated, they are the particles of the 27
+    /// cells around `cell` in z, y, x order.
+    fn rows(&self, cell: usize) -> [Range<usize>; 9] {
+        let (cx, cy, cz) = (cell % NAX, cell / NAX % NAX, cell / (NAX * NAX));
+        let (x0, x1) = (cx.saturating_sub(1), (cx + 1).min(NAX - 1));
+        std::array::from_fn(|k| {
+            // Row k lies at z = cz + k / 3 - 1, y = cy + k % 3 - 1.
+            match ((cz + k / 3).checked_sub(1), (cy + k % 3).checked_sub(1)) {
+                (Some(z), Some(y)) if z < NAX && y < NAX => {
+                    let row = (z * NAX + y) * NAX;
+                    self.start[row + x0] as usize..self.start[row + x1 + 1] as usize
+                }
+                _ => 0..0,
+            }
+        })
     }
 }
 
@@ -156,8 +175,17 @@ impl Kernel for Fluidanimate {
         let mut vy = vec![0.0f32; self.particles];
         let mut vz = vec![0.0f32; self.particles];
 
-        let ncells = (Self::cells_per_axis() as usize).pow(3);
         let dt = 0.03f32;
+        // The cell of particle `i`, from its position in memory.
+        let cell_at = |h: &SimHarness, i: u64| {
+            let m = h.memory();
+            let (x, y, z) = (xs.offset(4 * i), ys.offset(4 * i), zs.offset(4 * i));
+            Self::cell_of(m.read_f32(x), m.read_f32(y), m.read_f32(z))
+        };
+        let mut cells: Vec<u32> = Vec::with_capacity(self.particles);
+        let mut index = CellIndex::default();
+        let mut reqs: Vec<LoadReq> = Vec::new();
+        let mut vals: Vec<Value> = Vec::new();
 
         for _ in 0..self.steps {
             // Repartition: sort particles into cell-major order and
@@ -165,50 +193,26 @@ impl Kernel for Fluidanimate {
             // when it moves particles between cells. The reorganization
             // itself is precise bookkeeping code (not annotated), so the
             // rewrite goes straight to memory; what matters is that
-            // neighbour loads afterwards touch contiguous blocks.
-            let read3 = |h: &SimHarness, i: usize| {
-                (
-                    h.memory().read_f32(xs.offset(4 * i as u64)),
-                    h.memory().read_f32(ys.offset(4 * i as u64)),
-                    h.memory().read_f32(zs.offset(4 * i as u64)),
-                )
-            };
-            let mut order: Vec<usize> = (0..self.particles).collect();
-            order.sort_by_key(|&i| {
-                let (x, y, z) = read3(h, i);
-                Self::cell_of(x, y, z)
-            });
-            let snapshot: Vec<(f32, f32, f32, f32)> = (0..self.particles)
-                .map(|i| {
-                    let (x, y, z) = read3(h, i);
-                    (x, y, z, h.memory().read_f32(dens.offset(4 * i as u64)))
-                })
-                .collect();
-            let (old_vx, old_vy, old_vz) = (vx.clone(), vy.clone(), vz.clone());
-            for (new_i, &old_i) in order.iter().enumerate() {
-                let (x, y, z, d) = snapshot[old_i];
-                let m = h.memory_mut();
-                m.write_f32(xs.offset(4 * new_i as u64), x);
-                m.write_f32(ys.offset(4 * new_i as u64), y);
-                m.write_f32(zs.offset(4 * new_i as u64), z);
-                m.write_f32(dens.offset(4 * new_i as u64), d);
-                vx[new_i] = old_vx[old_i];
-                vy[new_i] = old_vy[old_i];
-                vz[new_i] = old_vz[old_i];
+            // neighbour loads afterwards touch contiguous blocks. The same
+            // index then hands both passes each particle's neighbours as
+            // nine contiguous ranges (see `CellIndex::rows`).
+            cells.clear();
+            cells.extend((0..n).map(|i| cell_at(h, i) as u32));
+            index.sort(&cells);
+            let m = h.memory_mut();
+            for base in [xs, ys, zs, dens] {
+                let moved: Vec<f32> = index
+                    .order
+                    .iter()
+                    .map(|&i| m.read_f32(base.offset(4 * u64::from(i))))
+                    .collect();
+                m.write_f32_slice(base, &moved);
             }
-            let mut cells: Vec<Vec<u32>> = vec![Vec::new(); ncells];
-            for i in 0..self.particles {
-                let (x, y, z) = read3(h, i);
-                cells[Self::cell_of(x, y, z) as usize].push(i as u32);
+            for v in [&mut vx, &mut vy, &mut vz] {
+                *v = index.order.iter().map(|&i| v[i as usize]).collect();
             }
-            // One neighbour list serves both passes: `cells` is fixed
-            // until the next step, so a list built for a cell stays exact
-            // (see `Neighbours`).
-            let mut neighbours = Neighbours::default();
 
             // Pass 1: densities from neighbour positions (annotated loads).
-            let mut reqs: Vec<LoadReq> = Vec::new();
-            let mut vals: Vec<Value> = Vec::new();
             for (thread, range) in interleaved_chunks(self.particles, 128) {
                 h.set_thread(thread);
                 for i in range {
@@ -221,11 +225,13 @@ impl Kernel for Fluidanimate {
                     // One batch over the neighbour positions; the per-
                     // neighbour arithmetic ticks are accounted after it.
                     reqs.clear();
-                    for &nb in neighbours.of(Self::cell_of(sx, sy, sz) as usize, &cells) {
-                        let j = u64::from(nb);
-                        reqs.push((PC_NBR_X, xs.offset(4 * j), ValueType::F32, true));
-                        reqs.push((PC_NBR_Y, ys.offset(4 * j), ValueType::F32, true));
-                        reqs.push((PC_NBR_Z, zs.offset(4 * j), ValueType::F32, true));
+                    for slots in index.rows(Self::cell_of(sx, sy, sz) as usize) {
+                        for j in slots {
+                            let j = j as u64;
+                            reqs.push((PC_NBR_X, xs.offset(4 * j), ValueType::F32, true));
+                            reqs.push((PC_NBR_Y, ys.offset(4 * j), ValueType::F32, true));
+                            reqs.push((PC_NBR_Z, zs.offset(4 * j), ValueType::F32, true));
+                        }
                     }
                     vals.clear();
                     vals.resize(reqs.len(), Value::from_bits(0, ValueType::U8));
@@ -259,15 +265,14 @@ impl Kernel for Fluidanimate {
                     let (mut fx, mut fy, mut fz) = (0.0f32, -9.8f32, 0.0f32);
                     let rest = 1.5f32;
                     reqs.clear();
-                    for &nb in neighbours.of(Self::cell_of(sx, sy, sz) as usize, &cells) {
-                        if nb as usize == i {
-                            continue;
+                    for slots in index.rows(Self::cell_of(sx, sy, sz) as usize) {
+                        for j in slots.filter(|&j| j != i) {
+                            let j = j as u64;
+                            reqs.push((PC_NBR_X, xs.offset(4 * j), ValueType::F32, true));
+                            reqs.push((PC_NBR_Y, ys.offset(4 * j), ValueType::F32, true));
+                            reqs.push((PC_NBR_Z, zs.offset(4 * j), ValueType::F32, true));
+                            reqs.push((PC_NBR_DENS, dens.offset(4 * j), ValueType::F32, true));
                         }
-                        let j = u64::from(nb);
-                        reqs.push((PC_NBR_X, xs.offset(4 * j), ValueType::F32, true));
-                        reqs.push((PC_NBR_Y, ys.offset(4 * j), ValueType::F32, true));
-                        reqs.push((PC_NBR_Z, zs.offset(4 * j), ValueType::F32, true));
-                        reqs.push((PC_NBR_DENS, dens.offset(4 * j), ValueType::F32, true));
                     }
                     vals.clear();
                     vals.resize(reqs.len(), Value::from_bits(0, ValueType::U8));
@@ -314,14 +319,7 @@ impl Kernel for Fluidanimate {
             }
         }
 
-        (0..self.particles)
-            .map(|i| {
-                let x = h.memory().read_f32(xs.offset(4 * i as u64));
-                let y = h.memory().read_f32(ys.offset(4 * i as u64));
-                let z = h.memory().read_f32(zs.offset(4 * i as u64));
-                Self::cell_of(x, y, z)
-            })
-            .collect()
+        (0..n).map(|i| cell_at(h, i)).collect()
     }
 
     /// Percentage of particles that end in a different cell (§IV).
@@ -346,7 +344,7 @@ mod tests {
         let wl = Fluidanimate::new(WorkloadScale::Test);
         let mut h = lva_sim::SimHarness::new(SimConfig::precise());
         let cells = wl.run(&mut h);
-        let max_cell = Fluidanimate::cells_per_axis().pow(3);
+        let max_cell = NAX.pow(3) as i32;
         for c in cells {
             assert!((0..max_cell).contains(&c), "cell {c}");
         }
@@ -359,7 +357,7 @@ mod tests {
         let cells = wl.run(&mut h);
         // Mean final y-cell must be below the initial blob's (which started
         // at y in [0.3, 1.0]).
-        let nax = Fluidanimate::cells_per_axis();
+        let nax = NAX as i32;
         let mean_y: f64 = cells
             .iter()
             .map(|&c| f64::from((c / nax) % nax))
@@ -377,11 +375,93 @@ mod tests {
     #[test]
     fn cell_of_is_consistent() {
         assert_eq!(Fluidanimate::cell_of(0.0, 0.0, 0.0), 0);
-        let n = Fluidanimate::cells_per_axis();
+        let n = NAX as i32;
         assert_eq!(
             Fluidanimate::cell_of(DOMAIN, DOMAIN, DOMAIN),
             (n * n * n) - 1
         );
+    }
+
+    /// The cells of a seeded cloud in shuffled order: a particle on every
+    /// corner and every face, `crowd` in one random cell and `crowd` in
+    /// the edge cell at x = z = max, y = 0, and 200 spread thinly (most
+    /// cells stay empty), some of them outside the domain.
+    fn cloud(seed: u64, crowd: usize) -> Vec<u32> {
+        let mut rng = seeded_rng(seed, 1);
+        let edge = [0.0, DOMAIN];
+        let mut pts: Vec<[f32; 3]> = Vec::new();
+        for &x in &edge {
+            for &y in &edge {
+                for &z in &edge {
+                    pts.push([x, y, z]);
+                }
+            }
+        }
+        for axis in 0..3 {
+            for &e in &edge {
+                let mut p = [0.0; 3].map(|_: f32| rng.gen_range(0.0..DOMAIN));
+                p[axis] = e;
+                pts.push(p);
+            }
+        }
+        let busy = [0.0; 3].map(|_: f32| rng.gen_range(0.0..DOMAIN - H));
+        for _ in 0..crowd {
+            pts.push(busy.map(|c| c + rng.gen_range(0.0..H)));
+            pts.push([DOMAIN - rng.gen_range(0.0..H / 2.0), 0.0, DOMAIN]);
+        }
+        for _ in 0..200 {
+            pts.push([0.0; 3].map(|_: f32| rng.gen_range(-0.1..DOMAIN + 0.1)));
+        }
+        for i in (1..pts.len()).rev() {
+            pts.swap(i, rng.gen_range(0..=i));
+        }
+        pts.iter()
+            .map(|&[x, y, z]| Fluidanimate::cell_of(x, y, z) as u32)
+            .collect()
+    }
+
+    /// The reference for [`CellIndex::rows`]: the slots of the 27 cells
+    /// around `cell`, read cell by cell in z, y, x order from per-cell
+    /// lists.
+    fn scan(lists: &[Vec<usize>], cell: usize) -> Vec<usize> {
+        let nax = NAX as i32;
+        let c = cell as i32;
+        let (cx, cy, cz) = (c % nax, (c / nax) % nax, c / (nax * nax));
+        let mut ids = Vec::new();
+        for dz in -1..=1 {
+            for dy in -1..=1 {
+                for dx in -1..=1 {
+                    let (x, y, z) = (cx + dx, cy + dy, cz + dz);
+                    if [x, y, z].iter().all(|v| (0..nax).contains(v)) {
+                        ids.extend(&lists[((z * nax + y) * nax + x) as usize]);
+                    }
+                }
+            }
+        }
+        ids
+    }
+
+    #[test]
+    fn cell_ranges_match_a_brute_force_scan() {
+        for (seed, crowd) in [(0, 0), (1, 1), (2, 30), (3, 300)] {
+            let cells = cloud(seed, crowd);
+            let mut index = CellIndex::default();
+            index.sort(&cells);
+            let mut stable: Vec<u32> = (0..cells.len() as u32).collect();
+            stable.sort_by_key(|&i| cells[i as usize]);
+            assert_eq!(index.order, stable, "seed {seed}: not a stable sort");
+
+            let mut lists = vec![Vec::new(); NAX.pow(3)];
+            for (slot, &i) in index.order.iter().enumerate() {
+                lists[cells[i as usize] as usize].push(slot);
+            }
+            for (cell, list) in lists.iter().enumerate() {
+                let own = index.start[cell] as usize..index.start[cell + 1] as usize;
+                assert_eq!(own.collect::<Vec<_>>(), *list, "seed {seed}, cell {cell}");
+                let rows: Vec<usize> = index.rows(cell).into_iter().flatten().collect();
+                assert_eq!(rows, scan(&lists, cell), "seed {seed}, cell {cell}");
+            }
+        }
     }
 
     #[test]
