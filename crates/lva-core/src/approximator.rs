@@ -192,7 +192,7 @@ impl Default for ApproximatorConfig {
 }
 
 /// External quality-control directive for one miss consultation, supplied
-/// by a quality controller (see `lva-sim`'s `govern` module). The
+/// by the governor's budget ladder (see `lva-sim`'s `govern` module). The
 /// default [`MissPolicy::Normal`] reproduces the paper's mechanism exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MissPolicy {
@@ -430,27 +430,21 @@ impl LoadValueApproximator {
     /// value delay it wishes to model. On [`FetchAction::Skip`] nothing else
     /// happens.
     pub fn on_miss(&mut self, pc: Pc, ty: ValueType) -> MissOutcome {
-        self.on_miss_traced(pc, ty, &mut NullSink, TraceCtx::new(0, 0))
+        self.on_miss_policed(
+            pc,
+            ty,
+            MissPolicy::Normal,
+            &mut NullSink,
+            TraceCtx::new(0, 0),
+        )
     }
 
-    /// [`on_miss`](Self::on_miss) with instrumentation: emits
-    /// approximation-issued and degree-window events into `sink`. The sink
-    /// is strictly write-only — the untraced variant delegates here with a
-    /// [`NullSink`], so traced and untraced runs take the same path.
-    pub(crate) fn on_miss_traced(
-        &mut self,
-        pc: Pc,
-        ty: ValueType,
-        sink: &mut dyn TraceSink,
-        ctx: TraceCtx,
-    ) -> MissOutcome {
-        self.on_miss_policed(pc, ty, MissPolicy::Normal, sink, ctx)
-    }
-
-    /// `on_miss_traced` under an external
-    /// [`MissPolicy`] — the demotion hook a quality-budget degradation
-    /// controller drives. [`MissPolicy::Normal`] takes exactly the same
-    /// path as the plain variants.
+    /// [`on_miss`](Self::on_miss) under an external [`MissPolicy`] — the
+    /// demotion hook the governor's budget ladder drives — with
+    /// instrumentation: emits approximation-issued and degree-window events
+    /// into `sink`. The sink is strictly write-only — the untraced variant
+    /// delegates here with a [`NullSink`] and [`MissPolicy::Normal`], so
+    /// traced and untraced runs take the same path.
     pub fn on_miss_policed(
         &mut self,
         pc: Pc,
@@ -579,8 +573,8 @@ impl LoadValueApproximator {
     /// Returns the relative error of the estimate the token carried against
     /// `actual` (`None` when the miss produced no estimate). A zero actual
     /// value degrades to the absolute error of the estimate, mirroring
-    /// [`ConfidenceUpdate::Proportional`]'s convention. Quality-budget
-    /// controllers consume this; plain harnesses may ignore it.
+    /// [`ConfidenceUpdate::Proportional`]'s convention. The quality
+    /// governor consumes this; plain harnesses may ignore it.
     pub fn train(&mut self, token: TrainToken, actual: Value) -> Option<f64> {
         self.train_traced(token, actual, &mut NullSink, TraceCtx::new(0, 0))
     }
@@ -588,7 +582,7 @@ impl LoadValueApproximator {
     /// [`train`](Self::train) with instrumentation: emits a training event
     /// (predicted vs. actual, relative error) and confidence-threshold
     /// crossing events into `sink`. Write-only, like
-    /// `on_miss_traced`. Returns the same error
+    /// [`on_miss_policed`](Self::on_miss_policed). Returns the same error
     /// feedback as [`train`](Self::train).
     pub fn train_traced(
         &mut self,
@@ -961,7 +955,8 @@ mod tests {
         for i in 0..30u64 {
             let ctx = TraceCtx::new(0, i);
             let a = plain.on_miss(Pc(7), ValueType::I32);
-            let b = traced.on_miss_traced(Pc(7), ValueType::I32, &mut ring, ctx);
+            let b =
+                traced.on_miss_policed(Pc(7), ValueType::I32, MissPolicy::Normal, &mut ring, ctx);
             assert_eq!(a, b, "tracing must not perturb outcomes (miss {i})");
             let skip = matches!(
                 b,

@@ -227,7 +227,7 @@ pub struct FullSystemStats {
     /// waits for) after the last core retired its trace. Not part of
     /// execution time — `cycles` stops when the cores finish.
     pub drain_cycles: u64,
-    /// Healthy→Demoted transitions by the quality-budget controllers.
+    /// Healthy→Demoted transitions by the governors' budget ladders.
     pub demotions: u64,
     /// Demoted→Disabled transitions.
     pub disables: u64,
@@ -247,7 +247,9 @@ pub struct FullSystemStats {
     pub govern_reverts: u64,
     /// Floor-level per-PC disables by the governors.
     pub govern_disables: u64,
-    /// End-of-run per-L1 governor reports (empty when governing is off).
+    /// End-of-run per-L1 governor reports: both ladders' end state and the
+    /// budget ladder's per-PC entries (empty when governing is off, and
+    /// for a precise machine, which builds no governor).
     pub govern: Vec<GovernorReport>,
     /// Energy events for `lva-energy`.
     pub energy: EnergyEvents,
@@ -1493,7 +1495,7 @@ impl FullSystem {
             .mem
             .l1
             .iter()
-            .filter_map(|l1| l1.miss.governor.as_deref().and_then(Governor::report))
+            .filter_map(|l1| l1.miss.governor.as_deref().map(Governor::report))
             .collect();
         stats.cycles = cores_done_at.unwrap_or(now);
         stats.drain_cycles = now.saturating_sub(stats.cycles);
@@ -1521,7 +1523,7 @@ struct CycleOutcome {
 }
 
 /// The statistics at cycle `now`: the memory system's counters plus what
-/// the per-L1 quality controllers, the cores and the mesh have accumulated
+/// the per-L1 governors, the cores and the mesh have accumulated
 /// so far. Both the epoch timeline sampler's mid-run snapshots and the
 /// end-of-run result are built from it. It first catches every core up to
 /// `now` ([`OooCore::catch_up`]), so a sleeping core's counters are exact.
@@ -2208,7 +2210,7 @@ mod tests {
     fn quiet_controller_changes_nothing() {
         // Stable values never blow a 50% budget: the controller only
         // observes, and every stat the machine reports is identical to the
-        // controller-off run.
+        // controller-off run — all but the per-L1 reports it hands back.
         let traces = vec![load_trace(2000, 64, true, 7.0)];
         let off = run(
             FullSystemConfig::paper(MechanismKind::Lva(ApproximatorConfig::baseline())),
@@ -2221,7 +2223,19 @@ mod tests {
         );
         assert_eq!(on.demotions, 0);
         assert_eq!(on.degrade_forced, 0);
-        assert_eq!(off, on);
+        assert_eq!(on.govern.len(), 4, "one report per mesh node's L1");
+        assert!(on
+            .govern
+            .iter()
+            .flat_map(|r| &r.entries)
+            .all(|e| e.state == crate::govern::QualityState::Healthy));
+        assert_eq!(
+            off,
+            FullSystemStats {
+                govern: Vec::new(),
+                ..on
+            }
+        );
     }
 
     #[test]
@@ -2299,6 +2313,11 @@ mod tests {
         );
         assert!(free.demotions == 0 && free.degrade_forced == 0);
         assert!(tight.demotions > 0, "sloppy PC must be demoted");
+        // The per-L1 reports name the sloppy PC, and their per-PC
+        // demotions are the machine's.
+        let entries = || tight.govern.iter().flat_map(|r| &r.entries);
+        assert!(entries().any(|e| e.pc == Pc(0x42) && e.demotions > 0));
+        assert_eq!(entries().map(|e| e.demotions).sum::<u64>(), tight.demotions);
         assert!(
             tight.degrade_forced > 0,
             "demoted misses must force fetches"

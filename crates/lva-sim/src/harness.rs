@@ -13,7 +13,7 @@
 //! subsequent load instructions.
 
 use crate::fault::FaultInjector;
-use crate::govern::{DegradeReport, Governor, GovernorReport};
+use crate::govern::{Governor, GovernorReport};
 use crate::mechanism::Mechanism;
 use crate::miss::{MissAction, MissPipeline};
 use crate::{ConfigError, Phase1Stats, SimConfig, ThreadStats};
@@ -144,16 +144,15 @@ pub struct RunArtifacts {
     /// Per-core event collectors; all [`TraceCollector::Off`] unless
     /// [`SimConfig::trace`] enabled event tracing.
     pub collectors: Vec<TraceCollector>,
-    /// Per-core budget-ladder reports (index = thread id); empty unless
-    /// [`SimConfig::govern`] set an error budget.
-    pub degrade: Vec<DegradeReport>,
     /// Per-thread epoch timelines sampled on the `load_clock` (index =
     /// thread id); empty unless [`SimConfig::timeline`] enabled sampling.
     /// The final partial epoch is flushed, so every counter's deltas sum
     /// exactly to its end-of-run cumulative value.
     pub timelines: Vec<Timeline>,
-    /// Per-thread epoch-ladder reports (index = thread id); empty unless
-    /// [`SimConfig::govern`] set an SLO.
+    /// Per-thread governor reports (index = thread id): both ladders' end
+    /// state and the budget ladder's per-PC entries. Empty unless
+    /// [`SimConfig::govern`] is set; the governor's counters are the
+    /// `govern_*` fields of [`Phase1Stats::per_thread`].
     pub govern: Vec<GovernorReport>,
 }
 
@@ -864,22 +863,16 @@ impl SimHarness {
             .iter_mut()
             .map(|t| std::mem::take(&mut t.obs))
             .collect();
-        let degrade = self
-            .threads
-            .iter()
-            .filter_map(|t| t.miss.governor.as_deref().and_then(Governor::budget_report))
-            .collect();
         let govern = self
             .threads
             .iter()
-            .filter_map(|t| t.miss.governor.as_deref().and_then(Governor::report))
+            .filter_map(|t| t.miss.governor.as_deref().map(Governor::report))
             .collect();
         let stats = Phase1Stats::from_threads(self.threads.into_iter().map(|t| t.stats).collect());
         RunArtifacts {
             stats,
             traces,
             collectors,
-            degrade,
             timelines,
             govern,
         }
@@ -1240,8 +1233,12 @@ mod tests {
         assert_eq!(off.stats.fingerprint(), on.stats.fingerprint());
         assert!(!on.stats.fingerprint().contains("dg="));
         // The controller still observed and reports healthy PCs.
-        assert!(on.degrade.iter().any(|r| !r.entries.is_empty()));
-        assert!(on.degrade.iter().flat_map(|r| r.offenders()).count() == 0);
+        assert!(on.govern.iter().any(|r| !r.entries.is_empty()));
+        assert!(on
+            .govern
+            .iter()
+            .flat_map(|r| &r.entries)
+            .all(|e| e.demotions == 0));
     }
 
     #[test]
@@ -1269,9 +1266,9 @@ mod tests {
         assert_eq!(off.stats.fingerprint(), on.stats.fingerprint());
         assert!(!on.stats.fingerprint().contains("gv="));
         // The governor still ran epochs — it just had nothing to say.
+        assert!(on.stats.total.govern_epochs > 0, "epochs must have closed");
+        assert_eq!(on.stats.total.govern_actuations, 0);
         let report = &on.govern[0];
-        assert!(report.epochs > 0, "epochs must have closed");
-        assert_eq!(report.actuations, 0);
         assert_eq!(report.level + 1, report.levels, "still at the top rung");
         assert!(off.govern.is_empty());
     }
@@ -1306,7 +1303,7 @@ mod tests {
         assert!(run.stats.total.demotions > 0, "sloppy PC must demote");
         assert!(run.stats.total.degrade_forced > 0);
         assert!(run.stats.fingerprint().contains("dg="));
-        let offender = run.degrade[0]
+        let offender = run.govern[0]
             .entries
             .iter()
             .find(|e| e.pc == Pc(0x42))
@@ -1614,7 +1611,7 @@ mod tests {
             None,
         );
         assert!(
-            governed.0.govern[0].epochs > 0,
+            governed.0.stats.per_thread[0].govern_epochs > 0,
             "the governor closed epochs"
         );
     }

@@ -37,9 +37,7 @@ pub mod sweep;
 pub use config::{ConfigError, MechanismKind, SimConfig, MAX_L1_BYTES, MAX_THREADS};
 pub use fault::FaultConfig;
 pub use fullsystem::{FullSystem, FullSystemConfig, FullSystemStats};
-pub use govern::{
-    DegradeReport, Governor, GovernorConfig, GovernorReport, PcDegradeEntry, QualityState,
-};
+pub use govern::{GovernorConfig, GovernorReport, PcDegradeEntry, QualityState};
 pub use harness::{LoadReq, RunArtifacts, SimHarness};
 pub use lva_obs::{TraceCollector, TraceConfig, TraceMode};
 pub use mechanism::{Knob, Mechanism};

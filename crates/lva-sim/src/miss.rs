@@ -20,8 +20,8 @@ use lva_obs::{TraceCtx, TraceEvent, TraceEventKind, TraceSink};
 
 use crate::config::{ConfigError, MechanismKind};
 use crate::fault::FaultInjector;
-use crate::govern::{apply_decision, Governor, GovernorConfig};
-use crate::mechanism::Mechanism;
+use crate::govern::{EpochOutcome, Governor, GovernorConfig};
+use crate::mechanism::{Knob, Mechanism};
 use crate::stats::ThreadStats;
 
 /// What the embedder must do with one annotated miss.
@@ -190,10 +190,14 @@ impl MissPipeline {
         }
     }
 
-    /// Closes one governor epoch against the cumulative `stats` and
-    /// actuates its decision on `mechanism`. A no-op without a governor;
-    /// embedders call it on the [`epoch_len`](Self::epoch_len) clock, which
-    /// never fires without the SLO layer.
+    /// Closes one governor epoch against the cumulative `stats`, sets each
+    /// knob of its decision on `mechanism`, and counts the epoch, its
+    /// transition and every knob that moved into `stats` — the one record
+    /// of the governor's counters — with one [`TraceEventKind::Actuate`]
+    /// event per moved knob (a knob the mechanism lacks moves nothing). A
+    /// no-op without a governor; embedders call it on the
+    /// [`epoch_len`](Self::epoch_len) clock, which never fires without the
+    /// SLO layer.
     pub(crate) fn on_epoch(
         &mut self,
         mechanism: &mut Mechanism,
@@ -201,9 +205,35 @@ impl MissPipeline {
         sink: &mut dyn TraceSink,
         ctx: TraceCtx,
     ) {
-        if let Some(g) = &mut self.governor {
-            let decision = g.epoch(stats);
-            apply_decision(&decision, mechanism, stats, sink, ctx);
+        let Some(g) = &mut self.governor else { return };
+        let decision = g.epoch(stats);
+        stats.govern_epochs += 1;
+        match decision.outcome {
+            EpochOutcome::Tighten => stats.govern_tightens += 1,
+            EpochOutcome::Relax => stats.govern_relaxes += 1,
+            EpochOutcome::Revert => stats.govern_reverts += 1,
+            EpochOutcome::PcDisable => stats.govern_disables += 1,
+            EpochOutcome::Quiet => {}
+        }
+        for knob in &decision.knobs {
+            // Ladder values come from the mechanism's own validated config,
+            // so a set can only be a no-op (Ok(false)), never an error.
+            if mechanism.set(knob) == Ok(true) {
+                stats.govern_actuations += 1;
+                if sink.enabled() {
+                    sink.record(TraceEvent::at(
+                        ctx,
+                        TraceEventKind::Actuate {
+                            knob: knob.name(),
+                            value: knob.value_f64(),
+                            pc: match knob {
+                                Knob::PcEnable { pc, .. } => Some(pc.0),
+                                _ => None,
+                            },
+                        },
+                    ));
+                }
+            }
         }
     }
 }
@@ -213,7 +243,6 @@ mod tests {
     use super::*;
     use crate::fault::FaultConfig;
     use crate::govern::QualityState;
-    use crate::mechanism::Knob;
     use lva_core::ApproximatorConfig;
     use lva_obs::NullSink;
 
@@ -328,6 +357,28 @@ mod tests {
             }
         ));
         assert_eq!((stats.approximations, stats.load_fetches), (1, 2));
+    }
+
+    #[test]
+    fn on_epoch_moves_the_mechanism_and_counts() {
+        let mut m =
+            Mechanism::from_kind(&MechanismKind::Lva(ApproximatorConfig::with_degree(4))).unwrap();
+        let cfg = GovernorConfig {
+            min_samples: 4,
+            ..GovernorConfig::slo(0.02)
+        };
+        let mut p = MissPipeline::new(&m, Some(cfg), None);
+        let mut stats = ThreadStats::default();
+        for _ in 0..10 {
+            let g = p.governor.as_mut().unwrap();
+            g.observe(PC, Some(0.5), &mut stats, &mut NullSink, ctx());
+        }
+        p.on_epoch(&mut m, &mut stats, &mut NullSink, ctx());
+        assert_eq!((stats.govern_epochs, stats.govern_tightens), (1, 1));
+        assert!(stats.govern_actuations >= 1);
+        let got = m.approximator().map(|a| a.config().degree);
+        assert_ne!(got, Some(4), "degree moved off the top rung");
+        assert_eq!(p.governor.as_ref().unwrap().report().degree, got.unwrap());
     }
 
     #[test]

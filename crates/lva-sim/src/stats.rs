@@ -214,11 +214,11 @@ thread_counters! {
     /// Distinct static PCs that issued approximate loads (Fig. 12).
     approx_pcs "pcs" => "mech/approx_pcs";
 
-    /// Whether the quality-budget controller or the fault injector ever
+    /// Whether the governor's budget ladder or the fault injector ever
     /// acted on this thread. Gates the `dg=[…]` fingerprint suffix so runs
     /// without robustness features keep their historical fingerprints.
     has_robustness_events(any) "dg", metrics always {
-        /// Healthy→Demoted transitions by the quality-budget controller.
+        /// Healthy→Demoted transitions by the governor's budget ladder.
         demotions => "degrade/demotions";
         /// Demoted→Disabled transitions (approximation switched off for a PC).
         disables => "degrade/disables";

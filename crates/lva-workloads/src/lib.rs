@@ -91,15 +91,13 @@ pub struct WorkloadRun {
     /// (all [`lva_obs::TraceCollector::Off`] unless [`SimConfig::trace`]
     /// is enabled).
     pub collectors: Vec<lva_obs::TraceCollector>,
-    /// Per-thread budget-ladder reports of the (possibly approximate) run
-    /// (empty unless [`SimConfig::govern`] sets an error budget).
-    pub degrade: Vec<lva_sim::DegradeReport>,
     /// Per-thread epoch timelines of the (possibly approximate) run,
     /// sampled on each thread's `load_clock` (empty unless
     /// [`SimConfig::timeline`] is set).
     pub timelines: Vec<lva_obs::Timeline>,
-    /// Per-thread epoch-ladder reports of the (possibly approximate) run
-    /// (empty unless [`SimConfig::govern`] sets an SLO).
+    /// Per-thread governor reports of the (possibly approximate) run: both
+    /// ladders' end state and the budget ladder's per-PC entries (empty
+    /// unless [`SimConfig::govern`] is set).
     pub govern: Vec<lva_sim::GovernorReport>,
 }
 
@@ -322,7 +320,6 @@ where
             output_error: kernel.output_error(precise_out, precise_out),
             traces: Vec::new(),
             collectors: reference.collectors.clone(),
-            degrade: Vec::new(),
             timelines: Vec::new(),
             govern: Vec::new(),
         };
@@ -341,7 +338,6 @@ where
         output_error: kernel.output_error(precise_out, &out),
         traces: Vec::new(),
         collectors: run.collectors,
-        degrade: run.degrade,
         timelines: run.timelines,
         govern: run.govern,
     }
@@ -479,7 +475,6 @@ mod tests {
         assert_eq!(a.output_error.to_bits(), b.output_error.to_bits(), "{what}");
         assert_eq!(a.traces, b.traces, "{what}");
         assert_eq!(a.collectors.len(), b.collectors.len(), "{what}");
-        assert_eq!(a.degrade.len(), b.degrade.len(), "{what}");
         assert_eq!(a.govern.len(), b.govern.len(), "{what}");
         assert_eq!(a.timelines.len(), b.timelines.len(), "{what}");
     }

@@ -298,7 +298,8 @@ fn window_label(w: ConfidenceWindow) -> String {
 }
 
 /// Prints the governor's per-thread summary for a finished run: where the
-/// ladder ended up and how much supervision it took to hold the SLO there.
+/// ladder ended up (the thread's report) and how much supervision it took
+/// to hold the SLO there (the thread's counters).
 fn print_govern(run: &WorkloadRun) {
     println!("  governor ({} thread(s)):", run.govern.len());
     println!(
@@ -314,15 +315,15 @@ fn print_govern(run: &WorkloadRun) {
         "deg",
         "edp/load"
     );
-    for (i, g) in run.govern.iter().enumerate() {
+    for (i, (g, t)) in run.govern.iter().zip(&run.stats.per_thread).enumerate() {
         println!(
             "    {:>6} {:>6} {:>7} {:>7} {:>6} {:>7} {:>7} {:>9} {:>6} {:>12}",
             i,
-            g.epochs,
-            g.actuations,
-            g.tightens,
-            g.relaxes,
-            g.reverts,
+            t.govern_epochs,
+            t.govern_actuations,
+            t.govern_tightens,
+            t.govern_relaxes,
+            t.govern_reverts,
             format!("{}/{}", g.level + 1, g.levels),
             window_label(g.window),
             g.degree,
@@ -341,7 +342,12 @@ fn print_govern(run: &WorkloadRun) {
 
 /// Prints the governor budget ladder's per-PC verdict for a finished run.
 fn print_degrade(run: &WorkloadRun) {
-    let mut offenders: Vec<_> = run.degrade.iter().flat_map(|r| r.offenders()).collect();
+    let mut offenders: Vec<_> = run
+        .govern
+        .iter()
+        .flat_map(|r| &r.entries)
+        .filter(|e| e.demotions > 0)
+        .collect();
     if offenders.is_empty() {
         println!("  quality: no PC left the healthy state");
         return;
@@ -798,7 +804,7 @@ fn cmd_attribute(args: &Args) -> Result<(), String> {
         merged.record_into(&mut record);
         // Budget-ladder verdicts land under `degrade/` paths so
         // robustness runs can be gated like any other manifest.
-        for report in &run.degrade {
+        for report in &run.govern {
             for e in &report.entries {
                 let base = format!("degrade/pc/{:#x}", e.pc.0);
                 record.push_stat(format!("{base}/trainings"), e.trainings as f64);

@@ -291,6 +291,76 @@ fn attribute_table_accounts_for_every_miss() {
 }
 
 #[test]
+fn run_prints_one_governor_row_per_thread_and_the_budget_ladder() {
+    let (ok, stdout, stderr) = explore(&[
+        "run",
+        "blackscholes",
+        "--scale",
+        "test",
+        "--govern",
+        "quality=2%",
+        "--error-budget",
+        "5%",
+    ]);
+    assert!(ok, "run failed: {stderr}");
+    assert!(
+        stdout.lines().any(|l| l.starts_with("  quality: ")),
+        "no budget-ladder line: {stdout}"
+    );
+    let header = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("  governor ("))
+        .expect("governor table");
+    let threads: usize = header
+        .split(' ')
+        .next()
+        .and_then(|n| n.parse().ok())
+        .expect("thread count");
+    assert!(threads > 0, "{header}");
+    // The rows follow the column header, one per thread in thread order,
+    // each having closed at least one epoch.
+    let rows: Vec<Vec<&str>> = stdout
+        .lines()
+        .skip_while(|l| !l.trim_start().starts_with("thread epochs"))
+        .skip(1)
+        .take_while(|l| l.starts_with("    "))
+        .filter(|l| !l.contains("disabled PCs:"))
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    let ids: Vec<usize> = rows.iter().map(|r| r[0].parse().expect("id")).collect();
+    assert_eq!(ids, (0..threads).collect::<Vec<_>>(), "{stdout}");
+    assert!(
+        rows.iter()
+            .all(|r| r[1].parse::<u64>().expect("epochs") > 0),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn attribute_writes_budget_verdicts_under_degrade_paths() {
+    let dir = std::env::temp_dir().join("lva_cli_degrade");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let path = dir.join("attr.json");
+    let path_str = path.to_str().expect("utf8 path");
+    let (ok, stdout, stderr) = explore(&[
+        "attribute",
+        "blackscholes",
+        "--scale",
+        "test",
+        "--error-budget",
+        "5%",
+        "--out",
+        path_str,
+    ]);
+    assert!(ok, "attribute failed: {stderr}");
+    assert!(stdout.contains("quality: "), "{stdout}");
+    let text = std::fs::read_to_string(&path).expect("manifest written");
+    assert!(text.contains("\"degrade/pc/0x"), "{text}");
+    assert!(text.contains("/trainings\""), "{text}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn clp_report_round_trips_through_compare() {
     let dir = std::env::temp_dir().join("lva_cli_clp_report");
     std::fs::create_dir_all(&dir).expect("tmp dir");

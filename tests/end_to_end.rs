@@ -149,7 +149,12 @@ fn budget_controller_contains_error_under_table_faults() {
         run.output_error
     );
     // The per-thread reports name the offenders and agree with the stats.
-    let offenders: Vec<_> = run.degrade.iter().flat_map(|r| r.offenders()).collect();
+    let offenders: Vec<_> = run
+        .govern
+        .iter()
+        .flat_map(|r| &r.entries)
+        .filter(|e| e.demotions > 0)
+        .collect();
     assert!(!offenders.is_empty(), "reports must name the demoted PCs");
     assert!(offenders
         .iter()

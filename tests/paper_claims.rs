@@ -234,10 +234,8 @@ fn governor_holds_a_2pct_slo_at_near_optimal_edp() {
             })
             .with_govern(govern);
             let run = w.execute(&cfg);
-            let acted = run
-                .govern
-                .iter()
-                .any(|g| g.actuations > 0 || g.pc_disables > 0);
+            let acted =
+                run.stats.total.govern_actuations > 0 || run.stats.total.govern_disables > 0;
             if !acted && run.output_error <= slo {
                 offline_best = offline_best.min(run.stats.estimated_edp(&params));
             }
@@ -260,10 +258,8 @@ fn governor_holds_a_2pct_slo_at_near_optimal_edp() {
             // No static rung holds the governor's quality signal: the
             // closed loop must have earned (a) by actually supervising —
             // tightening off the top rung and/or disabling offenders.
-            let supervised = governed
-                .govern
-                .iter()
-                .any(|g| g.tightens > 0 || g.pc_disables > 0);
+            let supervised = governed.stats.total.govern_tightens > 0
+                || governed.stats.total.govern_disables > 0;
             assert!(
                 supervised,
                 "{}: no static rung holds the SLO yet the governor never acted",
