@@ -1,6 +1,8 @@
 //! Set-associative cache tag model with true-LRU replacement.
 
 use lva_core::{Addr, BLOCK_BYTES};
+use std::cell::RefCell;
+use std::fmt;
 
 /// Per-line coherence/validity state. The phase-1 harness only uses
 /// `Shared`; the full-system simulator uses the full MSI set.
@@ -96,8 +98,18 @@ impl AccessResult {
 /// `states` / `prefetched` arrays indexed `set * ways + way`, with a
 /// per-set occupancy count keeping valid ways contiguous. The hot-path tag
 /// scan is then a tight loop over adjacent `u64`s the autovectorizer can
-/// chew on, and construction is a handful of `calloc`s instead of one
-/// allocation per set.
+/// chew on.
+///
+/// A dropped cache hands its arrays to a free list kept per thread, and
+/// [`new`](Self::new) takes back arrays of the same line count from it,
+/// whatever their geometry, zeroing only the occupancy counts. A phase-1
+/// harness builds twelve caches of about 2.1 MB in all, so a thread that
+/// runs harness after harness stops zeroing and page-faulting that much
+/// per run. Stale lines are never seen: every read stays inside a set's
+/// first `occupancy[set]` ways, and an install writes all four arrays
+/// before the count grows past its way. The list holds at most
+/// [`RECYCLE_CAP_LINES`](Self::RECYCLE_CAP_LINES) lines, one phase-1
+/// harness's worth, and lets go of its oldest storage first.
 ///
 /// # Example
 ///
@@ -110,7 +122,7 @@ impl AccessResult {
 /// l1.install(Addr(0x40), false);
 /// assert!(l1.access(Addr(0x7f)).is_hit()); // same 64 B block
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
     /// Per-line tags, `set * ways + way`; only `occupancy[set]` ways valid.
@@ -137,6 +149,21 @@ pub struct SetAssocCache {
 }
 
 impl SetAssocCache {
+    /// Most lines a thread's free list of cache storage holds: one phase-1
+    /// harness's twelve caches, four threads of a 64 KB L1, a 256 KB L2
+    /// and a 2 MB LLC slice at 64 B lines.
+    pub const RECYCLE_CAP_LINES: usize = 151_552;
+
+    /// Lines of storage this thread's free list holds for the next
+    /// [`new`](Self::new), never above
+    /// [`RECYCLE_CAP_LINES`](Self::RECYCLE_CAP_LINES).
+    #[must_use]
+    pub fn recycled_lines() -> usize {
+        FREE_STORAGE
+            .try_with(|free| free.borrow().iter().map(Storage::lines).sum())
+            .unwrap_or(0)
+    }
+
     /// Builds a cache of the given geometry.
     ///
     /// # Panics
@@ -158,14 +185,20 @@ impl SetAssocCache {
             sets > 0 && sets.is_power_of_two(),
             "set count must be a non-zero power of two, got {sets}"
         );
-        let lines = sets * config.ways;
+        let Storage {
+            tags,
+            last_use,
+            states,
+            prefetched,
+            occupancy,
+        } = Storage::take(sets * config.ways, sets);
         SetAssocCache {
             config,
-            tags: vec![0; lines],
-            last_use: vec![0; lines],
-            states: vec![LineState::Shared; lines],
-            prefetched: vec![false; lines],
-            occupancy: vec![0; sets],
+            tags,
+            last_use,
+            states,
+            prefetched,
+            occupancy,
             num_sets: sets,
             clock: 0,
             block_shift: config.block_bytes.trailing_zeros(),
@@ -355,6 +388,93 @@ impl SetAssocCache {
     #[must_use]
     pub fn resident_lines(&self) -> usize {
         self.occupancy.iter().map(|&o| o as usize).sum()
+    }
+}
+
+impl Drop for SetAssocCache {
+    fn drop(&mut self) {
+        Storage {
+            tags: std::mem::take(&mut self.tags),
+            last_use: std::mem::take(&mut self.last_use),
+            states: std::mem::take(&mut self.states),
+            prefetched: std::mem::take(&mut self.prefetched),
+            occupancy: std::mem::take(&mut self.occupancy),
+        }
+        .give();
+    }
+}
+
+/// Only the geometry and the valid lines: the arrays past each set's
+/// occupancy may hold a dropped cache's lines.
+impl fmt::Debug for SetAssocCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SetAssocCache")
+            .field("config", &self.config)
+            .field("resident_lines", &self.resident_lines())
+            .field("clock", &self.clock)
+            .finish_non_exhaustive()
+    }
+}
+
+/// A cache's arrays on their way to or from the free list.
+struct Storage {
+    tags: Vec<u64>,
+    last_use: Vec<u32>,
+    states: Vec<LineState>,
+    prefetched: Vec<bool>,
+    occupancy: Vec<u8>,
+}
+
+thread_local! {
+    /// Storage of dropped caches, oldest first.
+    static FREE_STORAGE: RefCell<Vec<Storage>> = const { RefCell::new(Vec::new()) };
+}
+
+impl Storage {
+    fn lines(&self) -> usize {
+        self.tags.len()
+    }
+
+    /// Arrays for `lines` lines over `sets` empty sets: the newest free
+    /// storage of that line count, or fresh zeroed arrays.
+    fn take(lines: usize, sets: usize) -> Storage {
+        let recycled = FREE_STORAGE.try_with(|free| {
+            let mut free = free.borrow_mut();
+            let i = free.iter().rposition(|s| s.lines() == lines)?;
+            Some(free.remove(i))
+        });
+        match recycled.ok().flatten() {
+            Some(mut storage) => {
+                storage.occupancy.clear();
+                storage.occupancy.resize(sets, 0);
+                storage
+            }
+            None => Storage {
+                tags: vec![0; lines],
+                last_use: vec![0; lines],
+                states: vec![LineState::Shared; lines],
+                prefetched: vec![false; lines],
+                occupancy: vec![0; sets],
+            },
+        }
+    }
+
+    /// Puts the storage on this thread's free list, letting go of the
+    /// oldest entries to stay within the cap. During thread teardown the
+    /// storage is simply freed.
+    fn give(self) {
+        let lines = self.lines();
+        if lines > SetAssocCache::RECYCLE_CAP_LINES {
+            return;
+        }
+        let _ = FREE_STORAGE.try_with(|free| {
+            let mut free = free.borrow_mut();
+            let mut held = lines + free.iter().map(Storage::lines).sum::<usize>();
+            while held > SetAssocCache::RECYCLE_CAP_LINES {
+                held -= free.remove(0).lines();
+            }
+            free.push(self);
+        });
     }
 }
 

@@ -3,7 +3,7 @@
 //! behaviour. Driven by deterministic seeded-PRNG case loops.
 
 use lva_core::{Addr, Rng64, Value, ValueType};
-use lva_mem::{CacheConfig, SetAssocCache, SimMemory};
+use lva_mem::{CacheConfig, LineState, SetAssocCache, SimMemory};
 use std::collections::HashMap;
 
 const CASES: u64 = 256;
@@ -145,6 +145,132 @@ fn eviction_addresses_are_real() {
             installed.push(b);
         }
     }
+}
+
+/// 8 KB at `ways` ways: 128 lines, over 16 sets at 8 ways or 8 at 16.
+fn lines_128(ways: usize) -> CacheConfig {
+    CacheConfig {
+        size_bytes: 8 * 1024,
+        ways,
+        block_bytes: 64,
+    }
+}
+
+/// Every return value of a seeded mix of calls on `cache`, in call order.
+fn mixed_calls(cache: &mut SetAssocCache, seed: u64) -> Vec<String> {
+    const STATES: [LineState; 3] = [LineState::Shared, LineState::Exclusive, LineState::Modified];
+    let mut rng = Rng64::new(seed);
+    let mut out = Vec::new();
+    for _ in 0..2_000 {
+        // Four times the capacity in blocks: hits, misses and evictions.
+        let addr = Addr(rng.gen_range(0u64..512) * 64 + rng.gen_range(0u64..64));
+        let state = STATES[rng.gen_range(0usize..3)];
+        let result = match rng.gen_range(0u32..8) {
+            0 => format!("{:?}", cache.access(addr)),
+            1 => format!("{:?}", cache.install(addr, rng.gen_bool(0.3))),
+            2 => format!(
+                "{:?}",
+                cache.install_in_state(addr, state, rng.gen_bool(0.3))
+            ),
+            3 => {
+                cache.set_state(addr, state);
+                String::new()
+            }
+            4 => format!("{:?}", cache.invalidate(addr)),
+            5 => format!("{:?}", cache.probe(addr)),
+            6 => format!("{:?}", cache.state(addr)),
+            _ => format!("{:?}", cache.resident_lines()),
+        };
+        out.push(result);
+    }
+    out
+}
+
+/// A cache built on storage recycled from a fully dirtied cache of the
+/// same line count but another geometry answers every call exactly as a
+/// freshly allocated one does.
+#[test]
+fn recycled_storage_behaves_as_fresh() {
+    for (ways, dirty_ways) in [(8, 16), (16, 8)] {
+        // A new thread starts with an empty free list, whatever ran before.
+        std::thread::spawn(move || {
+            let seed = 0x7ec0_c1ed ^ ways as u64;
+            assert_eq!(SetAssocCache::recycled_lines(), 0);
+            let mut fresh = SetAssocCache::new(lines_128(ways));
+            let want = mixed_calls(&mut fresh, seed);
+
+            // Every way of every set valid, modified and prefetch-marked.
+            let mut dirty = SetAssocCache::new(lines_128(dirty_ways));
+            for block in 0..1_024 {
+                dirty.install_in_state(Addr(block * 64), LineState::Modified, true);
+            }
+            assert_eq!(dirty.resident_lines(), 128);
+            drop(dirty);
+            assert_eq!(SetAssocCache::recycled_lines(), 128);
+
+            let mut recycled = SetAssocCache::new(lines_128(ways));
+            assert_eq!(SetAssocCache::recycled_lines(), 0, "storage not reused");
+            let got = mixed_calls(&mut recycled, seed);
+            if let Some(i) = (0..want.len()).find(|&i| want[i] != got[i]) {
+                panic!(
+                    "{ways}-way cache on {dirty_ways}-way storage: call {i} returned {} \
+                     fresh, {} recycled",
+                    want[i], got[i]
+                );
+            }
+        })
+        .join()
+        .expect("recycled cache diverged");
+    }
+}
+
+/// A thread's free list holds one phase-1 harness's caches and never more,
+/// whatever mix of geometries is built and dropped.
+#[test]
+fn free_list_stays_within_its_cap() {
+    std::thread::spawn(|| {
+        let cap = SetAssocCache::RECYCLE_CAP_LINES;
+        let geometry = |size_bytes, ways| CacheConfig {
+            size_bytes,
+            ways,
+            block_bytes: 64,
+        };
+        // The phase-1 harness's per-thread L1, L2 and LLC slice.
+        let harness_thread = [
+            CacheConfig::pin_l1(),
+            geometry(256 * 1024, 8),
+            geometry(2 * 1024 * 1024, 16),
+        ];
+        drop(
+            (0..4)
+                .flat_map(|_| harness_thread.map(SetAssocCache::new))
+                .collect::<Vec<_>>(),
+        );
+        assert_eq!(SetAssocCache::recycled_lines(), cap);
+
+        let geometries = [
+            harness_thread[0],
+            harness_thread[1],
+            harness_thread[2],
+            // Above the cap on its own, so never held.
+            geometry(16 * 1024 * 1024, 16),
+            CacheConfig::fullsystem_l1(),
+            CacheConfig::fullsystem_l2_bank(),
+        ];
+        let mut rng = Rng64::new(0xca9_11e5);
+        let mut live = Vec::new();
+        for _ in 0..256 {
+            if live.len() < 12 && rng.gen_bool(0.5) {
+                let g = geometries[rng.gen_range(0..geometries.len())];
+                live.push(SetAssocCache::new(g));
+            } else if !live.is_empty() {
+                drop(live.swap_remove(rng.gen_range(0..live.len())));
+            }
+            assert!(SetAssocCache::recycled_lines() <= cap);
+        }
+    })
+    .join()
+    .expect("free list exceeded its cap");
 }
 
 /// SimMemory: the last write to each byte wins, regardless of typed

@@ -210,9 +210,7 @@ pub trait Workload: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Runs the kernel precisely under [`precise_config`]`(config)`, for
-    /// a reference that outlives the call (a memo entry): its output and
-    /// statistics are copied below the freed harness on the heap, so
-    /// holding it keeps no freed harness pages resident.
+    /// a reference that outlives the call (a memo entry).
     fn precise_reference(&self, config: &SimConfig) -> PreciseReference;
 
     /// Runs the kernel under `config` and reports it against `reference`.
@@ -237,14 +235,14 @@ pub trait Workload: Send + Sync {
 impl<K> Workload for K
 where
     K: Kernel + Send + Sync,
-    K::Output: Clone + Send + Sync + 'static,
+    K::Output: Send + Sync + 'static,
 {
     fn name(&self) -> &'static str {
         Kernel::name(self)
     }
 
     fn precise_reference(&self, config: &SimConfig) -> PreciseReference {
-        precise_run(self, config, true)
+        precise_run(self, config)
     }
 
     fn execute_against(&self, config: &SimConfig, reference: &PreciseReference) -> WorkloadRun {
@@ -254,8 +252,7 @@ where
     }
 
     fn execute(&self, config: &SimConfig) -> WorkloadRun {
-        // The reference dies with this call: no copy to place.
-        let reference = precise_run(self, config, false);
+        let reference = precise_run(self, config);
         let mut run = run_against(self, config, &reference);
         // The reference dies here, so its traces move instead of cloning.
         run.traces = reference.traces;
@@ -264,26 +261,15 @@ where
 }
 
 /// Runs `kernel` under [`precise_config`]`(config)`.
-///
-/// With `compact`, the output and the statistics are copied once the
-/// harness is freed. They were allocated while the harness's memory was
-/// live, so they sit above it on the heap, where a long-lived reference
-/// keeps the allocator from returning the harness's freed pages (about
-/// 0.9 MB of peak RSS on the serve benchmark); the copies land in that
-/// freed space instead. A reference that dies with its call skips them.
-fn precise_run<K>(kernel: &K, config: &SimConfig, compact: bool) -> PreciseReference
+fn precise_run<K>(kernel: &K, config: &SimConfig) -> PreciseReference
 where
     K: Kernel,
-    K::Output: Clone + Send + Sync + 'static,
+    K::Output: Send + Sync + 'static,
 {
     let config = precise_config(config);
     let mut harness = SimHarness::new(config.clone());
-    let mut output = kernel.run(&mut harness);
-    let mut run = harness.finish();
-    if compact {
-        output = output.clone();
-        run.stats = run.stats.clone();
-    }
+    let output = kernel.run(&mut harness);
+    let run = harness.finish();
     PreciseReference {
         config,
         kernel: kernel.name(),

@@ -340,23 +340,27 @@ fn print_govern(run: &WorkloadRun) {
     }
 }
 
-/// Prints the governor budget ladder's per-PC verdict for a finished run.
+/// Prints the governor budget ladder's per-PC verdict for a finished run,
+/// one row per thread that demoted the PC.
 fn print_degrade(run: &WorkloadRun) {
     let mut offenders: Vec<_> = run
         .govern
         .iter()
-        .flat_map(|r| &r.entries)
-        .filter(|e| e.demotions > 0)
+        .enumerate()
+        .flat_map(|(t, r)| r.entries.iter().map(move |e| (t, e)))
+        .filter(|(_, e)| e.demotions > 0)
         .collect();
     if offenders.is_empty() {
         println!("  quality: no PC left the healthy state");
         return;
     }
-    offenders.sort_by_key(|e| e.pc);
-    println!("  quality: {} offending PC(s):", offenders.len());
-    for e in offenders {
+    offenders.sort_by_key(|&(t, e)| (e.pc, t));
+    let mut pcs: Vec<_> = offenders.iter().map(|(_, e)| e.pc).collect();
+    pcs.dedup();
+    println!("  quality: {} offending PC(s):", pcs.len());
+    for (t, e) in offenders {
         println!(
-            "    {:#14x}  {:<8}  ewma {:>8.4}  demoted {:>3}x  disabled {:>3}x  err p95 {} ppm",
+            "    {:#14x}  t{t:<3}  {:<8}  ewma {:>8.4}  demoted {:>3}x  disabled {:>3}x  err p95 {} ppm",
             e.pc.0,
             e.state.label(),
             e.ewma,
@@ -802,11 +806,12 @@ fn cmd_attribute(args: &Args) -> Result<(), String> {
         record.set_meta("workload", name);
         record.set_meta("mechanism", config.mechanism.label());
         merged.record_into(&mut record);
-        // Budget-ladder verdicts land under `degrade/` paths so
-        // robustness runs can be gated like any other manifest.
-        for report in &run.govern {
+        // Budget-ladder verdicts land under one `degrade/t<thread>/pc/<pc>/`
+        // path each, so robustness runs can be gated like any other
+        // manifest.
+        for (t, report) in run.govern.iter().enumerate() {
             for e in &report.entries {
-                let base = format!("degrade/pc/{:#x}", e.pc.0);
+                let base = format!("degrade/t{t}/pc/{:#x}", e.pc.0);
                 record.push_stat(format!("{base}/trainings"), e.trainings as f64);
                 record.push_stat(format!("{base}/ewma"), e.ewma);
                 if e.demotions > 0 {

@@ -353,10 +353,36 @@ fn attribute_writes_budget_verdicts_under_degrade_paths() {
         path_str,
     ]);
     assert!(ok, "attribute failed: {stderr}");
-    assert!(stdout.contains("quality: "), "{stdout}");
+    // The summary counts distinct PCs; each row names its thread.
+    let rows: Vec<&str> = stdout
+        .lines()
+        .skip_while(|l| !l.contains("quality: "))
+        .skip(1)
+        .take_while(|l| l.trim_start().starts_with("0x"))
+        .collect();
+    let mut pcs: Vec<&str> = rows
+        .iter()
+        .map(|r| r.split_whitespace().next().unwrap())
+        .collect();
+    pcs.dedup();
+    assert!(!pcs.is_empty(), "{stdout}");
+    assert!(
+        stdout.contains(&format!("quality: {} offending PC(s):", pcs.len())),
+        "{stdout}"
+    );
+    assert!(rows.iter().all(|r| r
+        .split_whitespace()
+        .nth(1)
+        .is_some_and(|t| t.starts_with('t'))));
+    // One key per thread and PC, so the manifest gates against itself.
     let text = std::fs::read_to_string(&path).expect("manifest written");
-    assert!(text.contains("\"degrade/pc/0x"), "{text}");
+    assert!(text.contains("\"degrade/t0/pc/0x"), "{text}");
+    assert!(text.contains("\"degrade/t3/pc/0x"), "{text}");
+    assert!(!text.contains("\"degrade/pc/"), "{text}");
     assert!(text.contains("/trainings\""), "{text}");
+    let (ok, stdout, stderr) = explore(&["compare", path_str, path_str]);
+    assert!(ok, "self-compare failed: {stdout}{stderr}");
+    assert!(stdout.contains("verdict: PASS"), "{stdout}");
     let _ = std::fs::remove_dir_all(dir);
 }
 

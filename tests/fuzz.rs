@@ -8,6 +8,8 @@
 use lva::core::{ApproximatorConfig, ClpConfig, LvpConfig, Rng64};
 use lva::cpu::trace_io::{read_traces, write_traces};
 use lva::obs::parse_json;
+use lva::serve::protocol::{encode_outcome, parse_server_line, ServerLine};
+use lva::serve::{evaluate_point, JobOutcome, PointSpec};
 use lva::sim::{FaultConfig, FullSystem, FullSystemConfig, MechanismKind, SimConfig};
 use lva::workloads::{registry, WorkloadScale};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -141,4 +143,39 @@ fn config_json_decodes_or_errors_but_never_panics() {
         }
     }
     assert!(decoded > 0, "no mutant decoded");
+}
+
+#[test]
+fn server_lines_decode_or_error_but_never_panic() {
+    // The final line of a two-point job: one manifest, one refused point.
+    let results: Vec<_> = ["blackscholes", "no-such-kernel"]
+        .into_iter()
+        .map(|name| {
+            evaluate_point(&PointSpec::new(
+                name,
+                WorkloadScale::Test,
+                0,
+                SimConfig::precise(),
+            ))
+        })
+        .collect();
+    assert!(results[0].is_ok() && results[1].is_err(), "{results:?}");
+    let outcome = JobOutcome {
+        results,
+        cache_hits: 1,
+        deduped: 0,
+    };
+    let seed = encode_outcome(7, &outcome);
+    match parse_server_line(&seed) {
+        Ok(ServerLine::Outcome {
+            job: 7, results, ..
+        }) => assert_eq!(results, outcome.results),
+        other => panic!("the seed line must decode to its outcome, got {other:?}"),
+    }
+    let mut rng = Rng64::new(0x5e7e_11e5);
+    for (what, bytes) in mutants(seed.as_bytes(), &mut rng, 256, 64) {
+        let line = String::from_utf8_lossy(&bytes);
+        let decoded = catch_unwind(|| parse_server_line(&line).is_ok());
+        assert!(decoded.is_ok(), "{what}: decoding panicked on {line}");
+    }
 }
