@@ -89,12 +89,6 @@ impl FigureManifest {
         }
         eprintln!("  manifest: {}", path.display());
     }
-
-    /// The underlying run record (for tests and custom writers).
-    #[must_use]
-    pub fn record(&self) -> &RunRecord {
-        &self.record
-    }
 }
 
 /// Reconstructs the `(value_name, series)` tables stored in a figure
@@ -143,7 +137,7 @@ mod tests {
         let mut m = FigureManifest::new("figX", 1);
         m.add_table("normalized MPKI", &sample());
         m.add_table("output error %", &sample()[..1]);
-        let got = tables(m.record());
+        let got = tables(&m.record);
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].0, "normalized MPKI");
         assert_eq!(got[0].1.len(), 2);
@@ -157,9 +151,9 @@ mod tests {
     fn tables_survive_json_round_trip() {
         let mut m = FigureManifest::new("figY", 1);
         m.add_table("normalized fetches", &sample());
-        let text = m.record().to_string_pretty();
+        let text = m.record.to_string_pretty();
         let parsed = RunRecord::parse(&text).expect("manifest parses");
-        assert_eq!(tables(&parsed), tables(m.record()));
+        assert_eq!(tables(&parsed), tables(&m.record));
     }
 
     #[test]
@@ -171,7 +165,7 @@ mod tests {
         // Scoped override of LVA_BENCH_DIR without mutating process env
         // (tests run in parallel): write through the record directly.
         let path = dir.join(lva_obs::bench_file_name("figZ"));
-        lva_obs::write_manifest(&path, m.record()).expect("writes");
+        lva_obs::write_manifest(&path, &m.record).expect("writes");
         assert!(path.ends_with("BENCH_figZ.json"));
         let back = lva_obs::read_manifest(&path).expect("reads");
         assert_eq!(tables(&back).len(), 1);

@@ -31,22 +31,10 @@ pub enum ComputeFn {
 }
 
 impl ComputeFn {
-    /// Applies the function to a non-empty history, returning the numeric
-    /// estimate. Convenience wrapper over `apply_slice`
-    /// for ring-buffer histories.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lhb` is empty; callers must check first.
-    #[must_use]
-    pub fn apply(self, lhb: &HistoryBuffer<Value>) -> f64 {
-        let vals: Vec<Value> = lhb.iter().copied().collect();
-        self.apply_slice(&vals)
-    }
-
     /// Applies the function to a non-empty history slice ordered oldest
-    /// first — the zero-copy path over the approximator table's flat LHB
-    /// storage ([`crate::ApproximatorTable::lhb_values`]).
+    /// first, returning the numeric estimate — a zero-copy view of the
+    /// approximator table's flat LHB storage
+    /// ([`crate::ApproximatorTable::lhb_values`]).
     ///
     /// # Panics
     ///
@@ -271,15 +259,6 @@ impl MissOutcome {
             MissOutcome::Fallthrough(t) => *t,
         }
     }
-
-    /// The approximation, if one was produced.
-    #[must_use]
-    pub fn approximation(&self) -> Option<&Approximation> {
-        match self {
-            MissOutcome::Approximate(a) => Some(a),
-            MissOutcome::Fallthrough(_) => None,
-        }
-    }
 }
 
 /// The load value approximator of Fig. 3.
@@ -352,12 +331,6 @@ impl LoadValueApproximator {
         &self.config
     }
 
-    /// The global history buffer (read-only; useful for tests and tools).
-    #[must_use]
-    pub fn ghb(&self) -> &HistoryBuffer<Value> {
-        &self.ghb
-    }
-
     /// The approximator table (read-only).
     #[must_use]
     pub fn table(&self) -> &ApproximatorTable {
@@ -412,13 +385,6 @@ impl LoadValueApproximator {
             Err(i) if !enabled => self.disabled_pcs.insert(i, pc),
             _ => {}
         }
-    }
-
-    /// The PCs currently disabled via [`set_pc_enabled`](Self::set_pc_enabled),
-    /// sorted ascending.
-    #[must_use]
-    pub fn disabled_pcs(&self) -> &[Pc] {
-        &self.disabled_pcs
     }
 
     /// Consults the approximator on an L1 miss of an annotated load at `pc`
@@ -828,7 +794,7 @@ mod tests {
         let mut approximations = 0;
         for _ in 0..5 {
             let outcome = a.on_miss(Pc(6), ValueType::F32);
-            approximations += u32::from(outcome.approximation().is_some());
+            approximations += u32::from(matches!(outcome, MissOutcome::Approximate(_)));
             a.train(outcome.token(), Value::from_f32(1.0));
         }
         assert!(approximations >= 3, "warm entry approximates");
@@ -836,20 +802,17 @@ mod tests {
 
     #[test]
     fn compute_fns_behave() {
-        let mut lhb = HistoryBuffer::new(4);
-        lhb.extend([2.0f32, 4.0, 6.0].into_iter().map(Value::from_f32));
-        assert_eq!(ComputeFn::Average.apply(&lhb), 4.0);
-        assert_eq!(ComputeFn::LastValue.apply(&lhb), 6.0);
-        assert_eq!(ComputeFn::Stride.apply(&lhb), 8.0);
-        let w = ComputeFn::WeightedAverage.apply(&lhb);
+        let lhb = [2.0f32, 4.0, 6.0].map(Value::from_f32);
+        assert_eq!(ComputeFn::Average.apply_slice(&lhb), 4.0);
+        assert_eq!(ComputeFn::LastValue.apply_slice(&lhb), 6.0);
+        assert_eq!(ComputeFn::Stride.apply_slice(&lhb), 8.0);
+        let w = ComputeFn::WeightedAverage.apply_slice(&lhb);
         assert!((w - (2.0 + 8.0 + 18.0) / 6.0).abs() < 1e-9);
     }
 
     #[test]
     fn stride_with_single_value_is_last_value() {
-        let mut lhb = HistoryBuffer::new(4);
-        lhb.push(Value::from_f32(5.0));
-        assert_eq!(ComputeFn::Stride.apply(&lhb), 5.0);
+        assert_eq!(ComputeFn::Stride.apply_slice(&[Value::from_f32(5.0)]), 5.0);
     }
 
     #[test]

@@ -59,12 +59,6 @@ impl ContextHasher {
         }
     }
 
-    /// Number of mantissa bits zeroed before hashing float values.
-    #[must_use]
-    pub fn mantissa_loss_bits(&self) -> u32 {
-        self.mantissa_loss_bits
-    }
-
     /// Hashes the load PC together with the GHB contents.
     ///
     /// With an empty (or zero-capacity) GHB this reduces to a scramble of the

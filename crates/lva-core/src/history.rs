@@ -24,12 +24,6 @@ impl<T> HistoryBuffer<T> {
         }
     }
 
-    /// Maximum number of items the buffer retains.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of items currently held.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -57,26 +51,9 @@ impl<T> HistoryBuffer<T> {
         evicted
     }
 
-    /// The most recently pushed item.
-    #[must_use]
-    pub fn newest(&self) -> Option<&T> {
-        self.items.back()
-    }
-
-    /// The oldest retained item.
-    #[must_use]
-    pub fn oldest(&self) -> Option<&T> {
-        self.items.front()
-    }
-
     /// Iterates oldest → newest.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &T> + '_ {
         self.items.iter()
-    }
-
-    /// Removes all items, keeping the capacity.
-    pub fn clear(&mut self) {
-        self.items.clear();
     }
 }
 
@@ -116,28 +93,6 @@ mod tests {
         let mut buf = HistoryBuffer::new(0);
         assert_eq!(buf.push(42), Some(42));
         assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn newest_and_oldest_track_fifo_order() {
-        let mut buf = HistoryBuffer::new(2);
-        assert_eq!(buf.newest(), None);
-        buf.push("a");
-        buf.push("b");
-        buf.push("c");
-        assert_eq!(buf.oldest(), Some(&"b"));
-        assert_eq!(buf.newest(), Some(&"c"));
-    }
-
-    #[test]
-    fn clear_preserves_capacity() {
-        let mut buf = HistoryBuffer::new(2);
-        buf.extend([1, 2, 3]);
-        buf.clear();
-        assert!(buf.is_empty());
-        assert_eq!(buf.capacity(), 2);
-        buf.push(9);
-        assert_eq!(buf.newest(), Some(&9));
     }
 
     #[test]

@@ -17,13 +17,13 @@
 //! to be served by a *slow* level, and take the precise fast path for the
 //! rest.
 //!
-//! Like the approximator, every entry point has a `*_traced` variant that
-//! emits [`TraceEventKind::LevelPredict`]/[`TraceEventKind::LevelVerify`]
-//! events; the untraced API delegates with a [`NullSink`] so traced and
-//! untraced runs take the same path.
+//! Both entry points take a trace sink and emit
+//! [`TraceEventKind::LevelPredict`]/[`TraceEventKind::LevelVerify`]
+//! events; untraced callers pass a [`NullSink`](lva_obs::NullSink), so
+//! traced and untraced runs take the same path.
 
 use crate::{ConfidenceCounter, ConfigError, Pc, MAX_TABLE_ENTRIES};
-use lva_obs::{NullSink, TraceCtx, TraceEvent, TraceEventKind, TraceSink};
+use lva_obs::{TraceCtx, TraceEvent, TraceEventKind, TraceSink};
 
 /// A level of the modelled memory hierarchy, ordered fastest to slowest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -180,8 +180,8 @@ impl Default for ClpConfig {
     }
 }
 
-/// One level prediction, carried from [`LevelPredictor::predict`] to
-/// [`LevelPredictor::verify`].
+/// One level prediction, carried from [`LevelPredictor::predict_traced`] to
+/// [`LevelPredictor::verify_traced`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LevelPrediction {
     /// The load PC the prediction was made for.
@@ -283,13 +283,7 @@ impl LevelPredictor {
     /// Predicts the level that will serve a miss at `pc`. A tagged hit
     /// returns the trained level and the state of its confidence gate; a
     /// cold or conflicted slot conservatively predicts the deepest
-    /// configured level, unconfidently.
-    #[must_use]
-    pub fn predict(&self, pc: Pc) -> LevelPrediction {
-        self.predict_traced(pc, &mut NullSink, TraceCtx::new(0, 0))
-    }
-
-    /// [`predict`](Self::predict) with instrumentation: emits a
+    /// configured level, unconfidently. Emits a
     /// [`TraceEventKind::LevelPredict`] event. Write-only, like every sink.
     #[must_use]
     pub fn predict_traced(
@@ -327,12 +321,7 @@ impl LevelPredictor {
 
     /// Resolves a prediction against the level that actually served the
     /// miss, updating confidence and (on a tag conflict) evicting the
-    /// previous owner. Returns whether the prediction was correct.
-    pub fn verify(&mut self, prediction: &LevelPrediction, actual: CacheLevel) -> bool {
-        self.verify_traced(prediction, actual, &mut NullSink, TraceCtx::new(0, 0))
-    }
-
-    /// [`verify`](Self::verify) with instrumentation: emits a
+    /// previous owner. Returns whether the prediction was correct. Emits a
     /// [`TraceEventKind::LevelVerify`] event.
     pub fn verify_traced(
         &mut self,
@@ -399,6 +388,15 @@ impl LevelPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lva_obs::NullSink;
+
+    fn predict(p: &LevelPredictor, pc: Pc) -> LevelPrediction {
+        p.predict_traced(pc, &mut NullSink, TraceCtx::new(0, 0))
+    }
+
+    fn verify(p: &mut LevelPredictor, prediction: &LevelPrediction, actual: CacheLevel) -> bool {
+        p.verify_traced(prediction, actual, &mut NullSink, TraceCtx::new(0, 0))
+    }
 
     #[test]
     fn levels_are_ordered_and_latencies_monotonic() {
@@ -417,7 +415,7 @@ mod tests {
     #[test]
     fn cold_prediction_is_deepest_and_unconfident() {
         let p = LevelPredictor::new(ClpConfig::baseline());
-        let pred = p.predict(Pc(0x100));
+        let pred = predict(&p, Pc(0x100));
         assert_eq!(pred.level, CacheLevel::Dram);
         assert!(!pred.confident);
     }
@@ -428,10 +426,10 @@ mod tests {
         let pc = Pc(0x40);
         let mut correct = 0;
         for _ in 0..4 {
-            let pred = p.predict(pc);
-            correct += u32::from(p.verify(&pred, CacheLevel::L2));
+            let pred = predict(&p, pc);
+            correct += u32::from(verify(&mut p, &pred, CacheLevel::L2));
         }
-        let pred = p.predict(pc);
+        let pred = predict(&p, pc);
         assert_eq!(pred.level, CacheLevel::L2);
         assert!(pred.confident);
         assert!(correct > 2, "only the cold prediction misses: {correct}/4");
@@ -442,16 +440,16 @@ mod tests {
         let mut p = LevelPredictor::new(ClpConfig::baseline());
         let pc = Pc(0x40);
         for _ in 0..3 {
-            let pred = p.predict(pc);
-            p.verify(&pred, CacheLevel::L2);
+            let pred = predict(&p, pc);
+            verify(&mut p, &pred, CacheLevel::L2);
         }
         // The level migrates to DRAM: the entry must eventually follow.
         let mut mispredictions = 0;
         for _ in 0..10 {
-            let pred = p.predict(pc);
-            mispredictions += u32::from(!p.verify(&pred, CacheLevel::Dram));
+            let pred = predict(&p, pc);
+            mispredictions += u32::from(!verify(&mut p, &pred, CacheLevel::Dram));
         }
-        let pred = p.predict(pc);
+        let pred = predict(&p, pc);
         assert_eq!(pred.level, CacheLevel::Dram);
         assert!(mispredictions > 0);
     }
@@ -470,11 +468,11 @@ mod tests {
         // Both PCs map to slot 0 with different tags, so each verify
         // evicts the other and every prediction is cold.
         for (pc, other) in [(Pc(0), Pc(4)), (Pc(4), Pc(0)), (Pc(0), Pc(4))] {
-            let pred = p.predict(pc);
+            let pred = predict(&p, pc);
             assert_eq!(pred, cold(pc));
-            assert!(!p.verify(&pred, CacheLevel::Llc));
-            assert_eq!(p.predict(pc).level, CacheLevel::Llc);
-            assert_eq!(p.predict(other), cold(other));
+            assert!(!verify(&mut p, &pred, CacheLevel::Llc));
+            assert_eq!(predict(&p, pc).level, CacheLevel::Llc);
+            assert_eq!(predict(&p, other), cold(other));
         }
     }
 
@@ -485,12 +483,12 @@ mod tests {
             ..ClpConfig::baseline()
         });
         let pc = Pc(0x8);
-        let pred = p.predict(pc);
+        let pred = predict(&p, pc);
         assert_eq!(pred.level, CacheLevel::L2, "deepest of a depth-2 hierarchy");
         // An out-of-depth actual level is clamped, so this trains L2 and
         // counts as correct.
-        assert!(p.verify(&pred, CacheLevel::Dram));
-        assert_eq!(p.predict(pc).level, CacheLevel::L2);
+        assert!(verify(&mut p, &pred, CacheLevel::Dram));
+        assert_eq!(predict(&p, pc).level, CacheLevel::L2);
     }
 
     #[test]
@@ -566,7 +564,7 @@ mod tests {
                 CacheLevel::Dram
             };
             let ctx = TraceCtx::new(0, i);
-            let a = plain.predict(pc);
+            let a = predict(&plain, pc);
             let b = traced.predict_traced(pc, &mut sink, ctx);
             assert_eq!(a, b);
             assert_eq!(
@@ -574,7 +572,7 @@ mod tests {
                 traced.load_latency(&b, actual)
             );
             assert_eq!(
-                plain.verify(&a, actual),
+                verify(&mut plain, &a, actual),
                 traced.verify_traced(&b, actual, &mut sink, ctx)
             );
         }

@@ -188,17 +188,6 @@ impl Value {
         self.bits as u32 as i32
     }
 
-    /// Reads back an `i64`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is not of type [`ValueType::I64`].
-    #[must_use]
-    pub fn as_i64(self) -> i64 {
-        assert_eq!(self.ty, ValueType::I64, "value is {}", self.ty);
-        self.bits as i64
-    }
-
     /// Reads back a `u8`.
     ///
     /// # Panics
@@ -268,7 +257,7 @@ mod tests {
     fn round_trips_every_type() {
         assert_eq!(Value::from_u8(200).as_u8(), 200);
         assert_eq!(Value::from_i32(-12345).as_i32(), -12345);
-        assert_eq!(Value::from_i64(-1).as_i64(), -1);
+        assert_eq!(Value::from_i64(-1).bits() as i64, -1);
         assert_eq!(Value::from_f32(3.5).as_f32(), 3.5);
         assert_eq!(Value::from_f64(-2.25).as_f64(), -2.25);
     }

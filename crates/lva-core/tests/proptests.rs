@@ -5,11 +5,20 @@
 use lva_core::{
     Addr, ApproximatorConfig, CacheLevel, ClpConfig, ComputeFn, ConfidenceCounter,
     ConfidenceUpdate, ConfidenceWindow, ContextHasher, FetchAction, GhbPrefetcher, HashKind,
-    HistoryBuffer, LevelPredictor, LoadValueApproximator, MissOutcome, Pc, PrefetcherConfig, Rng64,
-    Value, ValueType,
+    HistoryBuffer, LevelPrediction, LevelPredictor, LoadValueApproximator, MissOutcome, Pc,
+    PrefetcherConfig, Rng64, Value, ValueType,
 };
+use lva_obs::{NullSink, TraceCtx};
 
 const CASES: u64 = 256;
+
+fn predict(p: &LevelPredictor, pc: Pc) -> LevelPrediction {
+    p.predict_traced(pc, &mut NullSink, TraceCtx::new(0, 0))
+}
+
+fn verify(p: &mut LevelPredictor, prediction: &LevelPrediction, actual: CacheLevel) {
+    p.verify_traced(prediction, actual, &mut NullSink, TraceCtx::new(0, 0));
+}
 
 fn rng_for(test_seed: u64, case: u64) -> Rng64 {
     Rng64::new(test_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ case)
@@ -121,7 +130,7 @@ fn history_matches_model() {
         }
         assert_eq!(buf.iter().copied().collect::<Vec<_>>(), model);
         assert_eq!(buf.len(), model.len());
-        assert_eq!(buf.newest().copied(), model.last().copied());
+        assert_eq!(buf.iter().last().copied(), model.last().copied());
     }
 }
 
@@ -161,6 +170,27 @@ fn hasher_in_range() {
     }
 }
 
+/// The estimate `compute` makes from `history` (oldest first), read through
+/// the approximator: one PC's LHB is trained with the history and then
+/// missed on once more. The infinite confidence window keeps the float
+/// entry confident whatever the values.
+fn estimate(compute: ComputeFn, history: &[f64]) -> f64 {
+    let mut a = LoadValueApproximator::new(ApproximatorConfig {
+        compute,
+        lhb_entries: 8,
+        confidence_window: ConfidenceWindow::Infinite,
+        ..ApproximatorConfig::baseline()
+    });
+    for &v in history {
+        let token = a.on_miss(Pc(1), ValueType::F64).token();
+        a.train(token, Value::from_f64(v));
+    }
+    match a.on_miss(Pc(1), ValueType::F64) {
+        MissOutcome::Approximate(ap) => ap.value.as_f64(),
+        MissOutcome::Fallthrough(_) => panic!("a trained entry approximates"),
+    }
+}
+
 /// The average computation never leaves the [min, max] envelope of the
 /// history — the paper's argument for why bounded integer data (pixels)
 /// cannot produce out-of-range approximations.
@@ -170,16 +200,14 @@ fn average_is_bounded_by_history() {
         let mut rng = rng_for(8, case);
         let n = rng.gen_range(1usize..8);
         let vals: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0e6f64..1.0e6)).collect();
-        let mut lhb = HistoryBuffer::new(8);
-        lhb.extend(vals.iter().map(|&v| Value::from_f64(v)));
-        let avg = ComputeFn::Average.apply(&lhb);
+        let avg = estimate(ComputeFn::Average, &vals);
         let lo = vals.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         assert!(
             avg >= lo - 1e-9 && avg <= hi + 1e-9,
             "{avg} not in [{lo}, {hi}]"
         );
-        let w = ComputeFn::WeightedAverage.apply(&lhb);
+        let w = estimate(ComputeFn::WeightedAverage, &vals);
         assert!(w >= lo - 1e-9 && w <= hi + 1e-9);
     }
 }
@@ -329,15 +357,15 @@ fn clp_conflicting_verify_retrains_the_slot_for_the_new_owner() {
         for _ in 0..n {
             let pc = Pc(rng.gen_range(0u64..1 << 12));
             let actual = CacheLevel::from_index(rng.gen_range(0u32..4));
-            let prediction = p.predict(pc);
-            p.verify(&prediction, actual);
+            let prediction = predict(&p, pc);
+            verify(&mut p, &prediction, actual);
             let slot = pc.0 as usize & (entries - 1);
             let Some(displaced) = owners[slot].replace(pc).filter(|&d| d != pc) else {
                 continue;
             };
             conflicts += 1;
-            assert_eq!(p.predict(pc).level, actual.clamp_to_depth(depth));
-            let cold = p.predict(displaced);
+            assert_eq!(predict(&p, pc).level, actual.clamp_to_depth(depth));
+            let cold = predict(&p, displaced);
             assert_eq!((cold.level, cold.confident), (deepest, false));
         }
     }
@@ -362,14 +390,14 @@ fn clp_prediction_stays_within_hierarchy_depth() {
             // Feed actual levels from the FULL hierarchy, including ones
             // deeper than the configured depth — verify must clamp.
             let actual = CacheLevel::from_index(rng.gen_range(0u32..4));
-            let prediction = p.predict(pc);
+            let prediction = predict(&p, pc);
             assert!(
                 prediction.level.index() < depth,
                 "depth {depth}: predicted {}",
                 prediction.level.label()
             );
             assert_eq!(prediction.level, prediction.level.clamp_to_depth(depth));
-            p.verify(&prediction, actual);
+            verify(&mut p, &prediction, actual);
             let latency = p.load_latency(&prediction, actual);
             assert!(latency >= CacheLevel::L1.service_latency());
         }
@@ -409,12 +437,9 @@ fn approximator_never_approximates_from_an_empty_lhb() {
             let trained = entries[slot.index] == Some((slot.tag, true));
             entries[slot.index] = Some((slot.tag, trained));
             let outcome = a.on_miss(pc, ValueType::I32);
-            assert_eq!(outcome.approximation().is_some(), trained);
+            assert_eq!(matches!(outcome, MissOutcome::Approximate(_)), trained);
             assert_eq!(a.table().tag(slot.index), Some(slot.tag));
-            if outcome
-                .approximation()
-                .is_some_and(|ap| ap.fetch == FetchAction::Skip)
-            {
+            if matches!(outcome, MissOutcome::Approximate(ap) if ap.fetch == FetchAction::Skip) {
                 continue;
             }
             let feedback = a.train(outcome.token(), val);

@@ -169,12 +169,6 @@ impl OooCore {
         }
     }
 
-    /// This core's id (mesh tile / thread index).
-    #[must_use]
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
     /// Retirement statistics, exact as of the last real tick or
     /// [`catch_up`](Self::catch_up).
     #[must_use]

@@ -110,21 +110,6 @@ pub struct EnergyEvents {
     pub approximator_accesses: u64,
 }
 
-impl EnergyEvents {
-    /// Element-wise sum of two event sets.
-    #[must_use]
-    pub fn merged(&self, other: &EnergyEvents) -> EnergyEvents {
-        EnergyEvents {
-            l1_accesses: self.l1_accesses + other.l1_accesses,
-            l2_accesses: self.l2_accesses + other.l2_accesses,
-            dram_accesses: self.dram_accesses + other.dram_accesses,
-            noc_flit_hops: self.noc_flit_hops + other.noc_flit_hops,
-            noc_low_power_flit_hops: self.noc_low_power_flit_hops + other.noc_low_power_flit_hops,
-            approximator_accesses: self.approximator_accesses + other.approximator_accesses,
-        }
-    }
-}
-
 /// Energy split by component, in nanojoules.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyBreakdown {
@@ -209,21 +194,6 @@ mod tests {
             ..Default::default()
         };
         assert!(p.total_nj(&lva) < p.total_nj(&precise));
-    }
-
-    #[test]
-    fn merged_adds_componentwise() {
-        let a = EnergyEvents {
-            l1_accesses: 1,
-            l2_accesses: 2,
-            dram_accesses: 3,
-            noc_flit_hops: 4,
-            noc_low_power_flit_hops: 6,
-            approximator_accesses: 5,
-        };
-        let b = a.merged(&a);
-        assert_eq!(b.l1_accesses, 2);
-        assert_eq!(b.approximator_accesses, 10);
     }
 
     #[test]

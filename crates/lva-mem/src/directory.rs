@@ -35,12 +35,6 @@ impl SharerSet {
         self.0 &= !(1 << core);
     }
 
-    /// Whether `core` is in the set.
-    #[must_use]
-    pub fn contains(&self, core: usize) -> bool {
-        self.0 & (1 << core) != 0
-    }
-
     /// Whether the set is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -120,7 +114,6 @@ mod tests {
         assert!(s.is_empty());
         s.insert(0);
         s.insert(3);
-        assert!(s.contains(0) && s.contains(3) && !s.contains(1));
         assert_eq!(s.count(), 2);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 3]);
         s.remove(0);

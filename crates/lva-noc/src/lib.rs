@@ -14,10 +14,10 @@
 //! ## Example
 //!
 //! ```
-//! use lva_noc::{Mesh, MeshConfig, NodeId};
+//! use lva_noc::{Mesh, MeshConfig, NodeId, Plane};
 //!
 //! let mut mesh: Mesh<&'static str> = Mesh::new(MeshConfig::paper());
-//! mesh.send(0, NodeId(0), NodeId(3), 1, "GetS");
+//! mesh.send_on(Plane::Fast, 0, NodeId(0), NodeId(3), 1, "GetS");
 //! // 2 hops x (3-cycle router + 1-cycle link) = 8 cycles for a 1-flit packet.
 //! assert_eq!(mesh.pop_arrived(NodeId(3), 7), None);
 //! assert_eq!(mesh.pop_arrived(NodeId(3), 8), Some("GetS"));
@@ -131,7 +131,7 @@ pub struct MeshStats {
 
 /// A cycle-driven mesh NoC delivering generic payloads.
 ///
-/// Senders call [`send`](Mesh::send) with the current cycle; receivers call
+/// Senders call [`send_on`](Mesh::send_on) with the current cycle; receivers call
 /// [`pop_arrived`](Mesh::pop_arrived) until it returns `None` to drain
 /// packets whose tail flit has arrived, at any cycle at or after
 /// [`next_arrival`](Mesh::next_arrival). Each node's packets come out in
@@ -269,26 +269,15 @@ impl<P> Mesh<P> {
         }
     }
 
-    /// Number of links an XY-routed packet crosses between two nodes.
-    #[must_use]
-    pub fn hop_count(&self, src: NodeId, dst: NodeId) -> u64 {
-        self.route(src, dst).count() as u64
-    }
-
-    /// Injects a `flits`-flit packet at cycle `now`, to be delivered to
-    /// `dst`'s queue when its tail flit arrives. Local (src == dst)
-    /// delivery takes one cycle and crosses no links.
+    /// Injects a `flits`-flit packet at cycle `now` on `plane`, to be
+    /// delivered to `dst`'s queue when its tail flit arrives. Local
+    /// (src == dst) delivery takes one cycle and crosses no links. Sending
+    /// on [`Plane::LowPower`] without a low-power plane falls back to the
+    /// fast plane (a homogeneous mesh simply has no slow network).
     ///
     /// # Panics
     ///
     /// Panics if either node id is out of range or `flits` is zero.
-    pub fn send(&mut self, now: u64, src: NodeId, dst: NodeId, flits: u64, payload: P) {
-        self.send_on(Plane::Fast, now, src, dst, flits, payload);
-    }
-
-    /// Like [`send`](Mesh::send), but choosing the network plane. Sending
-    /// on [`Plane::LowPower`] without a low-power plane falls back to the
-    /// fast plane (a homogeneous mesh simply has no slow network).
     pub fn send_on(
         &mut self,
         plane: Plane,
@@ -397,25 +386,26 @@ mod tests {
     #[test]
     fn one_hop_latency_is_router_plus_link() {
         let mut m = mesh();
-        m.send(0, NodeId(0), NodeId(1), 1, 7);
+        m.send_on(Plane::Fast, 0, NodeId(0), NodeId(1), 1, 7);
         assert!(drain(&mut m, NodeId(1), 3).is_empty());
         assert_eq!(drain(&mut m, NodeId(1), 4), vec![7]);
     }
 
     #[test]
     fn diagonal_is_two_hops() {
-        let m = mesh();
-        assert_eq!(m.hop_count(NodeId(0), NodeId(3)), 2);
-        assert_eq!(m.hop_count(NodeId(1), NodeId(2)), 2);
-        assert_eq!(m.hop_count(NodeId(2), NodeId(2)), 0);
+        for (src, dst, hops) in [(0, 3, 2), (1, 2, 2), (2, 2, 0)] {
+            let mut m = mesh();
+            m.send_on(Plane::Fast, 0, NodeId(src), NodeId(dst), 1, 0);
+            assert_eq!(m.stats().flit_hops, hops, "{src} -> {dst}");
+        }
     }
 
     #[test]
     fn multi_flit_packets_serialize_on_links() {
         let mut m = mesh();
         // Two 5-flit data packets on the same link back to back.
-        m.send(0, NodeId(0), NodeId(1), 5, 1);
-        m.send(0, NodeId(0), NodeId(1), 5, 2);
+        m.send_on(Plane::Fast, 0, NodeId(0), NodeId(1), 5, 1);
+        m.send_on(Plane::Fast, 0, NodeId(0), NodeId(1), 5, 2);
         // First: head 0+3(router), link free at 0 -> start 3, arrive head 4,
         // tail 8. Second: head 3, link free at 8 -> start 8, head 9, tail 13.
         assert_eq!(drain(&mut m, NodeId(1), 8), vec![1]);
@@ -426,7 +416,7 @@ mod tests {
     #[test]
     fn local_delivery_is_one_cycle_and_free() {
         let mut m = mesh();
-        m.send(10, NodeId(2), NodeId(2), 5, 9);
+        m.send_on(Plane::Fast, 10, NodeId(2), NodeId(2), 5, 9);
         assert_eq!(drain(&mut m, NodeId(2), 11), vec![9]);
         assert_eq!(m.stats().flit_hops, 0);
     }
@@ -434,17 +424,17 @@ mod tests {
     #[test]
     fn flit_hops_account_hops_times_flits() {
         let mut m = mesh();
-        m.send(0, NodeId(0), NodeId(3), 5, 0);
+        m.send_on(Plane::Fast, 0, NodeId(0), NodeId(3), 5, 0);
         assert_eq!(m.stats().flit_hops, 10);
-        m.send(0, NodeId(1), NodeId(0), 1, 0);
+        m.send_on(Plane::Fast, 0, NodeId(1), NodeId(0), 1, 0);
         assert_eq!(m.stats().flit_hops, 11);
     }
 
     #[test]
     fn disjoint_links_do_not_contend() {
         let mut m = mesh();
-        m.send(0, NodeId(0), NodeId(1), 5, 1); // east link of node 0
-        m.send(0, NodeId(2), NodeId(3), 5, 2); // east link of node 2
+        m.send_on(Plane::Fast, 0, NodeId(0), NodeId(1), 5, 1); // east link of node 0
+        m.send_on(Plane::Fast, 0, NodeId(2), NodeId(3), 5, 2); // east link of node 2
         assert_eq!(drain(&mut m, NodeId(1), 8), vec![1]);
         assert_eq!(drain(&mut m, NodeId(3), 8), vec![2]);
     }
@@ -452,8 +442,8 @@ mod tests {
     #[test]
     fn pop_arrived_returns_in_arrival_order() {
         let mut m = mesh();
-        m.send(0, NodeId(0), NodeId(3), 5, 1); // slower: 2 hops, 5 flits
-        m.send(1, NodeId(2), NodeId(3), 1, 2); // faster: disjoint 1-hop route
+        m.send_on(Plane::Fast, 0, NodeId(0), NodeId(3), 5, 1); // slower: 2 hops, 5 flits
+        m.send_on(Plane::Fast, 1, NodeId(2), NodeId(3), 1, 2); // faster: disjoint 1-hop route
         let got = drain(&mut m, NodeId(3), 100);
         assert_eq!(got, vec![2, 1]);
     }
@@ -463,14 +453,14 @@ mod tests {
         let mut m = mesh();
         // A 5-flit packet one hop south from node 0 arrives at 8, and a
         // local packet sent before the rest arrives at 31.
-        m.send(0, NodeId(0), NodeId(2), 5, 0);
-        m.send(30, NodeId(2), NodeId(2), 1, 9);
+        m.send_on(Plane::Fast, 0, NodeId(0), NodeId(2), 5, 0);
+        m.send_on(Plane::Fast, 30, NodeId(2), NodeId(2), 1, 9);
         // Three packets reach node 2 at cycle 11: one hop west from node 3
         // and one hop south from node 0, both sent at 7, and a local one
         // sent at 10.
-        m.send(7, NodeId(3), NodeId(2), 1, 2);
-        m.send(7, NodeId(0), NodeId(2), 1, 1);
-        m.send(10, NodeId(2), NodeId(2), 1, 3);
+        m.send_on(Plane::Fast, 7, NodeId(3), NodeId(2), 1, 2);
+        m.send_on(Plane::Fast, 7, NodeId(0), NodeId(2), 1, 1);
+        m.send_on(Plane::Fast, 10, NodeId(2), NodeId(2), 1, 3);
         assert_eq!(m.pop_arrived(NodeId(2), 8), Some(0));
         assert_eq!(m.pop_arrived(NodeId(2), 10), None);
         assert_eq!(drain(&mut m, NodeId(2), 11), vec![2, 1, 3]);
@@ -482,7 +472,7 @@ mod tests {
     fn pop_arrived_waits_for_the_tail_flit() {
         let mut m = mesh();
         // One hop: the head arrives at 4, the fifth flit four cycles later.
-        m.send(0, NodeId(0), NodeId(1), 5, 7);
+        m.send_on(Plane::Fast, 0, NodeId(0), NodeId(1), 5, 7);
         for now in 4..8 {
             assert_eq!(m.pop_arrived(NodeId(1), now), None, "tail not in at {now}");
         }
@@ -493,12 +483,12 @@ mod tests {
     #[test]
     fn packets_sent_while_handling_arrive_in_a_later_cycle() {
         let mut m = mesh();
-        m.send(0, NodeId(0), NodeId(1), 1, 1);
+        m.send_on(Plane::Fast, 0, NodeId(0), NodeId(1), 1, 1);
         // Handling the packet at cycle 4 sends node 1 a local packet and
         // one from node 0; neither comes out at 4.
         assert_eq!(m.pop_arrived(NodeId(1), 4), Some(1));
-        m.send(4, NodeId(1), NodeId(1), 1, 2);
-        m.send(4, NodeId(0), NodeId(1), 1, 3);
+        m.send_on(Plane::Fast, 4, NodeId(1), NodeId(1), 1, 2);
+        m.send_on(Plane::Fast, 4, NodeId(0), NodeId(1), 1, 3);
         assert_eq!(m.pop_arrived(NodeId(1), 4), None);
         assert_eq!(m.pop_arrived(NodeId(1), 5), Some(2));
         assert_eq!(m.pop_arrived(NodeId(1), 7), None);
@@ -592,7 +582,7 @@ mod tests {
     #[test]
     fn total_latency_is_the_delivery_cycle_of_a_packet_sent_at_zero() {
         let mut m = mesh();
-        m.send(0, NodeId(0), NodeId(1), 1, 0);
+        m.send_on(Plane::Fast, 0, NodeId(0), NodeId(1), 1, 0);
         assert!(m.stats().total_latency >= 4);
         assert_eq!(m.next_arrival(), Some(m.stats().total_latency));
     }
@@ -601,7 +591,7 @@ mod tests {
     fn next_arrival_tracks_earliest_packet() {
         let mut m = mesh();
         assert_eq!(m.next_arrival(), None);
-        m.send(0, NodeId(0), NodeId(1), 1, 0);
+        m.send_on(Plane::Fast, 0, NodeId(0), NodeId(1), 1, 0);
         assert_eq!(m.next_arrival(), Some(4));
         let _ = drain(&mut m, NodeId(1), 4);
         assert_eq!(m.next_arrival(), None);
@@ -616,10 +606,10 @@ mod tests {
         let mut m = mesh();
         // 5-flit packet injected at 100, one hop: head 100+3+1 = 104,
         // tail 4 link cycles later.
-        m.send(100, NodeId(0), NodeId(1), 5, 1);
+        m.send_on(Plane::Fast, 100, NodeId(0), NodeId(1), 5, 1);
         assert_eq!(m.next_arrival(), Some(108));
         // A local packet injected at 50 arrives at 51 and comes first.
-        m.send(50, NodeId(2), NodeId(2), 1, 2);
+        m.send_on(Plane::Fast, 50, NodeId(2), NodeId(2), 1, 2);
         assert_eq!(m.next_arrival(), Some(51));
         for now in [0, 49, 50] {
             assert!(drain(&mut m, NodeId(2), now).is_empty(), "early at {now}");
@@ -638,7 +628,7 @@ mod tests {
         let mut m: Mesh<u32> =
             Mesh::new_heterogeneous(MeshConfig::paper(), LowPowerPlane::default());
         // Fast-plane packet: 1 hop, arrives at 4 as usual.
-        m.send(0, NodeId(0), NodeId(1), 1, 1);
+        m.send_on(Plane::Fast, 0, NodeId(0), NodeId(1), 1, 1);
         // Low-power packet on the same physical route: 6-cycle router +
         // 2-cycle link = 8, and it does NOT contend with the fast plane.
         m.send_on(Plane::LowPower, 0, NodeId(0), NodeId(1), 1, 2);
@@ -662,7 +652,7 @@ mod tests {
         let mut m: Mesh<u32> =
             Mesh::new_heterogeneous(MeshConfig::paper(), LowPowerPlane::default());
         // Saturate the fast plane's link with a big packet...
-        m.send(0, NodeId(0), NodeId(1), 5, 1);
+        m.send_on(Plane::Fast, 0, NodeId(0), NodeId(1), 5, 1);
         // ...the slow plane is unaffected: arrives at 0+6+2 = 8 + 0 tail.
         m.send_on(Plane::LowPower, 0, NodeId(0), NodeId(1), 1, 2);
         let got = drain(&mut m, NodeId(1), 8);
@@ -671,14 +661,15 @@ mod tests {
 
     #[test]
     fn larger_mesh_routes_xy() {
-        let m: Mesh<()> = Mesh::new(MeshConfig {
+        let mut m: Mesh<()> = Mesh::new(MeshConfig {
             width: 4,
             height: 4,
             router_cycles: 3,
             link_cycles: 1,
         });
         // (0,0) -> (3,2): 3 east hops then 2 south hops.
-        assert_eq!(m.hop_count(NodeId(0), NodeId(2 * 4 + 3)), 5);
+        m.send_on(Plane::Fast, 0, NodeId(0), NodeId(2 * 4 + 3), 1, ());
+        assert_eq!(m.stats().flit_hops, 5);
         // Every pair on narrow, wide and non-square meshes: Manhattan
         // distance, one flit-hop per flit per link.
         for (width, height) in [(1, 1), (1, 5), (5, 1), (3, 4), (7, 2)] {
@@ -692,11 +683,13 @@ mod tests {
                 for dst in 0..n {
                     let manhattan =
                         (src % width).abs_diff(dst % width) + (src / width).abs_diff(dst / width);
-                    let hops = m.hop_count(NodeId(src), NodeId(dst));
-                    assert_eq!(hops, manhattan as u64, "{src}->{dst} on {width}x{height}");
                     let before = m.stats().flit_hops;
-                    m.send(0, NodeId(src), NodeId(dst), 3, ());
-                    assert_eq!(m.stats().flit_hops - before, 3 * hops);
+                    m.send_on(Plane::Fast, 0, NodeId(src), NodeId(dst), 3, ());
+                    assert_eq!(
+                        m.stats().flit_hops - before,
+                        3 * manhattan as u64,
+                        "{src}->{dst} on {width}x{height}"
+                    );
                 }
             }
         }

@@ -11,6 +11,12 @@ fn rng_for(test_seed: u64, case: u64) -> Rng64 {
     Rng64::new(test_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ case)
 }
 
+/// Links an XY-routed packet crosses between two nodes of the paper's
+/// 2×2 mesh: the Manhattan distance between their (x, y) tiles.
+fn hops(src: usize, dst: usize) -> u64 {
+    ((src % 2).abs_diff(dst % 2) + (src / 2).abs_diff(dst / 2)) as u64
+}
+
 /// Every packet arrived at `node` by `now`, in the order
 /// [`Mesh::pop_arrived`] returns them.
 fn drain<P>(mesh: &mut Mesh<P>, node: NodeId, now: u64) -> Vec<P> {
@@ -32,8 +38,8 @@ fn packets_conserved_and_latency_bounded() {
             let dst = rng.gen_range(0usize..4);
             let flits = rng.gen_range(1u64..6);
             let when = rng.gen_range(0u64..100);
-            let hops = mesh.hop_count(NodeId(src), NodeId(dst));
-            mesh.send(when, NodeId(src), NodeId(dst), flits, i);
+            let hops = hops(src, dst);
+            mesh.send_on(Plane::Fast, when, NodeId(src), NodeId(dst), flits, i);
             let min = if hops == 0 {
                 when + 1
             } else {
@@ -66,8 +72,8 @@ fn no_early_delivery() {
         let flits = rng.gen_range(1u64..6);
         let when = rng.gen_range(0u64..50);
         let mut mesh: Mesh<u8> = Mesh::new(MeshConfig::paper());
-        let hops = mesh.hop_count(NodeId(src), NodeId(dst));
-        mesh.send(when, NodeId(src), NodeId(dst), flits, 1);
+        let hops = hops(src, dst);
+        mesh.send_on(Plane::Fast, when, NodeId(src), NodeId(dst), flits, 1);
         let min = if hops == 0 {
             when + 1
         } else {
@@ -95,8 +101,8 @@ fn flit_hop_accounting() {
             let src = rng.gen_range(0usize..4);
             let dst = rng.gen_range(0usize..4);
             let flits = rng.gen_range(1u64..6);
-            expected += flits * mesh.hop_count(NodeId(src), NodeId(dst));
-            mesh.send(0, NodeId(src), NodeId(dst), flits, ());
+            expected += flits * hops(src, dst);
+            mesh.send_on(Plane::Fast, 0, NodeId(src), NodeId(dst), flits, ());
         }
         assert_eq!(mesh.stats().flit_hops, expected);
     }
@@ -112,7 +118,7 @@ fn same_link_serialization() {
         let count = rng.gen_range(2usize..10);
         let mut mesh: Mesh<usize> = Mesh::new(MeshConfig::paper());
         for i in 0..count {
-            mesh.send(0, NodeId(0), NodeId(1), flits, i);
+            mesh.send_on(Plane::Fast, 0, NodeId(0), NodeId(1), flits, i);
         }
         let mut last_arrival = 0u64;
         let mut seen = 0usize;

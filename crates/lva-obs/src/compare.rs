@@ -21,49 +21,10 @@
 use crate::manifest::RunRecord;
 use std::fmt;
 
-/// How much relative drift each metric may show.
-#[derive(Debug, Clone)]
-pub struct CompareOptions {
-    /// Default relative tolerance (e.g. `0.005` = 0.5%).
-    pub tolerance: f64,
-    /// Per-metric overrides: the longest matching path prefix wins.
-    /// `("derived/mpki", 0.02)` loosens one metric; `("core", 0.1)`
-    /// loosens a whole subtree.
-    pub per_metric: Vec<(String, f64)>,
-}
-
-impl Default for CompareOptions {
-    /// 0.5% everywhere — tight enough to catch real regressions, loose
-    /// enough to survive benign floating-point reassociation.
-    fn default() -> Self {
-        CompareOptions {
-            tolerance: 0.005,
-            per_metric: Vec::new(),
-        }
-    }
-}
-
-impl CompareOptions {
-    /// Exact comparison (zero tolerance) — what a determinism gate wants.
-    #[must_use]
-    pub fn exact() -> Self {
-        CompareOptions {
-            tolerance: 0.0,
-            per_metric: Vec::new(),
-        }
-    }
-
-    /// The tolerance applying to `path`: the longest matching prefix
-    /// override, or the default.
-    #[must_use]
-    pub(crate) fn tolerance_for(&self, path: &str) -> f64 {
-        self.per_metric
-            .iter()
-            .filter(|(prefix, _)| path.starts_with(prefix.as_str()))
-            .max_by_key(|(prefix, _)| prefix.len())
-            .map_or(self.tolerance, |&(_, t)| t)
-    }
-}
+/// The default relative tolerance, 0.5% on every metric: tight enough to
+/// catch real regressions, loose enough to survive benign floating-point
+/// reassociation.
+pub const DEFAULT_TOLERANCE: f64 = 0.005;
 
 /// Whether a stat path is informational (never compared): `time/` or
 /// `env/` prefixed, or any segment ending in `_ns`.
@@ -101,8 +62,6 @@ pub struct CompareRow {
     pub candidate: Option<f64>,
     /// Symmetric relative difference (0 when either side is missing).
     pub rel_delta: f64,
-    /// Tolerance applied.
-    pub tolerance: f64,
     /// Verdict.
     pub status: RowStatus,
 }
@@ -112,6 +71,8 @@ pub struct CompareRow {
 pub struct CompareReport {
     /// One row per union stat path, baseline order first.
     pub rows: Vec<CompareRow>,
+    /// The relative tolerance every compared row was held to.
+    pub tolerance: f64,
 }
 
 impl CompareReport {
@@ -194,7 +155,7 @@ impl CompareReport {
                 fmt_opt(row.baseline),
                 fmt_opt(row.candidate),
                 row.rel_delta * 100.0,
-                row.tolerance * 100.0,
+                self.tolerance * 100.0,
             );
         }
         if shown < rows.len() {
@@ -248,24 +209,20 @@ pub(crate) fn relative_delta(baseline: f64, candidate: f64) -> f64 {
     (candidate - baseline).abs() / scale
 }
 
-/// Diffs two manifests under the given tolerances.
+/// Diffs two manifests, failing every compared metric whose relative
+/// drift exceeds `tolerance` (e.g. [`DEFAULT_TOLERANCE`]; `0.0` is the
+/// exact comparison a determinism gate wants).
 #[must_use]
-pub fn compare(
-    baseline: &RunRecord,
-    candidate: &RunRecord,
-    options: &CompareOptions,
-) -> CompareReport {
+pub fn compare(baseline: &RunRecord, candidate: &RunRecord, tolerance: f64) -> CompareReport {
     let mut rows = Vec::with_capacity(baseline.stats.len());
     for (path, &base) in baseline.stats.iter().map(|(p, v)| (p, v)) {
         let cand = candidate.stat(path);
-        let tolerance = options.tolerance_for(path);
         let row = match cand {
             None if is_informational(path) => CompareRow {
                 metric: path.clone(),
                 baseline: Some(base),
                 candidate: None,
                 rel_delta: 0.0,
-                tolerance,
                 status: RowStatus::Informational,
             },
             None => CompareRow {
@@ -273,7 +230,6 @@ pub fn compare(
                 baseline: Some(base),
                 candidate: None,
                 rel_delta: 0.0,
-                tolerance,
                 status: RowStatus::MissingInCandidate,
             },
             Some(cand) => {
@@ -290,7 +246,6 @@ pub fn compare(
                     baseline: Some(base),
                     candidate: Some(cand),
                     rel_delta,
-                    tolerance,
                     status,
                 }
             }
@@ -304,7 +259,6 @@ pub fn compare(
                 baseline: None,
                 candidate: Some(cand),
                 rel_delta: 0.0,
-                tolerance: options.tolerance_for(path),
                 status: if is_informational(path) {
                     RowStatus::Informational
                 } else {
@@ -313,7 +267,7 @@ pub fn compare(
             });
         }
     }
-    CompareReport { rows }
+    CompareReport { rows, tolerance }
 }
 
 fn fmt_opt(v: Option<f64>) -> String {
@@ -348,7 +302,7 @@ mod tests {
     #[test]
     fn identical_manifests_pass() {
         let a = record(&[("derived/mpki", 2.0), ("total/loads", 1000.0)]);
-        let report = compare(&a, &a.clone(), &CompareOptions::exact());
+        let report = compare(&a, &a.clone(), 0.0);
         assert!(report.passed());
         assert_eq!(report.failures(), 0);
         assert!(report.to_string().contains("PASS"));
@@ -358,7 +312,7 @@ mod tests {
     fn ten_percent_mpki_regression_fails() {
         let base = record(&[("derived/mpki", 2.0)]);
         let cand = record(&[("derived/mpki", 2.2)]);
-        let report = compare(&base, &cand, &CompareOptions::default());
+        let report = compare(&base, &cand, DEFAULT_TOLERANCE);
         assert!(!report.passed());
         let row = report.failing_rows().next().expect("one failure");
         assert_eq!(row.metric, "derived/mpki");
@@ -374,8 +328,8 @@ mod tests {
     fn drift_within_tolerance_passes() {
         let base = record(&[("derived/mpki", 2.0)]);
         let cand = record(&[("derived/mpki", 2.002)]);
-        assert!(compare(&base, &cand, &CompareOptions::default()).passed());
-        assert!(!compare(&base, &cand, &CompareOptions::exact()).passed());
+        assert!(compare(&base, &cand, DEFAULT_TOLERANCE).passed());
+        assert!(!compare(&base, &cand, 0.0).passed());
     }
 
     #[test]
@@ -383,7 +337,7 @@ mod tests {
         // The gate guards reproducibility, not a single direction.
         let base = record(&[("derived/mpki", 2.0)]);
         let cand = record(&[("derived/mpki", 1.0)]);
-        assert!(!compare(&base, &cand, &CompareOptions::default()).passed());
+        assert!(!compare(&base, &cand, DEFAULT_TOLERANCE).passed());
     }
 
     #[test]
@@ -400,7 +354,7 @@ mod tests {
             ("sweep/point_wall_ns/p99", 1.0),
             ("derived/mpki", 2.0),
         ]);
-        let report = compare(&base, &cand, &CompareOptions::exact());
+        let report = compare(&base, &cand, 0.0);
         assert!(report.passed(), "{report}");
     }
 
@@ -408,7 +362,7 @@ mod tests {
     fn missing_metric_fails_but_new_metric_passes() {
         let base = record(&[("a", 1.0), ("b", 2.0)]);
         let cand = record(&[("a", 1.0), ("c", 3.0)]);
-        let report = compare(&base, &cand, &CompareOptions::exact());
+        let report = compare(&base, &cand, 0.0);
         assert!(!report.passed());
         let statuses: Vec<_> = report
             .rows
@@ -419,17 +373,6 @@ mod tests {
         assert!(statuses.contains(&("c", RowStatus::NewInCandidate)));
         // Only the disappearance fails.
         assert_eq!(report.failures(), 1);
-    }
-
-    #[test]
-    fn per_metric_overrides_prefer_longest_prefix() {
-        let opts = CompareOptions {
-            tolerance: 0.0,
-            per_metric: vec![("core".into(), 0.5), ("core0/l1".into(), 0.01)],
-        };
-        assert_eq!(opts.tolerance_for("core1/loads"), 0.5);
-        assert_eq!(opts.tolerance_for("core0/l1/miss"), 0.01);
-        assert_eq!(opts.tolerance_for("derived/mpki"), 0.0);
     }
 
     #[test]
@@ -446,7 +389,7 @@ mod tests {
     fn report_table_lists_failures_first() {
         let base = record(&[("ok_metric", 1.0), ("bad_metric", 1.0)]);
         let cand = record(&[("ok_metric", 1.0), ("bad_metric", 5.0)]);
-        let text = compare(&base, &cand, &CompareOptions::default()).to_string();
+        let text = compare(&base, &cand, DEFAULT_TOLERANCE).to_string();
         let bad = text.find("bad_metric").expect("bad row");
         let ok = text.find("ok_metric").expect("ok row");
         assert!(bad < ok, "failures first:\n{text}");
@@ -456,7 +399,7 @@ mod tests {
     fn failures_sort_by_descending_relative_delta() {
         let base = record(&[("small_drift", 1.0), ("big_drift", 1.0), ("worst", 1.0)]);
         let cand = record(&[("small_drift", 1.1), ("big_drift", 2.0), ("worst", 10.0)]);
-        let report = compare(&base, &cand, &CompareOptions::default());
+        let report = compare(&base, &cand, DEFAULT_TOLERANCE);
         let order: Vec<&str> = report
             .sorted_rows()
             .iter()
@@ -473,7 +416,7 @@ mod tests {
     fn top_n_truncates_the_table_but_not_the_verdict() {
         let base = record(&[("a", 1.0), ("b", 1.0), ("c", 1.0), ("d", 1.0)]);
         let cand = record(&[("a", 9.0), ("b", 5.0), ("c", 2.0), ("d", 1.0)]);
-        let report = compare(&base, &cand, &CompareOptions::default());
+        let report = compare(&base, &cand, DEFAULT_TOLERANCE);
         let table = report.to_table(Some(2));
         assert!(table.contains("a "), "{table}");
         assert!(table.contains("b "), "{table}");

@@ -43,7 +43,7 @@
 //! ```
 //!
 //! ```
-//! use lva_obs::{compare, CompareOptions, MetricsRegistry, RunRecord};
+//! use lva_obs::{compare, MetricsRegistry, RunRecord};
 //!
 //! let mut reg = MetricsRegistry::new();
 //! reg.counter("core0/l1/miss").add(42);
@@ -56,7 +56,7 @@
 //! // Round trip through the canonical text form…
 //! let back = RunRecord::parse(&record.to_string_pretty()).unwrap();
 //! // …and a self-compare passes exactly.
-//! assert!(compare(&record, &back, &CompareOptions::exact()).passed());
+//! assert!(compare(&record, &back, 0.0).passed());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -73,7 +73,7 @@ mod trace;
 
 pub use artifact::{bench_file_name, read_manifest, write_atomic, write_manifest};
 pub use compare::{
-    compare, is_informational, CompareOptions, CompareReport, CompareRow, RowStatus,
+    compare, is_informational, CompareReport, CompareRow, RowStatus, DEFAULT_TOLERANCE,
 };
 pub use json::{parse as parse_json, Json, ParseError};
 pub use manifest::{RunRecord, SCHEMA_VERSION};

@@ -35,7 +35,7 @@ use crate::json::{parse, Json};
 use crate::metrics::{Histogram, Metric, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Current timeline manifest schema version. Bump on incompatible layout
 /// changes; readers accept `1..=TIMELINE_SCHEMA_VERSION`.
@@ -44,38 +44,25 @@ pub const TIMELINE_SCHEMA_VERSION: u64 = 1;
 /// The `kind` discriminator a timeline manifest carries.
 pub(crate) const TIMELINE_KIND: &str = "lva-obs.timeline";
 
-/// Default bounded-ring capacity in frames.
-const DEFAULT_CAPACITY: usize = 4096;
+/// Bounded-ring capacity in frames; when full, the oldest frame is
+/// dropped and counted in [`Timeline::dropped`].
+const RING_CAPACITY: usize = 4096;
 
-/// Epoch-sampling knobs: how long an epoch is (in whatever clock domain
-/// the producer advances) and how many frames the bounded ring retains.
+/// Epoch-sampling knob: how long an epoch is, in whatever clock domain
+/// the producer advances. The bounded ring keeps the newest 4096 frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimelineConfig {
     /// Clock units per epoch (load instructions in phase 1, cycles in the
     /// full system, milliseconds in `lva-serve`). Must be at least 1;
     /// `lva-sim` validates this at configuration time.
     pub epoch_len: u64,
-    /// Bounded-ring capacity in frames; when full, the oldest frame is
-    /// dropped and counted in [`Timeline::dropped`].
-    pub capacity: usize,
 }
 
 impl TimelineConfig {
-    /// A timeline sampling every `epoch_len` clock units with the default
-    /// ring capacity.
+    /// A timeline sampling every `epoch_len` clock units.
     #[must_use]
     pub fn every(epoch_len: u64) -> Self {
-        TimelineConfig {
-            epoch_len,
-            capacity: DEFAULT_CAPACITY,
-        }
-    }
-
-    /// Same epochs, explicit ring capacity.
-    #[must_use]
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity;
-        self
+        TimelineConfig { epoch_len }
     }
 }
 
@@ -182,14 +169,6 @@ impl EpochFrame {
             return f64::NAN;
         }
         self.counter(numerator) as f64 / denom as f64
-    }
-
-    /// Windowed parts-per-million of two counter deltas (e.g. error-ppm
-    /// as `errors / loads * 1e6` within the epoch). NaN when the
-    /// denominator's delta is 0.
-    #[must_use]
-    pub fn ppm(&self, numerator: &str, denominator: &str) -> f64 {
-        self.ratio(numerator, denominator) * 1e6
     }
 
     /// Lowers the frame to its JSON document (the JSONL line / wire form).
@@ -452,7 +431,7 @@ impl EpochSampler {
             gauges,
             histograms,
         };
-        if self.frames.len() >= self.config.capacity.max(1) {
+        if self.frames.len() >= RING_CAPACITY {
             self.frames.pop_front();
             self.dropped += 1;
         }
@@ -465,12 +444,6 @@ impl EpochSampler {
     #[must_use]
     pub fn frames(&self) -> &VecDeque<EpochFrame> {
         &self.frames
-    }
-
-    /// Frames evicted by the bounded ring so far.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Consumes the sampler into its collected [`Timeline`].
@@ -555,12 +528,6 @@ impl TimelineRecord {
         ])
     }
 
-    /// The canonical serialized form (pretty JSON, trailing newline).
-    #[must_use]
-    pub fn to_string_pretty(&self) -> String {
-        self.to_json().to_string_pretty()
-    }
-
     /// Rebuilds a manifest from JSON, validating kind and schema.
     ///
     /// # Errors
@@ -614,37 +581,6 @@ impl TimelineRecord {
         }
         Ok(record)
     }
-
-    /// Parses the serialized form.
-    ///
-    /// # Errors
-    ///
-    /// Returns the JSON parse error or the schema validation message.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let json = parse(text).map_err(|e| e.to_string())?;
-        Self::from_json(&json)
-    }
-
-    /// Writes the manifest atomically (temp file + rename).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn write(&self, path: &Path) -> io::Result<()> {
-        write_atomic(path, &self.to_string_pretty())
-    }
-
-    /// Reads and validates a manifest from `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the path for I/O, parse, or schema
-    /// failures.
-    pub fn read(path: &Path) -> Result<Self, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        Self::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
 }
 
 /// An append-only JSONL frame sink: one compact JSON document per line,
@@ -653,7 +589,6 @@ impl TimelineRecord {
 #[derive(Debug)]
 pub struct JsonlSink {
     file: std::fs::File,
-    path: PathBuf,
 }
 
 impl JsonlSink {
@@ -668,7 +603,6 @@ impl JsonlSink {
         }
         Ok(JsonlSink {
             file: std::fs::File::create(path)?,
-            path: path.to_owned(),
         })
     }
 
@@ -683,12 +617,6 @@ impl JsonlSink {
         self.file.write_all(line.as_bytes())?;
         self.file.flush()?;
         Ok(())
-    }
-
-    /// The sink's path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -754,6 +682,7 @@ pub fn read_jsonl(path: &Path) -> Result<JsonlLoad, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn registry(loads: u64, hits: u64, depth: f64) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
@@ -808,16 +737,17 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_counts_drops() {
-        let mut sampler = EpochSampler::new(TimelineConfig::every(1).with_capacity(3));
-        for clock in 1..=10u64 {
+        let mut sampler = EpochSampler::new(TimelineConfig::every(1));
+        let epochs = RING_CAPACITY as u64 + 3;
+        for clock in 1..=epochs {
             sampler.sample(clock, &registry(clock * 10, 0, 0.0));
         }
-        assert_eq!(sampler.frames().len(), 3);
-        assert_eq!(sampler.dropped(), 7);
+        let timeline = sampler.into_timeline();
+        assert_eq!(timeline.len(), RING_CAPACITY);
+        assert_eq!(timeline.dropped, 3);
         // Indices stay absolute across eviction.
-        let indices: Vec<u64> = sampler.frames().iter().map(|f| f.index).collect();
-        assert_eq!(indices, vec![7, 8, 9]);
-        assert_eq!(sampler.frames().back().unwrap().index, 9);
+        assert_eq!(timeline.frames[0].index, 3);
+        assert_eq!(timeline.frames.last().unwrap().index, epochs - 1);
     }
 
     #[test]
@@ -850,13 +780,11 @@ mod tests {
             (frame.ratio("l1/hits", "loads") - 0.8).abs() < 1e-12,
             "hit rate"
         );
-        assert!((frame.ppm("l1/hits", "loads") - 800_000.0).abs() < 1e-6);
         assert!(frame.ratio("absent", "loads").abs() < 1e-12);
         // A missing (or zero) denominator is NaN, never +Inf: Inf survives
         // comparisons and arithmetic, so it would propagate into watch
         // output and sparkline coordinates instead of being filtered.
         assert!(frame.ratio("l1/hits", "absent").is_nan());
-        assert!(frame.ppm("l1/hits", "absent").is_nan());
     }
 
     #[test]
@@ -879,7 +807,6 @@ mod tests {
             frame.ratio("loads", "l1/hits").is_nan(),
             "n / 0 must be NaN"
         );
-        assert!(frame.ppm("loads", "l1/hits").is_nan());
         // Zero over zero stays NaN too.
         assert!(frame.ratio("l1/hits", "absent").is_nan());
     }
@@ -910,7 +837,7 @@ mod tests {
         let mut record = TimelineRecord::new("tl-smoke", sampler.into_timeline());
         record.set_meta("workload", "blackscholes");
         record.set_meta("epoch", "10");
-        let back = TimelineRecord::parse(&record.to_string_pretty()).expect("parses");
+        let back = TimelineRecord::from_json(&record.to_json()).expect("parses");
         assert_eq!(back, record);
         assert_eq!(back.meta("workload"), Some("blackscholes"));
 
@@ -931,24 +858,6 @@ mod tests {
     }
 
     #[test]
-    fn record_write_is_atomic_and_reads_back() {
-        let dir = tmp("record");
-        let mut sampler = EpochSampler::new(TimelineConfig::every(10));
-        sampler.sample(10, &registry(5, 2, 0.0));
-        let record = TimelineRecord::new("tl-disk", sampler.into_timeline());
-        let path = dir.join("TIMELINE_tl-disk.json");
-        record.write(&path).expect("writes");
-        assert_eq!(TimelineRecord::read(&path).expect("reads"), record);
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .expect("list")
-            .filter_map(Result::ok)
-            .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
-            .collect();
-        assert!(leftovers.is_empty(), "{leftovers:?}");
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
     fn jsonl_sink_round_trips() {
         let dir = tmp("jsonl");
         let path = dir.join("frames.jsonl");
@@ -961,7 +870,6 @@ mod tests {
         }
         let text = std::fs::read_to_string(&path).expect("reads");
         assert_eq!(text.lines().count(), 3);
-        assert_eq!(sink.path(), path);
         let load = read_jsonl(&path).expect("loads");
         assert!(!load.truncated);
         let frames: Vec<EpochFrame> = sampler.into_timeline().frames;

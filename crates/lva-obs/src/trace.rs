@@ -518,11 +518,6 @@ impl PcAttribution {
         self.events
     }
 
-    /// Per-PC stats, ordered by PC.
-    pub fn pcs(&self) -> &BTreeMap<u64, PcStats> {
-        &self.pcs
-    }
-
     /// Number of distinct static PCs observed.
     pub fn static_pcs(&self) -> usize {
         self.pcs.len()
@@ -1125,11 +1120,11 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total_misses(), 11);
         assert_eq!(a.static_pcs(), 2);
-        assert_eq!(a.pcs()[&0x10].misses, 8);
-        assert_eq!(a.pcs()[&0x20].misses, 3);
-        assert_eq!(a.pcs()[&0x20].trainings, 1);
+        assert_eq!(a.pcs[&0x10].misses, 8);
+        assert_eq!(a.pcs[&0x20].misses, 3);
+        assert_eq!(a.pcs[&0x20].trainings, 1);
         // 0.1 rel-err → 100_000 ppm, bucket-quantised upward.
-        assert!(a.pcs()[&0x20].err_ppm.p50() >= 100_000);
+        assert!(a.pcs[&0x20].err_ppm.p50() >= 100_000);
         let table = a.to_string();
         assert!(table.contains("0x10"), "{table}");
     }

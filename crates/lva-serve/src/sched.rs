@@ -34,7 +34,8 @@
 //! lookups.
 //!
 //! Beside the pool runs one sampler thread that closes a timeline epoch
-//! every [`Scheduler::epoch_ms`] wall-milliseconds: the metrics registry
+//! every `epoch_ms` wall-milliseconds (see [`Scheduler::new_every`]):
+//! the metrics registry
 //! is snapshotted (under the `metrics` lock, diffed outside it) into
 //! per-epoch delta frames — jobs, cache traffic, queue depth, `eval_ns`
 //! intervals — held in the [`EpochSampler`]'s bounded ring. The server's
@@ -44,7 +45,7 @@
 
 use crate::cache::ResultCache;
 use crate::point::{point_record, resolve_point, PointSpec};
-use lva_obs::{EpochFrame, EpochSampler, MetricsRegistry, Timeline, TimelineConfig};
+use lva_obs::{EpochFrame, EpochSampler, MetricsRegistry, TimelineConfig};
 use lva_sim::sched::{catch_point, JobId, SubmissionQueue};
 use lva_workloads::{group_by_reference, Lookup, PreciseMemo, WorkloadScale};
 use std::collections::HashMap;
@@ -163,7 +164,6 @@ pub struct Scheduler {
     inner: Arc<Inner>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     sampler: Mutex<Option<std::thread::JoinHandle<()>>>,
-    epoch_ms: u64,
 }
 
 impl std::fmt::Debug for Scheduler {
@@ -248,14 +248,7 @@ impl Scheduler {
             inner,
             workers: Mutex::new(handles),
             sampler: Mutex::new(Some(sampler)),
-            epoch_ms,
         }
-    }
-
-    /// The wall interval between timeline epochs, in milliseconds.
-    #[must_use]
-    pub fn epoch_ms(&self) -> u64 {
-        self.epoch_ms
     }
 
     /// Submits a job; returns immediately with its id. Points are
@@ -419,18 +412,6 @@ impl Scheduler {
             .expect("metrics lock")
             .gauge("serve/queue/depth")
             .set(depth);
-    }
-
-    /// Snapshot of the wall-interval timeline collected so far (the
-    /// retained ring only — the oldest frames are dropped past the
-    /// sampler's capacity, and `dropped` says how many).
-    #[must_use]
-    pub fn timeline(&self) -> Timeline {
-        let sampler = self.inner.timeline.lock().expect("timeline lock");
-        Timeline {
-            frames: sampler.frames().iter().cloned().collect(),
-            dropped: sampler.dropped(),
-        }
     }
 
     /// Blocks until a frame with epoch index greater than `after`
@@ -813,7 +794,6 @@ mod tests {
             counting_eval(Arc::clone(&evals)),
             5, // short epochs so the test sees several frames quickly
         );
-        assert_eq!(sched.epoch_ms(), 5);
         let id = sched.submit(vec![
             spec("blackscholes", 0),
             spec("canneal", 0),
@@ -822,12 +802,17 @@ mod tests {
         let _ = sched.wait(id);
         // Shutdown closes one final epoch, so every delta has landed.
         sched.shutdown();
-        let tl = sched.timeline();
+        // Every retained frame, pulled the way the `watch` stream pulls.
+        let mut tl = lva_obs::Timeline::default();
+        while let Some(frame) = sched.wait_frame(tl.frames.last().map(|f| f.index), Duration::ZERO)
+        {
+            tl.frames.push(frame);
+        }
         assert!(
             !tl.is_empty(),
             "sampler must have closed at least one epoch"
         );
-        assert_eq!(tl.dropped, 0);
+        assert_eq!(tl.frames[0].index, 0, "the ring dropped nothing");
         assert_eq!(tl.sum_counter("serve/jobs/accepted"), 1);
         assert_eq!(tl.sum_counter("serve/jobs/completed"), 1);
         assert_eq!(tl.sum_counter("serve/points/requested"), 3);

@@ -314,18 +314,6 @@ impl SimConfig {
         Self::stock(MechanismKind::Prefetch(PrefetcherConfig::paper(degree)))
     }
 
-    /// Standalone cache-level prediction with the given predictor
-    /// configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clp` is malformed; build the struct and call
-    /// [`SimConfig::validate`] to handle the error instead.
-    #[must_use]
-    pub fn clp(clp: ClpConfig) -> Self {
-        Self::stock(MechanismKind::Clp(clp))
-    }
-
     /// The LVA + CLP hybrid: approximate only loads the level predictor
     /// expects to be slow.
     ///
@@ -711,9 +699,16 @@ mod tests {
                 epoch_len: 1 << 60,
                 ..GovernorConfig::slo(0.02)
             }),
-            SimConfig::clp(ClpConfig::baseline())
-                .with_value_delay(1)
-                .with_faults(FaultConfig::seeded(0).with_delay(0.5, MAX_EXACT + 7)),
+            SimConfig {
+                mechanism: MechanismKind::Clp(ClpConfig::baseline()),
+                ..SimConfig::precise()
+            }
+            .with_value_delay(1)
+            .with_faults(FaultConfig {
+                delay_rate: 0.5,
+                delay_extra: MAX_EXACT + 7,
+                ..FaultConfig::seeded(0)
+            }),
         ] {
             let err = cfg.validate().unwrap_err();
             assert!(

@@ -66,15 +66,6 @@ impl FaultConfig {
         self.drop_rate = rate;
         self
     }
-
-    /// Same configuration with delayed fetches at `rate`, each adding
-    /// `extra` load-ticks.
-    #[must_use]
-    pub fn with_delay(mut self, rate: f64, extra: u64) -> Self {
-        self.delay_rate = rate;
-        self.delay_extra = extra;
-        self
-    }
 }
 
 /// One thread's fault stream. Decisions are drawn lazily — a rate of zero
@@ -193,10 +184,13 @@ mod tests {
 
     #[test]
     fn same_seed_same_thread_is_deterministic() {
-        let cfg = FaultConfig::seeded(42)
-            .with_table_rate(0.3)
-            .with_drop_rate(0.3)
-            .with_delay(0.3, 16);
+        let cfg = FaultConfig {
+            delay_rate: 0.3,
+            delay_extra: 16,
+            ..FaultConfig::seeded(42)
+                .with_table_rate(0.3)
+                .with_drop_rate(0.3)
+        };
         let mut a1 = warm_approximator();
         let mut a2 = warm_approximator();
         let mut i1 = FaultInjector::for_thread(&cfg, 1);
@@ -234,7 +228,11 @@ mod tests {
 
     #[test]
     fn delay_fault_returns_configured_extra() {
-        let cfg = FaultConfig::seeded(3).with_delay(1.0, 12);
+        let cfg = FaultConfig {
+            delay_rate: 1.0,
+            delay_extra: 12,
+            ..FaultConfig::seeded(3)
+        };
         let mut inj = FaultInjector::for_thread(&cfg, 0);
         assert_eq!(inj.extra_delay(), 12);
     }

@@ -304,35 +304,6 @@ impl FullSystemStats {
         lva_energy::l1_miss_edp(energy_per_miss, self.avg_miss_latency())
     }
 
-    /// Exports the run's two phases as trace spans in the cycle domain:
-    /// `cores-active` covers 0..`cycles` (execution time) and
-    /// `background-drain` covers the tail where outstanding training
-    /// fetches finish after the last core retired. One cycle maps to one
-    /// trace-timestamp unit (rendered as a microsecond by the Chrome
-    /// exporter). Spans go on core 0's track; purely post-run.
-    pub fn record_trace(&self, sink: &mut dyn lva_obs::TraceSink) {
-        if !sink.enabled() {
-            return;
-        }
-        use lva_obs::{TraceCtx, TraceEvent, TraceEventKind};
-        sink.record(TraceEvent::at(
-            TraceCtx::new(0, 0),
-            TraceEventKind::Span {
-                name: "cores-active".to_owned(),
-                dur: self.cycles,
-            },
-        ));
-        if self.drain_cycles > 0 {
-            sink.record(TraceEvent::at(
-                TraceCtx::new(0, self.cycles),
-                TraceEventKind::Span {
-                    name: "background-drain".to_owned(),
-                    dur: self.drain_cycles,
-                },
-            ));
-        }
-    }
-
     /// Exports the phase-2 machine counters into a metrics registry:
     /// `<prefix>/cycles`, `<prefix>/l1/load_misses`, `<prefix>/noc/flit_hops`,
     /// `<prefix>/energy/<component>_accesses`, the CACTI-32nm energy
@@ -983,12 +954,10 @@ impl MemorySystem {
     }
 
     fn dram_fill_ready(&mut self, now: u64, b: usize, block: u64) {
-        self.stats.dram_accesses += 1;
         self.stats.energy.dram_accesses += 1;
         let addr = Self::block_addr(block);
         if let Some((_victim, LineState::Modified)) = self.banks[b].l2.install(addr, false) {
             // Dirty L2 victim written back to memory.
-            self.stats.dram_accesses += 1;
             self.stats.energy.dram_accesses += 1;
         }
         let Some(t) = self.close(b, block) else {
@@ -1020,7 +989,6 @@ impl MemorySystem {
                     .l2
                     .install_in_state(addr, LineState::Modified, false)
             {
-                self.stats.dram_accesses += 1;
                 self.stats.energy.dram_accesses += 1;
             }
         }
@@ -1067,7 +1035,6 @@ impl MemorySystem {
                 .l2
                 .install_in_state(addr, LineState::Modified, false)
         {
-            self.stats.dram_accesses += 1;
             self.stats.energy.dram_accesses += 1;
         }
         let st = self.banks[b].dir.state(addr);
@@ -1182,7 +1149,6 @@ impl MemorySystem {
         };
         for (req, issued) in mshr.first.into_iter().chain(mshr.merged) {
             let latency = now.saturating_sub(issued);
-            self.stats.miss_latency_sum += latency;
             self.l1[core].local_stats.load_latency_cycles += latency;
             self.completions.push((core, req, now + 1));
         }
@@ -1205,8 +1171,6 @@ impl MemorySystem {
     /// §VI-E).
     fn approximated(&mut self, core: usize, now: u64) -> LoadResponse {
         let latency = L1_LATENCY + 1;
-        self.stats.approximated += 1;
-        self.stats.miss_latency_sum += latency;
         self.l1[core].local_stats.load_latency_cycles += latency;
         LoadResponse::Done { at: now + latency }
     }
@@ -1523,15 +1487,19 @@ struct CycleOutcome {
 }
 
 /// The statistics at cycle `now`: the memory system's counters plus what
-/// the per-L1 governors, the cores and the mesh have accumulated
-/// so far. Both the epoch timeline sampler's mid-run snapshots and the
+/// the L1s' local stats, the cores and the mesh have accumulated so far.
+/// Each event is counted in one place: DRAM accesses as energy events,
+/// approximations and miss latencies in the L1s' local stats. Both the epoch timeline sampler's mid-run snapshots and the
 /// end-of-run result are built from it. It first catches every core up to
 /// `now` ([`OooCore::catch_up`]), so a sleeping core's counters are exact.
 fn assemble_stats(mem: &MemorySystem, cores: &mut [OooCore], now: u64) -> FullSystemStats {
     let mut stats = mem.stats.clone();
     stats.cycles = now;
+    stats.dram_accesses = stats.energy.dram_accesses;
     for l1 in &mem.l1 {
         let local = &l1.local_stats;
+        stats.approximated += local.approximations;
+        stats.miss_latency_sum += local.load_latency_cycles;
         stats.demotions += local.demotions;
         stats.disables += local.disables;
         stats.degrade_denied += local.degrade_denied;
@@ -2103,41 +2071,6 @@ mod tests {
             assert_eq!(stats.instructions, expected, "mesi={mesi}");
             assert_eq!(stats.dram_accesses, 1, "one cold fill only (mesi={mesi})");
         }
-    }
-
-    #[test]
-    fn trace_spans_cover_execution_and_drain() {
-        // A degree-16 LVA run leaves training fetches in flight when the
-        // last core retires, so the drain phase is non-empty.
-        let traces = vec![load_trace(2000, 64, true, 7.0)];
-        let stats = run(
-            FullSystemConfig::paper(MechanismKind::Lva(ApproximatorConfig::with_degree(16))),
-            traces,
-        );
-        assert!(
-            stats.drain_cycles > 0,
-            "training traffic must outlive cores"
-        );
-        let mut sink = lva_obs::RingBufferSink::new(8);
-        stats.record_trace(&mut sink);
-        let spans: Vec<(String, u64, u64)> = sink
-            .events()
-            .iter()
-            .filter_map(|e| match &e.kind {
-                lva_obs::TraceEventKind::Span { name, dur } => Some((name.clone(), e.ts, *dur)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0], ("cores-active".to_owned(), 0, stats.cycles));
-        assert_eq!(
-            spans[1],
-            (
-                "background-drain".to_owned(),
-                stats.cycles,
-                stats.drain_cycles
-            )
-        );
     }
 
     #[test]

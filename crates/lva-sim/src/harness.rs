@@ -172,7 +172,7 @@ pub struct RunArtifacts {
 /// h.set_thread(0);
 /// let mut acc = 0.0;
 /// for i in 0..1024 {
-///     acc += h.load_approx_f32(Pc(0x100), buf.offset(4 * i));
+///     acc += h.load(Pc(0x100), buf.offset(4 * i), ValueType::F32, true).as_f32();
 ///     h.tick(3); // model some arithmetic
 /// }
 /// let run = h.finish();
@@ -514,18 +514,7 @@ impl SimHarness {
                 };
                 value
             }
-            Mechanism::Clp(predictor) => {
-                let prediction = predictor.predict_traced(pc, &mut t.obs, ctx);
-                let correct = predictor.verify_traced(&prediction, level, &mut t.obs, ctx);
-                t.stats.clp_predictions += 1;
-                t.stats.clp_correct += u64::from(correct);
-                t.stats.clp_mispredicts += u64::from(prediction.confident && !correct);
-                t.stats.load_latency_cycles += predictor.load_latency(&prediction, level);
-                t.stats.load_fetches += 1;
-                t.l1.install_traced(addr, false, &mut t.obs, ctx);
-                actual
-            }
-            Mechanism::LvaClp(..) => Self::hybrid_miss(
+            Mechanism::Clp(_) | Mechanism::LvaClp(..) => Self::clp_miss(
                 &self.mem,
                 value_delay,
                 t,
@@ -685,12 +674,14 @@ impl SimHarness {
         }
     }
 
-    /// The `lva+clp` hybrid miss path: the level predictor screens every
-    /// miss, the approximator only sees loads predicted to be served at or
-    /// below the configured slow threshold, and misses that stay precise
-    /// still enjoy the predictor's direct access to the serving level.
+    /// The cache-level-prediction miss path of plain `clp` and the
+    /// `lva+clp` hybrid: the level predictor screens every miss. Under the
+    /// hybrid, the approximator only sees annotated loads predicted to be
+    /// served at or below the configured slow threshold; every other miss
+    /// stays precise and enjoys the predictor's direct access to the
+    /// serving level.
     #[allow(clippy::too_many_arguments)]
-    fn hybrid_miss(
+    fn clp_miss(
         mem: &SimMemory,
         value_delay: u64,
         t: &mut ThreadCtx,
@@ -702,8 +693,9 @@ impl SimHarness {
         level: CacheLevel,
         ctx: TraceCtx,
     ) -> Value {
-        let Mechanism::LvaClp(_, predictor) = &mut t.mechanism else {
-            unreachable!("hybrid_miss is only reached from Mechanism::LvaClp");
+        let hybrid = t.mechanism.approximator().is_some();
+        let Some(predictor) = t.mechanism.predictor_mut() else {
+            unreachable!("clp_miss is only reached from a mechanism with a level predictor");
         };
         let prediction = predictor.predict_traced(pc, &mut t.obs, ctx);
         // Verified against every miss — the serving level is modelled even
@@ -715,7 +707,7 @@ impl SimHarness {
         t.stats.clp_predictions += 1;
         t.stats.clp_correct += u64::from(correct);
         t.stats.clp_mispredicts += u64::from(prediction.confident && !correct);
-        if approx && slow {
+        if hybrid && approx && slow {
             let (value, approximated) =
                 Self::lva_approx_miss(mem, value_delay, t, pc, addr, ty, actual, ctx);
             t.stats.load_latency_cycles += if approximated { 1 } else { direct_latency };
@@ -880,29 +872,9 @@ impl SimHarness {
 
     // ----- typed convenience wrappers -----
 
-    /// Precise `f32` load.
-    pub fn load_f32(&mut self, pc: Pc, addr: Addr) -> f32 {
-        self.load(pc, addr, ValueType::F32, false).as_f32()
-    }
-
-    /// Annotated (approximable) `f32` load.
-    pub fn load_approx_f32(&mut self, pc: Pc, addr: Addr) -> f32 {
-        self.load(pc, addr, ValueType::F32, true).as_f32()
-    }
-
     /// Annotated (approximable) `f64` load.
     pub fn load_approx_f64(&mut self, pc: Pc, addr: Addr) -> f64 {
         self.load(pc, addr, ValueType::F64, true).as_f64()
-    }
-
-    /// Precise `i32` load.
-    pub fn load_i32(&mut self, pc: Pc, addr: Addr) -> i32 {
-        self.load(pc, addr, ValueType::I32, false).as_i32()
-    }
-
-    /// Annotated (approximable) `i32` load.
-    pub fn load_approx_i32(&mut self, pc: Pc, addr: Addr) -> i32 {
-        self.load(pc, addr, ValueType::I32, true).as_i32()
     }
 
     /// `f32` store.
@@ -944,11 +916,11 @@ mod tests {
         let addrs = seq_addrs(base, 100, 64); // one block each
         fill(&mut h, &addrs, 1.0);
         for &a in &addrs {
-            let _ = h.load_f32(Pc(1), a);
+            let _ = h.load(Pc(1), a, ValueType::F32, false);
         }
         // Second pass: all hits.
         for &a in &addrs {
-            let _ = h.load_f32(Pc(1), a);
+            let _ = h.load(Pc(1), a, ValueType::F32, false);
         }
         let run = h.finish();
         assert_eq!(run.stats.total.raw_misses, 100);
@@ -964,7 +936,7 @@ mod tests {
         let addrs = seq_addrs(base, 200, 64);
         fill(&mut h, &addrs, 5.0);
         for &a in &addrs {
-            let _ = h.load_approx_f32(Pc(42), a);
+            let _ = h.load(Pc(42), a, ValueType::F32, true);
         }
         let run = h.finish();
         assert_eq!(run.stats.total.raw_misses, 200);
@@ -985,9 +957,11 @@ mod tests {
         h.memory_mut().write_f32(base, 10.0);
         h.memory_mut().write_f32(base.offset(64), 10.0);
         h.memory_mut().write_f32(base.offset(128), 99.0);
-        let _ = h.load_approx_f32(Pc(1), base);
-        let _ = h.load_approx_f32(Pc(1), base.offset(64));
-        let clobbered = h.load_approx_f32(Pc(1), base.offset(128));
+        let _ = h.load(Pc(1), base, ValueType::F32, true);
+        let _ = h.load(Pc(1), base.offset(64), ValueType::F32, true);
+        let clobbered = h
+            .load(Pc(1), base.offset(128), ValueType::F32, true)
+            .as_f32();
         assert_eq!(clobbered, 10.0, "value must be approximated, not actual");
     }
 
@@ -999,7 +973,7 @@ mod tests {
         let addrs = seq_addrs(base, 400, 64);
         fill(&mut h, &addrs, 2.0);
         for &a in &addrs {
-            let _ = h.load_approx_f32(Pc(9), a);
+            let _ = h.load(Pc(9), a, ValueType::F32, true);
         }
         let run = h.finish();
         // Fetch ratio should approach 1:(4+1).
@@ -1018,7 +992,7 @@ mod tests {
         let addrs = seq_addrs(base, 200, 64);
         fill(&mut h, &addrs, 7.0); // identical values: perfectly predictable
         for &a in &addrs {
-            let _ = h.load_approx_f32(Pc(4), a);
+            let _ = h.load(Pc(4), a, ValueType::F32, true);
         }
         let run = h.finish();
         assert!(run.stats.total.lvp_correct > 150);
@@ -1037,7 +1011,7 @@ mod tests {
                 .write_f32(base.offset(i * 64), 1.0 + i as f32 * 1e-5);
         }
         for i in 0..100u64 {
-            let _ = h.load_approx_f32(Pc(5), base.offset(i * 64));
+            let _ = h.load(Pc(5), base.offset(i * 64), ValueType::F32, true);
         }
         let run = h.finish();
         assert_eq!(run.stats.total.lvp_correct, 0);
@@ -1051,7 +1025,7 @@ mod tests {
         let addrs = seq_addrs(base, 300, 64);
         fill(&mut h, &addrs, 7.0); // identical values: predictable, eventually
         for &a in &addrs {
-            let _ = h.load_approx_f32(Pc(4), a);
+            let _ = h.load(Pc(4), a, ValueType::F32, true);
         }
         let run = h.finish();
         assert!(
@@ -1083,7 +1057,7 @@ mod tests {
             h.memory_mut().write_f32(base.offset(i * 64), v);
         }
         for i in 0..300u64 {
-            let _ = h.load_approx_f32(Pc(4), base.offset(i * 64));
+            let _ = h.load(Pc(4), base.offset(i * 64), ValueType::F32, true);
         }
         let run = h.finish();
         assert!(
@@ -1101,7 +1075,7 @@ mod tests {
             let addrs = seq_addrs(base, 512, 64); // perfectly sequential
             fill(&mut h, &addrs, 1.0);
             for &a in &addrs {
-                let _ = h.load_f32(Pc(8), a);
+                let _ = h.load(Pc(8), a, ValueType::F32, false);
                 h.tick(10);
             }
             h.finish()
@@ -1124,7 +1098,7 @@ mod tests {
         // First miss trains only after 8 more loads; the second..eighth
         // misses therefore see an empty LHB and fall through.
         for &a in &addrs {
-            let _ = h.load_approx_f32(Pc(2), a);
+            let _ = h.load(Pc(2), a, ValueType::F32, true);
         }
         let run = h.finish();
         assert!(
@@ -1141,9 +1115,9 @@ mod tests {
         h.memory_mut().write_f32(base, 1.0);
         // Thread 0 touches the block; thread 1 must still miss on it.
         h.set_thread(0);
-        let _ = h.load_f32(Pc(1), base);
+        let _ = h.load(Pc(1), base, ValueType::F32, false);
         h.set_thread(1);
-        let _ = h.load_f32(Pc(1), base);
+        let _ = h.load(Pc(1), base, ValueType::F32, false);
         let run = h.finish();
         assert_eq!(run.stats.total.raw_misses, 2);
         assert_eq!(run.stats.per_thread[0].raw_misses, 1);
@@ -1156,7 +1130,7 @@ mod tests {
         let base = h.alloc(64, 64);
         h.memory_mut().write_f32(base, 1.0);
         h.tick(5);
-        let _ = h.load_approx_f32(Pc(1), base);
+        let _ = h.load(Pc(1), base, ValueType::F32, true);
         h.store_f32(Pc(2), base, 2.0);
         let run = h.finish();
         let stats = run.traces[0].stats();
@@ -1191,9 +1165,9 @@ mod tests {
         // Warm the approximator on a different block so the first access to
         // `base`'s block gets approximated (and fetched in background).
         h.memory_mut().write_f32(base.offset(64), 1.0);
-        let _ = h.load_approx_f32(Pc(3), base.offset(64));
-        let _ = h.load_approx_f32(Pc(3), base); // miss -> approximate + fetch
-        let _ = h.load_approx_f32(Pc(3), base.offset(4)); // in-flight: MSHR hit
+        let _ = h.load(Pc(3), base.offset(64), ValueType::F32, true);
+        let _ = h.load(Pc(3), base, ValueType::F32, true); // miss -> approximate + fetch
+        let _ = h.load(Pc(3), base.offset(4), ValueType::F32, true); // in-flight: MSHR hit
         let run = h.finish();
         assert_eq!(run.stats.total.raw_misses, 2, "secondary access merged");
     }
@@ -1209,7 +1183,7 @@ mod tests {
                 .write_f32(base.offset(i * 64), 100.0 + (i % 7) as f32);
         }
         for i in 0..n {
-            let _ = h.load_approx_f32(Pc(0x42), base.offset(i * 64));
+            let _ = h.load(Pc(0x42), base.offset(i * 64), ValueType::F32, true);
         }
         h.finish()
     }
@@ -1224,7 +1198,7 @@ mod tests {
             let addrs = seq_addrs(base, 300, 64);
             fill(&mut h, &addrs, 5.0);
             for &a in &addrs {
-                let _ = h.load_approx_f32(Pc(7), a);
+                let _ = h.load(Pc(7), a, ValueType::F32, true);
             }
             h.finish()
         };
@@ -1253,7 +1227,7 @@ mod tests {
             let addrs = seq_addrs(base, 300, 64);
             fill(&mut h, &addrs, 5.0);
             for &a in &addrs {
-                let _ = h.load_approx_f32(Pc(7), a);
+                let _ = h.load(Pc(7), a, ValueType::F32, true);
             }
             h.finish()
         };
@@ -1330,12 +1304,13 @@ mod tests {
     fn fault_injection_is_deterministic_and_visible() {
         use crate::fault::FaultConfig;
         let cfg = || {
-            SimConfig::baseline_lva().with_faults(
-                FaultConfig::seeded(0xFA11)
+            SimConfig::baseline_lva().with_faults(FaultConfig {
+                delay_rate: 0.10,
+                delay_extra: 8,
+                ..FaultConfig::seeded(0xFA11)
                     .with_table_rate(0.05)
                     .with_drop_rate(0.05)
-                    .with_delay(0.10, 8),
-            )
+            })
         };
         let a = run_sloppy_pc(cfg(), 400);
         let b = run_sloppy_pc(cfg(), 400);
@@ -1372,7 +1347,7 @@ mod tests {
             let addrs = seq_addrs(base, 300, 64);
             fill(&mut h, &addrs, 5.0);
             for &a in &addrs {
-                let _ = h.load_approx_f32(Pc(7), a);
+                let _ = h.load(Pc(7), a, ValueType::F32, true);
             }
             h.finish()
         };
@@ -1411,7 +1386,7 @@ mod tests {
             fill(&mut h, &addrs, 5.0);
             for (i, &a) in addrs.iter().enumerate() {
                 h.set_thread(i % 4);
-                let _ = h.load_approx_f32(Pc(42), a);
+                let _ = h.load(Pc(42), a, ValueType::F32, true);
             }
             h.finish()
         };

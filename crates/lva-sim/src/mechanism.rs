@@ -11,7 +11,7 @@ use lva_core::{
     LoadValueApproximator, Pc, RealisticLvp,
 };
 
-use crate::config::{ConfigError, MechanismKind, SimConfig};
+use crate::config::{ConfigError, MechanismKind};
 
 /// One runtime-tunable setting of a live [`Mechanism`] — the typed
 /// actuation surface the supervisory governor drives. A `Knob` carries
@@ -93,7 +93,26 @@ pub enum Mechanism {
 }
 
 impl Mechanism {
-    /// Instantiates the mechanism a [`MechanismKind`] describes.
+    /// Instantiates the mechanism a [`MechanismKind`] describes — the one
+    /// constructor both the phase-1 harness and the phase-2 full-system
+    /// model call, after
+    /// [`SimConfig::validate`](crate::SimConfig::validate) has checked the
+    /// whole configuration. Adding a mechanism family means one
+    /// [`MechanismKind`] variant, one [`Mechanism`] variant, and one arm
+    /// here; every embedder picks it up from here.
+    ///
+    /// ```
+    /// use lva_sim::{Mechanism, SimConfig};
+    ///
+    /// let config = SimConfig::lva_clp(
+    ///     lva_core::ApproximatorConfig::baseline(),
+    ///     lva_core::ClpConfig::baseline(),
+    /// );
+    /// config.validate()?;
+    /// let hybrid = Mechanism::from_kind(&config.mechanism)?;
+    /// assert!(matches!(hybrid, Mechanism::LvaClp(..)));
+    /// # Ok::<(), lva_sim::ConfigError>(())
+    /// ```
     ///
     /// # Errors
     ///
@@ -117,36 +136,6 @@ impl Mechanism {
         })
     }
 
-    /// Validates the whole configuration and instantiates its mechanism —
-    /// the front door for both the phase-1 harness and the phase-2
-    /// full-system model. Adding a mechanism family means one
-    /// [`MechanismKind`] variant, one [`Mechanism`] variant, and one arm in
-    /// [`from_kind`](Self::from_kind); every embedder picks it up from
-    /// here.
-    ///
-    /// ```
-    /// use lva_sim::{Mechanism, SimConfig};
-    ///
-    /// let mechanism = Mechanism::from_config(&SimConfig::baseline_lva())?;
-    /// assert!(matches!(mechanism, Mechanism::Lva(_)));
-    ///
-    /// let hybrid = Mechanism::from_config(&SimConfig::lva_clp(
-    ///     lva_core::ApproximatorConfig::baseline(),
-    ///     lva_core::ClpConfig::baseline(),
-    /// ))?;
-    /// assert!(matches!(hybrid, Mechanism::LvaClp(..)));
-    /// # Ok::<(), lva_sim::ConfigError>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns whatever [`SimConfig::validate`] rejects, or a
-    /// [`ConfigError::Core`] from the mechanism constructor.
-    pub fn from_config(config: &SimConfig) -> Result<Self, ConfigError> {
-        config.validate()?;
-        Self::from_kind(&config.mechanism)
-    }
-
     /// The live approximator, when this mechanism carries one.
     pub(crate) fn approximator_mut(&mut self) -> Option<&mut LoadValueApproximator> {
         match self {
@@ -163,7 +152,7 @@ impl Mechanism {
     }
 
     /// The live level predictor, when this mechanism carries one.
-    fn predictor_mut(&mut self) -> Option<&mut LevelPredictor> {
+    pub(crate) fn predictor_mut(&mut self) -> Option<&mut LevelPredictor> {
         match self {
             Mechanism::Clp(p) | Mechanism::LvaClp(_, p) => Some(p),
             _ => None,
@@ -270,17 +259,5 @@ mod tests {
             err,
             ConfigError::Core(lva_core::ConfigError::TableEntries { entries: 3 })
         );
-    }
-
-    #[test]
-    fn from_config_validates_first() {
-        let cfg = SimConfig {
-            threads: 0,
-            ..SimConfig::precise()
-        };
-        assert!(matches!(
-            Mechanism::from_config(&cfg),
-            Err(ConfigError::ZeroThreads)
-        ));
     }
 }

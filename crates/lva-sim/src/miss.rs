@@ -310,7 +310,11 @@ mod tests {
 
     #[test]
     fn budget_deny_skips_the_table_and_the_delay_roll() {
-        let faults = FaultConfig::seeded(9).with_delay(0.5, 16);
+        let faults = FaultConfig {
+            delay_rate: 0.5,
+            delay_extra: 16,
+            ..FaultConfig::seeded(9)
+        };
         let mut m = lva();
         let mut p = with_disabled_pc(&m, Some(FaultInjector::for_thread(&faults, 0)));
         let mut stats = ThreadStats::default();

@@ -40,13 +40,6 @@ impl PcSet {
         self.pcs.is_empty()
     }
 
-    /// Whether `pc` is in the set.
-    #[must_use]
-    #[inline]
-    pub fn contains(&self, pc: Pc) -> bool {
-        self.pcs.binary_search_by_key(&pc.0, |p| p.0).is_ok()
-    }
-
     /// Inserts `pc`; returns `false` if it was already present.
     #[inline]
     pub fn insert(&mut self, pc: Pc) -> bool {

@@ -28,9 +28,8 @@
 //!   [`SweepSummary`] report.
 //! - [`SweepSpec`] — a builder for the paper's configuration grids:
 //!   axes over confidence window (Fig. 6), approximation degree
-//!   (Figs. 8–9), value delay (Fig. 7), GHB depth (Figs. 4–5) and
-//!   approximator table geometry, crossed into a flat `Vec<SimConfig>`
-//!   in a stable declared order.
+//!   (Figs. 8–9), value delay (Fig. 7) and GHB depth (Figs. 4–5),
+//!   crossed into a flat `Vec<SimConfig>` in a stable declared order.
 //!
 //! The workload dimension lives upstream (`lva-workloads` depends on
 //! this crate, not the reverse), so the phase-1 configs × workloads grid
@@ -42,7 +41,7 @@ use crate::stats::SweepSummary;
 use crate::{ConfigError, FullSystem, FullSystemConfig, FullSystemStats, MechanismKind, SimConfig};
 use lva_core::{ApproximatorConfig, ConfidenceWindow};
 use lva_cpu::ThreadTrace;
-use lva_obs::{MetricsRegistry, TraceCtx, TraceEvent, TraceEventKind, TraceSink};
+use lva_obs::MetricsRegistry;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -56,8 +55,6 @@ pub struct SweepOutcome<R> {
     pub value: R,
     /// Wall-clock time this single point took.
     pub elapsed: Duration,
-    /// When the point started, as an offset from the sweep's start.
-    pub started: Duration,
     /// Worker thread that claimed the point.
     pub worker: usize,
 }
@@ -176,41 +173,6 @@ impl<R> SweepRun<R> {
         }
     }
 
-    /// Exports the engine's schedule as trace spans: one span per grid
-    /// point (named `point{index}`, placed on the claiming worker's
-    /// track) plus one lifetime span per worker. Timestamps are
-    /// microsecond offsets from the sweep's start — wall-clock data,
-    /// which is why spans only ever flow *out* of a finished run and
-    /// never into the simulated statistics.
-    pub fn record_trace(&self, sink: &mut dyn TraceSink) {
-        if !sink.enabled() {
-            return;
-        }
-        for (i, load) in self.worker_loads.iter().enumerate() {
-            let ctx = TraceCtx::new(i as u32, 0);
-            sink.record(TraceEvent::at(
-                ctx,
-                TraceEventKind::Span {
-                    name: format!("worker{i}"),
-                    dur: u64::try_from(load.wall.as_micros()).unwrap_or(u64::MAX),
-                },
-            ));
-        }
-        for outcome in &self.outcomes {
-            let ctx = TraceCtx::new(
-                outcome.worker as u32,
-                u64::try_from(outcome.started.as_micros()).unwrap_or(u64::MAX),
-            );
-            sink.record(TraceEvent::at(
-                ctx,
-                TraceEventKind::Span {
-                    name: format!("point{}", outcome.index),
-                    dur: u64::try_from(outcome.elapsed.as_micros()).unwrap_or(u64::MAX),
-                },
-            ));
-        }
-    }
-
     /// Timing summary for the progress report.
     #[must_use]
     pub fn summary(&self) -> SweepSummary {
@@ -314,7 +276,6 @@ where
                                 index,
                                 value,
                                 elapsed,
-                                started: t0.duration_since(started),
                                 worker: wid,
                             }),
                             Err(message) => failed.push(SweepError { index, message }),
@@ -391,8 +352,8 @@ pub fn run_fullsystem_grid(
 /// Starts from a base [`SimConfig`] and crosses whichever axes are
 /// populated. Build order is stable and independent of everything but
 /// the declaration itself: value delay is the outermost axis, then
-/// confidence window, degree, GHB depth, table geometry, error budget
-/// and governor SLO; explicitly added mechanisms are appended after the
+/// confidence window, degree, GHB depth, error budget and governor
+/// SLO; explicitly added mechanisms are appended after the
 /// generated LVA grid, each crossed with the value delays.
 #[derive(Debug, Clone)]
 pub struct SweepSpec {
@@ -400,8 +361,6 @@ pub struct SweepSpec {
     windows: Vec<ConfidenceWindow>,
     degrees: Vec<u32>,
     ghb_depths: Vec<usize>,
-    /// (table_entries, lhb_entries) pairs.
-    geometries: Vec<(usize, usize)>,
     value_delays: Vec<u64>,
     error_budgets: Vec<f64>,
     governor_slos: Vec<f64>,
@@ -424,7 +383,6 @@ impl SweepSpec {
             windows: Vec::new(),
             degrees: Vec::new(),
             ghb_depths: Vec::new(),
-            geometries: Vec::new(),
             value_delays: Vec::new(),
             error_budgets: Vec::new(),
             governor_slos: Vec::new(),
@@ -498,16 +456,6 @@ impl SweepSpec {
     #[must_use]
     pub fn mechanism(mut self, mechanism: MechanismKind) -> Self {
         self.extra.push(mechanism);
-        self
-    }
-
-    /// Appends several standalone mechanism points at once, in declared
-    /// order — the bulk form of [`mechanism`](Self::mechanism) used by the
-    /// cross-mechanism conformance harness and the CLI's per-mechanism
-    /// grids.
-    #[must_use]
-    pub fn mechanisms(mut self, mechanisms: &[MechanismKind]) -> Self {
-        self.extra.extend_from_slice(mechanisms);
         self
     }
 
@@ -585,11 +533,6 @@ impl SweepSpec {
         } else {
             self.ghb_depths.clone()
         };
-        let geoms: Vec<(usize, usize)> = if self.geometries.is_empty() {
-            vec![(base_approx.table_entries, base_approx.lhb_entries)]
-        } else {
-            self.geometries.clone()
-        };
         // `None` keeps the base configuration's governor as it is.
         let axis = |values: &[f64]| -> Vec<Option<f64>> {
             if values.is_empty() {
@@ -603,36 +546,28 @@ impl SweepSpec {
 
         let mut grid = Vec::new();
         let lva_base = matches!(self.base.mechanism, MechanismKind::Lva(_))
-            || self.windows.len()
-                + self.degrees.len()
-                + self.ghb_depths.len()
-                + self.geometries.len()
-                > 0;
+            || self.windows.len() + self.degrees.len() + self.ghb_depths.len() > 0;
         for &delay in delays {
             if lva_base {
                 for window in &windows {
                     for &degree in &degrees {
                         for &ghb in &ghbs {
-                            for &(table_entries, lhb_entries) in &geoms {
-                                for &budget in &budgets {
-                                    for &slo in &slos {
-                                        let mut approx = base_approx.clone();
-                                        approx.confidence_window = *window;
-                                        approx.degree = degree;
-                                        approx.ghb_entries = ghb;
-                                        approx.table_entries = table_entries;
-                                        approx.lhb_entries = lhb_entries;
-                                        let mut cfg = self.base.clone();
-                                        cfg.mechanism = MechanismKind::Lva(approx);
-                                        cfg.value_delay = delay;
-                                        if let Some(s) = slo {
-                                            cfg = cfg.with_govern_slo(s);
-                                        }
-                                        if let Some(b) = budget {
-                                            cfg = cfg.with_error_budget(b);
-                                        }
-                                        grid.push(cfg);
+                            for &budget in &budgets {
+                                for &slo in &slos {
+                                    let mut approx = base_approx.clone();
+                                    approx.confidence_window = *window;
+                                    approx.degree = degree;
+                                    approx.ghb_entries = ghb;
+                                    let mut cfg = self.base.clone();
+                                    cfg.mechanism = MechanismKind::Lva(approx);
+                                    cfg.value_delay = delay;
+                                    if let Some(s) = slo {
+                                        cfg = cfg.with_govern_slo(s);
                                     }
+                                    if let Some(b) = budget {
+                                        cfg = cfg.with_error_budget(b);
+                                    }
+                                    grid.push(cfg);
                                 }
                             }
                         }
@@ -706,10 +641,11 @@ mod tests {
     }
 
     #[test]
-    fn bulk_mechanisms_keep_declared_order() {
+    fn extra_mechanisms_keep_declared_order() {
         let clp = MechanismKind::Clp(lva_core::ClpConfig::baseline());
         let grid = SweepSpec::new()
-            .mechanisms(&[MechanismKind::Precise, clp.clone()])
+            .mechanism(MechanismKind::Precise)
+            .mechanism(clp.clone())
             .build();
         assert_eq!(grid.len(), 3);
         assert_eq!(grid[1].mechanism, MechanismKind::Precise);
@@ -991,43 +927,6 @@ mod tests {
         {
             assert!(lva_obs::is_informational(path), "{path} must not gate");
         }
-    }
-
-    #[test]
-    fn record_trace_emits_one_span_per_point_and_worker() {
-        let grid: Vec<u32> = (0..9).collect();
-        let opts = SweepOptions {
-            workers: Some(3),
-            progress: false,
-        };
-        let run = run_sweep(&grid, &opts, |_, &p| p);
-        let mut sink = lva_obs::RingBufferSink::new(64);
-        run.record_trace(&mut sink);
-        let spans: Vec<_> = run
-            .outcomes
-            .iter()
-            .map(|o| format!("point{}", o.index))
-            .chain((0..3).map(|w| format!("worker{w}")))
-            .collect();
-        let recorded: Vec<String> = sink
-            .events()
-            .iter()
-            .filter_map(|e| match &e.kind {
-                lva_obs::TraceEventKind::Span { name, .. } => Some(name.clone()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(recorded.len(), grid.len() + 3);
-        for name in &spans {
-            assert!(recorded.contains(name), "missing span {name}");
-        }
-        // Every point span lands on the track of the worker that ran it.
-        for o in &run.outcomes {
-            assert!(o.worker < 3);
-        }
-        // A disabled sink records nothing.
-        let mut null = lva_obs::NullSink;
-        run.record_trace(&mut null);
     }
 
     #[test]

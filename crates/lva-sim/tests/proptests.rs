@@ -54,10 +54,15 @@ fn drive(cfg: SimConfig, ops: &[Op]) -> lva_sim::Phase1Stats {
     for op in ops {
         match *op {
             Op::LoadPrecise { pc, block } => {
-                let _ = h.load_i32(Pc(pc), base.offset(block * 64));
+                let _ = h.load(Pc(pc), base.offset(block * 64), ValueType::I32, false);
             }
             Op::LoadApprox { pc, block } => {
-                let _ = h.load_approx_i32(Pc(0x100 + pc), base.offset(block * 64));
+                let _ = h.load(
+                    Pc(0x100 + pc),
+                    base.offset(block * 64),
+                    ValueType::I32,
+                    true,
+                );
             }
             Op::Store { pc, block, v } => {
                 h.store_i32(Pc(0x200 + pc), base.offset(block * 64), v);
@@ -109,11 +114,15 @@ fn precise_loads_return_stored_values() {
             h.set_thread(i % 4);
             h.store_i32(Pc(1), base.offset(block * 64), v);
             shadow[block as usize] = v;
-            let got = h.load_i32(Pc(2), base.offset(block * 64));
+            let got = h
+                .load(Pc(2), base.offset(block * 64), ValueType::I32, false)
+                .as_i32();
             assert_eq!(got, v);
         }
         for (b, &v) in shadow.iter().enumerate() {
-            let got = h.load_i32(Pc(3), base.offset(b as u64 * 64));
+            let got = h
+                .load(Pc(3), base.offset(b as u64 * 64), ValueType::I32, false)
+                .as_i32();
             assert_eq!(got, v);
         }
     }

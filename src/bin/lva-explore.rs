@@ -26,11 +26,11 @@ use lva::core::{ApproximatorConfig, CacheLevel, ClpConfig, ConfidenceWindow, Lvp
 use lva::cpu::trace_io;
 use lva::energy::EnergyParams;
 use lva::obs::{
-    chrome_trace, compare, read_manifest, write_manifest, CompareOptions, Json, JsonlSink,
-    MetricsRegistry, PcAttribution, RunRecord, TimelineConfig, TimelineRecord, TraceConfig,
+    chrome_trace, compare, read_manifest, write_manifest, Json, JsonlSink, MetricsRegistry,
+    PcAttribution, RunRecord, TimelineConfig, TimelineRecord, TraceConfig, DEFAULT_TOLERANCE,
     TIMELINE_SCHEMA_VERSION,
 };
-use lva::serve::{Client, PointSpec, ResultCache, Scheduler, Server};
+use lva::serve::{point_record, Client, PointSpec, ResultCache, Scheduler, Server};
 use lva::sim::sweep::SweepOptions;
 use lva::sim::{
     FaultConfig, FullSystem, FullSystemConfig, GovernorConfig, MechanismKind, SimConfig, SweepSpec,
@@ -607,38 +607,21 @@ fn cmd_report(args: &Args) -> Result<(), String> {
     let scale = scale_of(args)?;
     let seed: u64 = flag_or(args, "seed", 0)?;
     let workload = find_workload(name, scale, seed)?;
-    let config = config_of(args, |c| c)?;
+    let spec = PointSpec::new(name, scale, seed, config_of(args, |c| c)?);
 
     let start = Instant::now();
-    let run = workload.execute(&config);
+    let run = workload.execute(&spec.config);
     let wall = start.elapsed();
 
-    let mut record = RunRecord::new(format!(
-        "report-{name}-{}",
-        args.flag("scale").unwrap_or("test")
-    ));
-    record.set_meta("workload", name);
-    record.set_meta("scale", args.flag("scale").unwrap_or("test"));
-    record.set_meta("seed", seed.to_string());
-    record.set_meta("mechanism", config.mechanism.label());
-    record.set_meta("value_delay", config.value_delay.to_string());
-
-    // Headline figures first so `compare` tables read top-down.
-    record.push_stat("summary/norm_mpki", run.normalized_mpki());
-    record.push_stat("summary/norm_fetches", run.normalized_fetches());
-    record.push_stat("summary/output_error", run.output_error);
-
-    let mut registry = MetricsRegistry::new();
-    run.stats.record_metrics(&mut registry, "phase1");
-    run.precise_stats.record_metrics(&mut registry, "precise");
-    record.absorb_registry(&registry);
+    // The manifest `lva-serve` answers this point with, plus timing.
+    let mut record = point_record(&spec, &run);
     record.push_stat("time/wall_ns", wall.as_nanos() as f64);
 
     write_manifest(Path::new(out), &record).map_err(|e| format!("write {out}: {e}"))?;
     println!(
         "wrote manifest {out}: {} under {} ({} stats)",
         name,
-        config.mechanism.label(),
+        spec.config.mechanism.label(),
         record.stats.len()
     );
     Ok(())
@@ -653,10 +636,10 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
         .positional
         .get(2)
         .ok_or("usage: lva-explore compare <baseline.json> <candidate.json> [--tolerance pct]")?;
-    let mut options = CompareOptions::default();
+    let mut tolerance = DEFAULT_TOLERANCE;
     if let Some(pct) = args.flag("tolerance") {
-        options.tolerance = percent(pct, "--tolerance")?;
-        if options.tolerance.is_nan() || options.tolerance < 0.0 {
+        tolerance = percent(pct, "--tolerance")?;
+        if tolerance.is_nan() || tolerance < 0.0 {
             return Err(format!("bad --tolerance: {pct} (must be >= 0)"));
         }
     }
@@ -666,12 +649,12 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
         .transpose()?;
     let baseline = read_manifest(Path::new(baseline_path))?;
     let candidate = read_manifest(Path::new(candidate_path))?;
-    let report = compare(&baseline, &candidate, &options);
+    let report = compare(&baseline, &candidate, tolerance);
     println!(
         "comparing {} (baseline) vs {} (candidate), tolerance {}%:",
         baseline.name,
         candidate.name,
-        options.tolerance * 100.0
+        tolerance * 100.0
     );
     println!("{}", report.to_table(top));
     if report.passed() {

@@ -134,6 +134,17 @@ fn report_writes_a_schema_versioned_manifest() {
     let record = lva::obs::read_manifest(&path).expect("manifest parses");
     assert_eq!(record.meta("workload"), Some("blackscholes"));
     assert_eq!(record.meta("scale"), Some("test"));
+    // The manifest is `lva-serve`'s for the same point: the CLI defaults
+    // (seed 0, baseline LVA) name the same content address.
+    let spec = lva::serve::PointSpec::new(
+        "blackscholes",
+        lva::workloads::WorkloadScale::Test,
+        0,
+        lva::sim::SimConfig::baseline_lva(),
+    );
+    let fingerprint = format!("{:016x}", spec.fingerprint());
+    assert_eq!(record.meta("fingerprint"), Some(fingerprint.as_str()));
+    assert_eq!(record.name, format!("point-blackscholes-{fingerprint}"));
     assert!(record.stat("summary/norm_mpki").is_some());
     assert!(record.stat("phase1/total/l1/raw_misses").is_some());
     let text = std::fs::read_to_string(&path).expect("file exists");

@@ -1,7 +1,7 @@
 //! Cross-mechanism conformance harness: one table of mechanism
 //! constructors, one battery of invariants every family must pass.
 //!
-//! The point of the `Mechanism::from_config` seam is that a new miss-
+//! The point of the `Mechanism::from_kind` seam is that a new miss-
 //! handling family (the cache-level predictor is the second; a third
 //! should follow the same recipe) inherits the repo's determinism and
 //! observability contracts for free. This suite makes that contract
@@ -9,10 +9,10 @@
 //! worker-count invariance, trace neutrality, quiet-controller
 //! invisibility, seeded replay — runs against the new family.
 
-use lva::core::{ApproximatorConfig, CacheLevel, ClpConfig, ConfidenceWindow, Pc};
+use lva::core::{ApproximatorConfig, CacheLevel, ClpConfig, ConfidenceWindow, Pc, ValueType};
 use lva::obs::{PcAttribution, TraceConfig};
 use lva::sim::sweep::SweepOptions;
-use lva::sim::{Knob, Mechanism, SimConfig, SimHarness};
+use lva::sim::{Knob, Mechanism, MechanismKind, SimConfig, SimHarness};
 use lva::workloads::{registry, registry_seeded, run_grid, WorkloadScale};
 
 /// The conformance table: every mechanism family under test, by name.
@@ -21,7 +21,13 @@ fn mechanisms() -> Vec<(&'static str, SimConfig)> {
     vec![
         ("precise", SimConfig::precise()),
         ("lva", SimConfig::baseline_lva()),
-        ("clp", SimConfig::clp(ClpConfig::baseline())),
+        (
+            "clp",
+            SimConfig {
+                mechanism: MechanismKind::Clp(ClpConfig::baseline()),
+                ..SimConfig::precise()
+            },
+        ),
         (
             "lva+clp",
             SimConfig::lva_clp(ApproximatorConfig::baseline(), ClpConfig::baseline()),
@@ -45,10 +51,19 @@ fn battery_fingerprints(workers: usize, map: impl Fn(&SimConfig) -> SimConfig) -
         .collect()
 }
 
+/// The mechanism a valid configuration builds: validation first, then
+/// the one constructor every embedder calls.
+fn build(cfg: &SimConfig) -> Mechanism {
+    cfg.validate().expect("valid config");
+    Mechanism::from_kind(&cfg.mechanism).expect("valid mechanism")
+}
+
 #[test]
 fn every_row_constructs_through_the_config_seam() {
     for (name, cfg) in mechanisms() {
-        let mech = Mechanism::from_config(&cfg);
+        let mech = cfg
+            .validate()
+            .and_then(|()| Mechanism::from_kind(&cfg.mechanism));
         assert!(mech.is_ok(), "{name}: {:?}", mech.err());
     }
 }
@@ -177,9 +192,9 @@ fn fast_path_invariant_holds_for_every_mechanism() {
                 let addr = base.offset(slot * 64 + (rng.gen_u64() % 2) * 4);
                 match rng.gen_u64() % 8 {
                     0 => h.store_f32(Pc(3), addr, slot as f32),
-                    1 => drop(h.load_f32(Pc(5), addr)),
+                    1 => drop(h.load(Pc(5), addr, ValueType::F32, false)),
                     2 => h.tick(3),
-                    _ => drop(h.load_approx_f32(Pc(7), addr)),
+                    _ => drop(h.load(Pc(7), addr, ValueType::F32, true)),
                 }
                 assert!(
                     h.fast_path_invariant_holds(),
@@ -233,7 +248,7 @@ fn every_knob_round_trips_through_the_actuation_seam() {
         Knob::ClpSlowThreshold(CacheLevel::L2),
     ];
     for (name, cfg) in mechanisms() {
-        let mut mech = Mechanism::from_config(&cfg).unwrap();
+        let mut mech = build(&cfg);
         for knob in knobs {
             let applied = mech
                 .set(&knob)
@@ -267,7 +282,7 @@ fn invalid_knob_values_error_without_panicking() {
         Knob::ConfidenceWindow(ConfidenceWindow::Relative(f64::NAN)),
     ] {
         for (name, cfg) in mechanisms() {
-            let mut mech = Mechanism::from_config(&cfg).unwrap();
+            let mut mech = build(&cfg);
             let before = read_back(&mech, bad);
             match mech.set(&bad) {
                 Err(_) => {
@@ -295,9 +310,7 @@ fn invalid_knob_values_error_without_panicking() {
         slow_threshold: CacheLevel::L2,
         ..ClpConfig::baseline()
     };
-    let mut hybrid =
-        Mechanism::from_config(&SimConfig::lva_clp(ApproximatorConfig::baseline(), shallow))
-            .unwrap();
+    let mut hybrid = build(&SimConfig::lva_clp(ApproximatorConfig::baseline(), shallow));
     assert!(
         hybrid
             .set(&Knob::ClpSlowThreshold(CacheLevel::Dram))

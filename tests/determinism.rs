@@ -3,7 +3,7 @@
 //! reproducible from their seed. These tests are what lets every figure
 //! bench fan out across threads without perturbing the paper's numbers.
 
-use lva::core::{ApproximatorConfig, ClpConfig, ConfidenceWindow, LvpConfig, Pc};
+use lva::core::{ApproximatorConfig, ClpConfig, ConfidenceWindow, LvpConfig, Pc, ValueType};
 use lva::sim::sweep::{run_sweep, SweepOptions, SweepRun};
 use lva::sim::{FaultConfig, MechanismKind, Phase1Stats, SimConfig, SimHarness, SweepSpec};
 use lva::workloads::{registry, registry_seeded, run_grid, WorkloadRun, WorkloadScale};
@@ -291,8 +291,8 @@ fn mshr_stress_fingerprint(cfg: &SimConfig) -> String {
             .write_f32(base.offset(i * 64), (i % 5) as f32);
     }
     for i in 0..2048u64 {
-        let _ = h.load_approx_f32(Pc(7), base.offset(i * 64));
-        let _ = h.load_approx_f32(Pc(9), base.offset(i * 64 + 4));
+        let _ = h.load(Pc(7), base.offset(i * 64), ValueType::F32, true);
+        let _ = h.load(Pc(9), base.offset(i * 64 + 4), ValueType::F32, true);
     }
     let run = h.finish();
     assert!(run.stats.total.l1_hits > 0, "stress kernel must merge/hit");
@@ -596,11 +596,11 @@ fn robustness_configs() -> Vec<(&'static str, SimConfig)> {
             "budget1/drop-delay",
             SimConfig::baseline_lva()
                 .with_error_budget(0.01)
-                .with_faults(
-                    FaultConfig::seeded(7)
-                        .with_drop_rate(0.02)
-                        .with_delay(0.05, 16),
-                ),
+                .with_faults(FaultConfig {
+                    delay_rate: 0.05,
+                    delay_extra: 16,
+                    ..FaultConfig::seeded(7).with_drop_rate(0.02)
+                }),
         ),
     ]
 }

@@ -211,9 +211,7 @@ fn value_delay_zero_and_large_both_work() {
 /// through the whole report/compare pipeline without poisoning gates.
 #[test]
 fn empty_histogram_mean_survives_report_and_compare_as_null() {
-    use lva::obs::{
-        compare, read_manifest, write_manifest, CompareOptions, MetricsRegistry, RunRecord,
-    };
+    use lva::obs::{compare, read_manifest, write_manifest, MetricsRegistry, RunRecord};
 
     let mut registry = MetricsRegistry::new();
     registry.histogram("quiet/latency_ns"); // registered, never observed
@@ -247,7 +245,7 @@ fn empty_histogram_mean_survives_report_and_compare_as_null() {
     assert_eq!(back.stat("loads"), Some(42.0));
 
     // NaN == NaN for gating purposes: both sides undefined is not drift.
-    let report = compare(&record, &back, &CompareOptions::exact());
+    let report = compare(&record, &back, 0.0);
     assert!(report.passed(), "exact self-compare tolerates NaN pairs");
     let _ = std::fs::remove_dir_all(dir);
 }

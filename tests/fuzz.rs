@@ -104,9 +104,11 @@ fn config_survives(what: &str, text: &str) -> bool {
 fn config_json_decodes_or_errors_but_never_panics() {
     // One config per mechanism kind; the LVA one also carries a governor
     // with both layers and fault injection.
-    let faults = FaultConfig::seeded(7)
-        .with_drop_rate(0.01)
-        .with_delay(0.02, 40);
+    let faults = FaultConfig {
+        delay_rate: 0.02,
+        delay_extra: 40,
+        ..FaultConfig::seeded(7).with_drop_rate(0.01)
+    };
     let seeds = [
         SimConfig::precise(),
         SimConfig::baseline_lva()
@@ -116,7 +118,10 @@ fn config_json_decodes_or_errors_but_never_panics() {
         SimConfig::lvp(LvpConfig::baseline()),
         SimConfig::realistic_lvp(),
         SimConfig::prefetch(4),
-        SimConfig::clp(ClpConfig::baseline()),
+        SimConfig {
+            mechanism: MechanismKind::Clp(ClpConfig::baseline()),
+            ..SimConfig::precise()
+        },
         SimConfig::lva_clp(ApproximatorConfig::baseline(), ClpConfig::baseline()),
     ];
     let mut rng = Rng64::new(0xc0de_c0f1);
