@@ -247,12 +247,6 @@ impl<P> Mesh<P> {
         mesh
     }
 
-    /// The mesh configuration.
-    #[must_use]
-    pub fn config(&self) -> &MeshConfig {
-        &self.config
-    }
-
     /// Traffic statistics so far.
     #[must_use]
     pub fn stats(&self) -> &MeshStats {

@@ -209,21 +209,67 @@ fn write_num(out: &mut String, n: f64) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    use fmt::Write as _;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Whether a JSON string must escape byte `b`: a quote, a backslash or a
+/// control byte below 0x20. These are exactly the bytes the writer
+/// escapes and the bytes that end a raw run in the parser. All are ASCII,
+/// so a run of other bytes in a `&str` starts and ends on character
+/// boundaries.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// The index of the first byte at or after `pos` that [`needs_escape`],
+/// or `bytes.len()` if there is none.
+///
+/// Eight bytes are tested per step with word arithmetic: for a word `w`,
+/// `(w - 0x0101..01 * n) & !w & 0x8080..80` flags every byte below `n`
+/// (after an XOR, every byte equal to a constant). Bytes above the first
+/// flagged one may be flagged falsely, so only the lowest flag is read.
+fn next_stop(bytes: &[u8], mut pos: usize) -> usize {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    let below = |w: u64, n: u8| w.wrapping_sub(ONES * u64::from(n)) & !w & HIGHS;
+    while let Some(word) = bytes.get(pos..pos + 8) {
+        let w = u64::from_le_bytes(word.try_into().expect("a slice of eight bytes"));
+        let flags = below(w, 0x20)
+            | below(w ^ (ONES * u64::from(b'"')), 1)
+            | below(w ^ (ONES * u64::from(b'\\')), 1);
+        if flags != 0 {
+            return pos + flags.trailing_zeros() as usize / 8;
         }
+        pos += 8;
+    }
+    while bytes.get(pos).is_some_and(|&b| !needs_escape(b)) {
+        pos += 1;
+    }
+    pos
+}
+
+/// Writes `s` as a JSON string, copying each stretch that needs no
+/// escape with one `push_str`.
+fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    out.reserve(s.len() + 2);
+    out.push('"');
+    let mut run = 0;
+    loop {
+        let stop = next_stop(bytes, run);
+        out.push_str(&s[run..stop]);
+        let Some(&b) = bytes.get(stop) else { break };
+        out.push('\\');
+        match b {
+            b'"' | b'\\' => out.push(char::from(b)),
+            b'\n' => out.push('n'),
+            b'\r' => out.push('r'),
+            b'\t' => out.push('t'),
+            _ => {
+                out.push_str("u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = stop + 1;
     }
     out.push('"');
 }
@@ -257,6 +303,7 @@ impl std::error::Error for ParseError {}
 /// input fails with "unexpected end of input".
 pub fn parse(text: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -274,6 +321,7 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -415,17 +463,12 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            // Copy the run up to the next quote, backslash or control
-            // byte as one slice. Those stop bytes are ASCII, so the run
-            // ends on a character boundary and is valid UTF-8 (the input
-            // is a &str); validating just the run keeps the decode linear.
-            let rest = &self.bytes[self.pos..];
-            let run = rest
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-                .unwrap_or(rest.len());
-            out.push_str(std::str::from_utf8(&rest[..run]).expect("input is UTF-8"));
-            self.pos += run;
+            // Copy the run up to the next byte the writer escapes as one
+            // slice of the input: it starts and ends on character
+            // boundaries (see `needs_escape`), so it needs no UTF-8 check.
+            let start = self.pos;
+            self.pos = next_stop(self.bytes, start);
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unexpected end of input in string")),
                 Some(b'"') => {
@@ -575,6 +618,105 @@ mod tests {
         assert!(text.contains("\\n"));
         assert!(text.contains("\\u0001"));
         assert_eq!(roundtrip(&v), v);
+    }
+
+    /// The escaper as it was before run-based writing, one `char` at a
+    /// time: the oracle `write_escaped` must match byte for byte.
+    fn escape_by_char(s: &str) -> String {
+        use fmt::Write as _;
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// A xorshift64 stream, so the generated strings replay exactly.
+    fn xorshift(mut state: u64) -> impl FnMut() -> usize {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize
+        }
+    }
+
+    /// Seeded strings built from every ASCII byte, quotes, backslashes,
+    /// 2-, 3- and 4-byte UTF-8 (including characters whose bytes equal
+    /// a quote, a backslash or a control byte with the high bit set),
+    /// and escape-free runs of every length up to past two words.
+    fn seeded_strings() -> Vec<String> {
+        let mut pieces: Vec<String> = (0u8..0x80).map(|b| char::from(b).to_string()).collect();
+        pieces.extend(
+            [
+                "\"",
+                "\\",
+                "\u{e2}",
+                "\u{dc}",
+                "\u{722}",
+                "\u{7ff}",
+                "\u{4e2d}",
+                "\u{ffff}",
+                "\u{1f600}",
+                "\u{10ffff}",
+            ]
+            .map(String::from),
+        );
+        pieces.extend((1..=20).map(|n| "r".repeat(n)));
+        pieces.push("long run with no escape ".repeat(40));
+        let mut next = xorshift(0x05ee_d0fc_0dec);
+        let mut strings: Vec<String> = (0..2000)
+            .map(|_| {
+                let len = next() % 24;
+                (0..len)
+                    .map(|_| pieces[next() % pieces.len()].as_str())
+                    .collect()
+            })
+            .collect();
+        strings.push((0u8..0x80).map(char::from).collect());
+        strings.push(String::new());
+        strings
+    }
+
+    #[test]
+    fn run_escaping_matches_the_char_by_char_oracle_and_parses_back() {
+        for s in seeded_strings() {
+            let mut out = String::new();
+            write_escaped(&mut out, &s);
+            assert_eq!(out, escape_by_char(&s), "{s:?}");
+            assert_eq!(parse(&out), Ok(Json::Str(s.clone())), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn next_stop_finds_the_first_byte_to_escape() {
+        // Arbitrary bytes, not only UTF-8: every byte value at every
+        // offset of a word.
+        let mut next = xorshift(0xb17e_5ca9);
+        for _ in 0..5000 {
+            let len = next() % 40;
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| match next() % 4 {
+                    0 => (next() % 256) as u8,
+                    1 => [b'"', b'\\', 0x00, 0x1f, 0x20, 0x5b, 0xa2, 0xdc, 0x9f][next() % 9],
+                    _ => b'a' + (next() % 26) as u8,
+                })
+                .collect();
+            let pos = next() % (len + 1);
+            let expected = (pos..len).find(|&i| needs_escape(bytes[i])).unwrap_or(len);
+            assert_eq!(next_stop(&bytes, pos), expected, "{bytes:?} from {pos}");
+        }
     }
 
     #[test]

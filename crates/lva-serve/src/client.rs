@@ -51,13 +51,11 @@ impl Client {
         Ok(Client { reader, writer })
     }
 
-    fn send(&mut self, line: &str) -> Result<(), String> {
+    fn send(&mut self, mut line: String) -> Result<(), String> {
         // One write per line — see the matching note in the server.
-        let mut framed = String::with_capacity(line.len() + 1);
-        framed.push_str(line);
-        framed.push('\n');
+        line.push('\n');
         self.writer
-            .write_all(framed.as_bytes())
+            .write_all(line.as_bytes())
             .and_then(|()| self.writer.flush())
             .map_err(|e| format!("send failed: {e}"))
     }
@@ -85,7 +83,7 @@ impl Client {
     /// Returns a message if the server is unreachable or replies out of
     /// protocol.
     pub fn ping(&mut self) -> Result<(), String> {
-        self.send(&protocol::encode_command("ping"))?;
+        self.send(protocol::encode_command("ping"))?;
         match self.read_server_line(1)? {
             ServerLine::Pong => Ok(()),
             ServerLine::Error(msg) => Err(msg),
@@ -100,7 +98,7 @@ impl Client {
     /// Returns a message if the server is unreachable or replies out of
     /// protocol.
     pub fn metrics(&mut self) -> Result<Vec<(String, f64)>, String> {
-        self.send(&protocol::encode_command("metrics"))?;
+        self.send(protocol::encode_command("metrics"))?;
         match self.read_server_line(1)? {
             ServerLine::Metrics(dump) => Ok(dump),
             ServerLine::Error(msg) => Err(msg),
@@ -116,7 +114,7 @@ impl Client {
     /// Returns a message if the server is unreachable or replies out of
     /// protocol.
     pub fn shutdown_server(&mut self) -> Result<(), String> {
-        self.send(&protocol::encode_command("shutdown"))?;
+        self.send(protocol::encode_command("shutdown"))?;
         match self.read_server_line(1)? {
             ServerLine::Stopping => Ok(()),
             ServerLine::Error(msg) => Err(msg),
@@ -141,7 +139,7 @@ impl Client {
         frames: u64,
         mut on_frame: impl FnMut(&EpochFrame) -> bool,
     ) -> Result<u64, String> {
-        self.send(&protocol::encode_watch(frames))?;
+        self.send(protocol::encode_watch(frames))?;
         let mut seen = 0u64;
         loop {
             if frames > 0 && seen == frames {
@@ -185,7 +183,7 @@ impl Client {
         points: &[PointSpec],
         mut on_progress: impl FnMut(usize, usize),
     ) -> Result<SubmitOutcome, String> {
-        self.send(&protocol::encode_submit(points)?)?;
+        self.send(protocol::encode_submit(points)?)?;
         let mut job_id = None;
         loop {
             match self.read_server_line(points.len())? {

@@ -313,13 +313,41 @@ fn field_u64(json: &Json, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("server line missing number '{key}'"))
 }
 
+/// Moves member `key` out of an object, leaving `null` in its place:
+/// the manifests of an outcome line leave the parsed document without a
+/// copy.
+fn take(json: &mut Json, key: &str) -> Option<Json> {
+    match json {
+        Json::Obj(members) => members
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| std::mem::replace(v, Json::Null)),
+        _ => None,
+    }
+}
+
+/// One entry of an outcome line's `results`.
+fn point_result(mut result: Json) -> Result<PointResult, String> {
+    match result.get("ok") {
+        Some(Json::Bool(true)) => match take(&mut result, "manifest") {
+            Some(Json::Str(manifest)) => Ok(Ok(manifest)),
+            _ => Err("result missing string 'manifest'".into()),
+        },
+        Some(Json::Bool(false)) => Ok(Err(match take(&mut result, "error") {
+            Some(Json::Str(error)) => error,
+            _ => "unspecified point error".into(),
+        })),
+        _ => Err("result missing bool 'ok'".into()),
+    }
+}
+
 /// Parses one server line.
 ///
 /// # Errors
 ///
 /// Returns a message when the line is not valid protocol JSON.
 pub fn parse_server_line(line: &str) -> Result<ServerLine, String> {
-    let json = lva_obs::parse_json(line).map_err(|e| format!("bad server line: {e}"))?;
+    let mut json = lva_obs::parse_json(line).map_err(|e| format!("bad server line: {e}"))?;
     if let Some(event) = json.get("event").and_then(Json::as_str) {
         return match event {
             "accepted" => Ok(ServerLine::Accepted {
@@ -363,24 +391,12 @@ pub fn parse_server_line(line: &str) -> Result<ServerLine, String> {
                     .collect::<Result<Vec<_>, _>>()?;
                 return Ok(ServerLine::Metrics(dump));
             }
-            let results = json
-                .get("results")
-                .and_then(Json::as_arr)
-                .ok_or("final line missing array 'results'")?
-                .iter()
-                .map(|r| match r.get("ok") {
-                    Some(Json::Bool(true)) => r
-                        .get("manifest")
-                        .and_then(Json::as_str)
-                        .map(|s| Ok(s.to_owned()))
-                        .ok_or("result missing string 'manifest'".to_owned()),
-                    Some(Json::Bool(false)) => Ok(Err(r
-                        .get("error")
-                        .and_then(Json::as_str)
-                        .unwrap_or("unspecified point error")
-                        .to_owned())),
-                    _ => Err("result missing bool 'ok'".to_owned()),
-                })
+            let Some(Json::Arr(results)) = take(&mut json, "results") else {
+                return Err("final line missing array 'results'".into());
+            };
+            let results = results
+                .into_iter()
+                .map(point_result)
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(ServerLine::Outcome {
                 job: field_u64(&json, "job")?,
@@ -396,6 +412,7 @@ pub fn parse_server_line(line: &str) -> Result<ServerLine, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::fnv1a64;
     use lva_sim::SimConfig;
     use lva_workloads::WorkloadScale;
 
@@ -444,6 +461,55 @@ mod tests {
             }
             other => panic!("expected outcome, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn outcome_and_submit_wire_bytes_are_pinned() {
+        // A manifest-shaped pretty document whose strings hold every
+        // byte the escaper treats specially and multi-byte UTF-8, and a
+        // refused point whose message needs escapes too.
+        let control: String = (0u8..0x20).map(char::from).collect();
+        let manifest = Json::Obj(vec![
+            ("kind".into(), Json::Str("lva-obs.run-record".into())),
+            (
+                "name".into(),
+                Json::Str(format!("q\"b\\s/{control}\u{7f}\u{e9}\u{4e2d}\u{1f600}")),
+            ),
+            (
+                "stats".into(),
+                Json::Obj(vec![
+                    ("summary/norm_mpki".into(), Json::Num(0.1985302547669558)),
+                    ("phase1/core0/loads".into(), Json::Num(56076.0)),
+                ]),
+            ),
+        ])
+        .to_string_pretty();
+        let outcome = JobOutcome {
+            results: vec![Ok(manifest), Err(format!("bad\tpoint \"{control}\""))],
+            cache_hits: 1,
+            deduped: 0,
+        };
+        let points = [
+            PointSpec::new("blackscholes", WorkloadScale::Test, 0, SimConfig::precise()),
+            PointSpec::new(
+                "canneal",
+                WorkloadScale::Small,
+                2,
+                SimConfig::baseline_lva().with_error_budget(0.05),
+            ),
+        ];
+        let outcome_line = encode_outcome(7, &outcome);
+        let submit_line = encode_submit(&points).unwrap();
+        // Pinned from the char-by-char escaper the run-based one replaced.
+        let pins = [
+            (fnv1a64(outcome_line.as_bytes()), outcome_line.len()),
+            (fnv1a64(submit_line.as_bytes()), submit_line.len()),
+        ];
+        assert_eq!(
+            pins,
+            [(0xf521_b7fc_ced3_df5e, 703), (0x4440_3fe2_cce2_2021, 588)],
+            "{outcome_line}\n{submit_line}"
+        );
     }
 
     #[test]

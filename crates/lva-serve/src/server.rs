@@ -134,12 +134,11 @@ impl Server {
 /// One write per line (plus `TCP_NODELAY` set at accept time): splitting
 /// the newline into a second small write would stall on the peer's
 /// delayed ACK under Nagle's algorithm, adding tens of milliseconds to
-/// every protocol round trip.
-fn send_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    let mut framed = String::with_capacity(line.len() + 1);
-    framed.push_str(line);
-    framed.push('\n');
-    stream.write_all(framed.as_bytes())?;
+/// every protocol round trip. The newline goes onto the owned line, so
+/// framing copies no manifest.
+fn send_line(stream: &mut TcpStream, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    stream.write_all(line.as_bytes())?;
     stream.flush()
 }
 
@@ -192,7 +191,7 @@ fn handle_connection(
 /// peer has read the error.
 fn refuse_oversized_line(reader: BufReader<TcpStream>, writer: &mut TcpStream) {
     let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
-    let _ = send_line(writer, &protocol::encode_error(&message));
+    let _ = send_line(writer, protocol::encode_error(&message));
     let _ = writer.shutdown(Shutdown::Write);
     let _ = std::io::copy(
         &mut reader.take(MAX_REQUEST_LINE as u64),
@@ -211,15 +210,15 @@ fn handle_request(
 ) -> bool {
     let request = match protocol::parse_request(request) {
         Ok(req) => req,
-        Err(msg) => return send_line(writer, &protocol::encode_error(&msg)).is_ok(),
+        Err(msg) => return send_line(writer, protocol::encode_error(&msg)).is_ok(),
     };
     match request {
-        Request::Ping => send_line(writer, &protocol::encode_pong()).is_ok(),
+        Request::Ping => send_line(writer, protocol::encode_pong()).is_ok(),
         Request::Metrics => {
-            send_line(writer, &protocol::encode_metrics(&scheduler.metrics_dump())).is_ok()
+            send_line(writer, protocol::encode_metrics(&scheduler.metrics_dump())).is_ok()
         }
         Request::Shutdown => {
-            let _ = send_line(writer, &protocol::encode_stopping());
+            let _ = send_line(writer, protocol::encode_stopping());
             stop.store(true, Ordering::SeqCst);
             // Wake the accept loop so it observes the flag.
             if let Some(addr) = server_addr {
@@ -243,7 +242,7 @@ fn handle_request(
                 }
                 if let Some(frame) = scheduler.wait_frame(cursor, POLL_INTERVAL) {
                     cursor = Some(frame.index);
-                    if send_line(writer, &protocol::encode_frame(&frame)).is_err() {
+                    if send_line(writer, protocol::encode_frame(&frame)).is_err() {
                         return false;
                     }
                     sent += 1;
@@ -255,15 +254,15 @@ fn handle_request(
         }
         Request::Submit(points) => {
             if stop.load(Ordering::SeqCst) {
-                return send_line(writer, &protocol::encode_error("server is stopping")).is_ok();
+                return send_line(writer, protocol::encode_error("server is stopping")).is_ok();
             }
             let total = points.len();
             let id = scheduler.submit(points);
-            let mut writes_ok = send_line(writer, &protocol::encode_accepted(id, total)).is_ok();
+            let mut writes_ok = send_line(writer, protocol::encode_accepted(id, total)).is_ok();
             let mut done = 0;
             while let Some((d, t)) = scheduler.progress(id, done) {
                 if d != done && writes_ok {
-                    writes_ok = send_line(writer, &protocol::encode_progress(id, d, t)).is_ok();
+                    writes_ok = send_line(writer, protocol::encode_progress(id, d, t)).is_ok();
                 }
                 done = d;
                 if d == t {
@@ -273,7 +272,7 @@ fn handle_request(
             // Always collect the job — even when the client is gone —
             // so it cannot leak in the scheduler's job map.
             let outcome = scheduler.wait(id);
-            writes_ok && send_line(writer, &protocol::encode_outcome(id, &outcome)).is_ok()
+            writes_ok && send_line(writer, protocol::encode_outcome(id, &outcome)).is_ok()
         }
     }
 }
@@ -296,7 +295,7 @@ mod tests {
     }
 
     fn round_trip(stream: &mut TcpStream, line: &str) -> String {
-        send_line(stream, line).unwrap();
+        send_line(stream, line.into()).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut reply = String::new();
         reader.read_line(&mut reply).unwrap();
@@ -336,7 +335,7 @@ mod tests {
         let handle = server.spawn().unwrap();
         let mut stream = TcpStream::connect(handle.addr()).unwrap();
 
-        send_line(&mut stream, &protocol::encode_watch(2)).unwrap();
+        send_line(&mut stream, protocol::encode_watch(2)).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut indices = Vec::new();
         for _ in 0..2 {
@@ -350,12 +349,12 @@ mod tests {
         assert!(indices[1] > indices[0], "frames arrive in epoch order");
 
         // The finite watch ended; the same connection still answers.
-        send_line(&mut stream, r#"{"cmd":"ping"}"#).unwrap();
+        send_line(&mut stream, r#"{"cmd":"ping"}"#.into()).unwrap();
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         assert_eq!(line.trim_end(), protocol::encode_pong());
 
-        send_line(&mut stream, r#"{"cmd":"shutdown"}"#).unwrap();
+        send_line(&mut stream, r#"{"cmd":"shutdown"}"#.into()).unwrap();
         handle.join();
     }
 

@@ -411,20 +411,6 @@ impl FullSystemStats {
     }
 }
 
-impl std::fmt::Display for FullSystemStats {
-    /// A compact human-readable summary, used by the CLI and examples.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "cycles            {:>14}", self.cycles)?;
-        writeln!(f, "instructions      {:>14}", self.instructions)?;
-        writeln!(f, "IPC               {:>14.3}", self.ipc())?;
-        writeln!(f, "L1 load misses    {:>14}", self.l1_load_misses)?;
-        writeln!(f, "approximated      {:>14}", self.approximated)?;
-        writeln!(f, "avg miss latency  {:>14.1}", self.avg_miss_latency())?;
-        writeln!(f, "DRAM accesses     {:>14}", self.dram_accesses)?;
-        write!(f, "NoC flit-hops     {:>14}", self.flit_hops)
-    }
-}
-
 // ---------------------------------------------------------------- messages
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

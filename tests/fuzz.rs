@@ -7,7 +7,7 @@
 
 use lva::core::{ApproximatorConfig, ClpConfig, LvpConfig, Rng64};
 use lva::cpu::trace_io::{read_traces, write_traces};
-use lva::obs::parse_json;
+use lva::obs::{parse_json, RunRecord};
 use lva::serve::protocol::{encode_outcome, parse_server_line, ServerLine};
 use lva::serve::{evaluate_point, JobOutcome, PointSpec};
 use lva::sim::{FaultConfig, FullSystem, FullSystemConfig, MechanismKind, SimConfig};
@@ -44,6 +44,27 @@ fn mutants(seed: &[u8], rng: &mut Rng64, flips: usize, cuts: usize) -> Vec<(Stri
     for i in 0..cuts {
         let len = rng.gen_range(0..seed.len());
         out.push((format!("truncation #{i} to {len} B"), seed[..len].to_vec()));
+    }
+    out
+}
+
+/// The JSON battery: [`mutants`] of `seed` read back as (lossy) UTF-8,
+/// then every number that follows a key's colon rewritten to each edge
+/// value in turn.
+fn json_mutants(seed: &str, rng: &mut Rng64, flips: usize, cuts: usize) -> Vec<(String, String)> {
+    let mut out: Vec<_> = mutants(seed.as_bytes(), rng, flips, cuts)
+        .into_iter()
+        .map(|(what, bytes)| (what, String::from_utf8_lossy(&bytes).into_owned()))
+        .collect();
+    let numeric = |b: &u8| b.is_ascii_digit() || b"-+.eE".contains(b);
+    let bytes = seed.as_bytes();
+    let after_colon = |i: usize| bytes[..i].iter().rev().find(|&&b| b != b' ') == Some(&b':');
+    for at in (1..bytes.len()).filter(|&i| numeric(&bytes[i]) && after_colon(i)) {
+        let len = bytes[at..].iter().take_while(|b| numeric(b)).count();
+        for edge in "-1 0 1e400 18446744073709551616 9007199254740993".split(' ') {
+            let text = format!("{}{edge}{}", &seed[..at], &seed[at + len..]);
+            out.push((format!("{edge} at {at}"), text));
+        }
     }
     out
 }
@@ -129,22 +150,8 @@ fn config_json_decodes_or_errors_but_never_panics() {
     for (s, config) in seeds.iter().enumerate() {
         let seed = config.to_json().to_string_compact();
         assert!(config_survives(&format!("seed {s}"), &seed));
-        let mut survives = |what, text: &str| {
-            decoded += usize::from(config_survives(&format!("seed {s}, {what}"), text));
-        };
-        for (what, bytes) in mutants(seed.as_bytes(), &mut rng, 64, 16) {
-            survives(what, &String::from_utf8_lossy(&bytes));
-        }
-        // Every number the encoder wrote (each follows a key's colon),
-        // rewritten to each edge value in turn.
-        let numeric = |b: &u8| b.is_ascii_digit() || b"-+.eE".contains(b);
-        let bytes = seed.as_bytes();
-        for at in (1..bytes.len()).filter(|&i| bytes[i - 1] == b':' && numeric(&bytes[i])) {
-            let len = bytes[at..].iter().take_while(|b| numeric(b)).count();
-            for edge in "-1 0 1e400 18446744073709551616 9007199254740993".split(' ') {
-                let text = format!("{}{edge}{}", &seed[..at], &seed[at + len..]);
-                survives(format!("{edge} at {at}"), &text);
-            }
+        for (what, text) in json_mutants(&seed, &mut rng, 64, 16) {
+            decoded += usize::from(config_survives(&format!("seed {s}, {what}"), &text));
         }
     }
     assert!(decoded > 0, "no mutant decoded");
@@ -183,4 +190,32 @@ fn server_lines_decode_or_error_but_never_panic() {
         let decoded = catch_unwind(|| parse_server_line(&line).is_ok());
         assert!(decoded.is_ok(), "{what}: decoding panicked on {line}");
     }
+}
+
+#[test]
+fn run_manifests_decode_or_error_but_never_panic() {
+    let spec = PointSpec::new(
+        "blackscholes",
+        WorkloadScale::Test,
+        0,
+        SimConfig::baseline_lva().with_error_budget(0.05),
+    );
+    let seed = evaluate_point(&spec).expect("a registered kernel evaluates");
+    assert!(
+        RunRecord::parse(&seed).is_ok(),
+        "the seed manifest must decode"
+    );
+    let mut rng = Rng64::new(0x3a2f_e575);
+    let (mut records, mut errors) = (0, 0);
+    for (what, text) in json_mutants(&seed, &mut rng, 256, 64) {
+        match catch_unwind(|| RunRecord::parse(&text)) {
+            Ok(Ok(_)) => records += 1,
+            Ok(Err(_)) => errors += 1,
+            Err(_) => panic!("{what}: decoding panicked on {text}"),
+        }
+    }
+    assert!(
+        records > 0 && errors > 0,
+        "{records} records, {errors} errors"
+    );
 }
