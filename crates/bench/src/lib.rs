@@ -90,7 +90,7 @@ impl Series {
 
     /// Arithmetic mean over the benchmarks.
     #[must_use]
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.values.is_empty() {
             0.0
         } else {
@@ -102,7 +102,7 @@ impl Series {
 /// Number of seeded simulation runs to average, from `LVA_RUNS`
 /// (default 1; the paper uses 5).
 #[must_use]
-pub fn runs_from_env() -> usize {
+pub(crate) fn runs_from_env() -> usize {
     std::env::var("LVA_RUNS")
         .ok()
         .and_then(|v| v.parse().ok())

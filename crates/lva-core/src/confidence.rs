@@ -31,7 +31,7 @@ impl ConfidenceWindow {
     /// infinite. A NaN window silently rejects every approximation and a
     /// negative one is nonsense; an unbounded window should be spelled
     /// [`ConfidenceWindow::Infinite`].
-    pub fn validate(self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(self) -> Result<(), ConfigError> {
         if let ConfidenceWindow::Relative(frac) = self {
             if !(frac.is_finite() && frac >= 0.0) {
                 return Err(ConfigError::ConfidenceWindow { frac });
@@ -83,7 +83,7 @@ impl ConfidenceCounter {
     /// # Errors
     ///
     /// Returns [`ConfigError::ConfidenceBits`] unless `2 ≤ bits ≤ 16`.
-    pub fn try_new(bits: u32) -> Result<Self, ConfigError> {
+    pub(crate) fn try_new(bits: u32) -> Result<Self, ConfigError> {
         if !(2..=16).contains(&bits) {
             return Err(ConfigError::ConfidenceBits { bits });
         }
@@ -94,13 +94,11 @@ impl ConfidenceCounter {
         })
     }
 
-    /// Convenience wrapper around [`try_new`](Self::try_new) for
-    /// known-good widths.
+    /// A counter of a known-good width.
     ///
     /// # Panics
     ///
-    /// Panics unless `2 ≤ bits ≤ 16`; fallible callers should use
-    /// [`try_new`](Self::try_new).
+    /// Panics unless `2 ≤ bits ≤ 16`.
     #[must_use]
     pub fn new(bits: u32) -> Self {
         Self::try_new(bits).unwrap_or_else(|e| panic!("{e}"))

@@ -4,8 +4,9 @@
 //! through [`ConfigError`] instead of panicking, so embedders (`lva-sim`'s
 //! config validation, the CLI) can surface a clear message and keep
 //! running. The validators never allocate, and their size caps bound what
-//! an accepted configuration allocates. The legacy panicking entry points
-//! remain as thin wrappers that unwrap these `Result`s.
+//! an accepted configuration allocates. Two panicking wrappers remain for
+//! known-good inputs, [`crate::LoadValueApproximator::new`] and
+//! [`crate::ConfidenceCounter::new`]; both unwrap their `try_new`.
 
 use std::fmt;
 
@@ -20,7 +21,7 @@ pub const MAX_HISTORY_ENTRIES: usize = 64;
 
 /// Why a mechanism-level configuration was rejected.
 ///
-/// Carried by [`crate::ConfidenceWindow::validate`],
+/// Carried by `ConfidenceWindow::validate`,
 /// [`crate::ApproximatorConfig::validate`] and every `try_new` constructor
 /// in this crate. `lva-sim`'s `ConfigError` wraps this for the
 /// simulation-level config surface.

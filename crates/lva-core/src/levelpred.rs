@@ -230,16 +230,6 @@ impl LevelPredictor {
         })
     }
 
-    /// [`try_new`](Self::try_new) for known-good configurations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is malformed.
-    #[must_use]
-    pub fn new(config: ClpConfig) -> Self {
-        Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// The configuration this predictor was built with.
     #[must_use]
     pub fn config(&self) -> &ClpConfig {
@@ -414,7 +404,7 @@ mod tests {
 
     #[test]
     fn cold_prediction_is_deepest_and_unconfident() {
-        let p = LevelPredictor::new(ClpConfig::baseline());
+        let p = LevelPredictor::try_new(ClpConfig::baseline()).unwrap();
         let pred = predict(&p, Pc(0x100));
         assert_eq!(pred.level, CacheLevel::Dram);
         assert!(!pred.confident);
@@ -422,7 +412,7 @@ mod tests {
 
     #[test]
     fn predictor_learns_a_stable_level() {
-        let mut p = LevelPredictor::new(ClpConfig::baseline());
+        let mut p = LevelPredictor::try_new(ClpConfig::baseline()).unwrap();
         let pc = Pc(0x40);
         let mut correct = 0;
         for _ in 0..4 {
@@ -437,7 +427,7 @@ mod tests {
 
     #[test]
     fn misprediction_retrains_after_confidence_drains() {
-        let mut p = LevelPredictor::new(ClpConfig::baseline());
+        let mut p = LevelPredictor::try_new(ClpConfig::baseline()).unwrap();
         let pc = Pc(0x40);
         for _ in 0..3 {
             let pred = predict(&p, pc);
@@ -456,10 +446,11 @@ mod tests {
 
     #[test]
     fn conflicting_pcs_evict_each_other() {
-        let mut p = LevelPredictor::new(ClpConfig {
+        let mut p = LevelPredictor::try_new(ClpConfig {
             table_entries: 2,
             ..ClpConfig::baseline()
-        });
+        })
+        .unwrap();
         let cold = |pc| LevelPrediction {
             pc,
             level: CacheLevel::Dram,
@@ -478,10 +469,11 @@ mod tests {
 
     #[test]
     fn depth_clamps_predictions_and_verifications() {
-        let mut p = LevelPredictor::new(ClpConfig {
+        let mut p = LevelPredictor::try_new(ClpConfig {
             hierarchy_depth: 2,
             ..ClpConfig::baseline()
-        });
+        })
+        .unwrap();
         let pc = Pc(0x8);
         let pred = predict(&p, pc);
         assert_eq!(pred.level, CacheLevel::L2, "deepest of a depth-2 hierarchy");
@@ -493,7 +485,7 @@ mod tests {
 
     #[test]
     fn latency_model_rewards_correct_confident_predictions() {
-        let p = LevelPredictor::new(ClpConfig::baseline());
+        let p = LevelPredictor::try_new(ClpConfig::baseline()).unwrap();
         let confident = |level| LevelPrediction {
             pc: Pc(1),
             level,
@@ -553,8 +545,8 @@ mod tests {
     #[test]
     fn traced_hooks_match_untraced_and_emit_events() {
         use lva_obs::RingBufferSink;
-        let mut plain = LevelPredictor::new(ClpConfig::baseline());
-        let mut traced = LevelPredictor::new(ClpConfig::baseline());
+        let mut plain = LevelPredictor::try_new(ClpConfig::baseline()).unwrap();
+        let mut traced = LevelPredictor::try_new(ClpConfig::baseline()).unwrap();
         let mut sink = RingBufferSink::new(64);
         for i in 0..8u64 {
             let pc = Pc(0x10 + (i % 2) * 8);

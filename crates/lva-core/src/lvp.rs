@@ -88,7 +88,6 @@ impl LvpOutcome {
 /// The idealized load value predictor.
 #[derive(Debug, Clone)]
 pub struct IdealizedLvp {
-    config: LvpConfig,
     hasher: ContextHasher,
     ghb: HistoryBuffer<Value>,
     table: ApproximatorTable,
@@ -108,31 +107,7 @@ impl IdealizedLvp {
         let table = ApproximatorTable::try_new(config.table_entries, config.lhb_entries, 4, 0)?;
         let hasher = ContextHasher::new(config.hash, 0, table.index_bits(), config.tag_bits);
         let ghb = HistoryBuffer::new(config.ghb_entries);
-        Ok(IdealizedLvp {
-            config,
-            hasher,
-            ghb,
-            table,
-        })
-    }
-
-    /// Convenience wrapper around [`try_new`](Self::try_new) for known-good
-    /// configurations.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`LoadValueApproximator::new`](crate::LoadValueApproximator::new);
-    /// fallible callers should use [`try_new`](Self::try_new).
-    #[must_use]
-    pub fn new(config: LvpConfig) -> Self {
-        Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The configuration this predictor was built with.
-    #[must_use]
-    pub fn config(&self) -> &LvpConfig {
-        &self.config
+        Ok(IdealizedLvp { hasher, ghb, table })
     }
 
     /// Records a miss at `pc` and snapshots the oracle's candidate set.
@@ -169,7 +144,7 @@ mod tests {
 
     #[test]
     fn cold_entry_cannot_predict() {
-        let mut lvp = IdealizedLvp::new(LvpConfig::baseline());
+        let mut lvp = IdealizedLvp::try_new(LvpConfig::baseline()).unwrap();
         let o = lvp.on_miss(Pc(1));
         assert!(!o.has_candidates());
         assert!(!lvp.resolve(&o, Value::from_f32(1.0)));
@@ -177,7 +152,7 @@ mod tests {
 
     #[test]
     fn exact_repeat_is_predicted() {
-        let mut lvp = IdealizedLvp::new(LvpConfig::baseline());
+        let mut lvp = IdealizedLvp::try_new(LvpConfig::baseline()).unwrap();
         let o = lvp.on_miss(Pc(1));
         assert!(!lvp.resolve(&o, Value::from_f32(42.0)));
         let o = lvp.on_miss(Pc(1));
@@ -187,7 +162,7 @@ mod tests {
 
     #[test]
     fn near_miss_is_a_misprediction() {
-        let mut lvp = IdealizedLvp::new(LvpConfig::baseline());
+        let mut lvp = IdealizedLvp::try_new(LvpConfig::baseline()).unwrap();
         let o = lvp.on_miss(Pc(1));
         lvp.resolve(&o, Value::from_f32(1.000));
         let o = lvp.on_miss(Pc(1));
@@ -198,7 +173,7 @@ mod tests {
 
     #[test]
     fn oracle_selects_any_matching_candidate() {
-        let mut lvp = IdealizedLvp::new(LvpConfig::baseline());
+        let mut lvp = IdealizedLvp::try_new(LvpConfig::baseline()).unwrap();
         for v in [1.0f32, 2.0, 3.0, 4.0] {
             let o = lvp.on_miss(Pc(1));
             lvp.resolve(&o, Value::from_f32(v));
@@ -210,7 +185,7 @@ mod tests {
 
     #[test]
     fn candidate_set_is_snapshotted_at_prediction_time() {
-        let mut lvp = IdealizedLvp::new(LvpConfig::baseline());
+        let mut lvp = IdealizedLvp::try_new(LvpConfig::baseline()).unwrap();
         let o1 = lvp.on_miss(Pc(1));
         let o2 = lvp.on_miss(Pc(1)); // value-delayed second miss: still cold
         lvp.resolve(&o1, Value::from_f32(5.0));

@@ -108,18 +108,6 @@ impl GhbPrefetcher {
         Ok(Self::build(config))
     }
 
-    /// Convenience wrapper around [`try_new`](Self::try_new) for known-good
-    /// configurations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either table size is zero; fallible callers should use
-    /// [`try_new`](Self::try_new).
-    #[must_use]
-    pub fn new(config: PrefetcherConfig) -> Self {
-        Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     fn build(config: PrefetcherConfig) -> Self {
         GhbPrefetcher {
             config,
@@ -127,12 +115,6 @@ impl GhbPrefetcher {
             abs: 0,
             index: vec![None; config.index_entries],
         }
-    }
-
-    /// The configuration this prefetcher was built with.
-    #[must_use]
-    pub fn config(&self) -> &PrefetcherConfig {
-        &self.config
     }
 
     /// Records an L1 miss at `pc` for `addr` and returns up to
@@ -265,7 +247,7 @@ mod tests {
 
     #[test]
     fn next_line_fills_degree() {
-        let mut p = GhbPrefetcher::new(PrefetcherConfig::paper(4));
+        let mut p = GhbPrefetcher::try_new(PrefetcherConfig::paper(4)).unwrap();
         let c = p.on_miss(Pc(1), block_addr(10));
         assert_eq!(
             c,
@@ -280,10 +262,11 @@ mod tests {
 
     #[test]
     fn strided_pattern_is_correlated() {
-        let mut p = GhbPrefetcher::new(PrefetcherConfig {
+        let mut p = GhbPrefetcher::try_new(PrefetcherConfig {
             next_line: false,
             ..PrefetcherConfig::paper(2)
-        });
+        })
+        .unwrap();
         // Stride of 3 blocks: 0, 3, 6, 9, 12 ...
         for b in (0..15).step_by(3) {
             p.on_miss(Pc(7), block_addr(b));
@@ -295,10 +278,11 @@ mod tests {
 
     #[test]
     fn repeating_delta_pattern_is_replayed() {
-        let mut p = GhbPrefetcher::new(PrefetcherConfig {
+        let mut p = GhbPrefetcher::try_new(PrefetcherConfig {
             next_line: false,
             ..PrefetcherConfig::paper(3)
-        });
+        })
+        .unwrap();
         // Pattern of deltas +1, +4 repeating: 0,1,5,6,10,11,15
         for b in [0u64, 1, 5, 6, 10, 11, 15] {
             p.on_miss(Pc(3), block_addr(b));
@@ -311,10 +295,11 @@ mod tests {
 
     #[test]
     fn distinct_pcs_use_distinct_chains() {
-        let mut p = GhbPrefetcher::new(PrefetcherConfig {
+        let mut p = GhbPrefetcher::try_new(PrefetcherConfig {
             next_line: false,
             ..PrefetcherConfig::paper(2)
-        });
+        })
+        .unwrap();
         // PC 1 strides by 2, PC 2 strides by 5, interleaved.
         for i in 0..8u64 {
             p.on_miss(Pc(1), block_addr(i * 2));
@@ -328,7 +313,7 @@ mod tests {
 
     #[test]
     fn candidates_never_include_the_missing_block() {
-        let mut p = GhbPrefetcher::new(PrefetcherConfig::paper(8));
+        let mut p = GhbPrefetcher::try_new(PrefetcherConfig::paper(8)).unwrap();
         for b in 0..50 {
             for a in p.on_miss(Pc(b % 3), block_addr(b)) {
                 assert_ne!(a.block_index(), b);
@@ -339,7 +324,7 @@ mod tests {
     #[test]
     fn degree_bounds_candidates() {
         for degree in [1u32, 2, 4, 8, 16] {
-            let mut p = GhbPrefetcher::new(PrefetcherConfig::paper(degree));
+            let mut p = GhbPrefetcher::try_new(PrefetcherConfig::paper(degree)).unwrap();
             for b in 0..20 {
                 let c = p.on_miss(Pc(1), block_addr(b * 7));
                 assert!(c.len() <= degree as usize);
@@ -353,10 +338,11 @@ mod tests {
         // forever when fewer than `degree` non-negative candidates exist —
         // here the descending stride reaches block 0, so every replayed
         // address is negative and the old unbounded loop never exited.
-        let mut p = GhbPrefetcher::new(PrefetcherConfig {
+        let mut p = GhbPrefetcher::try_new(PrefetcherConfig {
             next_line: false,
             ..PrefetcherConfig::paper(16)
-        });
+        })
+        .unwrap();
         for i in 0..=10u64 {
             let c = p.on_miss(Pc(9), block_addr(100 - i * 10));
             assert!(c.len() <= 16);
@@ -369,10 +355,11 @@ mod tests {
 
     #[test]
     fn alternating_net_negative_cycle_terminates() {
-        let mut p = GhbPrefetcher::new(PrefetcherConfig {
+        let mut p = GhbPrefetcher::try_new(PrefetcherConfig {
             next_line: false,
             ..PrefetcherConfig::paper(16)
-        });
+        })
+        .unwrap();
         // Deltas +5, -9 repeating: net −4 per cycle.
         let mut b = 2000i64;
         for i in 0..80 {
@@ -384,13 +371,14 @@ mod tests {
 
     #[test]
     fn ring_overwrite_invalidates_stale_chains() {
-        let mut p = GhbPrefetcher::new(PrefetcherConfig {
+        let mut p = GhbPrefetcher::try_new(PrefetcherConfig {
             ghb_entries: 4,
             index_entries: 4,
             degree: 2,
             next_line: false,
             correlation_depth: 16,
-        });
+        })
+        .unwrap();
         p.on_miss(Pc(1), block_addr(0));
         // Flood the tiny GHB with other PCs so PC 1's entry is overwritten.
         for b in 0..8 {

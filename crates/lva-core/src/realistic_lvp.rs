@@ -151,25 +151,6 @@ impl RealisticLvp {
         })
     }
 
-    /// Convenience wrapper around [`try_new`](Self::try_new) for known-good
-    /// configurations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table geometry is invalid (see
-    /// [`ApproximatorTable::new`]) or `lhb_entries` is 0; fallible callers
-    /// should use [`try_new`](Self::try_new).
-    #[must_use]
-    pub fn new(config: RealisticLvpConfig) -> Self {
-        Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The configuration this predictor was built with.
-    #[must_use]
-    pub fn config(&self) -> &RealisticLvpConfig {
-        &self.config
-    }
-
     /// Consults the predictor on a miss at `pc`. Always fetch; resolve with
     /// [`resolve`](Self::resolve) when the data arrives.
     pub fn on_miss(&mut self, pc: Pc) -> LvpPrediction {
@@ -236,7 +217,7 @@ mod tests {
 
     #[test]
     fn cold_entry_never_predicts() {
-        let mut lvp = RealisticLvp::new(RealisticLvpConfig::conventional());
+        let mut lvp = RealisticLvp::try_new(RealisticLvpConfig::conventional()).unwrap();
         match lvp.on_miss(Pc(1)) {
             LvpPrediction::NoPrediction { .. } => {}
             LvpPrediction::Predict { .. } => panic!("cold entry predicted"),
@@ -245,7 +226,7 @@ mod tests {
 
     #[test]
     fn confidence_must_build_before_predicting() {
-        let mut lvp = RealisticLvp::new(RealisticLvpConfig::conventional());
+        let mut lvp = RealisticLvp::try_new(RealisticLvpConfig::conventional()).unwrap();
         // Two identical observations are not enough at threshold 3.
         assert_eq!(drive(&mut lvp, Pc(1), 5.0), (false, false));
         assert_eq!(drive(&mut lvp, Pc(1), 5.0), (false, false));
@@ -261,7 +242,7 @@ mod tests {
 
     #[test]
     fn near_miss_floats_cause_rollbacks() {
-        let mut lvp = RealisticLvp::new(RealisticLvpConfig::conventional());
+        let mut lvp = RealisticLvp::try_new(RealisticLvpConfig::conventional()).unwrap();
         for _ in 0..6 {
             assert!(!drive(&mut lvp, Pc(1), 1.0).1);
         }
@@ -274,10 +255,11 @@ mod tests {
     fn selection_uses_most_recent_value() {
         // A bottomless threshold isolates the selection mechanism from
         // confidence: the predictor must always commit to the newest value.
-        let mut lvp = RealisticLvp::new(RealisticLvpConfig {
+        let mut lvp = RealisticLvp::try_new(RealisticLvpConfig {
             prediction_threshold: -8,
             ..RealisticLvpConfig::conventional()
-        });
+        })
+        .unwrap();
         for v in [1.0f32, 2.0, 3.0] {
             drive(&mut lvp, Pc(1), v);
         }
@@ -289,7 +271,7 @@ mod tests {
 
     #[test]
     fn misprediction_lowers_confidence_below_threshold() {
-        let mut lvp = RealisticLvp::new(RealisticLvpConfig::conventional());
+        let mut lvp = RealisticLvp::try_new(RealisticLvpConfig::conventional()).unwrap();
         for _ in 0..8 {
             drive(&mut lvp, Pc(1), 7.0);
         }
@@ -309,7 +291,7 @@ mod tests {
 
     #[test]
     fn rollbacks_only_follow_committed_predictions() {
-        let mut lvp = RealisticLvp::new(RealisticLvpConfig::conventional());
+        let mut lvp = RealisticLvp::try_new(RealisticLvpConfig::conventional()).unwrap();
         let (mut commits, mut rollbacks) = (0, 0);
         for i in 0..150u32 {
             // Each PC's value holds long enough for confidence to build,

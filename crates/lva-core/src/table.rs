@@ -86,7 +86,7 @@ impl ApproximatorTable {
     /// Returns [`ConfigError::TableEntries`] if `entries` is not a power of
     /// two or is < 2, and [`ConfigError::ConfidenceBits`] if the counter
     /// width is outside `2..=16`.
-    pub fn try_new(
+    pub(crate) fn try_new(
         entries: usize,
         lhb_entries: usize,
         confidence_bits: u32,
@@ -105,19 +105,6 @@ impl ApproximatorTable {
             lhb_capacity: lhb_entries,
             fresh_confidence,
         })
-    }
-
-    /// Convenience wrapper around [`try_new`](Self::try_new) for known-good
-    /// geometries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is not a power of two or is < 2; fallible
-    /// callers should use [`try_new`](Self::try_new).
-    #[must_use]
-    pub fn new(entries: usize, lhb_entries: usize, confidence_bits: u32, degree: u32) -> Self {
-        Self::try_new(entries, lhb_entries, confidence_bits, degree)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Number of entries.
@@ -164,7 +151,7 @@ impl ApproximatorTable {
 
     /// Shared access to the confidence counter at `index`.
     #[must_use]
-    pub fn confidence(&self, index: usize) -> &ConfidenceCounter {
+    pub(crate) fn confidence(&self, index: usize) -> &ConfidenceCounter {
         &self.confidence[index]
     }
 
@@ -253,7 +240,7 @@ mod tests {
 
     #[test]
     fn allocation_resets_state() {
-        let mut t = ApproximatorTable::new(8, 4, 4, 2);
+        let mut t = ApproximatorTable::try_new(8, 4, 4, 2).unwrap();
         assert_eq!(t.tag(3), None);
         t.lookup_or_allocate(3, 0xaa, 2);
         assert_eq!(t.tag(3), Some(0xaa));
@@ -276,14 +263,13 @@ mod tests {
 
     #[test]
     fn index_bits_matches_size() {
-        assert_eq!(ApproximatorTable::new(512, 4, 4, 0).index_bits(), 9);
-        assert_eq!(ApproximatorTable::new(2, 4, 4, 0).index_bits(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn rejects_non_power_of_two() {
-        let _ = ApproximatorTable::new(100, 4, 4, 0);
+        let bits = |entries| {
+            ApproximatorTable::try_new(entries, 4, 4, 0)
+                .unwrap()
+                .index_bits()
+        };
+        assert_eq!(bits(512), 9);
+        assert_eq!(bits(2), 1);
     }
 
     #[test]
@@ -305,7 +291,7 @@ mod tests {
 
     #[test]
     fn tag_corruption_flips_allocated_tags_only() {
-        let mut t = ApproximatorTable::new(8, 4, 4, 0);
+        let mut t = ApproximatorTable::try_new(8, 4, 4, 0).unwrap();
         t.corrupt_tag(0, 0b100); // unallocated: no-op
         assert_eq!(t.tag(0), None);
         t.lookup_or_allocate(1, 0xaa, 0);
@@ -320,7 +306,7 @@ mod tests {
 
     #[test]
     fn lhb_push_keeps_oldest_first_order_and_evicts() {
-        let mut t = ApproximatorTable::new(4, 3, 4, 0);
+        let mut t = ApproximatorTable::try_new(4, 3, 4, 0).unwrap();
         t.lookup_or_allocate(1, 7, 0);
         for v in [1i32, 2, 3] {
             t.lhb_push(1, Value::from_i32(v));
@@ -339,7 +325,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_lhb_retains_nothing() {
-        let mut t = ApproximatorTable::new(4, 0, 4, 0);
+        let mut t = ApproximatorTable::try_new(4, 0, 4, 0).unwrap();
         t.lookup_or_allocate(0, 1, 0);
         t.lhb_push(0, Value::from_i32(9));
         assert!(t.lhb_is_empty(0));

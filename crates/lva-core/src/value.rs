@@ -98,7 +98,7 @@ impl Value {
 
     /// Wraps an `i64`.
     #[must_use]
-    pub fn from_i64(v: i64) -> Self {
+    pub(crate) fn from_i64(v: i64) -> Self {
         Value::from_bits(v as u64, ValueType::I64)
     }
 

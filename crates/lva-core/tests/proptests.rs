@@ -129,7 +129,6 @@ fn history_matches_model() {
             }
         }
         assert_eq!(buf.iter().copied().collect::<Vec<_>>(), model);
-        assert_eq!(buf.len(), model.len());
         assert_eq!(buf.iter().last().copied(), model.last().copied());
     }
 }
@@ -285,7 +284,7 @@ fn prefetch_candidates_are_sane() {
         let mut rng = rng_for(11, case);
         let degree = rng.gen_range(1u32..17);
         let n = rng.gen_range(1usize..200);
-        let mut p = GhbPrefetcher::new(PrefetcherConfig::paper(degree));
+        let mut p = GhbPrefetcher::try_new(PrefetcherConfig::paper(degree)).unwrap();
         for _ in 0..n {
             let pc = rng.gen_range(0u64..64);
             let block = rng.gen_range(0u64..4096);
@@ -344,11 +343,12 @@ fn clp_conflicting_verify_retrains_the_slot_for_the_new_owner() {
         // A tiny table over a wide PC space forces constant tag conflicts.
         let entries = 1usize << rng.gen_range(1u32..4);
         let depth = rng.gen_range(2u32..5);
-        let mut p = LevelPredictor::new(ClpConfig {
+        let mut p = LevelPredictor::try_new(ClpConfig {
             table_entries: entries,
             hierarchy_depth: depth,
             ..ClpConfig::baseline()
-        });
+        })
+        .unwrap();
         let deepest = CacheLevel::from_index(depth - 1);
         // The PC last verified in each slot (slots are indexed by the
         // PC's low bits, so two PCs sharing one always differ in tag).
@@ -379,11 +379,12 @@ fn clp_prediction_stays_within_hierarchy_depth() {
     for case in 0..CASES {
         let mut rng = rng_for(15, case);
         let depth = rng.gen_range(2u32..5);
-        let mut p = LevelPredictor::new(ClpConfig {
+        let mut p = LevelPredictor::try_new(ClpConfig {
             hierarchy_depth: depth,
             table_entries: 16,
             ..ClpConfig::baseline()
-        });
+        })
+        .unwrap();
         let n = rng.gen_range(1usize..300);
         for _ in 0..n {
             let pc = Pc(rng.gen_range(0u64..256));

@@ -37,7 +37,7 @@ pub enum TraceOp {
 impl TraceOp {
     /// Number of dynamic instructions this record stands for.
     #[must_use]
-    pub fn instructions(&self) -> u64 {
+    pub(crate) fn instructions(&self) -> u64 {
         match self {
             TraceOp::Compute(n) => u64::from(*n),
             _ => 1,

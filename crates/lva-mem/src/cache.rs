@@ -207,12 +207,6 @@ impl SetAssocCache {
         }
     }
 
-    /// The cache geometry.
-    #[must_use]
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
     #[inline]
     fn set_and_tag(&self, addr: Addr) -> (usize, u64) {
         let block = addr.0 >> self.block_shift;

@@ -89,7 +89,7 @@ impl SimMemory {
     }
 
     /// Writes one byte.
-    pub fn write_u8(&mut self, addr: Addr, v: u8) {
+    pub(crate) fn write_u8(&mut self, addr: Addr, v: u8) {
         let off = addr.0.wrapping_sub(HEAP_BASE) as usize;
         if let Some(b) = self.heap.get_mut(off) {
             *b = v;
@@ -255,7 +255,7 @@ impl SimMemory {
     }
 
     /// Writes a contiguous array of bytes starting at `addr` — the bulk
-    /// analogue of repeated [`write_u8`](Self::write_u8) calls, used by
+    /// analogue of repeated `write_u8` calls, used by
     /// kernels to upload input arrays without the per-call dispatch.
     pub fn write_u8_slice(&mut self, addr: Addr, values: &[u8]) {
         let off = addr.0.wrapping_sub(HEAP_BASE) as usize;

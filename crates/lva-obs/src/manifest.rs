@@ -93,7 +93,7 @@ impl RunRecord {
 
     /// Lowers the record to a JSON value.
     #[must_use]
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("kind".into(), Json::Str(RECORD_KIND.into())),
             ("schema".into(), Json::Num(SCHEMA_VERSION as f64)),
@@ -131,7 +131,7 @@ impl RunRecord {
     ///
     /// Returns a message on a wrong `kind`, an unsupported `schema`, or a
     /// structurally malformed document.
-    pub fn from_json(json: &Json) -> Result<Self, String> {
+    pub(crate) fn from_json(json: &Json) -> Result<Self, String> {
         let kind = json
             .get("kind")
             .and_then(Json::as_str)

@@ -52,7 +52,7 @@ pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 /// Bucket 0 holds the value 0; bucket `i` (1..=64) holds values in
 /// `[2^(i-1), 2^i)`. Recording is a handful of integer ops — cheap enough
 /// for per-event use in hot loops. Quantiles are *exact over the bucket
-/// counts*: [`Histogram::quantile`] walks the cumulative counts to the
+/// counts*: `quantile` walks the cumulative counts to the
 /// requested rank and reports that bucket's inclusive upper bound, clamped
 /// into the observed `[min, max]` range (so single-valued distributions
 /// report the value itself, exactly).
@@ -107,19 +107,19 @@ impl Histogram {
 
     /// Observations recorded so far.
     #[must_use]
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Sum of all observations.
     #[must_use]
-    pub fn sum(&self) -> u128 {
+    pub(crate) fn sum(&self) -> u128 {
         self.sum
     }
 
     /// Smallest observation (0 if empty).
     #[must_use]
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -129,7 +129,7 @@ impl Histogram {
 
     /// Largest observation (0 if empty).
     #[must_use]
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max
     }
 
@@ -137,7 +137,7 @@ impl Histogram {
     /// JSON layer serializes as `null` (see `crate::json`) and the
     /// compare engine treats as equal to any other non-finite value.
     #[must_use]
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             f64::NAN
         } else {
@@ -149,7 +149,7 @@ impl Histogram {
     /// upper bound of the bucket containing the rank-`ceil(q * count)`
     /// observation, clamped to the observed range. Returns 0 if empty.
     #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -180,7 +180,7 @@ impl Histogram {
 
     /// 99th percentile at bucket resolution.
     #[must_use]
-    pub fn p99(&self) -> u64 {
+    pub(crate) fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
 
@@ -191,7 +191,7 @@ impl Histogram {
     }
 
     /// Folds another histogram's observations into this one.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         if other.count == 0 {
             return;
         }
@@ -316,29 +316,11 @@ impl MetricsRegistry {
         }
     }
 
-    /// Read-only lookup.
-    #[must_use]
-    pub fn get(&self, path: &str) -> Option<&Metric> {
-        self.index.get(path).map(|&i| &self.entries[i].1)
-    }
-
     /// Iterates every registered metric in registration order, without
     /// the flattening [`dump`](Self::dump) applies — the raw view the
     /// epoch sampler diffs between snapshots.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
         self.entries.iter().map(|(path, m)| (path.as_str(), m))
-    }
-
-    /// Number of registered metrics.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether nothing has been registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Flattens every metric into ordered `(path, value)` pairs, in
@@ -388,8 +370,8 @@ mod tests {
         reg.counter("core0/l1/miss").inc();
         reg.counter("core0/l1/miss").add(4);
         reg.gauge("sweep/workers").set(8.0);
-        assert_eq!(reg.len(), 2);
         let dump = reg.dump();
+        assert_eq!(dump.len(), 2);
         assert_eq!(dump[0], ("core0/l1/miss".into(), 5.0));
         assert_eq!(dump[1], ("sweep/workers".into(), 8.0));
     }

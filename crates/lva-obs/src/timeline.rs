@@ -375,12 +375,6 @@ impl EpochSampler {
         }
     }
 
-    /// The sampling configuration.
-    #[must_use]
-    pub fn config(&self) -> &TimelineConfig {
-        &self.config
-    }
-
     /// The clock value at which the current epoch is due to close — hot
     /// loops compare their clock against this single `u64` and only call
     /// [`sample`](Self::sample) when it is reached.
@@ -487,15 +481,6 @@ impl TimelineRecord {
             Some((_, v)) => *v = value,
             None => self.meta.push((key, value)),
         }
-    }
-
-    /// Metadata lookup.
-    #[must_use]
-    pub fn meta(&self, key: &str) -> Option<&str> {
-        self.meta
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
     }
 
     /// Lowers the manifest to its JSON document.
@@ -839,7 +824,7 @@ mod tests {
         record.set_meta("epoch", "10");
         let back = TimelineRecord::from_json(&record.to_json()).expect("parses");
         assert_eq!(back, record);
-        assert_eq!(back.meta("workload"), Some("blackscholes"));
+        assert_eq!(back.meta[0], ("workload".into(), "blackscholes".into()));
 
         let mut json = record.to_json();
         if let Json::Obj(members) = &mut json {

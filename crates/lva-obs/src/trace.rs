@@ -307,7 +307,7 @@ impl Default for SamplingPolicy {
 
 impl SamplingPolicy {
     /// Admits every event.
-    pub fn all() -> Self {
+    pub(crate) fn all() -> Self {
         Self {
             every_nth_miss: 1,
             pc_filter: Vec::new(),
@@ -327,7 +327,7 @@ impl SamplingPolicy {
 
     /// Restricts PC-bearing events to the given static PCs (sorted and
     /// deduplicated internally). An empty list means "no filter".
-    pub fn with_pc_filter(mut self, pcs: &[u64]) -> Self {
+    pub(crate) fn with_pc_filter(mut self, pcs: &[u64]) -> Self {
         self.pc_filter = pcs.to_vec();
         self.pc_filter.sort_unstable();
         self.pc_filter.dedup();
@@ -461,7 +461,7 @@ pub struct PcStats {
 
 impl PcStats {
     /// Fraction of this PC's misses that were approximated.
-    pub fn coverage(&self) -> f64 {
+    pub(crate) fn coverage(&self) -> f64 {
         if self.misses == 0 {
             0.0
         } else {
@@ -504,18 +504,12 @@ impl PcStats {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PcAttribution {
     pcs: BTreeMap<u64, PcStats>,
-    events: u64,
 }
 
 impl PcAttribution {
     /// An empty attribution table.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Total events absorbed (including spans and evictions).
-    pub fn events(&self) -> u64 {
-        self.events
     }
 
     /// Number of distinct static PCs observed.
@@ -541,7 +535,6 @@ impl PcAttribution {
     /// Folds another attribution table (e.g. from another core) into this
     /// one.
     pub fn merge(&mut self, other: &PcAttribution) {
-        self.events += other.events;
         for (pc, stats) in &other.pcs {
             self.pcs.entry(*pc).or_default().merge(stats);
         }
@@ -664,7 +657,6 @@ impl PcAttribution {
 
 impl TraceSink for PcAttribution {
     fn record(&mut self, event: TraceEvent) {
-        self.events += 1;
         let pc = match event.kind.pc() {
             Some(pc) => pc,
             None => return,

@@ -74,18 +74,6 @@ impl ResultCache {
         Ok(cache)
     }
 
-    /// Number of entries in the memory tier.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the memory tier is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// The disk path of a key's entry, if this cache has a disk tier.
     #[must_use]
     pub(crate) fn entry_path(&self, key: u64) -> Option<PathBuf> {
@@ -181,13 +169,13 @@ mod tests {
     #[test]
     fn memory_tier_hits_and_evicts_lru() {
         let mut cache = ResultCache::in_memory(2);
-        assert!(cache.is_empty());
+        assert!(cache.entries.is_empty());
         cache.put(1, record_text("one"));
         cache.put(2, record_text("two"));
         // Touch 1 so 2 is the LRU victim.
         assert!(cache.get(1).is_some());
         cache.put(3, record_text("three"));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
         assert!(cache.get(2).is_none(), "LRU entry evicted");
         assert!(cache.get(1).is_some());
         assert!(cache.get(3).is_some());
@@ -229,7 +217,7 @@ mod tests {
         assert!(cache.get(3).is_some());
         // LRU order: 2 < 1 < 3.
         cache.put(4, record_text("four"));
-        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.entries.len(), 3);
         assert!(
             cache.get(2).is_none(),
             "victim must be the least recently used"
@@ -241,7 +229,7 @@ mod tests {
         // Re-putting an existing key must not evict anyone: the cache is
         // exactly at capacity and the key is already resident.
         cache.put(3, record_text("three-v2"));
-        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.entries.len(), 3);
         assert_eq!(cache.get(3).unwrap(), record_text("three-v2"));
         assert!(cache.get(1).is_some());
         assert!(cache.get(4).is_some());
@@ -256,10 +244,10 @@ mod tests {
             cache.put(key, record_text("persisted"));
         }
         let mut cache = ResultCache::open(&dir, 4).unwrap();
-        assert!(cache.is_empty(), "memory tier starts cold");
+        assert!(cache.entries.is_empty(), "memory tier starts cold");
         let text = cache.get(key).expect("disk hit");
         assert_eq!(text, record_text("persisted"));
-        assert_eq!(cache.len(), 1, "disk hit promoted to memory");
+        assert_eq!(cache.entries.len(), 1, "disk hit promoted to memory");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -58,7 +58,7 @@ pub const CACHE_SCHEMA_VERSION: u64 = 5;
 /// 64-bit FNV-1a — the same hash the determinism suite pins sweep
 /// statistics with; dependency-free and stable across platforms.
 #[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);

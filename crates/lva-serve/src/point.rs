@@ -66,7 +66,7 @@ impl PointSpec {
     ///
     /// Returns a message when the seed is above 2^53 − 1: a JSON number
     /// cannot carry it exactly.
-    pub fn to_json(&self) -> Result<Json, String> {
+    pub(crate) fn to_json(&self) -> Result<Json, String> {
         if self.seed > MAX_EXACT {
             return Err(format!("seed {} is not exact as a JSON number", self.seed));
         }
@@ -85,7 +85,7 @@ impl PointSpec {
     /// Returns a message on a malformed object, an unknown scale, a seed
     /// that is not an integer in [0, 2^53), or whatever
     /// [`SimConfig::from_json`] rejects.
-    pub fn from_json(json: &Json) -> Result<Self, String> {
+    pub(crate) fn from_json(json: &Json) -> Result<Self, String> {
         let workload = json
             .get("workload")
             .and_then(Json::as_str)

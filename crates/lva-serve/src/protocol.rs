@@ -125,8 +125,8 @@ pub(crate) fn parse_request(line: &str) -> Result<Request, String> {
 ///
 /// # Errors
 ///
-/// Returns a message when a point's seed is above 2^53 − 1 (see
-/// [`PointSpec::to_json`]).
+/// Returns a message when a point's seed is above 2^53 − 1, the largest
+/// integer a JSON number carries exactly.
 pub fn encode_submit(points: &[PointSpec]) -> Result<String, String> {
     let points = points
         .iter()

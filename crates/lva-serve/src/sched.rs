@@ -356,7 +356,7 @@ impl Scheduler {
     /// Progress of a job: `(done, total)` point counts. Blocks until
     /// `done` differs from `last_done` or the job finishes. Returns
     /// `None` for a job already taken by [`wait`](Self::wait).
-    pub fn progress(&self, id: JobId, last_done: usize) -> Option<(usize, usize)> {
+    pub(crate) fn progress(&self, id: JobId, last_done: usize) -> Option<(usize, usize)> {
         let mut jobs = self.inner.jobs.lock().expect("jobs lock");
         loop {
             let job = jobs.get(&id)?;
@@ -447,7 +447,7 @@ impl Scheduler {
 
     /// Drains outstanding work and stops the worker pool and the
     /// timeline sampler. Idempotent.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         self.inner.queue.close();
         let handles: Vec<_> = self
             .workers

@@ -134,21 +134,6 @@ impl FullSystemConfig {
         self
     }
 
-    /// Same machine, with a per-L1 governor holding `slo_error` (see
-    /// [`GovernorConfig::slo`]).
-    #[must_use]
-    pub fn with_govern_slo(self, slo_error: f64) -> Self {
-        self.with_govern(GovernorConfig::slo(slo_error))
-    }
-
-    /// Same machine, with an explicit governor configuration (see
-    /// [`crate::SimConfig::with_govern`]).
-    #[must_use]
-    pub fn with_govern(mut self, govern: GovernorConfig) -> Self {
-        self.govern = Some(govern.over(self.govern));
-        self
-    }
-
     /// Same machine, with training fetches deprioritized by `cycles`
     /// (§VI-C: heterogeneous NoC / low-energy memory paths).
     #[must_use]
@@ -178,13 +163,6 @@ impl FullSystemConfig {
     #[must_use]
     pub fn with_core_shape(mut self, width: usize, rob: usize) -> Self {
         self.core_shape = (width, rob);
-        self
-    }
-
-    /// Same machine, with cycle-domain epoch timeline sampling attached.
-    #[must_use]
-    pub fn with_timeline(mut self, timeline: lva_obs::TimelineConfig) -> Self {
-        self.timeline = Some(timeline);
         self
     }
 
@@ -312,7 +290,7 @@ impl FullSystemStats {
     /// under `<prefix>/govern/*` (only when a governor actuated), and the
     /// derived IPC and average miss latency. Purely post-run — the
     /// simulation never reads the registry back.
-    pub fn record_metrics(&self, registry: &mut lva_obs::MetricsRegistry, prefix: &str) {
+    pub(crate) fn record_metrics(&self, registry: &mut lva_obs::MetricsRegistry, prefix: &str) {
         let p = |m: &str| format!("{prefix}/{m}");
         registry.counter(&p("cycles")).add(self.cycles);
         registry.counter(&p("instructions")).add(self.instructions);
@@ -1691,10 +1669,13 @@ mod tests {
         let traces = || vec![load_trace(2000, 64, true, 7.0)];
         let cfg = FullSystemConfig::paper(MechanismKind::Lva(ApproximatorConfig::baseline()));
         let off = run(cfg.clone(), traces());
-        let (on, timeline) =
-            FullSystem::new(cfg.with_timeline(TimelineConfig::every(1000)), traces())
-                .run_with_timeline()
-                .expect("no deadlock");
+        let sampled = FullSystemConfig {
+            timeline: Some(TimelineConfig::every(1000)),
+            ..cfg
+        };
+        let (on, timeline) = FullSystem::new(sampled, traces())
+            .run_with_timeline()
+            .expect("no deadlock");
         // Write-only: identical statistics with sampling on or off.
         assert_eq!(on, off);
         assert!(timeline.len() >= 2, "epochs: {}", timeline.len());
@@ -1709,16 +1690,20 @@ mod tests {
         assert_eq!(timeline.sum_counter("fs/drain_cycles"), on.drain_cycles);
         // Plain run() on a timeline-bearing config still works (and drops
         // the frames).
-        let cfg = FullSystemConfig::paper(MechanismKind::Precise)
-            .with_timeline(TimelineConfig::every(500));
+        let cfg = FullSystemConfig {
+            timeline: Some(TimelineConfig::every(500)),
+            ..FullSystemConfig::paper(MechanismKind::Precise)
+        };
         assert_eq!(run(cfg, traces()).l1_load_misses, off.l1_load_misses);
     }
 
     #[test]
     fn zero_epoch_timelines_are_rejected() {
         use lva_obs::TimelineConfig;
-        let cfg =
-            FullSystemConfig::paper(MechanismKind::Precise).with_timeline(TimelineConfig::every(0));
+        let cfg = FullSystemConfig {
+            timeline: Some(TimelineConfig::every(0)),
+            ..FullSystemConfig::paper(MechanismKind::Precise)
+        };
         assert_eq!(
             FullSystem::try_new(cfg, vec![ThreadTrace::new()]).err(),
             Some(ConfigError::ZeroEpoch)
@@ -2169,12 +2154,14 @@ mod tests {
             traces.clone(),
         );
         let on = run(
-            FullSystemConfig::paper(MechanismKind::Lva(ApproximatorConfig::baseline()))
-                .with_govern(GovernorConfig {
+            FullSystemConfig {
+                govern: Some(GovernorConfig {
                     epoch_len: 500,
                     min_samples: 4,
                     ..GovernorConfig::slo(0.5)
                 }),
+                ..FullSystemConfig::paper(MechanismKind::Lva(ApproximatorConfig::baseline()))
+            },
             traces,
         );
         assert_eq!(on.govern_actuations, 0);
@@ -2195,13 +2182,15 @@ mod tests {
         // Values wobble a few percent, far over a 0.1% SLO: the per-L1
         // governor must walk its window ladder down on the cycle clock.
         let stats = run(
-            FullSystemConfig::paper(MechanismKind::Lva(ApproximatorConfig::baseline()))
-                .with_govern(GovernorConfig {
+            FullSystemConfig {
+                govern: Some(GovernorConfig {
                     epoch_len: 500,
                     min_samples: 4,
                     hysteresis_epochs: 1,
                     ..GovernorConfig::slo(0.001)
                 }),
+                ..FullSystemConfig::paper(MechanismKind::Lva(ApproximatorConfig::baseline()))
+            },
             vec![sloppy_trace(4000)],
         );
         assert!(stats.govern_actuations > 0, "must actuate");
@@ -2261,10 +2250,13 @@ mod tests {
             .with_error_budget(0.001);
         let traces = || vec![sloppy_trace(4000)];
         let off = run(cfg.clone(), traces());
-        let (on, timeline) =
-            FullSystem::new(cfg.with_timeline(TimelineConfig::every(2000)), traces())
-                .run_with_timeline()
-                .expect("no deadlock");
+        let sampled = FullSystemConfig {
+            timeline: Some(TimelineConfig::every(2000)),
+            ..cfg
+        };
+        let (on, timeline) = FullSystem::new(sampled, traces())
+            .run_with_timeline()
+            .expect("no deadlock");
         assert_eq!(on, off, "sampling must not perturb the run");
         assert!(on.degrade_forced > 0, "the controller must act");
         let forced = timeline.counter_series("fs/degrade/forced_fetches");
@@ -2290,8 +2282,10 @@ mod tests {
             ..GovernorConfig::budget(0.001)
         };
         let stats = run(
-            FullSystemConfig::paper(MechanismKind::Lva(ApproximatorConfig::baseline()))
-                .with_govern(cfg),
+            FullSystemConfig {
+                govern: Some(cfg),
+                ..FullSystemConfig::paper(MechanismKind::Lva(ApproximatorConfig::baseline()))
+            },
             vec![sloppy_trace(4000)],
         );
         assert!(stats.disables > 0, "sloppy PC must reach Disabled");
@@ -2318,6 +2312,10 @@ mod tests {
         // Each of these used to run: a NaN budget whose controller never
         // acts, a negative SLO, and a governor epoch every cycle.
         let lva = || FullSystemConfig::paper(MechanismKind::Lva(ApproximatorConfig::baseline()));
+        let governed = |govern| FullSystemConfig {
+            govern: Some(govern),
+            ..lva()
+        };
         let phase1 = crate::SimConfig::baseline_lva;
         let zero_epoch = GovernorConfig {
             epoch_len: 0,
@@ -2328,11 +2326,11 @@ mod tests {
                 lva().with_error_budget(f64::NAN),
                 phase1().with_error_budget(f64::NAN),
             ),
-            (lva().with_govern_slo(-1.0), phase1().with_govern_slo(-1.0)),
             (
-                lva().with_govern(zero_epoch),
-                phase1().with_govern(zero_epoch),
+                governed(GovernorConfig::slo(-1.0)),
+                phase1().with_govern_slo(-1.0),
             ),
+            (governed(zero_epoch), phase1().with_govern(zero_epoch)),
         ];
         for (fs, p1) in cases {
             let fs_err = FullSystem::try_new(fs, vec![load_trace(8, 64, true, 1.0)]).unwrap_err();

@@ -183,7 +183,7 @@ impl GovernorConfig {
     /// Returns [`ConfigError::GovernorKnob`] naming the offending field. A
     /// governor with neither layer has nothing to do and is reported
     /// against `slo_error`, with a NaN value.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if self.slo_error.is_none() && self.error_budget.is_none() {
             return Err(ConfigError::GovernorKnob {
                 knob: "slo_error",

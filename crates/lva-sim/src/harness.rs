@@ -195,7 +195,7 @@ impl SimHarness {
     ///
     /// Returns whatever [`SimConfig::validate`] or
     /// [`Mechanism::from_kind`] rejects.
-    pub fn try_new(config: SimConfig) -> Result<Self, ConfigError> {
+    pub(crate) fn try_new(config: SimConfig) -> Result<Self, ConfigError> {
         config.validate()?;
         let mut threads = Vec::with_capacity(config.threads);
         for core in 0..config.threads {
@@ -250,23 +250,15 @@ impl SimHarness {
         })
     }
 
-    /// Convenience wrapper around [`try_new`](Self::try_new) for known-good
-    /// configurations.
+    /// Builds a harness for a known-good configuration.
     ///
     /// # Panics
     ///
     /// Panics if `config.threads` is zero, a confidence window is malformed
-    /// ([`SimConfig::validate`]), or a mechanism configuration is invalid;
-    /// fallible callers should use [`try_new`](Self::try_new).
+    /// ([`SimConfig::validate`]), or a mechanism configuration is invalid.
     #[must_use]
     pub fn new(config: SimConfig) -> Self {
         Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The configuration this harness runs under.
-    #[must_use]
-    pub fn config(&self) -> &SimConfig {
-        &self.config
     }
 
     /// Read-only view of the simulated memory.
@@ -724,7 +716,7 @@ impl SimHarness {
 
     /// The generic instrumented store: write-allocate, never approximated,
     /// off the critical path (§V-A).
-    pub fn store(&mut self, pc: Pc, addr: Addr, value: Value) {
+    pub(crate) fn store(&mut self, pc: Pc, addr: Addr, value: Value) {
         let record = self.config.record_traces;
         self.mem.write_value(addr, value);
         let t = &mut self.threads[self.cur];

@@ -14,7 +14,7 @@ use std::fmt;
 ///
 /// In the harness, [`ThreadStats::approx_pcs`] inserts arrive through a
 /// per-thread direct-mapped filter of PCs already in the set, so an
-/// annotated load reaches [`insert`](Self::insert) only when its filter
+/// annotated load reaches `insert` only when its filter
 /// slot holds another PC or none.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PcSet {
@@ -24,25 +24,19 @@ pub struct PcSet {
 impl PcSet {
     /// An empty set.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PcSet::default()
     }
 
     /// Number of distinct PCs.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pcs.len()
-    }
-
-    /// Whether the set is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.pcs.is_empty()
     }
 
     /// Inserts `pc`; returns `false` if it was already present.
     #[inline]
-    pub fn insert(&mut self, pc: Pc) -> bool {
+    pub(crate) fn insert(&mut self, pc: Pc) -> bool {
         match self.pcs.binary_search_by_key(&pc.0, |p| p.0) {
             Ok(_) => false,
             Err(i) => {
@@ -53,7 +47,7 @@ impl PcSet {
     }
 
     /// Iterates PCs in ascending order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = &Pc> + '_ {
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = &Pc> + '_ {
         self.pcs.iter()
     }
 }
@@ -97,14 +91,14 @@ macro_rules! thread_counters {
     (@gate $(#[$doc:meta])* $gate:ident(any) [$($field:ident),*]) => {
         $(#[$doc])*
         #[must_use]
-        pub fn $gate(&self) -> bool {
+        pub(crate) fn $gate(&self) -> bool {
             [$(self.$field),*].iter().any(|&v| v != 0)
         }
     };
     (@gate $(#[$doc:meta])* $gate:ident($opener:ident) [$($field:ident),*]) => {
         $(#[$doc])*
         #[must_use]
-        pub fn $gate(&self) -> bool {
+        pub(crate) fn $gate(&self) -> bool {
             self.$opener != 0
         }
     };
@@ -141,7 +135,7 @@ macro_rules! thread_counters {
             /// (`<prefix>/l1/raw_misses`, `<prefix>/mech/approximations`, …)
             /// — the per-thread half of [`Phase1Stats::record_metrics`], also
             /// used by the epoch timeline sampler to snapshot a single thread.
-            pub fn record_metrics(&self, registry: &mut MetricsRegistry, prefix: &str) {
+            pub(crate) fn record_metrics(&self, registry: &mut MetricsRegistry, prefix: &str) {
                 let mut put = |path: &str, value: u64| {
                     registry.counter(&format!("{prefix}/{path}")).add(value);
                 };
@@ -472,7 +466,7 @@ impl SweepSummary {
     /// Parallel speedup actually achieved: serial-equivalent time over
     /// wall-clock time.
     #[must_use]
-    pub fn speedup(&self) -> f64 {
+    pub(crate) fn speedup(&self) -> f64 {
         let wall = self.wall.as_secs_f64();
         if wall <= 0.0 {
             return 1.0;

@@ -587,18 +587,6 @@ impl SweepSpec {
         }
         grid
     }
-
-    /// Number of points [`build`](Self::build) will produce.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.build().len()
-    }
-
-    /// Whether the grid is empty (it never is: the base always counts).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl Default for SweepSpec {

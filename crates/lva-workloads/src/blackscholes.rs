@@ -87,18 +87,6 @@ impl Blackscholes {
             .collect();
         Blackscholes { options }
     }
-
-    /// Number of options priced.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.options.len()
-    }
-
-    /// Whether the portfolio is empty (never, by construction).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.options.is_empty()
-    }
 }
 
 /// The Black–Scholes closed form.
@@ -305,7 +293,7 @@ mod tests {
             .iter()
             .filter(|o| o.spot == 100.0 || o.spot == 42.0)
             .count() as f64
-            / wl.len() as f64;
+            / wl.options.len() as f64;
         assert!(
             dominant > 0.97,
             "two spot values must cover >97%: {dominant}"

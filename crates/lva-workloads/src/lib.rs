@@ -154,7 +154,7 @@ impl WorkloadRun {
 /// it. Two configs with equal precise configs share one reference, which
 /// is what lets a sweep memoize it.
 #[must_use]
-pub fn precise_config(config: &SimConfig) -> SimConfig {
+pub(crate) fn precise_config(config: &SimConfig) -> SimConfig {
     SimConfig {
         mechanism: MechanismKind::Precise,
         trace: lva_obs::TraceConfig::off(),
@@ -165,7 +165,7 @@ pub fn precise_config(config: &SimConfig) -> SimConfig {
     }
 }
 
-/// A kernel's precise run under some [`precise_config`]: the type-erased
+/// A kernel's precise run under some `precise_config`: the type-erased
 /// output the error metric compares against, plus the run's statistics,
 /// instruction traces and trace collectors.
 ///
@@ -209,7 +209,7 @@ pub trait Workload: Send + Sync {
     /// Benchmark name.
     fn name(&self) -> &'static str;
 
-    /// Runs the kernel precisely under [`precise_config`]`(config)`, for
+    /// Runs the kernel precisely under `precise_config(config)`, for
     /// a reference that outlives the call (a memo entry).
     fn precise_reference(&self, config: &SimConfig) -> PreciseReference;
 

@@ -7,7 +7,9 @@
 
 use lva::core::{ApproximatorConfig, ClpConfig, LvpConfig, Rng64};
 use lva::cpu::trace_io::{read_traces, write_traces};
-use lva::obs::{parse_json, RunRecord};
+use lva::obs::{
+    parse_json, read_jsonl, write_jsonl, EpochFrame, RunRecord, TimelineConfig, TimelineRecord,
+};
 use lva::serve::protocol::{encode_outcome, parse_server_line, ServerLine};
 use lva::serve::{evaluate_point, JobOutcome, PointSpec};
 use lva::sim::{FaultConfig, FullSystem, FullSystemConfig, MechanismKind, SimConfig};
@@ -218,4 +220,80 @@ fn run_manifests_decode_or_error_but_never_panic() {
         records > 0 && errors > 0,
         "{records} records, {errors} errors"
     );
+}
+
+/// Parses `text` and runs both timeline decoders on whatever parses; the
+/// number of them that returned a value. Fails the test, naming the mutant,
+/// on a panic.
+fn timeline_decodes(what: &str, text: &str) -> usize {
+    let decoded = catch_unwind(|| {
+        parse_json(text).map_or(0, |json| {
+            usize::from(EpochFrame::from_json(&json).is_ok())
+                + usize::from(TimelineRecord::from_json(&json).is_ok())
+        })
+    });
+    decoded.unwrap_or_else(|_| panic!("{what}: decoding panicked on {text}"))
+}
+
+#[test]
+fn timelines_decode_or_error_but_never_panic() {
+    // A sampled phase-1 run, as `lva-explore timeline` records it.
+    let kernel = registry(WorkloadScale::Test)
+        .into_iter()
+        .find(|w| w.name() == "blackscholes")
+        .expect("blackscholes is registered");
+    let run = kernel.execute(&SimConfig::baseline_lva().with_timeline(TimelineConfig::every(500)));
+    let mut timeline = run.timelines.into_iter().next().expect("thread 0 sampled");
+    timeline.frames.truncate(3);
+    assert_eq!(
+        timeline.frames.len(),
+        3,
+        "the run spans at least three epochs"
+    );
+    let frame = timeline.frames[1].to_json().to_string_compact();
+    let mut record = TimelineRecord::new("blackscholes-core0", timeline.clone());
+    record.set_meta("epoch", "500");
+    let record = record.to_json().to_string_compact();
+    assert_eq!(timeline_decodes("frame seed", &frame), 1);
+    assert_eq!(timeline_decodes("record seed", &record), 1);
+
+    let mut rng = Rng64::new(0x71de_11e5);
+    let (mut values, mut mutants) = (0, 0);
+    for seed in [&frame, &record] {
+        for (what, text) in json_mutants(seed, &mut rng, 128, 32) {
+            values += timeline_decodes(&what, &text);
+            mutants += 1;
+        }
+    }
+    assert!(
+        values > 0 && values < mutants,
+        "{values} values from {mutants} mutants"
+    );
+
+    // A crashed writer's cut-off last line is dropped and flagged; a bad
+    // line before it is corruption.
+    let dir = std::env::temp_dir().join(format!("lva_fuzz_jsonl_{}", std::process::id()));
+    let path = dir.join("timeline.jsonl");
+    write_jsonl(&path, &timeline.frames).expect("write JSONL");
+    let text = std::fs::read_to_string(&path).expect("read JSONL");
+    let loaded = read_jsonl(&path).expect("the seed file loads");
+    assert_eq!(
+        (loaded.frames, loaded.truncated),
+        (timeline.frames.clone(), false)
+    );
+    let lines: Vec<&str> = text.lines().collect();
+    let cut_last = format!(
+        "{}\n{}\n{}",
+        lines[0],
+        lines[1],
+        &lines[2][..lines[2].len() / 2]
+    );
+    std::fs::write(&path, cut_last).expect("write JSONL");
+    let loaded = read_jsonl(&path).expect("a cut-off last line loads");
+    assert!(loaded.truncated);
+    assert_eq!(loaded.frames, timeline.frames[..2]);
+    let cut_middle = format!("{}\n{{\"epoch\":\n{}\n", lines[0], lines[2]);
+    std::fs::write(&path, cut_middle).expect("write JSONL");
+    assert!(read_jsonl(&path).is_err(), "a bad middle line must fail");
+    let _ = std::fs::remove_dir_all(&dir);
 }
